@@ -227,13 +227,21 @@ func (r *rule) fire() bool {
 	if !hit {
 		return false
 	}
-	if r.Limit > 0 && r.fired.Add(1) > uint64(r.Limit) {
-		return false
-	}
 	if r.Limit <= 0 {
 		r.fired.Add(1)
+		return true
 	}
-	return true
+	// Claim a fire only while under the limit, so concurrent callers
+	// never push the reported count past it.
+	for {
+		n := r.fired.Load()
+		if n >= uint64(r.Limit) {
+			return false
+		}
+		if r.fired.CompareAndSwap(n, n+1) {
+			return true
+		}
+	}
 }
 
 // Injector evaluates an armed spec at named sites. All methods are

@@ -351,39 +351,57 @@ func (s *Suite) Run(w *workload.Workload, v Variant, m cpu.Machine) (metrics.Cou
 }
 
 // RunCtx is Run under a request context: when ctx carries an obs
-// trace, the cell's work is attributed to its stages — "sim" for
-// direct simulation, "record" when this call records the dispatch
-// trace, "trace_load" when it loads one from the cache, and the
-// replay's "decode"/"apply" split. Coalesced concurrent callers share
-// one computation, whose stages land on the trace of the caller that
-// ran it. Results are identical to Run.
+// trace, the cell's work is attributed to its stages (see Compute).
+// Coalesced concurrent callers share one computation, whose stages
+// land on the trace of the caller that ran it. Results are identical
+// to Run.
 func (s *Suite) RunCtx(ctx context.Context, w *workload.Workload, v Variant, m cpu.Machine) (metrics.Counters, error) {
 	key := resultKey{bench: w.Name, variant: v.Name, machine: m.Name, scale: s.scale(w)}
-	return s.results.Do(key,
-		func() (metrics.Counters, error) { return s.runUncached(ctx, w, v, m) })
+	return s.results.Do(key, func() (metrics.Counters, error) {
+		cs, err := s.Compute(ctx, w, v, []cpu.Machine{m})
+		if err != nil {
+			return metrics.Counters{}, err
+		}
+		return cs[0], nil
+	})
 }
 
-func (s *Suite) runUncached(ctx context.Context, w *workload.Workload, v Variant, m cpu.Machine) (metrics.Counters, error) {
+// Compute produces the counters of one (benchmark, variant) pair on
+// each of machines, in order, without reading or filling the suite's
+// result memo — for callers that keep their own (a server's LRU).
+// Trained static sets are still shared through the suite.
+//
+// With a trace cache attached it gets or records the pair's dispatch
+// trace once: a recording run is a direct simulation on machines[0],
+// so its counters are that machine's result, and the other machines
+// replay the trace. Without one, each machine is a direct simulation
+// on the suite's worker pool. When ctx carries an obs trace the work
+// is attributed to its stages: one "sim" per directly simulated cell,
+// "record" or "trace_load" for the trace, and the replay's own stages.
+func (s *Suite) Compute(ctx context.Context, w *workload.Workload, v Variant, machines []cpu.Machine) ([]metrics.Counters, error) {
 	if s.Traces == nil {
-		sp := obs.Start(ctx, "sim")
-		c, err := s.simulate(w, v, m, nil)
-		sp.End()
-		return c, err
+		return runner.Map(ctx, len(machines), runner.Options{Jobs: s.Jobs},
+			func(ctx context.Context, i int) (metrics.Counters, error) {
+				sp := obs.Start(ctx, "sim")
+				defer sp.End()
+				return s.simulate(w, v, machines[i], nil)
+			})
 	}
-	// The recording run is itself a direct simulation on m, so when
-	// this cell is the one that records, its counters are used as-is
-	// (replaying its own trace would reproduce them byte for byte).
-	var recorded *metrics.Counters
+	out := make([]metrics.Counters, len(machines))
+	if len(machines) == 0 {
+		return out, nil
+	}
+	recorded := false
 	sp := obs.Start(ctx, "trace_load")
 	tr, _, err := s.Traces.GetOrRecord(s.TraceKey(w, v), func() (*disptrace.Trace, error) {
-		tr, c, err := s.RecordTrace(w, v, m)
+		tr, c, err := s.RecordTrace(w, v, machines[0])
 		if err != nil {
 			return nil, err
 		}
-		recorded = &c
+		out[0], recorded = c, true
 		return tr, nil
 	})
-	if recorded != nil {
+	if recorded {
 		// Only learned after the fact: the get-or-record call spent its
 		// time recording, not loading.
 		sp.EndAs("record")
@@ -391,19 +409,36 @@ func (s *Suite) runUncached(ctx context.Context, w *workload.Workload, v Variant
 		sp.End()
 	}
 	if err != nil {
-		return metrics.Counters{}, err
+		return nil, err
 	}
-	if recorded != nil {
-		return *recorded, nil
+	replay := machines
+	if recorded {
+		replay = machines[1:]
 	}
-	sim := cpu.NewSim(m)
-	// jobs=1: this runs inside the suite's worker pool, which already
-	// saturates the cores; sequential replay keeps its buffer reuse
-	// instead of nesting decode goroutines that have nowhere to run.
-	if err := disptrace.ReplayCtx(ctx, tr, sim, 1); err != nil {
-		return metrics.Counters{}, fmt.Errorf("%s/%s on %s: replaying trace: %w", w.Name, v.Name, m.Name, err)
+	sims := make([]*cpu.Sim, len(replay))
+	for k, m := range replay {
+		sims[k] = cpu.NewSim(m)
 	}
-	return sim.C, nil
+	switch len(sims) {
+	case 0:
+	case 1:
+		// jobs=1: a lone cell runs inside a worker pool that already
+		// saturates the cores; sequential replay keeps its buffer reuse
+		// instead of nesting decode goroutines that have nowhere to run.
+		if err := disptrace.ReplayCtx(ctx, tr, sims[0], 1); err != nil {
+			return nil, fmt.Errorf("%s/%s on %s: replaying trace: %w", w.Name, v.Name, replay[0].Name, err)
+		}
+	default:
+		// One decode pass feeds every machine's simulator.
+		if err := disptrace.ReplayEachCtx(ctx, tr, sims); err != nil {
+			return nil, fmt.Errorf("%s/%s: replaying trace: %w", w.Name, v.Name, err)
+		}
+	}
+	off := len(machines) - len(sims)
+	for k, sim := range sims {
+		out[off+k] = sim.C
+	}
+	return out, nil
 }
 
 // simulate runs one cell by direct simulation, optionally recording
@@ -570,20 +605,22 @@ func (s *Suite) runSpecsTraced(ctx context.Context, specs []RunSpec) ([]metrics.
 
 // runGroup computes the cells at idxs (all sharing one workload and
 // variant) from one trace: machines whose results are already cached
-// are taken from the cache, the rest are replayed together. Every
+// are taken from the cache, the rest are computed together. Every
 // result is published into the suite's result cache so later Run
 // calls and Snapshot see it.
 func (s *Suite) runGroup(ctx context.Context, specs []RunSpec, idxs []int) ([]metrics.Counters, error) {
 	w, v := specs[idxs[0]].W, specs[idxs[0]].V
 	scale := s.scale(w)
+	keyOf := func(m cpu.Machine) resultKey {
+		return resultKey{bench: w.Name, variant: v.Name, machine: m.Name, scale: scale}
+	}
 
 	// Machines still needing a run, deduplicated in first-seen order.
 	var need []cpu.Machine
 	seen := make(map[string]bool)
 	for _, i := range idxs {
 		m := specs[i].M
-		key := resultKey{bench: w.Name, variant: v.Name, machine: m.Name, scale: scale}
-		if _, ok := s.results.Get(key); ok || seen[m.Name] {
+		if _, ok := s.results.Get(keyOf(m)); ok || seen[m.Name] {
 			continue
 		}
 		seen[m.Name] = true
@@ -591,50 +628,15 @@ func (s *Suite) runGroup(ctx context.Context, specs []RunSpec, idxs []int) ([]me
 	}
 
 	if len(need) > 0 {
-		// Record on the first needed machine, or load the trace; the
-		// recording run doubles as that machine's result.
-		var recorded *metrics.Counters
-		sp := obs.Start(ctx, "trace_load")
-		tr, _, err := s.Traces.GetOrRecord(s.TraceKey(w, v), func() (*disptrace.Trace, error) {
-			tr, c, err := s.RecordTrace(w, v, need[0])
-			if err != nil {
-				return nil, err
-			}
-			recorded = &c
-			return tr, nil
-		})
-		if recorded != nil {
-			sp.EndAs("record")
-		} else {
-			sp.End()
-		}
+		cs, err := s.Compute(ctx, w, v, need)
 		if err != nil {
 			return nil, err
-		}
-		replay := need
-		computed := make(map[string]metrics.Counters, len(need))
-		if recorded != nil {
-			computed[need[0].Name] = *recorded
-			replay = need[1:]
-		}
-		if len(replay) > 0 {
-			sims := make([]*cpu.Sim, len(replay))
-			for k, m := range replay {
-				sims[k] = cpu.NewSim(m)
-			}
-			if err := disptrace.ReplayEachCtx(ctx, tr, sims); err != nil {
-				return nil, fmt.Errorf("%s/%s: replaying trace: %w", w.Name, v.Name, err)
-			}
-			for k, m := range replay {
-				computed[m.Name] = sims[k].C
-			}
 		}
 		// Publish into the result cache (keeps single-cell Run and
 		// Snapshot coherent; an identical concurrent result wins
 		// harmlessly).
-		for name, c := range computed {
-			key := resultKey{bench: w.Name, variant: v.Name, machine: name, scale: scale}
-			if _, err := s.results.Do(key, func() (metrics.Counters, error) { return c, nil }); err != nil {
+		for k, m := range need {
+			if _, err := s.results.Do(keyOf(m), func() (metrics.Counters, error) { return cs[k], nil }); err != nil {
 				return nil, err
 			}
 		}
@@ -675,15 +677,6 @@ func (s *Suite) RunAll(ws []*workload.Workload, vs []Variant, m cpu.Machine) (ma
 
 // ResultCount reports how many run results the suite has memoized.
 func (s *Suite) ResultCount() int { return s.results.Len() }
-
-// DropResults clears the suite's memoized run results while keeping
-// the (expensive) training profiles. The in-suite result cache never
-// evicts — right for a finite experiment grid, wrong for a
-// long-running server whose query space is open-ended; a server
-// bounds the suite by dropping results once they exceed its budget,
-// relying on its own LRU and the disk trace cache to keep hot cells
-// cheap to recompute.
-func (s *Suite) DropResults() { s.results.Reset() }
 
 // Snapshot returns every cached run as a structured result record,
 // sorted by key — the machine-readable layer behind vmbench's JSON

@@ -3,13 +3,17 @@ package harness
 import (
 	"context"
 	"errors"
+	"math"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"vmopt/internal/core"
 	"vmopt/internal/cpu"
 	"vmopt/internal/disptrace"
+	"vmopt/internal/metrics"
+	"vmopt/internal/obs"
 	"vmopt/internal/workload"
 )
 
@@ -207,5 +211,101 @@ func TestSuiteTrace(t *testing.T) {
 	}
 	if r.AInsts != r.BInsts || r.Divergences == 0 {
 		t.Fatalf("switch vs plain pair misaligned: %+v", r)
+	}
+}
+
+// sameBits reports whether two counter sets are identical, floats
+// compared by bit pattern.
+func sameBits(a, b metrics.Counters) bool {
+	if math.Float64bits(a.Cycles) != math.Float64bits(b.Cycles) ||
+		math.Float64bits(a.MissCycles) != math.Float64bits(b.MissCycles) {
+		return false
+	}
+	a.Cycles, a.MissCycles, b.Cycles, b.MissCycles = 0, 0, 0, 0
+	return a == b
+}
+
+// countSpans returns how many spans named name a finished trace holds.
+func countSpans(tr *obs.Trace, name string) int {
+	rec := obs.NewRecorder(1, 1)
+	rec.Record(tr)
+	n := 0
+	for _, sp := range rec.Snapshot().Recent[0].Spans {
+		if sp.Name == name {
+			n++
+		}
+	}
+	return n
+}
+
+// TestCompute: the memo-free group computation returns exactly what
+// the memoized grid path does, floats bit for bit, on every machine,
+// with and without a trace cache — and leaves the result memo alone.
+// Without a cache each cell is one "sim" span, the same accounting the
+// memoized path keeps per memoized cell.
+func TestCompute(t *testing.T) {
+	w := workload.Gray()
+	v := Variant{Name: "dynamic super", Technique: core.TDynamicSuper}
+	machines := cpu.Machines()
+	if len(machines) != 5 {
+		t.Fatalf("want the five paper machines, have %d", len(machines))
+	}
+	for _, traced := range []bool{false, true} {
+		name := "direct"
+		if traced {
+			name = "traced"
+		}
+		t.Run(name, func(t *testing.T) {
+			ref := NewTestSuite()
+			if traced {
+				ref.Traces = disptrace.NewCache(t.TempDir())
+			}
+			specs := make([]RunSpec, len(machines))
+			for i, m := range machines {
+				specs[i] = RunSpec{w, v, m}
+			}
+			want, err := ref.RunSpecs(specs)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			s := NewTestSuite()
+			if traced {
+				s.Traces = disptrace.NewCache(t.TempDir())
+			}
+			ctx, tr := obs.NewTrace(context.Background(), "test", "compute")
+			got, err := s.Compute(ctx, w, v, machines)
+			tr.Finish(200, time.Since(tr.Start))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, m := range machines {
+				if !sameBits(got[i], want[i]) {
+					t.Errorf("%s: Compute = %+v, RunSpecs = %+v", m.Name, got[i], want[i])
+				}
+			}
+			if n := s.ResultCount(); n != 0 {
+				t.Errorf("Compute memoized %d results, want 0", n)
+			}
+			wantSims := len(machines)
+			if traced {
+				wantSims = 0 // recorded once, replayed into the rest
+			}
+			if n := countSpans(tr, "sim"); n != wantSims {
+				t.Errorf("%d sim spans, want %d", n, wantSims)
+			}
+		})
+	}
+
+	// The memoized path: one sim span per cell it adds to the memo.
+	s := NewTestSuite()
+	ctx, tr := obs.NewTrace(context.Background(), "test", "memo")
+	s.Ctx = ctx
+	if _, err := s.RunAll([]*workload.Workload{w, workload.TSCP()}, []Variant{v, v}, cpu.Celeron800); err != nil {
+		t.Fatal(err)
+	}
+	tr.Finish(200, time.Since(tr.Start))
+	if n, cells := countSpans(tr, "sim"), s.ResultCount(); n != cells || cells != 2 {
+		t.Errorf("%d sim spans for %d memoized cells, want 2 each", n, cells)
 	}
 }

@@ -145,14 +145,3 @@ func (g *Group[K, V]) Len() int {
 	defer g.mu.Unlock()
 	return len(g.cache)
 }
-
-// Reset drops every memoized result. In-flight computations finish
-// normally and publish into the fresh map; callers that need a bound
-// on a Group's otherwise unbounded growth (long-running servers) call
-// this when an external tier — an LRU, a disk cache — holds the
-// results worth keeping.
-func (g *Group[K, V]) Reset() {
-	g.mu.Lock()
-	g.cache = nil
-	g.mu.Unlock()
-}

@@ -98,22 +98,3 @@ func TestFlightDoCtxJoinCancel(t *testing.T) {
 		t.Errorf("leader returned %v", err)
 	}
 }
-
-func TestGroupResetRetriesCompute(t *testing.T) {
-	var g Group[string, int]
-	calls := 0
-	compute := func() (int, error) { calls++; return calls, nil }
-	if v, _ := g.Do("k", compute); v != 1 {
-		t.Fatalf("first Do = %d, want 1", v)
-	}
-	if v, _ := g.Do("k", compute); v != 1 {
-		t.Fatalf("cached Do = %d, want 1", v)
-	}
-	g.Reset()
-	if g.Len() != 0 {
-		t.Fatalf("Len after Reset = %d, want 0", g.Len())
-	}
-	if v, _ := g.Do("k", compute); v != 2 {
-		t.Fatalf("post-Reset Do = %d, want 2 (recomputed)", v)
-	}
-}

@@ -129,7 +129,7 @@ type TraceList struct {
 }
 
 // cell identifies one experiment cell at a resolved scale divisor —
-// the key of the in-memory result LRU and the single-run flight.
+// the key of the in-memory result LRU.
 type cell struct {
 	workload string
 	variant  string
@@ -145,33 +145,43 @@ type resolved struct {
 	m    cpu.Machine
 }
 
-// group is the unit of sweep execution and coalescing: every cell of
-// one (workload, variant, scalediv) that the request wants, in
-// request machine order. Grouped cells share one trace decode via
-// Suite.RunSpecs.
+// group is the unit of execution and coalescing for both /v1/run (one
+// cell) and /v1/sweep: every cell of one (workload, variant, scalediv)
+// that the request wants, in request machine order. Grouped cells
+// share one trace decode via Suite.Compute.
 type group struct {
 	key   string // canonical coalescing key, machines sorted
 	cells []resolved
 }
 
-// resolveCell validates a RunRequest against the registries.
-func resolveCell(req RunRequest, scaleDiv int) (resolved, error) {
+// newGroup builds the group of w and v at scaleDiv over machines.
+func newGroup(w *workload.Workload, v harness.Variant, scaleDiv int, machines []cpu.Machine) group {
+	g := group{key: groupKey(w.Name, v.Name, scaleDiv, machines), cells: make([]resolved, len(machines))}
+	for i, m := range machines {
+		g.cells[i] = resolved{
+			cell: cell{workload: w.Name, variant: v.Name, machine: m.Name, scaleDiv: scaleDiv},
+			w:    w, v: v, m: m,
+		}
+	}
+	return g
+}
+
+// resolveCell validates a RunRequest against the registries and
+// returns its one-cell group.
+func resolveCell(req RunRequest, scaleDiv int) (group, error) {
 	w, err := workload.ByName(req.Workload)
 	if err != nil {
-		return resolved{}, err
+		return group{}, err
 	}
 	v, err := harness.VariantByName(w, req.Variant)
 	if err != nil {
-		return resolved{}, err
+		return group{}, err
 	}
 	m, err := cpu.MachineByName(req.Machine)
 	if err != nil {
-		return resolved{}, err
+		return group{}, err
 	}
-	return resolved{
-		cell: cell{workload: w.Name, variant: v.Name, machine: m.Name, scaleDiv: scaleDiv},
-		w:    w, v: v, m: m,
-	}, nil
+	return newGroup(w, v, scaleDiv, []cpu.Machine{m}), nil
 }
 
 // resolveSweep expands a SweepRequest into execution groups. Variants
@@ -239,15 +249,7 @@ func resolveSweep(req SweepRequest, scaleDiv int) ([]group, error) {
 			}
 		}
 		for _, v := range vs {
-			g := group{cells: make([]resolved, 0, len(machines))}
-			for _, m := range machines {
-				g.cells = append(g.cells, resolved{
-					cell: cell{workload: w.Name, variant: v.Name, machine: m.Name, scaleDiv: scaleDiv},
-					w:    w, v: v, m: m,
-				})
-			}
-			g.key = groupKey(w.Name, v.Name, scaleDiv, machines)
-			groups = append(groups, g)
+			groups = append(groups, newGroup(w, v, scaleDiv, machines))
 		}
 	}
 	for _, name := range variantNames {

@@ -27,10 +27,9 @@ func TestCompiledTierServing(t *testing.T) {
 		t.Fatal("server did not install a compiled tier on its trace cache")
 	}
 
-	// Distinct machines miss the result LRU and the suite memo but
-	// share the (workload, variant, scalediv) trace: request 1 records
-	// it, request 2 loads it from disk (and compiles), request 3 is
-	// served from the arena.
+	// Distinct machines miss the result LRU but share the (workload,
+	// variant, scalediv) trace: request 1 records it, request 2 loads
+	// it from disk (and compiles), request 3 is served from the arena.
 	machines := []string{"celeron-800", "pentium4-northwood", "pentium-m"}
 	for i, m := range machines {
 		req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/run", strings.NewReader(

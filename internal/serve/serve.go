@@ -13,23 +13,24 @@
 //	GET  /v1/stats      cache hit rates, coalescing, latency percentiles
 //	GET  /healthz       liveness
 //
-// Three tiers keep a hot serving path off the simulator entirely:
+// A served cell has one memo and one coalescing point:
 //
 //  1. A bounded in-memory LRU (runner.LRU) of finished
 //     metrics.Counters, keyed by cell. Hits cost a map lookup.
-//  2. The harness suites' own caches — memoized results and trained
-//     static instruction sets — shared across requests and bounded by
-//     periodic resets (harness.Suite.DropResults).
-//  3. The content-addressed on-disk dispatch-trace cache
-//     (disptrace.Cache): a cell whose (workload, variant, scale)
-//     stream was ever recorded replays it instead of re-running the
-//     guest VM, and grouped sweep cells share one decode pass via
-//     Suite.RunSpecs and disptrace.ReplayEach.
+//  2. One group flight (runner.Flight) per (workload, variant,
+//     scalediv, machine set). /v1/run is a group of one cell, so a run
+//     and a one-machine sweep of the same cell share a flight, and a
+//     thundering herd costs one computation with every caller
+//     receiving byte-identical results (simulation is deterministic,
+//     so coalesced and direct results cannot differ).
 //
-// Identical concurrent requests are coalesced through runner.Flight:
-// a thundering herd asking for the same sweep costs one simulation,
-// with every caller receiving byte-identical results (simulation is
-// deterministic, so coalesced and direct results cannot differ).
+// A group that misses the LRU is computed by harness.Suite.Compute,
+// which loads the (workload, variant, scale) dispatch trace down the
+// ladder compiled arena → disk (disptrace.Cache) → peer fill →
+// simulate, and replays it into every machine of the group in one
+// pass. Per-scalediv suites hold only what is expensive to rebuild
+// and never a result: the trained static instruction sets.
+//
 // Admission control returns 503 once the configured number of
 // requests is in flight, and each request's grid runs under that
 // request's context, so a dropped client stops consuming the worker
@@ -46,6 +47,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"vmopt/internal/cpu"
 	"vmopt/internal/disptrace"
 	"vmopt/internal/faults"
 	"vmopt/internal/harness"
@@ -76,15 +78,6 @@ type Config struct {
 	// DefaultScaleDiv applies when a request omits scalediv; <= 0
 	// means 1 (full scale).
 	DefaultScaleDiv int
-	// MaxSuites bounds how many per-scalediv suites stay live; <= 0
-	// means DefaultMaxSuites. Evicting a suite drops its memoized
-	// results and trained sets; the LRU and trace cache keep hot
-	// cells cheap.
-	MaxSuites int
-	// MaxSuiteResults bounds each suite's memoized result count;
-	// beyond it the suite's results are dropped (tier 2 reset). <= 0
-	// means DefaultMaxSuiteResults.
-	MaxSuiteResults int
 	// MaxSteps bounds each simulated run; 0 means the harness
 	// default.
 	MaxSteps uint64
@@ -128,11 +121,12 @@ type Config struct {
 
 // Defaults for Config fields left zero.
 const (
-	DefaultCacheSize       = 4096
-	DefaultMaxInFlight     = 64
-	DefaultMaxCells        = 4096
-	DefaultMaxSuites       = 4
-	DefaultMaxSuiteResults = 16384
+	DefaultCacheSize   = 4096
+	DefaultMaxInFlight = 64
+	DefaultMaxCells    = 4096
+	// maxSuites bounds the live per-scalediv suites: scalediv comes
+	// from the request, so the pool must stay bounded.
+	maxSuites = 4
 	// DefaultCompiledBudget is the arena tier's byte budget when the
 	// config leaves it zero: 256 MiB holds roughly six gray-scale
 	// full-size arenas (~32 B per logical event) — enough for a hot
@@ -168,20 +162,6 @@ func (c Config) defaultScaleDiv() int {
 	return 1
 }
 
-func (c Config) maxSuites() int {
-	if c.MaxSuites > 0 {
-		return c.MaxSuites
-	}
-	return DefaultMaxSuites
-}
-
-func (c Config) maxSuiteResults() int {
-	if c.MaxSuiteResults > 0 {
-		return c.MaxSuiteResults
-	}
-	return DefaultMaxSuiteResults
-}
-
 func (c Config) compiledBudget() int64 {
 	if c.CompiledBudget < 0 {
 		return 0
@@ -212,7 +192,8 @@ type Server struct {
 	// work never touches the semaphore.
 	computeSem chan struct{}
 
-	runFlight   runner.Flight[cell, metrics.Counters]
+	// groupFlight is the one coalescing point of run and sweep
+	// computation, keyed by group.key.
 	groupFlight runner.Flight[string, map[string]metrics.Counters]
 	// diffFlight coalesces identical concurrent /v1/diff requests on
 	// the marshaled response body, so duplicates are byte-identical by
@@ -262,7 +243,7 @@ func New(cfg Config) *Server {
 		cancel:     cancel,
 		lru:        runner.NewLRU[cell, metrics.Counters](cfg.cacheSize()),
 		computeSem: make(chan struct{}, jobs),
-		suites:     runner.NewLRU[int, *harness.Suite](cfg.maxSuites()),
+		suites:     runner.NewLRU[int, *harness.Suite](maxSuites),
 		recorder:   obs.NewRecorder(cfg.DebugRecent, cfg.DebugSlowest),
 	}
 	s.stats.init(s)
@@ -322,8 +303,8 @@ func (s *Server) Close() { s.cancel() }
 
 // suiteFor returns the shared suite for a scale divisor, creating it
 // on first use; the suite LRU evicts the least recently used suite
-// beyond the configured bound (in-flight users keep their reference;
-// the evicted suite's caches simply stop being shared).
+// beyond maxSuites (in-flight users keep their reference; the evicted
+// suite's trained sets simply stop being shared).
 func (s *Server) suiteFor(scaleDiv int) *harness.Suite {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -345,14 +326,6 @@ func (s *Server) suiteFor(scaleDiv int) *harness.Suite {
 // suiteCount reports live suites for /v1/stats.
 func (s *Server) suiteCount() int { return s.suites.Len() }
 
-// boundSuite applies the tier-2 memory bound after a computation.
-func (s *Server) boundSuite(suite *harness.Suite) {
-	if suite.ResultCount() > s.cfg.maxSuiteResults() {
-		suite.DropResults()
-		s.stats.resultsDropped.Add(1)
-	}
-}
-
 // coalesce runs compute at most once per concurrently requested key.
 // Joins are cancellable (a dropped duplicate client releases its
 // handler immediately; the leader runs to completion for whoever is
@@ -372,84 +345,36 @@ func coalesce[K comparable, V any](ctx context.Context, f *runner.Flight[K, V], 
 	}
 }
 
-// runCell produces one cell's counters through the cache tiers:
-// LRU, coalesced flight, suite (which itself consults its result
-// cache and the disk trace cache).
-func (s *Server) runCell(ctx context.Context, rc resolved) (metrics.Counters, error) {
-	tr := obs.FromContext(ctx)
-	if c, ok := s.lru.Get(rc.cell); ok {
-		s.stats.lruHits.Add(1)
-		tr.SetOutcome(obs.OutcomeHit)
-		return c, nil
-	}
-	s.stats.lruMisses.Add(1)
-	flightStart := time.Now()
-	c, joined, err := coalesce(ctx, &s.runFlight, &s.stats, rc.cell, func() (metrics.Counters, error) {
-		// Re-check: a fresh leader may start after a previous leader
-		// published to the LRU but before this caller's outer lookup
-		// saw it. Counted as a hit so the hits+coalesced accounting
-		// covers every duplicate however the race lands.
-		if c, ok := s.lru.Get(rc.cell); ok {
-			s.stats.lruHits.Add(1)
-			tr.SetOutcome(obs.OutcomeHit)
-			return c, nil
-		}
-		s.cfg.Faults.Delay(faults.SiteCompute)
-		if err := s.cfg.Faults.Err(faults.SiteCompute); err != nil {
-			return metrics.Counters{}, err
-		}
-		sp := obs.Start(ctx, "queue")
-		release, err := s.acquireCompute(ctx)
-		sp.End()
-		if err != nil {
-			return metrics.Counters{}, err
-		}
-		defer release()
-		suite := s.suiteFor(rc.cell.scaleDiv)
-		compiledBefore := tr.StageDur("compiled")
-		c, err := suite.RunCtx(ctx, rc.w, rc.v, rc.m)
-		if err != nil {
-			return metrics.Counters{}, err
-		}
-		s.lru.Add(rc.cell, c)
-		s.stats.computedCells.Add(1)
-		// A run whose replay was served from the compiled arena tier
-		// (the replay attributes a "compiled" stage) reports that
-		// instead of "computed"; by rank, real computation anywhere in
-		// the request still wins.
-		if tr.StageDur("compiled") > compiledBefore {
-			tr.SetOutcome(obs.OutcomeCompiled)
-		} else {
-			tr.SetOutcome(obs.OutcomeComputed)
-		}
-		s.boundSuite(suite)
-		return c, nil
-	})
-	if joined && err == nil {
-		s.stats.coalescedRuns.Add(1)
-		// The joiner's wait on the leader is only knowable after the
-		// fact — attribute it now so its Server-Timing shows where the
-		// time went.
-		obs.Observe(ctx, "flight", time.Since(flightStart))
-		tr.SetOutcome(obs.OutcomeCoalesced)
-	}
-	return c, err
-}
+// source is how runGroup obtained a group's cells; each handler turns
+// it into its own endpoint's coalesced/computed counters.
+type source int
 
-// runGroup produces every cell of one sweep group. Cells all resident
-// in the LRU are served from it; otherwise the whole group is
-// computed behind one coalesced flight, sharing a single trace decode
-// across its machines via Suite.RunSpecs.
-func (s *Server) runGroup(ctx context.Context, g group) (map[string]metrics.Counters, error) {
-	tr := obs.FromContext(ctx)
+const (
+	fromLRU     source = iota // every cell was resident in the LRU
+	fromFlight                // joined another request's computation
+	fromCompute               // led the computation
+)
+
+// lookup collects the group's cells resident in the LRU, by machine.
+func (s *Server) lookup(g group) map[string]metrics.Counters {
 	out := make(map[string]metrics.Counters, len(g.cells))
-	hits := 0
 	for _, rc := range g.cells {
 		if c, ok := s.lru.Get(rc.cell); ok {
 			out[rc.cell.machine] = c
-			hits++
 		}
 	}
+	return out
+}
+
+// runGroup produces every cell of one group — a /v1/run is a group of
+// one cell. Cells all resident in the LRU are served from it;
+// otherwise the whole group is computed behind one coalesced flight,
+// sharing a single trace load and replay pass across its machines via
+// Suite.Compute.
+func (s *Server) runGroup(ctx context.Context, g group) (map[string]metrics.Counters, source, error) {
+	tr := obs.FromContext(ctx)
+	out := s.lookup(g)
+	hits := len(out)
 	// Hit accounting is per lookup, not per group: a group with one
 	// evicted cell still credits its resident cells, so /v1/stats
 	// reflects how much of the traffic the LRU actually absorbed.
@@ -457,23 +382,19 @@ func (s *Server) runGroup(ctx context.Context, g group) (map[string]metrics.Coun
 	s.stats.lruMisses.Add(uint64(len(g.cells) - hits))
 	if hits == len(g.cells) {
 		tr.SetOutcome(obs.OutcomeHit)
-		return out, nil
+		return out, fromLRU, nil
 	}
 
+	src := fromLRU // unless this caller leads a computation or joins one
 	flightStart := time.Now()
 	res, joined, err := coalesce(ctx, &s.groupFlight, &s.stats, g.key, func() (map[string]metrics.Counters, error) {
 		// Re-check: a previous leader may have published every cell
 		// between this caller's scan and its flight entry; don't
-		// recompute (or recount) what the LRU already holds.
-		m := make(map[string]metrics.Counters, len(g.cells))
-		for _, rc := range g.cells {
-			c, ok := s.lru.Get(rc.cell)
-			if !ok {
-				break
-			}
-			m[rc.cell.machine] = c
-		}
-		if len(m) == len(g.cells) {
+		// recompute what the LRU already holds. The lookups the scan
+		// missed are credited as hits, so hits and coalesced joins
+		// cover every duplicate however the race lands.
+		if m := s.lookup(g); len(m) == len(g.cells) {
+			s.stats.lruHits.Add(uint64(len(g.cells) - hits))
 			tr.SetOutcome(obs.OutcomeHit)
 			return m, nil
 		}
@@ -488,42 +409,46 @@ func (s *Server) runGroup(ctx context.Context, g group) (map[string]metrics.Coun
 			return nil, err
 		}
 		defer release()
-		suite := s.suiteFor(g.cells[0].cell.scaleDiv)
-		specs := make([]harness.RunSpec, len(g.cells))
+		first := g.cells[0]
+		machines := make([]cpu.Machine, len(g.cells))
 		for i, rc := range g.cells {
-			specs[i] = harness.RunSpec{W: rc.w, V: rc.v, M: rc.m}
+			machines[i] = rc.m
 		}
 		compiledBefore := tr.StageDur("compiled")
-		cs, err := suite.RunSpecsCtx(ctx, specs)
+		cs, err := s.suiteFor(first.cell.scaleDiv).Compute(ctx, first.w, first.v, machines)
 		if err != nil {
 			return nil, err
 		}
-		clear(m)
+		m := make(map[string]metrics.Counters, len(g.cells))
 		for i, rc := range g.cells {
 			m[rc.cell.machine] = cs[i]
 			s.lru.Add(rc.cell, cs[i])
 		}
-		s.stats.computedGroups.Add(1)
 		s.stats.computedCells.Add(uint64(len(g.cells)))
-		// As in runCell: an arena-served group replay reports
-		// "compiled"; any group that truly computed outranks it.
+		src = fromCompute
+		// A replay served from the compiled arena tier (the replay
+		// attributes a "compiled" stage) reports that instead of
+		// "computed"; by rank, real computation anywhere in the
+		// request still wins.
 		if tr.StageDur("compiled") > compiledBefore {
 			tr.SetOutcome(obs.OutcomeCompiled)
 		} else {
 			tr.SetOutcome(obs.OutcomeComputed)
 		}
-		s.boundSuite(suite)
 		return m, nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	if joined {
-		s.stats.coalescedGroups.Add(1)
+		// The joiner's wait on the leader is only knowable after the
+		// fact — attribute it now so its Server-Timing shows where the
+		// time went.
 		obs.Observe(ctx, "flight", time.Since(flightStart))
 		tr.SetOutcome(obs.OutcomeCoalesced)
+		src = fromFlight
 	}
-	return res, nil
+	return res, src, nil
 }
 
 // scaleOf reports the concrete scale a cell runs at, for result

@@ -17,7 +17,9 @@ import (
 
 	"vmopt/internal/cpu"
 	"vmopt/internal/disptrace"
+	"vmopt/internal/faults"
 	"vmopt/internal/harness"
+	"vmopt/internal/obs"
 	"vmopt/internal/runner"
 	"vmopt/internal/workload"
 )
@@ -86,41 +88,172 @@ func directRun(t *testing.T, wname, vname, mname string) []byte {
 	return append(b, '\n') // json.Encoder terminates with a newline
 }
 
-// TestRunCoalescing hammers /v1/run with identical concurrent
-// requests: every response must be byte-identical to the direct
-// harness result, and the herd must cost exactly one simulation.
+// TestRunCoalescing hammers one group with identical concurrent
+// requests — as a /v1/run, a one-machine sweep and a five-machine
+// sweep. Each herd must cost exactly one computation, every response
+// must be byte-identical to the direct harness result, and every
+// duplicate must report a hit or coalesced outcome in
+// /debug/requests.
 func TestRunCoalescing(t *testing.T) {
-	s, ts := newTestServer(t, Config{Traces: disptrace.NewCache(t.TempDir())})
-	req := RunRequest{Workload: "gray", Variant: "plain", Machine: "celeron-800", ScaleDiv: testScaleDiv}
-
-	const herd = 16
-	bodies := make([][]byte, herd)
-	var wg sync.WaitGroup
-	for i := range herd {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			status, body := post(t, ts.URL+"/v1/run", req)
-			if status != http.StatusOK {
-				t.Errorf("request %d: HTTP %d: %s", i, status, body)
+	for _, tc := range []struct {
+		name     string
+		path     string
+		body     any
+		machines []string
+	}{
+		{"run", "/v1/run",
+			RunRequest{Workload: "gray", Variant: "plain", Machine: "celeron-800", ScaleDiv: testScaleDiv},
+			[]string{"celeron-800"}},
+		{"sweep-one-machine", "/v1/sweep",
+			SweepRequest{Workloads: []string{"gray"}, Variants: []string{"plain"}, Machines: []string{"celeron-800"}, ScaleDiv: testScaleDiv},
+			[]string{"celeron-800"}},
+		{"sweep-five-machines", "/v1/sweep",
+			SweepRequest{Workloads: []string{"gray"}, Variants: []string{"plain"}, ScaleDiv: testScaleDiv},
+			machineNames()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, ts := newTestServer(t, Config{Traces: disptrace.NewCache(t.TempDir())})
+			const herd = 16
+			bodies := make([][]byte, herd)
+			var wg sync.WaitGroup
+			for i := range herd {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					status, body := post(t, ts.URL+tc.path, tc.body)
+					if status != http.StatusOK {
+						t.Errorf("request %d: HTTP %d: %s", i, status, body)
+					}
+					bodies[i] = body
+				}()
 			}
-			bodies[i] = body
-		}()
-	}
-	wg.Wait()
+			wg.Wait()
 
-	want := directRun(t, "gray", "plain", "celeron-800")
-	for i, b := range bodies {
-		if !bytes.Equal(b, want) {
-			t.Fatalf("response %d differs from direct harness result:\ngot  %s\nwant %s", i, b, want)
+			for i, b := range bodies {
+				var runs []runner.Run
+				if tc.path == "/v1/run" {
+					var run runner.Run
+					if err := json.Unmarshal(b, &run); err != nil {
+						t.Fatalf("response %d: %v", i, err)
+					}
+					runs = []runner.Run{run}
+				} else {
+					runs, _, _ = parseSweep(t, b)
+				}
+				if len(runs) != len(tc.machines) {
+					t.Fatalf("response %d has %d cells, want %d", i, len(runs), len(tc.machines))
+				}
+				for _, run := range runs {
+					got, _ := json.Marshal(run)
+					want := directRun(t, "gray", "plain", run.Machine)
+					if !bytes.Equal(append(got, '\n'), want) {
+						t.Fatalf("response %d cell %s differs from direct harness result:\ngot  %s\nwant %s", i, run.Machine, got, want)
+					}
+				}
+			}
+
+			if got := s.stats.computedCells.Load(); got != uint64(len(tc.machines)) {
+				t.Errorf("computed %d cells for %d identical requests, want %d", got, herd, len(tc.machines))
+			}
+			if got := s.cfg.Traces.Stats().Records; got != 1 {
+				t.Errorf("recorded %d traces, want 1", got)
+			}
+			outcomes := waitOutcomes(t, ts.URL, herd)
+			if outcomes["computed"] != 1 || outcomes["hit"]+outcomes["coalesced"] != herd-1 {
+				t.Errorf("outcomes = %v, want 1 computed and %d hit or coalesced", outcomes, herd-1)
+			}
+			if len(tc.machines) == 1 {
+				// A one-cell duplicate is exactly one hit or one join.
+				coalesced := s.stats.coalescedRuns.Load() + s.stats.coalescedGroups.Load()
+				if hits := s.stats.lruHits.Load(); hits+coalesced != herd-1 {
+					t.Errorf("hits (%d) + coalesced (%d) != %d duplicates", hits, coalesced, herd-1)
+				}
+			}
+		})
+	}
+}
+
+// TestRunAndSweepShareFlight: a /v1/run and a one-machine /v1/sweep of
+// the same cell are one group, so while the run's computation is
+// stalled the sweep joins its flight instead of computing again.
+func TestRunAndSweepShareFlight(t *testing.T) {
+	inj := faults.New(&faults.Spec{Faults: []faults.Rule{{
+		Site: faults.SiteCompute, Mode: faults.ModeLatency,
+		Nth: 1, Limit: 1, Latency: faults.Duration(300 * time.Millisecond),
+	}}})
+	s, ts := newTestServer(t, Config{Traces: disptrace.NewCache(t.TempDir()), Faults: inj})
+
+	runBody := make(chan []byte, 1)
+	go func() {
+		var body []byte
+		defer func() { runBody <- body }() // also when post gives up
+		var status int
+		status, body = post(t, ts.URL+"/v1/run", RunRequest{
+			Workload: "gray", Variant: "plain", Machine: "celeron-800", ScaleDiv: testScaleDiv,
+		})
+		if status != http.StatusOK {
+			t.Errorf("run: HTTP %d: %s", status, body)
+		}
+	}()
+	// The stall firing means the run leads the flight and is parked
+	// inside it.
+	for deadline := time.Now().Add(5 * time.Second); inj.Total() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the run never reached the compute stall")
 		}
 	}
-	if got := s.stats.computedCells.Load(); got != 1 {
-		t.Errorf("computed %d cells for %d identical requests, want 1", got, herd)
+	status, body := post(t, ts.URL+"/v1/sweep", SweepRequest{
+		Workloads: []string{"gray"}, Variants: []string{"plain"}, Machines: []string{"celeron-800"}, ScaleDiv: testScaleDiv,
+	})
+	if status != http.StatusOK {
+		t.Fatalf("sweep: HTTP %d: %s", status, body)
 	}
-	if hits := s.stats.lruHits.Load(); hits+s.stats.coalescedRuns.Load() != herd-1 {
-		t.Errorf("hits (%d) + coalesced (%d) != %d duplicates",
-			hits, s.stats.coalescedRuns.Load(), herd-1)
+	runs, errLines, _ := parseSweep(t, body)
+	if len(runs) != 1 || len(errLines) != 0 {
+		t.Fatalf("sweep returned %d runs and errors %+v, want one run", len(runs), errLines)
+	}
+	swept, _ := json.Marshal(runs[0])
+	if run := <-runBody; !bytes.Equal(append(swept, '\n'), run) {
+		t.Fatalf("sweep cell differs from the run:\nsweep %s\nrun   %s", swept, run)
+	}
+	if got := s.stats.computedCells.Load(); got != 1 {
+		t.Errorf("computed{kind=cells} = %d, want 1", got)
+	}
+	if got := s.stats.coalescedGroups.Load(); got != 1 {
+		t.Errorf("coalesced{kind=groups} = %d, want 1 (the sweep joined the run)", got)
+	}
+}
+
+// machineNames lists every predefined machine model.
+func machineNames() []string {
+	var names []string
+	for _, m := range cpu.Machines() {
+		names = append(names, m.Name)
+	}
+	return names
+}
+
+// waitOutcomes polls /debug/requests until n requests have been
+// recorded (the recorder runs after a response is written) and counts
+// their outcomes.
+func waitOutcomes(t *testing.T, base string, n int) map[string]int {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		body, err := fetchOK(base + "/debug/requests")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var dbg obs.DebugRequests
+		if err := json.Unmarshal(body, &dbg); err != nil {
+			t.Fatal(err)
+		}
+		if len(dbg.Recent) >= n || time.Now().After(deadline) {
+			outcomes := map[string]int{}
+			for _, tr := range dbg.Recent {
+				outcomes[tr.Outcome]++
+			}
+			return outcomes
+		}
 	}
 }
 

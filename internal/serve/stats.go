@@ -31,7 +31,6 @@ type stats struct {
 	coalescedRuns, coalescedGroups, coalescedDiffs *metrics.Counter
 	computedCells, computedGroups, computedDiffs   *metrics.Counter
 	canceledRetries                                *metrics.Counter
-	resultsDropped                                 *metrics.Counter
 
 	deadlineTimeouts  *metrics.Counter
 	retriedRequests   *metrics.Counter
@@ -88,8 +87,6 @@ func (st *stats) init(s *Server) {
 
 	st.canceledRetries = r.Counter("vmserved_canceled_retries_total",
 		"Computations re-led after a cancelled leader poisoned a shared flight result.")
-	st.resultsDropped = r.Counter("vmserved_suite_results_dropped_total",
-		"Suite-level result-cache resets performed to bound memory.")
 
 	st.deadlineTimeouts = r.Counter("vmserved_deadline_timeouts_total",
 		"Requests that exhausted their server-side deadline budget (504, or mid-stream sweep deadline errors).")
@@ -304,9 +301,6 @@ type ComputeStats struct {
 // SuiteStats describes the suite pool.
 type SuiteStats struct {
 	Live int `json:"live"`
-	// ResultsDropped counts suite-level result-cache resets performed
-	// to bound memory.
-	ResultsDropped uint64 `json:"results_dropped"`
 }
 
 func (st *stats) snapshot(s *Server) StatsResponse {
@@ -353,10 +347,7 @@ func (st *stats) snapshot(s *Server) StatsResponse {
 			Groups: st.computedGroups.Load(),
 			Diffs:  st.computedDiffs.Load(),
 		},
-		Suites: SuiteStats{
-			Live:           s.suiteCount(),
-			ResultsDropped: st.resultsDropped.Load(),
-		},
+		Suites: SuiteStats{Live: s.suiteCount()},
 		Latency: map[string]metrics.HistogramSnapshot{
 			"run":    st.latRun.Snapshot(),
 			"sweep":  st.latSweep.Snapshot(),
