@@ -4,6 +4,8 @@
 package vmopt
 
 import (
+	"errors"
+	"sync"
 	"testing"
 
 	"vmopt/internal/btb"
@@ -205,6 +207,9 @@ func BenchmarkBranchFractions(b *testing.B) {
 
 // --- substrate micro-benchmarks ---
 
+// BenchmarkBTBAccess measures the BTB's thrash path: 997 branches
+// cycle through 512 entries, so every access misses and installs.
+// BenchmarkSimApply measures the mix a real dispatch stream hits.
 func BenchmarkBTBAccess(b *testing.B) {
 	p := btb.NewSetAssoc(512, 4)
 	b.ResetTimer()
@@ -213,6 +218,8 @@ func BenchmarkBTBAccess(b *testing.B) {
 	}
 }
 
+// BenchmarkTwoLevelAccess measures the two-level predictor on the same
+// synthetic branch stream as BenchmarkBTBAccess.
 func BenchmarkTwoLevelAccess(b *testing.B) {
 	p := btb.NewTwoLevel(14, 4)
 	b.ResetTimer()
@@ -221,6 +228,10 @@ func BenchmarkTwoLevelAccess(b *testing.B) {
 	}
 }
 
+// BenchmarkICacheTouch measures the I-cache's thrash path: a 64 KB
+// footprint streams through 16 KB, so each line misses on its first
+// fetch of a pass and hits once, on the fetch right after.
+// BenchmarkSimApply measures the mix a real dispatch stream hits.
 func BenchmarkICacheTouch(b *testing.B) {
 	c := icache.New(16*1024, 32, 4)
 	b.ResetTimer()
@@ -269,11 +280,90 @@ func BenchmarkEngineStep(b *testing.B) {
 	plan := core.MustBuildPlan(vm.Code(), forthvm.ISA(), core.Config{Technique: core.TAcrossBB})
 	sim := cpu.NewSim(cpu.Pentium4Northwood)
 	b.ResetTimer()
-	if _, err := core.Run(vm, plan, sim, uint64(b.N)); err != nil && b.N > 100 {
-		// Run returns an error when it hits the maxSteps budget,
-		// which here is exactly b.N steps — expected.
-		_ = err
+	// The loop outlasts any b.N, so Run always stops at its step
+	// budget of exactly b.N steps; any other error is a real failure.
+	if _, err := core.Run(vm, plan, sim, uint64(b.N)); err != nil && !errors.Is(err, core.ErrStepLimit) {
+		b.Fatal(err)
 	}
+}
+
+// simStream is the recorded gray/plain event stream at scalediv 10,
+// decoded once for the simulator benchmarks.
+var simStream struct {
+	once sync.Once
+	ops  []cpu.Op
+	err  error
+}
+
+func simOps(b *testing.B) []cpu.Op {
+	simStream.once.Do(func() {
+		w, err := workload.ByName("gray")
+		if err != nil {
+			simStream.err = err
+			return
+		}
+		v, err := harness.VariantByName(w, "plain")
+		if err != nil {
+			simStream.err = err
+			return
+		}
+		tr, _, err := harness.NewTestSuite().RecordTrace(w, v, cpu.Celeron800)
+		if err != nil {
+			simStream.err = err
+			return
+		}
+		for _, seg := range tr.Segs {
+			if simStream.ops, err = seg.DecodeOps(simStream.ops); err != nil {
+				simStream.err = err
+				return
+			}
+		}
+	})
+	if simStream.err != nil {
+		b.Fatal(simStream.err)
+	}
+	return simStream.ops
+}
+
+// benchSimStream runs drive over the recorded stream on a fresh
+// simulator per machine and reports the cost per event.
+func benchSimStream(b *testing.B, drive func(*cpu.Sim, []cpu.Op)) {
+	ops := simOps(b)
+	for _, m := range cpu.Machines() {
+		b.Run(m.Name, func(b *testing.B) {
+			sim := cpu.NewSim(m)
+			b.ReportAllocs()
+			for b.Loop() {
+				sim.Reset()
+				drive(sim, ops)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(ops)), "ns/event")
+		})
+	}
+}
+
+// BenchmarkSimApply measures the simulator's batched entry point, the
+// whole of a hot trace replay: predictor, I-cache and cycle model.
+func BenchmarkSimApply(b *testing.B) {
+	benchSimStream(b, (*cpu.Sim).Apply)
+}
+
+// BenchmarkSimEvents measures the per-event entry points the engine
+// drives during direct simulation, on the same stream.
+func BenchmarkSimEvents(b *testing.B) {
+	benchSimStream(b, func(sim *cpu.Sim, ops []cpu.Op) {
+		for i := range ops {
+			op := &ops[i]
+			switch op.Kind {
+			case cpu.OpWork:
+				sim.Work(int(op.A))
+			case cpu.OpFetch:
+				sim.Fetch(op.A, int(op.B))
+			case cpu.OpDispatch:
+				sim.Dispatch(op.A, op.B, op.C)
+			}
+		}
+	})
 }
 
 func BenchmarkBuildPlanAcrossBB(b *testing.B) {

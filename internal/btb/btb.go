@@ -43,28 +43,41 @@ func (b *Ideal) Lookup(branch uint64) (uint64, bool) {
 	return t, ok
 }
 
-type entry struct {
-	tag    uint64
+// slot is one way of a set-associative table. key is the branch's
+// tag plus one, so the zero slot is empty and a probe compares one
+// word; tags are branch>>2, so the key never wraps.
+type slot struct {
+	key    uint64
 	target uint64
-	valid  bool
 }
 
 // SetAssoc is a finite set-associative BTB with LRU replacement,
 // modeling the capacity and conflict misses of real hardware (e.g.
 // 512 entries on the Celeron/P3, 4096 on the Pentium 4).
 type SetAssoc struct {
-	sets  int
-	ways  int
-	shift uint
-	// data[set] is ordered most-recently-used first.
-	data [][]entry
-	name string
+	ways int
+	mask uint64 // sets-1
+	// slots holds set i in [i*ways, (i+1)*ways), most recently used
+	// first.
+	slots []slot
+	name  string
 }
 
 // NewSetAssoc returns a BTB with the given total entry count and
 // associativity. entries must be a multiple of ways and the set count
 // a power of two.
 func NewSetAssoc(entries, ways int) *SetAssoc {
+	sets := checkGeometry(entries, ways)
+	return &SetAssoc{
+		ways:  ways,
+		mask:  uint64(sets - 1),
+		slots: make([]slot, entries),
+		name:  fmt.Sprintf("btb-%dx%d", sets, ways),
+	}
+}
+
+// checkGeometry validates a BTB geometry and returns its set count.
+func checkGeometry(entries, ways int) int {
 	if entries <= 0 || ways <= 0 || entries%ways != 0 {
 		panic(fmt.Sprintf("btb: bad geometry entries=%d ways=%d", entries, ways))
 	}
@@ -72,73 +85,65 @@ func NewSetAssoc(entries, ways int) *SetAssoc {
 	if sets&(sets-1) != 0 {
 		panic(fmt.Sprintf("btb: set count %d not a power of two", sets))
 	}
-	b := &SetAssoc{
-		sets: sets,
-		ways: ways,
-		// Branch addresses are byte addresses; drop the low 2 bits
-		// so adjacent branches spread across sets like real BTBs.
-		shift: 2,
-		name:  fmt.Sprintf("btb-%dx%d", entries/ways, ways),
-	}
-	b.Reset()
-	return b
+	return sets
 }
 
 // Name implements Predictor.
 func (b *SetAssoc) Name() string { return b.name }
 
 // Entries returns the total capacity in entries.
-func (b *SetAssoc) Entries() int { return b.sets * b.ways }
+func (b *SetAssoc) Entries() int { return len(b.slots) }
 
-func (b *SetAssoc) setFor(branch uint64) int {
-	return int((branch >> b.shift) & uint64(b.sets-1))
+// tagOf splits a branch address into its table key and the index of
+// its set's first slot. Branch addresses are byte addresses; dropping
+// the low 2 bits spreads adjacent branches across sets like real BTBs.
+func tagOf(branch, mask uint64, ways int) (key uint64, base int) {
+	tag := branch >> 2
+	return tag + 1, int(tag&mask) * ways
 }
 
 // Access implements Predictor. A miss in the table (capacity/conflict)
 // counts as a misprediction, as on real hardware where an unknown
 // branch falls back to a static (wrong) prediction.
 func (b *SetAssoc) Access(branch, _, target uint64) bool {
-	set := b.data[b.setFor(branch)]
-	tag := branch >> b.shift
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
+	key, base := tagOf(branch, b.mask, b.ways)
+	// A hit on the most recently used way leaves the LRU order as is.
+	if e := &b.slots[base]; e.key == key {
+		correct := e.target == target
+		e.target = target
+		return correct
+	}
+	return b.accessSlow(base, key, target)
+}
+
+// accessSlow handles an access that missed the set's MRU way: a hit
+// further down moves to the front, a miss installs there and evicts
+// the LRU way.
+func (b *SetAssoc) accessSlow(base int, key, target uint64) bool {
+	set := b.slots[base : base+b.ways]
+	for i := 1; i < len(set); i++ {
+		if set[i].key == key {
 			correct := set[i].target == target
-			set[i].target = target
-			// Move to front (most recently used).
-			e := set[i]
 			copy(set[1:i+1], set[:i])
-			set[0] = e
+			set[0] = slot{key: key, target: target}
 			return correct
 		}
 	}
-	// Miss: install at MRU position, evicting LRU.
 	copy(set[1:], set[:len(set)-1])
-	set[0] = entry{tag: tag, target: target, valid: true}
+	set[0] = slot{key: key, target: target}
 	return false
 }
 
 // Reset implements Predictor. It reuses the table's storage so a
 // pooled or arena-replayed simulator resets without allocating.
-func (b *SetAssoc) Reset() {
-	if b.data == nil {
-		b.data = make([][]entry, b.sets)
-		for i := range b.data {
-			b.data[i] = make([]entry, b.ways)
-		}
-		return
-	}
-	for i := range b.data {
-		clear(b.data[i])
-	}
-}
+func (b *SetAssoc) Reset() { clear(b.slots) }
 
 // Lookup returns the current prediction without updating state.
 func (b *SetAssoc) Lookup(branch uint64) (uint64, bool) {
-	set := b.data[b.setFor(branch)]
-	tag := branch >> b.shift
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			return set[i].target, true
+	key, base := tagOf(branch, b.mask, b.ways)
+	for _, e := range b.slots[base : base+b.ways] {
+		if e.key == key {
+			return e.target, true
 		}
 	}
 	return 0, false

@@ -8,33 +8,29 @@ import "fmt"
 // slightly better results for threaded code (50%-61% mispredictions
 // versus 57%-63% for a plain BTB).
 type TwoBit struct {
-	sets  int
-	ways  int
-	shift uint
-	data  [][]twoBitEntry
+	ways int
+	mask uint64 // sets-1
+	// slots holds set i in [i*ways, (i+1)*ways), most recently used
+	// first; keys are encoded as in SetAssoc.
+	slots []twoBitSlot
 	name  string
 }
 
-type twoBitEntry struct {
-	tag     uint64
+type twoBitSlot struct {
+	key     uint64
 	target  uint64
 	counter uint8 // 0..3; >=2 means "strongly" keep the target
-	valid   bool
 }
 
 // NewTwoBit returns a two-bit-counter BTB with the given geometry.
 func NewTwoBit(entries, ways int) *TwoBit {
-	if entries <= 0 || ways <= 0 || entries%ways != 0 {
-		panic(fmt.Sprintf("btb: bad geometry entries=%d ways=%d", entries, ways))
+	sets := checkGeometry(entries, ways)
+	return &TwoBit{
+		ways:  ways,
+		mask:  uint64(sets - 1),
+		slots: make([]twoBitSlot, entries),
+		name:  fmt.Sprintf("btb2bc-%dx%d", sets, ways),
 	}
-	sets := entries / ways
-	if sets&(sets-1) != 0 {
-		panic(fmt.Sprintf("btb: set count %d not a power of two", sets))
-	}
-	b := &TwoBit{sets: sets, ways: ways, shift: 2,
-		name: fmt.Sprintf("btb2bc-%dx%d", sets, ways)}
-	b.Reset()
-	return b
 }
 
 // Name implements Predictor.
@@ -42,23 +38,22 @@ func (b *TwoBit) Name() string { return b.name }
 
 // Access implements Predictor.
 func (b *TwoBit) Access(branch, _, target uint64) bool {
-	set := b.data[int((branch>>b.shift)&uint64(b.sets-1))]
-	tag := branch >> b.shift
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			correct := set[i].target == target
-			if correct {
-				if set[i].counter < 3 {
-					set[i].counter++
-				}
-			} else {
-				if set[i].counter > 0 {
-					set[i].counter--
-				} else {
-					set[i].target = target
-					set[i].counter = 1
-				}
-			}
+	key, base := tagOf(branch, b.mask, b.ways)
+	// A hit on the most recently used way leaves the LRU order as is.
+	if e := &b.slots[base]; e.key == key {
+		return e.update(target)
+	}
+	return b.accessSlow(base, key, target)
+}
+
+// accessSlow handles an access that missed the set's MRU way: a hit
+// further down moves to the front, a miss installs there and evicts
+// the LRU way.
+func (b *TwoBit) accessSlow(base int, key, target uint64) bool {
+	set := b.slots[base : base+b.ways]
+	for i := 1; i < len(set); i++ {
+		if set[i].key == key {
+			correct := set[i].update(target)
 			e := set[i]
 			copy(set[1:i+1], set[:i])
 			set[0] = e
@@ -66,21 +61,28 @@ func (b *TwoBit) Access(branch, _, target uint64) bool {
 		}
 	}
 	copy(set[1:], set[:len(set)-1])
-	set[0] = twoBitEntry{tag: tag, target: target, counter: 1, valid: true}
+	set[0] = twoBitSlot{key: key, target: target, counter: 1}
+	return false
+}
+
+// update applies the hysteresis rule to a hit and reports whether the
+// stored target was correct.
+func (e *twoBitSlot) update(target uint64) bool {
+	if e.target == target {
+		if e.counter < 3 {
+			e.counter++
+		}
+		return true
+	}
+	if e.counter > 0 {
+		e.counter--
+	} else {
+		e.target = target
+		e.counter = 1
+	}
 	return false
 }
 
 // Reset implements Predictor. It reuses the table's storage so a
 // pooled or arena-replayed simulator resets without allocating.
-func (b *TwoBit) Reset() {
-	if b.data == nil {
-		b.data = make([][]twoBitEntry, b.sets)
-		for i := range b.data {
-			b.data[i] = make([]twoBitEntry, b.ways)
-		}
-		return
-	}
-	for i := range b.data {
-		clear(b.data[i])
-	}
-}
+func (b *TwoBit) Reset() { clear(b.slots) }

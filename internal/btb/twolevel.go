@@ -11,12 +11,12 @@ import "fmt"
 // interpreter, which is why the paper notes such hardware would make
 // the software techniques less necessary.
 type TwoLevel struct {
-	tableBits int
-	history   uint64
-	histLen   int
-	table     []uint64
-	tagged    []bool
-	name      string
+	mask    uint64 // table size - 1
+	shift   uint   // history bits per folded target
+	history uint64
+	table   []uint64
+	tagged  []bool
+	name    string
 }
 
 // NewTwoLevel returns a two-level predictor with 2^tableBits entries
@@ -25,45 +25,37 @@ func NewTwoLevel(tableBits, histLen int) *TwoLevel {
 	if tableBits <= 0 || tableBits > 24 || histLen <= 0 {
 		panic(fmt.Sprintf("btb: bad two-level geometry bits=%d hist=%d", tableBits, histLen))
 	}
-	b := &TwoLevel{tableBits: tableBits, histLen: histLen,
-		name: fmt.Sprintf("twolevel-%db-h%d", tableBits, histLen)}
-	b.Reset()
-	return b
+	// Fold each target into the path history by a few bits so
+	// histLen targets fit in the index.
+	shift := uint(tableBits / histLen)
+	if shift == 0 {
+		shift = 1
+	}
+	return &TwoLevel{
+		mask:   uint64(1)<<tableBits - 1,
+		shift:  shift,
+		table:  make([]uint64, 1<<tableBits),
+		tagged: make([]bool, 1<<tableBits),
+		name:   fmt.Sprintf("twolevel-%db-h%d", tableBits, histLen),
+	}
 }
 
 // Name implements Predictor.
 func (b *TwoLevel) Name() string { return b.name }
 
-func (b *TwoLevel) index(branch uint64) uint64 {
-	mask := uint64(1)<<b.tableBits - 1
-	return (b.history ^ (branch >> 2)) & mask
-}
-
 // Access implements Predictor.
 func (b *TwoLevel) Access(branch, _, target uint64) bool {
-	idx := b.index(branch)
+	idx := (b.history ^ (branch >> 2)) & b.mask
 	correct := b.tagged[idx] && b.table[idx] == target
 	b.table[idx] = target
 	b.tagged[idx] = true
-	// Fold the new target into the path history: shift by a few bits
-	// per branch so histLen targets fit in the index.
-	shift := uint(b.tableBits / b.histLen)
-	if shift == 0 {
-		shift = 1
-	}
-	b.history = (b.history<<shift ^ (target >> 2)) & (uint64(1)<<b.tableBits - 1)
+	b.history = (b.history<<b.shift ^ (target >> 2)) & b.mask
 	return correct
 }
 
 // Reset implements Predictor. It reuses the table's storage so a
 // pooled or arena-replayed simulator resets without allocating.
 func (b *TwoLevel) Reset() {
-	if b.table == nil {
-		b.table = make([]uint64, 1<<b.tableBits)
-		b.tagged = make([]bool, 1<<b.tableBits)
-		b.history = 0
-		return
-	}
 	clear(b.table)
 	clear(b.tagged)
 	b.history = 0

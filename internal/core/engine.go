@@ -1,15 +1,21 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"vmopt/internal/cpu"
 	"vmopt/internal/metrics"
 )
 
+// ErrStepLimit reports that Run stopped at its maxSteps budget before
+// the process finished.
+var ErrStepLimit = errors.New("core: VM step limit exceeded")
+
 // Run executes proc to completion under plan on the simulated machine
 // sim, and returns the accumulated counters. maxSteps bounds the
-// number of executed VM instructions.
+// number of executed VM instructions; reaching it returns an error
+// wrapping ErrStepLimit.
 //
 // plan must have been built over proc.Code() (the live slice), so
 // quickening stays coherent between the two.
@@ -27,7 +33,7 @@ func Run(proc Process, plan *Plan, sim *cpu.Sim, maxSteps uint64) (metrics.Count
 	steps := uint64(0)
 	for !proc.Done() {
 		if steps >= maxSteps {
-			return sim.C, fmt.Errorf("core: exceeded %d VM steps under %v", maxSteps, plan.technique)
+			return sim.C, fmt.Errorf("%w: %d steps under %v", ErrStepLimit, maxSteps, plan.technique)
 		}
 		steps++
 		pos := proc.PC()

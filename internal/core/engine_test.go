@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"errors"
 	"testing"
 
 	"vmopt/internal/core"
@@ -361,8 +362,8 @@ func TestMaxStepsGuard(t *testing.T) {
 	vm := p.NewVM(16)
 	plan := core.MustBuildPlan(vm.Code(), forthvm.ISA(), core.Config{Technique: core.TPlain})
 	sim := cpu.NewSim(bigBTB)
-	if _, err := core.Run(vm, plan, sim, 1000); err == nil {
-		t.Error("Run should fail when exceeding maxSteps")
+	if _, err := core.Run(vm, plan, sim, 1000); !errors.Is(err, core.ErrStepLimit) {
+		t.Errorf("Run past maxSteps = %v, want ErrStepLimit", err)
 	}
 }
 

@@ -119,7 +119,7 @@ func TestReset(t *testing.T) {
 	s.Indirect(0x10, 0, 0x20)
 	s.Fetch(0x1000, 4)
 	s.Reset()
-	if s.C.Cycles != 0 || s.C.Instructions != 0 || s.IC.Accesses != 0 {
+	if s.C.Cycles != 0 || s.C.Instructions != 0 || s.ic.Accesses != 0 {
 		t.Errorf("Reset left state: %+v", s.C)
 	}
 	// Predictor must also be cold again.

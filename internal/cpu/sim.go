@@ -37,18 +37,21 @@ type Sink interface {
 // branches.
 type Sim struct {
 	Machine Machine
-	Pred    btb.Predictor
-	IC      *icache.Cache
 	C       metrics.Counters
 
 	// Sink, when non-nil, receives a copy of every event driven into
 	// the simulator (trace recording). It does not alter accounting.
 	Sink Sink
+
+	// pred comes from Machine.NewPredictor and is never replaced, so
+	// Indirect's type switch covers every predictor a Sim can hold.
+	pred btb.Predictor
+	ic   *icache.Cache
 }
 
 // NewSim builds a simulator for the machine.
 func NewSim(m Machine) *Sim {
-	return &Sim{Machine: m, Pred: m.NewPredictor(), IC: m.NewICache()}
+	return &Sim{Machine: m, pred: m.NewPredictor(), ic: m.NewICache()}
 }
 
 // Work retires n straight-line native instructions.
@@ -66,7 +69,7 @@ func (s *Sim) Fetch(addr uint64, size int) {
 	if s.Sink != nil {
 		s.Sink.RecordFetch(addr, size)
 	}
-	misses := s.IC.Touch(addr, size)
+	misses := s.ic.Touch(addr, size)
 	if misses > 0 {
 		s.C.ICacheMisses += uint64(misses)
 		penalty := float64(misses) * s.Machine.ICacheMissPenalty
@@ -80,7 +83,21 @@ func (s *Sim) Fetch(addr uint64, size int) {
 // reports whether the branch was predicted correctly.
 func (s *Sim) Indirect(branch, hint, target uint64) bool {
 	s.C.IndirectBranches++
-	ok := s.Pred.Access(branch, hint, target)
+	// One predictor access per branch: switching on the concrete type
+	// turns the interface call into a direct one.
+	var ok bool
+	switch p := s.pred.(type) {
+	case *btb.SetAssoc:
+		ok = p.Access(branch, hint, target)
+	case *btb.TwoBit:
+		ok = p.Access(branch, hint, target)
+	case *btb.TwoLevel:
+		ok = p.Access(branch, hint, target)
+	case *btb.CaseBlock:
+		ok = p.Access(branch, hint, target)
+	default:
+		ok = p.Access(branch, hint, target)
+	}
 	if !ok {
 		s.C.Mispredicted++
 		s.C.Cycles += s.Machine.MispredictPenalty
@@ -151,7 +168,7 @@ func (s *Sim) Apply(ops []Op) {
 			c.Instructions += op.A
 			c.Cycles += float64(int(op.A)) * m.CPI
 		case OpFetch:
-			misses := s.IC.Touch(op.A, int(op.B))
+			misses := s.ic.Touch(op.A, int(op.B))
 			if misses > 0 {
 				c.ICacheMisses += uint64(misses)
 				penalty := float64(misses) * m.ICacheMissPenalty
@@ -160,11 +177,7 @@ func (s *Sim) Apply(ops []Op) {
 			}
 		case OpDispatch:
 			c.Dispatches++
-			c.IndirectBranches++
-			if !s.Pred.Access(op.A, op.B, op.C) {
-				c.Mispredicted++
-				c.Cycles += m.MispredictPenalty
-			}
+			s.Indirect(op.A, op.B, op.C)
 		}
 	}
 }
@@ -172,8 +185,8 @@ func (s *Sim) Apply(ops []Op) {
 // Reset clears counters, predictor and cache state.
 func (s *Sim) Reset() {
 	s.C = metrics.Counters{}
-	s.Pred.Reset()
-	s.IC.Reset()
+	s.pred.Reset()
+	s.ic.Reset()
 }
 
 // Seconds converts the accumulated cycles to seconds at the machine's

@@ -12,18 +12,17 @@ package icache
 
 import "fmt"
 
-type line struct {
-	tag   uint64
-	valid bool
-}
-
 // Cache is a set-associative instruction cache with LRU replacement.
 type Cache struct {
 	lineSize  int
 	lineShift uint
-	sets      int
 	ways      int
-	data      [][]line
+	mask      uint64 // sets-1
+	// keys holds set i in [i*ways, (i+1)*ways), most recently used
+	// first. A key is the cached line's number plus one, so 0 marks an
+	// empty way and a probe compares one word; lines are at least two
+	// bytes, so the key never wraps.
+	keys []uint64
 
 	// Accesses counts line fetches; Misses counts those that missed.
 	Accesses uint64
@@ -31,10 +30,10 @@ type Cache struct {
 }
 
 // New returns a cache of totalBytes capacity with the given line size
-// and associativity. All of totalBytes/lineSize/ways must produce a
-// power-of-two set count.
+// and associativity. The line size must be a power of two of at least
+// two bytes, and totalBytes/lineSize/ways a power-of-two set count.
 func New(totalBytes, lineSize, ways int) *Cache {
-	if totalBytes <= 0 || lineSize <= 0 || ways <= 0 {
+	if totalBytes <= 0 || lineSize <= 1 || ways <= 0 {
 		panic(fmt.Sprintf("icache: bad geometry %d/%d/%d", totalBytes, lineSize, ways))
 	}
 	if lineSize&(lineSize-1) != 0 {
@@ -52,16 +51,20 @@ func New(totalBytes, lineSize, ways int) *Cache {
 	for 1<<shift < lineSize {
 		shift++
 	}
-	c := &Cache{lineSize: lineSize, lineShift: shift, sets: sets, ways: ways}
-	c.Reset()
-	return c
+	return &Cache{
+		lineSize:  lineSize,
+		lineShift: shift,
+		ways:      ways,
+		mask:      uint64(sets - 1),
+		keys:      make([]uint64, lines),
+	}
 }
 
 // LineSize returns the cache line size in bytes.
 func (c *Cache) LineSize() int { return c.lineSize }
 
 // SizeBytes returns the total capacity in bytes.
-func (c *Cache) SizeBytes() int { return c.sets * c.ways * c.lineSize }
+func (c *Cache) SizeBytes() int { return len(c.keys) * c.lineSize }
 
 // Touch fetches the byte range [addr, addr+size) through the cache and
 // returns the number of line misses it caused.
@@ -71,6 +74,18 @@ func (c *Cache) Touch(addr uint64, size int) int {
 	}
 	first := addr >> c.lineShift
 	last := (addr + uint64(size) - 1) >> c.lineShift
+	// A one-line fetch that hits its set's most recently used way
+	// changes nothing but the access count.
+	if first == last && c.keys[int(first&c.mask)*c.ways] == first+1 {
+		c.Accesses++
+		return 0
+	}
+	return c.touchRange(first, last)
+}
+
+// touchRange fetches the lines first..last in order, with the full
+// LRU update, and returns the number that missed.
+func (c *Cache) touchRange(first, last uint64) int {
 	misses := 0
 	for l := first; l <= last; l++ {
 		if !c.touchLine(l) {
@@ -80,21 +95,24 @@ func (c *Cache) Touch(addr uint64, size int) int {
 	return misses
 }
 
-// touchLine fetches one line (by line number) and reports a hit.
+// touchLine fetches one line (by line number) and reports a hit. A
+// hit moves the line to the front of its set; a miss installs it there
+// and evicts the set's LRU way.
 func (c *Cache) touchLine(lineNum uint64) bool {
 	c.Accesses++
-	set := c.data[lineNum&uint64(c.sets-1)]
+	base := int(lineNum&c.mask) * c.ways
+	set := c.keys[base : base+c.ways]
+	key := lineNum + 1
 	for i := range set {
-		if set[i].valid && set[i].tag == lineNum {
-			e := set[i]
+		if set[i] == key {
 			copy(set[1:i+1], set[:i])
-			set[0] = e
+			set[0] = key
 			return true
 		}
 	}
 	c.Misses++
 	copy(set[1:], set[:len(set)-1])
-	set[0] = line{tag: lineNum, valid: true}
+	set[0] = key
 	return false
 }
 
@@ -102,9 +120,9 @@ func (c *Cache) touchLine(lineNum uint64) bool {
 // without updating LRU state.
 func (c *Cache) Contains(addr uint64) bool {
 	lineNum := addr >> c.lineShift
-	set := c.data[lineNum&uint64(c.sets-1)]
-	for i := range set {
-		if set[i].valid && set[i].tag == lineNum {
+	base := int(lineNum&c.mask) * c.ways
+	for _, k := range c.keys[base : base+c.ways] {
+		if k == lineNum+1 {
 			return true
 		}
 	}
@@ -119,20 +137,10 @@ func (c *Cache) MissRate() float64 {
 	return float64(c.Misses) / float64(c.Accesses)
 }
 
-// Reset clears cache contents and counters.
+// Reset clears cache contents and counters. It reuses the line storage
+// so a pooled or arena-replayed simulator resets without allocating.
 func (c *Cache) Reset() {
-	if c.data == nil {
-		c.data = make([][]line, c.sets)
-		for i := range c.data {
-			c.data[i] = make([]line, c.ways)
-		}
-	} else {
-		// Reuse the line storage so a pooled or arena-replayed
-		// simulator resets without allocating.
-		for i := range c.data {
-			clear(c.data[i])
-		}
-	}
+	clear(c.keys)
 	c.Accesses = 0
 	c.Misses = 0
 }

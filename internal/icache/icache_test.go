@@ -116,7 +116,7 @@ func TestGeometry(t *testing.T) {
 
 func TestBadGeometryPanics(t *testing.T) {
 	cases := []struct{ total, line, ways int }{
-		{0, 32, 1}, {1024, 0, 1}, {1024, 32, 0}, {1024, 33, 1}, {96, 32, 2},
+		{0, 32, 1}, {1024, 0, 1}, {1024, 1, 1}, {1024, 32, 0}, {1024, 33, 1}, {96, 32, 2},
 	}
 	for _, g := range cases {
 		func() {
