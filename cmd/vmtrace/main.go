@@ -352,7 +352,6 @@ func compileMain(stdout io.Writer, args []string) error {
 	}
 
 	var total int64
-	skipped := 0
 	for _, p := range paths {
 		tr, err := disptrace.Load(p)
 		if err != nil {
@@ -360,11 +359,6 @@ func compileMain(stdout io.Writer, args []string) error {
 		}
 		start := time.Now()
 		a, err := tr.Compile()
-		if err == disptrace.ErrNotIndexed {
-			fmt.Fprintf(stdout, "%s: not compilable (no instruction index; format < v3)\n", p)
-			skipped++
-			continue
-		}
 		if err != nil {
 			return fmt.Errorf("%s: %w", p, err)
 		}
@@ -392,8 +386,8 @@ func compileMain(stdout io.Writer, args []string) error {
 		}
 	}
 	if len(paths) > 1 {
-		fmt.Fprintf(stdout, "total: %d arena(s), %d bytes resident when hot (size -compiled-budget accordingly), %d skipped\n",
-			len(paths)-skipped, total, skipped)
+		fmt.Fprintf(stdout, "total: %d arena(s), %d bytes resident when hot (size -compiled-budget accordingly)\n",
+			len(paths), total)
 	}
 	return nil
 }
@@ -424,8 +418,7 @@ func infoMain(stdout io.Writer, args []string) error {
 // stream is valid against) plus the per-codec storage picture: stored
 // (possibly compressed) versus raw payload bytes and the overall
 // compression ratio. listSegments additionally prints one line per
-// segment, with its cumulative VM-instruction range on seekable (v3)
-// traces.
+// segment, with its cumulative VM-instruction range.
 func printStreamStats(w io.Writer, tr *disptrace.Trace, listSegments bool) {
 	h := tr.Header
 	var stored, raw int
@@ -449,30 +442,22 @@ func printStreamStats(w io.Writer, tr *disptrace.Trace, listSegments bool) {
 	}
 	fmt.Fprintf(w, "payload:    %d bytes stored (%s), %d raw, %.2fx compression\n",
 		stored, strings.Join(codecs, ", "), raw, ratio)
-	indexed := ""
-	if tr.Indexed() {
-		indexed = " (instruction-indexed)"
-	}
-	fmt.Fprintf(w, "totals:     %d VM instructions%s, %d generated code bytes, isa %#016x\n",
-		h.VMInstructions, indexed, h.CodeBytes, h.ISAHash)
+	fmt.Fprintf(w, "totals:     %d VM instructions, %d generated code bytes, isa %#016x\n",
+		h.VMInstructions, h.CodeBytes, h.ISAHash)
 	// Compiled-replay state: what the trace costs once vmserved's hot
 	// tier specializes it (see `vmtrace compile` for offline warming).
 	if a, err := tr.Compile(); err == nil {
 		fmt.Fprintf(w, "compiled:   %d ops -> %d-byte arena when hot (%.1fx the stored payload)\n",
 			a.Ops(), a.Bytes(), float64(a.Bytes())/float64(max(stored, 1)))
 	} else {
-		fmt.Fprintf(w, "compiled:   not compilable (no instruction index; format < v3)\n")
+		fmt.Fprintf(w, "compiled:   not compilable: %v\n", err)
 	}
 	if listSegments {
 		insts := uint64(0)
 		for i, s := range tr.Segs {
-			line := fmt.Sprintf("  seg %4d: %-5s %8d -> %8d bytes, %7d records",
-				i, s.Codec, len(s.Data), s.RawLen(), s.Records)
-			if tr.Indexed() {
-				line += fmt.Sprintf(", insts [%d, %d)", insts, insts+uint64(s.VMInsts))
-				insts += uint64(s.VMInsts)
-			}
-			fmt.Fprintln(w, line)
+			fmt.Fprintf(w, "  seg %4d: %-5s %8d -> %8d bytes, %7d records, insts [%d, %d)\n",
+				i, s.Codec, len(s.Data), s.RawLen(), s.Records, insts, insts+uint64(s.VMInsts))
+			insts += uint64(s.VMInsts)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
 	"os"
 	"path/filepath"
@@ -202,6 +203,28 @@ func TestReplayRejectsCorrupt(t *testing.T) {
 	}
 	if err := run(io.Discard, []string{"info", path}); err == nil {
 		t.Error("corrupt trace must error in info too")
+	}
+}
+
+// TestInfoRejectsOldFormat: a trace file written by an older format
+// version is refused with an error telling the user to re-record it.
+func TestInfoRejectsOldFormat(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "old.vmdt")
+	if err := run(io.Discard, []string{"record", "-bench", "gray", "-variant", "plain",
+		"-scalediv", "40", "-o", path}); err != nil {
+		t.Fatalf("record: %v", err)
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint16(b[4:6], 2) // the version field
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err = run(io.Discard, []string{"info", path})
+	if err == nil || !strings.Contains(err.Error(), "re-record") {
+		t.Fatalf("info on a v2 file: err = %v; want a re-record error", err)
 	}
 }
 

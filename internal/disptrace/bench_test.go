@@ -22,11 +22,11 @@ import (
 var benchState struct {
 	once     sync.Once
 	tr       *disptrace.Trace // writer-produced (raw segments)
-	wire     *disptrace.Trace // decoded from v2 bytes (flate segments)
+	wire     *disptrace.Trace // decoded from enc (flate segments)
 	compiled *disptrace.Trace // decoded then compiled (arena attached)
-	v2       []byte
-	v1       []byte
-	ops      []cpu.Op // fully decoded stream, one batch
+	enc      []byte           // the default (flate) encoding
+	raw      []byte           // the raw-codec encoding
+	ops      []cpu.Op         // fully decoded stream, one batch
 	err      error
 }
 
@@ -50,13 +50,13 @@ func benchSetup(b *testing.B) {
 			return
 		}
 		benchState.tr = tr
-		benchState.v2 = tr.Encode()
-		benchState.v1 = disptrace.EncodeV1(tr)
-		if benchState.wire, err = disptrace.Decode(benchState.v2); err != nil {
+		benchState.enc = tr.Encode()
+		benchState.raw = tr.EncodeCodec(disptrace.CodecRaw)
+		if benchState.wire, err = disptrace.Decode(benchState.enc); err != nil {
 			benchState.err = err
 			return
 		}
-		if benchState.compiled, err = disptrace.Decode(benchState.v2); err != nil {
+		if benchState.compiled, err = disptrace.Decode(benchState.enc); err != nil {
 			benchState.err = err
 			return
 		}
@@ -79,18 +79,18 @@ func benchSetup(b *testing.B) {
 func BenchmarkEncodeFlate(b *testing.B) {
 	benchSetup(b)
 	b.ResetTimer()
-	b.SetBytes(int64(len(benchState.v1))) // raw payload throughput
+	b.SetBytes(int64(len(benchState.raw))) // raw payload throughput
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		benchState.tr.Encode()
 	}
-	b.ReportMetric(float64(len(benchState.v1))/float64(len(benchState.v2)), "ratio")
+	b.ReportMetric(float64(len(benchState.raw))/float64(len(benchState.enc)), "ratio")
 }
 
 func BenchmarkEncodeRaw(b *testing.B) {
 	benchSetup(b)
 	b.ResetTimer()
-	b.SetBytes(int64(len(benchState.v1)))
+	b.SetBytes(int64(len(benchState.raw)))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		benchState.tr.EncodeCodec(disptrace.CodecRaw)
@@ -102,7 +102,7 @@ func BenchmarkEncodeRaw(b *testing.B) {
 func decodeAll(b *testing.B, wire []byte) {
 	b.Helper()
 	b.ResetTimer()
-	b.SetBytes(int64(len(benchState.v1)))
+	b.SetBytes(int64(len(benchState.raw)))
 	b.ReportAllocs()
 	var ops []cpu.Op
 	for i := 0; i < b.N; i++ {
@@ -118,8 +118,7 @@ func decodeAll(b *testing.B, wire []byte) {
 	}
 }
 
-func BenchmarkDecodeV2(b *testing.B) { benchSetup(b); decodeAll(b, benchState.v2) }
-func BenchmarkDecodeV1(b *testing.B) { benchSetup(b); decodeAll(b, benchState.v1) }
+func BenchmarkDecode(b *testing.B) { benchSetup(b); decodeAll(b, benchState.enc) }
 
 // BenchmarkApply is the pure apply side: one pre-decoded batch driven
 // through a single simulator (predictor + I-cache state machines).
@@ -153,11 +152,11 @@ func BenchmarkReplay(b *testing.B) {
 func BenchmarkCompile(b *testing.B) {
 	benchSetup(b)
 	b.ResetTimer()
-	b.SetBytes(int64(len(benchState.v1)))
+	b.SetBytes(int64(len(benchState.raw)))
 	b.ReportAllocs()
 	var bytes int64
 	for i := 0; i < b.N; i++ {
-		tr, err := disptrace.Decode(benchState.v2)
+		tr, err := disptrace.Decode(benchState.enc)
 		if err != nil {
 			b.Fatal(err)
 		}

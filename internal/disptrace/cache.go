@@ -314,17 +314,16 @@ type CacheEntry struct {
 	Technique string `json:"technique,omitempty"`
 	ScaleDiv  uint64 `json:"scalediv,omitempty"`
 
-	// VMInstructions and Segments come from the trace's index;
-	// Seekable marks v3 traces whose cursors seek by instruction.
+	// VMInstructions and Segments come from the trace's index.
 	VMInstructions uint64 `json:"vm_instructions,omitempty"`
 	Segments       int    `json:"segments,omitempty"`
-	Seekable       bool   `json:"seekable,omitempty"`
 }
 
 // List enumerates every trace resident in the cache directory with
 // its index metadata. A missing directory is an empty cache, not an
-// error; files whose metadata cannot be read (corrupt, or deleted
-// mid-listing) are listed by id and size alone.
+// error; files whose metadata cannot be read (corrupt, written by an
+// older format version, or deleted mid-listing) are listed by id and
+// size alone.
 func (c *Cache) List() ([]CacheEntry, error) {
 	entries, err := os.ReadDir(c.Dir)
 	if err != nil {
@@ -363,7 +362,6 @@ func (c *Cache) List() ([]CacheEntry, error) {
 			entry.ScaleDiv = m.meta.Header.ScaleDiv
 			entry.VMInstructions = m.meta.Header.VMInstructions
 			entry.Segments = m.meta.Segments
-			entry.Seekable = m.meta.Seekable
 		}
 		out = append(out, entry)
 	}

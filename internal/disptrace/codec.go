@@ -9,16 +9,15 @@ import (
 )
 
 // Codec identifies the byte-level encoding of one segment payload.
-// The format-v2 segment index carries a codec byte per segment, so a
-// trace may mix codecs (the writer falls back to CodecRaw whenever
-// compression does not shrink a payload) and new codecs can be added
-// without another format bump — readers reject codec bytes they do
-// not know.
+// The segment index carries a codec byte per segment, so a trace may
+// mix codecs (the writer falls back to CodecRaw whenever compression
+// does not shrink a payload) and new codecs can be added without a
+// format bump — readers reject codec bytes they do not know.
 type Codec uint8
 
 const (
-	// CodecRaw stores the varint record stream as-is. It is the only
-	// codec of format v1 and the fallback when compression loses.
+	// CodecRaw stores the varint record stream as-is. It is the
+	// fallback when compression loses.
 	CodecRaw Codec = 0
 	// CodecFlate stores the record stream DEFLATE-compressed
 	// (compress/flate). Step-record streams are dominated by repeated

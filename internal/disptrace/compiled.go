@@ -25,18 +25,14 @@
 package disptrace
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
 	"unsafe"
 
 	"vmopt/internal/cpu"
+	"vmopt/internal/runner"
 )
-
-// ErrNotIndexed reports a trace without the v3 instruction index;
-// only indexed traces compile (legacy traces keep the decode path).
-var ErrNotIndexed = errors.New("disptrace: trace carries no instruction index (format < v3)")
 
 // opBytes is the in-memory footprint of one decoded event.
 const opBytes = int64(unsafe.Sizeof(cpu.Op{}))
@@ -121,18 +117,14 @@ func (t *Trace) Compiled() *Arena { return t.arena }
 func (t *Trace) Attach(a *Arena) { t.arena = a }
 
 // Compile builds the trace's arena — the one full decode the compiled
-// tier ever pays for this trace — attaches it, and returns it. Only v3
-// (instruction-indexed) traces compile; the builder cross-checks the
-// per-instruction index it derives from the step tables against the
-// header totals, so a trace that compiles replays exactly like it
-// decodes. Compiling an already-compiled trace returns the existing
-// arena.
+// tier ever pays for this trace — attaches it, and returns it. The
+// builder cross-checks the per-instruction index it derives from the
+// step tables against the header totals, so a trace that compiles
+// replays exactly like it decodes. Compiling an already-compiled
+// trace returns the existing arena.
 func (t *Trace) Compile() (*Arena, error) {
 	if t.arena != nil {
 		return t.arena, nil
-	}
-	if !t.Indexed() {
-		return nil, ErrNotIndexed
 	}
 	a := &Arena{
 		segEnds:  make([]int, 0, len(t.Segs)),
@@ -226,9 +218,9 @@ func (t *Trace) storedBytes() int64 {
 const DefaultCompileAfter = 3
 
 // maxTierEntries bounds the tier's entry count (compiled entries plus
-// the small per-ID hotness counters); beyond it the least recently
-// used entry goes, whatever its state, so unbounded key churn cannot
-// grow the counter map.
+// the per-ID hotness counters); beyond it the least recently used
+// entry goes, whatever its state, so unbounded key churn cannot grow
+// the counter map.
 const maxTierEntries = 8192
 
 // CompiledTier is the in-memory arena tier of the trace cache: per-ID
@@ -241,19 +233,19 @@ type CompiledTier struct {
 	budget int64
 	after  int
 
-	mu      sync.Mutex
-	entries map[string]*compiledEntry
-	// LRU list: head is most recently used, tail the eviction victim.
-	head, tail *compiledEntry
-	bytes      int64
+	// mu guards arenas and serializes the Offer state machine over
+	// lru, where an entry weighs its accounted bytes (0 while it is
+	// only a hotness counter).
+	mu     sync.Mutex
+	lru    *runner.LRU[string, *compiledEntry]
+	arenas int
 
-	builds, hits, evictions, buildErrors atomic.Uint64
+	builds, hits, buildErrors atomic.Uint64
 }
 
 // compiledEntry is one tier entry: a hotness counter until the
 // threshold, the memoized compiled trace after it.
 type compiledEntry struct {
-	id    string
 	t     *Trace // non-nil once compiled (arena attached)
 	bytes int64
 	loads int
@@ -261,7 +253,6 @@ type compiledEntry struct {
 	// error or over-budget arena so the tier never retries a trace it
 	// cannot hold.
 	building, failed bool
-	prev, next       *compiledEntry
 }
 
 // NewCompiledTier builds a tier with the given byte budget and
@@ -275,10 +266,19 @@ func NewCompiledTier(budget int64, after int) *CompiledTier {
 	if after <= 0 {
 		after = DefaultCompileAfter
 	}
-	return &CompiledTier{
-		budget:  budget,
-		after:   after,
-		entries: make(map[string]*compiledEntry),
+	ct := &CompiledTier{budget: budget, after: after}
+	ct.lru = runner.NewWeightedLRU[string](maxTierEntries, budget,
+		func(e *compiledEntry) int64 { return e.bytes })
+	return ct
+}
+
+// add makes e id's most recent entry, re-weighing it, and uncounts
+// the arenas the LRU evicts to fit it. Callers hold mu.
+func (ct *CompiledTier) add(id string, e *compiledEntry) {
+	for _, v := range ct.lru.Add(id, e) {
+		if v.t != nil {
+			ct.arenas--
+		}
 	}
 }
 
@@ -287,7 +287,9 @@ func NewCompiledTier(budget int64, after int) *CompiledTier {
 type CompiledStats struct {
 	// Builds counts arenas built; Hits counts loads served straight
 	// from a memoized arena (no disk read, no decode); Evictions
-	// counts entries displaced by the byte budget or entry bound;
+	// counts tier entries displaced by the byte budget or the entry
+	// bound — built arenas and not-yet-hot hotness counters alike, so
+	// it can exceed Builds (invalidations are not counted);
 	// BuildErrors counts traces that failed to compile or whose arena
 	// alone exceeds the budget (never retried).
 	Builds      uint64 `json:"builds"`
@@ -307,96 +309,34 @@ func (ct *CompiledTier) Stats() CompiledStats {
 		return CompiledStats{}
 	}
 	ct.mu.Lock()
-	arenas := 0
-	for _, e := range ct.entries {
-		if e.t != nil {
-			arenas++
-		}
-	}
-	bytes := ct.bytes
-	ct.mu.Unlock()
+	defer ct.mu.Unlock()
 	return CompiledStats{
 		Builds:      ct.builds.Load(),
 		Hits:        ct.hits.Load(),
-		Evictions:   ct.evictions.Load(),
+		Evictions:   ct.lru.Evictions(),
 		BuildErrors: ct.buildErrors.Load(),
-		Arenas:      arenas,
-		Bytes:       bytes,
+		Arenas:      ct.arenas,
+		Bytes:       ct.lru.Weight(),
 		Budget:      ct.budget,
-	}
-}
-
-// moveFront makes e the most recently used entry. Callers hold mu.
-func (ct *CompiledTier) moveFront(e *compiledEntry) {
-	if ct.head == e {
-		return
-	}
-	ct.unlink(e)
-	e.next = ct.head
-	if ct.head != nil {
-		ct.head.prev = e
-	}
-	ct.head = e
-	if ct.tail == nil {
-		ct.tail = e
-	}
-}
-
-// unlink removes e from the LRU list. Callers hold mu.
-func (ct *CompiledTier) unlink(e *compiledEntry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	}
-	if ct.head == e {
-		ct.head = e.next
-	}
-	if ct.tail == e {
-		ct.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
-}
-
-// drop removes e entirely. Callers hold mu.
-func (ct *CompiledTier) drop(e *compiledEntry) {
-	ct.unlink(e)
-	delete(ct.entries, e.id)
-	ct.bytes -= e.bytes
-}
-
-// evictOver displaces least-recently-used entries until the tier fits
-// its bounds again, sparing e (the entry just inserted or refreshed).
-// Callers hold mu.
-func (ct *CompiledTier) evictOver(spare *compiledEntry) {
-	for ct.tail != nil && (ct.bytes > ct.budget || len(ct.entries) > maxTierEntries) {
-		victim := ct.tail
-		if victim == spare {
-			if victim.prev == nil {
-				return
-			}
-			victim = victim.prev
-		}
-		ct.drop(victim)
-		ct.evictions.Add(1)
 	}
 }
 
 // Get returns the memoized compiled trace for id, or nil. A hit is the
 // tier's whole point: the caller serves the returned trace without
 // touching the disk, and its attached arena replays with zero decode.
+// Only a hit refreshes the entry's recency; looking up a trace that is
+// merely being counted does not.
 func (ct *CompiledTier) Get(id string) *Trace {
 	if ct == nil {
 		return nil
 	}
 	ct.mu.Lock()
 	defer ct.mu.Unlock()
-	e := ct.entries[id]
+	e, _ := ct.lru.Peek(id)
 	if e == nil || e.t == nil {
 		return nil
 	}
-	ct.moveFront(e)
+	ct.lru.Get(id)
 	ct.hits.Add(1)
 	return e.t
 }
@@ -412,15 +352,13 @@ func (ct *CompiledTier) Offer(id string, t *Trace) {
 		return
 	}
 	ct.mu.Lock()
-	e := ct.entries[id]
+	e, _ := ct.lru.Peek(id)
 	if e == nil {
-		e = &compiledEntry{id: id}
-		ct.entries[id] = e
+		e = &compiledEntry{}
 	}
-	ct.moveFront(e)
+	ct.add(id, e)
 	e.loads++
-	if e.t != nil || e.building || e.failed || e.loads < ct.after || !t.Indexed() {
-		ct.evictOver(e)
+	if e.t != nil || e.building || e.failed || e.loads < ct.after {
 		ct.mu.Unlock()
 		return
 	}
@@ -436,7 +374,7 @@ func (ct *CompiledTier) Offer(id string, t *Trace) {
 	ct.mu.Lock()
 	defer ct.mu.Unlock()
 	e.building = false
-	if ct.entries[id] != e {
+	if cur, _ := ct.lru.Peek(id); cur != e {
 		// Invalidated (or evicted and re-created) while building:
 		// discard the result rather than resurrecting a dropped entry.
 		return
@@ -447,10 +385,9 @@ func (ct *CompiledTier) Offer(id string, t *Trace) {
 		return
 	}
 	e.t, e.bytes = t, bytes
-	ct.bytes += bytes
+	ct.arenas++
 	ct.builds.Add(1)
-	ct.moveFront(e)
-	ct.evictOver(e)
+	ct.add(id, e)
 }
 
 // Invalidate drops id's entry — arena, memoized trace and hotness
@@ -463,7 +400,7 @@ func (ct *CompiledTier) Invalidate(id string) {
 	}
 	ct.mu.Lock()
 	defer ct.mu.Unlock()
-	if e := ct.entries[id]; e != nil {
-		ct.drop(e)
+	if e, ok := ct.lru.Remove(id); ok && e.t != nil {
+		ct.arenas--
 	}
 }

@@ -222,27 +222,6 @@ func TestCompiledCursorEquivalence(t *testing.T) {
 	compare("seek after batch", wi, gi, wo, g)
 }
 
-// TestCompileRejectsLegacy: traces without the v3 instruction index
-// cannot compile and stay on the decode path.
-func TestCompileRejectsLegacy(t *testing.T) {
-	k := healKey()
-	calls := 0
-	tr, err := healRecorder(k, &calls)()
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacy, err := disptrace.Decode(disptrace.EncodeV1(tr))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := legacy.Compile(); err != disptrace.ErrNotIndexed {
-		t.Fatalf("compiling a v1 trace: got %v, want ErrNotIndexed", err)
-	}
-	if legacy.Compiled() != nil {
-		t.Fatal("failed compile left an arena attached")
-	}
-}
-
 // TestCompiledTierThreshold: the tier compiles on the Nth disk load —
 // recording does not count — and serves every later load from memory,
 // even after the backing file disappears.

@@ -61,23 +61,18 @@ func (s Step) Dispatch() (branch, target uint64, ok bool) {
 // the diff tooling) and bulk consumers (NextBatch, the replay
 // schedules) both drive it.
 //
-// On a v3 trace, Seek jumps straight to the segment holding the
-// requested instruction using the per-segment instruction counts in
-// the index. On v1/v2 traces — which carry no step tables — the
-// cursor reconstructs step boundaries from the fused-record structure
-// (exact for engine-recorded traces, where every instruction ends in
-// exactly one fused record) and Seek scans forward from the start.
+// Seek jumps straight to the segment holding the requested
+// instruction using the per-segment instruction counts in the index,
+// and the segment's step table maps the instruction to its records.
 //
 // A Cursor is not safe for concurrent use; independent goroutines
 // each take their own (segments decode independently).
 type Cursor struct {
 	t *Trace
-	// indexed marks a v3 trace (every segment carries a step table).
-	indexed bool
 	// cum[i] is the global index of the first instruction beginning
 	// in segment i (len(Segs)+1 entries); built lazily by index() —
 	// bulk-only consumers (the pipelined decode workers) never need
-	// it. Always nil for legacy traces.
+	// it.
 	cum []uint64
 
 	// Position: seg is the segment the cursor is in (len(Segs) at the
@@ -95,11 +90,6 @@ type Cursor struct {
 	ends     []int // cumulative op count after each record
 	prefix   int   // records continuing the previous segment's step
 	stepRecs []int32
-	// tailOpen (legacy only): the last entry of stepRecs continues
-	// into the next segment. prefixOpen (legacy only): the previous
-	// segment's step swallowed this whole segment without closing.
-	tailOpen   bool
-	prefixOpen bool
 
 	stitch  []cpu.Op
 	scratch []byte
@@ -120,7 +110,7 @@ type Cursor struct {
 // callers should still treat them as until-next-advance per the Step
 // contract), and iteration performs no decode work at all.
 func NewCursor(t *Trace) *Cursor {
-	return &Cursor{t: t, indexed: t.Indexed(), comp: t.arena}
+	return &Cursor{t: t, comp: t.arena}
 }
 
 // index returns the cumulative-instruction index, building it on
@@ -139,10 +129,6 @@ func (c *Cursor) index() []uint64 {
 // NextBatch return false after an error.
 func (c *Cursor) Err() error { return c.err }
 
-// Indexed reports whether the trace carries the v3 instruction index,
-// making Seek a segment jump instead of a forward scan.
-func (c *Cursor) Indexed() bool { return c.indexed }
-
 // opOff converts a record offset of the loaded segment into an offset
 // into its decoded ops.
 func (c *Cursor) opOff(rec int) int {
@@ -155,10 +141,8 @@ func (c *Cursor) opOff(rec int) int {
 	return c.ends[rec-1]
 }
 
-// load decodes segment i and its step structure. openIn (legacy only)
-// tells the boundary synthesizer that a step is still open from the
-// previous segment.
-func (c *Cursor) load(i int, openIn bool) error {
+// load decodes segment i and its step table.
+func (c *Cursor) load(i int) error {
 	s := c.t.Segs[i]
 	c.ends = c.ends[:0]
 	var err error
@@ -166,94 +150,32 @@ func (c *Cursor) load(i int, openIn bool) error {
 	if err != nil {
 		return err
 	}
+	prefix, exc, err := parseStepTable(s.Steps, s.VMInsts, s.Records)
+	if err != nil {
+		return err
+	}
+	c.prefix = prefix
 	c.stepRecs = c.stepRecs[:0]
-	c.tailOpen, c.prefixOpen = false, false
-	if c.indexed {
-		prefix, exc, err := parseStepTable(s.Steps, s.VMInsts, s.Records)
-		if err != nil {
-			return err
-		}
-		c.prefix = prefix
-		for range s.VMInsts {
-			c.stepRecs = append(c.stepRecs, 1)
-		}
-		for _, e := range exc {
-			c.stepRecs[e.idx] = int32(e.recs)
-		}
-	} else {
-		c.synthSteps(s.Records, openIn)
+	for range s.VMInsts {
+		c.stepRecs = append(c.stepRecs, 1)
+	}
+	for _, e := range exc {
+		c.stepRecs[e.idx] = int32(e.recs)
 	}
 	c.seg = i
 	c.loaded = true
 	return nil
 }
 
-// synthSteps reconstructs step boundaries for a legacy segment from
-// the fused-record structure: the writer emits exactly one fused
-// record per interpreter step — plain records (quickening work, the
-// trailing halt step) attach to the step of the next fused record —
-// and a fused record is recognizable after decode because it expands
-// to more than one op.
-func (c *Cursor) synthSteps(records int, openIn bool) {
-	c.prefix = 0
-	fused := func(r int) bool { return c.ends[r]-c.opOff(r) > 1 }
-	r := 0
-	if openIn {
-		found := false
-		for r < records {
-			r++
-			if fused(r - 1) {
-				found = true
-				break
-			}
-		}
-		c.prefix = r
-		if !found {
-			c.prefixOpen = true
-			return
-		}
+// spills reports whether segment j's last step continues into segment
+// j+1: the next segment's step table starts with a nonzero prefix,
+// read without decoding its payload.
+func (c *Cursor) spills(j int) bool {
+	if j+1 >= len(c.t.Segs) {
+		return false
 	}
-	run := 0
-	for ; r < records; r++ {
-		run++
-		if fused(r) {
-			c.stepRecs = append(c.stepRecs, int32(run))
-			run = 0
-		}
-	}
-	if run > 0 {
-		c.stepRecs = append(c.stepRecs, int32(run))
-		c.tailOpen = true
-	}
-}
-
-// peekPrefix reads segment j's step-table prefix without decoding its
-// payload — how the cursor detects that the current segment's last
-// step spills into the next.
-func (c *Cursor) peekPrefix(j int) int {
-	v, n := binary.Uvarint(c.t.Segs[j].Steps)
-	if n <= 0 {
-		return 0
-	}
-	return int(v)
-}
-
-// continuesAfter reports whether the loaded segment's last step
-// continues into the next segment.
-func (c *Cursor) continuesAfter() bool {
-	if c.indexed {
-		return c.seg+1 < len(c.t.Segs) && c.peekPrefix(c.seg+1) > 0
-	}
-	return c.tailOpen
-}
-
-// stitchContinues reports whether, after consuming the loaded segment
-// j's prefix, the open step still runs on into segment j+1.
-func (c *Cursor) stitchContinues(j int) bool {
-	if c.indexed {
-		return len(c.stepRecs) == 0 && j+1 < len(c.t.Segs) && c.peekPrefix(j+1) > 0
-	}
-	return c.prefixOpen
+	prefix, n := binary.Uvarint(c.t.Segs[j+1].Steps)
+	return n > 0 && prefix > 0
 }
 
 // compSeg advances seg so it names the segment a forward-moving
@@ -289,7 +211,7 @@ func (c *Cursor) Next() (Step, bool) {
 			if c.seg >= len(c.t.Segs) {
 				return Step{}, false
 			}
-			if err := c.load(c.seg, false); err != nil {
+			if err := c.load(c.seg); err != nil {
 				c.err = err
 				return Step{}, false
 			}
@@ -312,7 +234,7 @@ func (c *Cursor) Next() (Step, bool) {
 	n := int(c.stepRecs[c.stepI])
 	lo, hi := c.opOff(c.recOff), c.opOff(c.recOff+n)
 	idx := c.inst
-	if c.stepI < len(c.stepRecs)-1 || !c.continuesAfter() {
+	if c.stepI < len(c.stepRecs)-1 || !c.spills(c.seg) {
 		c.stepI++
 		c.recOff += n
 		c.inst++
@@ -327,14 +249,16 @@ func (c *Cursor) Next() (Step, bool) {
 			c.seg, c.loaded, c.recOff = j, false, 0
 			break
 		}
-		if err := c.load(j, true); err != nil {
+		if err := c.load(j); err != nil {
 			c.err = err
 			return Step{}, false
 		}
 		c.stitch = append(c.stitch, c.ops[:c.opOff(c.prefix)]...)
 		c.stepI = 0
 		c.recOff = c.prefix
-		if !c.stitchContinues(j) {
+		// A segment holding no step of its own is swallowed whole by
+		// the open step, which may run on into the next.
+		if len(c.stepRecs) > 0 || !c.spills(j) {
 			break
 		}
 	}
@@ -344,9 +268,7 @@ func (c *Cursor) Next() (Step, bool) {
 
 // Seek positions the cursor so the next Next returns the step with
 // the given global VM-instruction index; seeking at or past the end
-// makes Next return false. On an indexed (v3) trace this decodes only
-// the target segment; on legacy traces it scans forward from the
-// start (restarting when seeking backwards).
+// makes Next return false. It decodes only the target segment.
 func (c *Cursor) Seek(inst uint64) error {
 	if c.err != nil {
 		return c.err
@@ -367,36 +289,25 @@ func (c *Cursor) Seek(inst uint64) error {
 		c.inst = inst
 		return nil
 	}
-	if c.indexed {
-		cum := c.index()
-		if inst >= cum[len(cum)-1] {
-			c.seg, c.loaded, c.recOff, c.inst = len(c.t.Segs), false, 0, inst
-			return nil
-		}
-		s := sort.Search(len(c.t.Segs), func(s int) bool { return cum[s+1] > inst })
-		if c.seg != s || !c.loaded {
-			if err := c.load(s, false); err != nil {
-				c.err = err
-				return err
-			}
-		}
-		local := int(inst - cum[s])
-		rec := c.prefix
-		for k := range local {
-			rec += int(c.stepRecs[k])
-		}
-		c.stepI, c.recOff, c.inst = local, rec, inst
+	cum := c.index()
+	if inst >= cum[len(cum)-1] {
+		c.seg, c.loaded, c.recOff, c.inst = len(c.t.Segs), false, 0, inst
 		return nil
 	}
-	if inst < c.inst {
-		c.seg, c.loaded, c.recOff, c.stepI, c.inst = 0, false, 0, 0, 0
-	}
-	for c.inst < inst {
-		if _, ok := c.Next(); !ok {
-			break
+	s := sort.Search(len(c.t.Segs), func(s int) bool { return cum[s+1] > inst })
+	if c.seg != s || !c.loaded {
+		if err := c.load(s); err != nil {
+			c.err = err
+			return err
 		}
 	}
-	return c.err
+	local := int(inst - cum[s])
+	rec := c.prefix
+	for k := range local {
+		rec += int(c.stepRecs[k])
+	}
+	c.stepI, c.recOff, c.inst = local, rec, inst
+	return nil
 }
 
 // NextBatch appends every op from the cursor's position to the end of
@@ -404,9 +315,8 @@ func (c *Cursor) Seek(inst uint64) error {
 // returning false at the end of the trace or on a decode error. This
 // is the bulk interface the replay schedules drive: batches preserve
 // the exact op sequence (prefix records included), so applying every
-// batch in order reproduces a full decode. On an indexed trace, step
-// iteration afterwards resumes at the next segment's first step; on a
-// legacy trace NextBatch does not advance step indices.
+// batch in order reproduces a full decode. Step iteration afterwards
+// resumes at the next segment's first step.
 func (c *Cursor) NextBatch(dst []cpu.Op) ([]cpu.Op, bool) {
 	if c.err != nil || c.seg >= len(c.t.Segs) {
 		return dst, false
@@ -430,9 +340,7 @@ func (c *Cursor) NextBatch(dst []cpu.Op) ([]cpu.Op, bool) {
 	}
 	c.seg++
 	c.loaded, c.recOff, c.stepI = false, 0, 0
-	if c.indexed {
-		c.inst = c.index()[c.seg]
-	}
+	c.inst = c.index()[c.seg]
 	return dst, true
 }
 

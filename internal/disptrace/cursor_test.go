@@ -135,15 +135,15 @@ func stepEvents(nInsts int, seed int64) []event {
 	return evs
 }
 
-// cursorTraceForms returns the same stream in every decodable form:
-// the in-memory writer trace, and traces decoded from v3, v2 and v1
-// bytes.
+// cursorTraceForms returns the same stream in every form a cursor
+// can meet: the in-memory writer trace, and traces decoded from its
+// compressed and its raw-codec encodings.
 func cursorTraceForms(t *testing.T, tr *disptrace.Trace) map[string]*disptrace.Trace {
 	t.Helper()
 	forms := map[string]*disptrace.Trace{"mem": tr}
 	for name, enc := range map[string][]byte{
-		"v3": tr.Encode(),
-		"v2": disptrace.EncodeV2(tr),
+		"flate": tr.Encode(),
+		"raw":   tr.EncodeCodec(disptrace.CodecRaw),
 	} {
 		dec, err := disptrace.Decode(enc)
 		if err != nil {
@@ -151,31 +151,11 @@ func cursorTraceForms(t *testing.T, tr *disptrace.Trace) map[string]*disptrace.T
 		}
 		forms[name] = dec
 	}
-	if raw := tr.EncodeCodec(disptrace.CodecRaw); true {
-		dec, err := disptrace.Decode(raw)
-		if err != nil {
-			t.Fatal(err)
-		}
-		allRaw := true
-		for _, s := range dec.Segs {
-			if s.Codec != disptrace.CodecRaw {
-				allRaw = false
-			}
-		}
-		if allRaw {
-			v1dec, err := disptrace.Decode(disptrace.EncodeV1(tr))
-			if err != nil {
-				t.Fatalf("v1: %v", err)
-			}
-			forms["v1"] = v1dec
-		}
-	}
 	return forms
 }
 
 // TestCursorStepsMatchStream: on a writer-produced stream in engine
-// shape, every trace form yields the ground-truth steps (v3 exactly;
-// legacy forms reconstruct the same boundaries for engine streams),
+// shape, every trace form yields the ground-truth steps exactly,
 // NextBatch reproduces the full decode, and Seek agrees with a full
 // walk from every sampled seek point.
 func TestCursorStepsMatchStream(t *testing.T) {
@@ -315,7 +295,7 @@ func TestCursorEmptySteps(t *testing.T) {
 
 // TestCursorRealTrace: on a real recorded dispatch stream, the cursor
 // yields exactly Header.VMInstructions steps whose ops concatenate to
-// the full decode, across every encoding generation.
+// the full decode, in every trace form.
 func TestCursorRealTrace(t *testing.T) {
 	pair := tracePairs(t)[0]
 	s := harness.NewTestSuite()
@@ -408,11 +388,10 @@ func TestCursorCorruptStepTable(t *testing.T) {
 }
 
 // FuzzCursor feeds arbitrary event streams (instruction marks
-// included) and seek points through the writer and every format
-// generation: v3 cursors must reproduce the ground-truth instruction
-// grouping exactly, legacy cursors must be self-consistent between
-// Seek and a full walk, and corrupted step-table bytes must error,
-// never panic.
+// included) and seek points through the writer and both codecs:
+// cursors must reproduce the ground-truth instruction grouping
+// exactly, Seek must agree with a full walk, and corrupted
+// step-table bytes must error, never panic.
 func FuzzCursor(f *testing.F) {
 	f.Add([]byte{}, uint16(0), byte(0))
 	f.Add([]byte{3, 0, 1, 1, 2, 3, 0, 3, 3}, uint16(2), byte(1))
@@ -452,16 +431,16 @@ func FuzzCursor(f *testing.F) {
 
 		want := groundTruthSteps(evs)
 		forms := map[string]*disptrace.Trace{"mem": tr}
-		v3, err := disptrace.Decode(tr.Encode())
-		if err != nil {
-			t.Fatalf("decoding own v3 encoding: %v", err)
+		for name, enc := range map[string][]byte{
+			"flate": tr.Encode(),
+			"raw":   tr.EncodeCodec(disptrace.CodecRaw),
+		} {
+			dec, err := disptrace.Decode(enc)
+			if err != nil {
+				t.Fatalf("decoding own %s encoding: %v", name, err)
+			}
+			forms[name] = dec
 		}
-		forms["v3"] = v3
-		v2, err := disptrace.Decode(disptrace.EncodeV2(tr))
-		if err != nil {
-			t.Fatalf("decoding own v2 encoding: %v", err)
-		}
-		forms["v2"] = v2
 
 		for name, form := range forms {
 			c := disptrace.NewCursor(form)
@@ -480,19 +459,17 @@ func FuzzCursor(f *testing.F) {
 			if err := c.Err(); err != nil {
 				t.Fatalf("%s: cursor error on a writer-produced trace: %v", name, err)
 			}
-			if name != "v2" {
-				// v3 grouping is exact for arbitrary streams.
-				if len(steps) != len(want) {
-					t.Fatalf("%s: %d steps, want %d", name, len(steps), len(want))
-				}
-				for i := range want {
-					if steps[i].Index != uint64(i) || !opsEqual(steps[i].Ops, want[i]) {
-						t.Fatalf("%s: step %d diverged", name, i)
-					}
+			// The grouping is exact for arbitrary streams.
+			if len(steps) != len(want) {
+				t.Fatalf("%s: %d steps, want %d", name, len(steps), len(want))
+			}
+			for i := range want {
+				if steps[i].Index != uint64(i) || !opsEqual(steps[i].Ops, want[i]) {
+					t.Fatalf("%s: step %d diverged", name, i)
 				}
 			}
 			// Seek then drain equals the full walk's suffix — the
-			// seekability contract, on every version.
+			// seekability contract, in every form.
 			at := uint64(seekAt)
 			c = disptrace.NewCursor(form)
 			if err := c.Seek(at); err != nil {
@@ -520,7 +497,7 @@ func FuzzCursor(f *testing.F) {
 			}
 		}
 
-		// Mutate one byte of the v3 encoding (checksum repaired):
+		// Mutate one byte of the encoding (checksum repaired):
 		// decode must reject it or the cursor must survive it.
 		enc := tr.Encode()
 		if len(enc) > 10 {

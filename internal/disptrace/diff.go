@@ -127,29 +127,14 @@ func DiffTraces(a, b *Trace, maxDetail int) (*DiffReport, error) {
 		sa, okA := ca.Next()
 		sb, okB := cb.Next()
 		if !okA || !okB {
-			// Count the longer side's remainder. An indexed trace's
-			// total is already known (Decode validated the segment
-			// index against the header), so only legacy traces pay
-			// for decoding the tail they never compare.
+			// The longer side's total is already known (Decode
+			// validated the segment index against the header), so
+			// the tail it never compares is not decoded.
 			if okA {
-				if ca.Indexed() {
-					r.AInsts = a.Header.VMInstructions
-				} else {
-					for okA {
-						r.AInsts++
-						_, okA = ca.Next()
-					}
-				}
+				r.AInsts = a.Header.VMInstructions
 			}
 			if okB {
-				if cb.Indexed() {
-					r.BInsts = b.Header.VMInstructions
-				} else {
-					for okB {
-						r.BInsts++
-						_, okB = cb.Next()
-					}
-				}
+				r.BInsts = b.Header.VMInstructions
 			}
 			break
 		}

@@ -39,7 +39,7 @@ func diffPair(t *testing.T) (a, b *disptrace.Trace) {
 }
 
 // TestDiffSelfIdentical: any trace diffed against itself reports zero
-// divergences, in every encoding generation.
+// divergences, in every trace form.
 func TestDiffSelfIdentical(t *testing.T) {
 	a, _ := diffPair(t)
 	for name, form := range cursorTraceForms(t, a) {
@@ -59,7 +59,7 @@ func TestDiffSelfIdentical(t *testing.T) {
 // TestDiffCrossTechnique: switch vs threaded dispatch of the same
 // workload aligns instruction for instruction, diverges
 // deterministically, and the report is stable across repeated runs
-// and across the two traces' encoding generations.
+// and across the two traces' forms.
 func TestDiffCrossTechnique(t *testing.T) {
 	a, b := diffPair(t)
 	r, err := disptrace.DiffTraces(a, b, 3)

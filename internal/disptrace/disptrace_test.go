@@ -2,9 +2,11 @@ package disptrace_test
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -159,49 +161,40 @@ func TestDecodeCorrupt(t *testing.T) {
 	}
 }
 
-// TestV1BackwardCompat: traces written in the legacy v1 layout (raw
-// payloads, no codec byte) must still decode to the identical record
-// stream and header.
-func TestV1BackwardCompat(t *testing.T) {
-	recs := []disptrace.Record{
+// TestDecodeRejectsOldVersions: a file whose version bytes name any
+// format but the current one is refused by both readers with an error
+// that names the version and asks to re-record — before the checksum
+// (which still matches) is even read.
+func TestDecodeRejectsOldVersions(t *testing.T) {
+	w := disptrace.NewWriter(testHeader())
+	feed(w, []disptrace.Record{
 		{Kind: disptrace.KWork, A: 7},
 		{Kind: disptrace.KFetch, A: 0x2000, B: 24},
 		{Kind: disptrace.KDispatch, A: 0x2040, B: 3, C: 0x2100},
-		{Kind: disptrace.KWork, A: 1 << 40},
-	}
-	w := disptrace.NewWriter(testHeader())
-	feed(w, recs)
-	tr := w.Trace()
-
-	got, err := disptrace.Decode(disptrace.EncodeV1(tr))
-	if err != nil {
-		t.Fatalf("decoding v1 trace: %v", err)
-	}
-	if got.Header != tr.Header {
-		t.Fatalf("v1 header round trip: got %+v want %+v", got.Header, tr.Header)
-	}
-	for _, s := range got.Segs {
-		if s.Codec != disptrace.CodecRaw {
-			t.Errorf("v1 segment decoded with codec %v, want raw", s.Codec)
+	})
+	enc := w.Trace().Encode()
+	for _, v := range []uint16{0, 1, 2, 4} {
+		old := append([]byte(nil), enc...)
+		binary.LittleEndian.PutUint16(old[4:6], v)
+		want := fmt.Sprintf("v%d", v)
+		if _, err := disptrace.Decode(old); err == nil ||
+			!strings.Contains(err.Error(), "re-record") || !strings.Contains(err.Error(), want) {
+			t.Errorf("Decode of a v%d file: err = %v; want a %q error naming %s", v, err, "re-record", want)
+		}
+		if _, err := disptrace.DecodeMeta(old); err == nil ||
+			!strings.Contains(err.Error(), "re-record") || !strings.Contains(err.Error(), want) {
+			t.Errorf("DecodeMeta of a v%d file: err = %v; want a %q error naming %s", v, err, "re-record", want)
 		}
 	}
-	back, err := got.Records()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back) != len(recs) {
-		t.Fatalf("got %d records, want %d", len(back), len(recs))
-	}
-	for i := range recs {
-		if back[i] != recs[i] {
-			t.Errorf("record %d: got %+v want %+v", i, back[i], recs[i])
-		}
+	if _, err := disptrace.Decode(enc); err != nil {
+		t.Fatalf("the unpatched encoding must decode: %v", err)
 	}
 }
 
 // TestCompressionRatio: a real dispatch stream must shrink at least
-// 3x on disk under the v2 flate codec (the measured ratio is 60x+;
-// the assertion leaves headroom for codec-irrelevant stream changes).
+// 3x on disk under the flate codec against the raw codec (the
+// measured ratio is 60x+; the assertion leaves headroom for
+// codec-irrelevant stream changes).
 func TestCompressionRatio(t *testing.T) {
 	pair := tracePairs(t)[0]
 	s := harness.NewTestSuite()
@@ -210,13 +203,13 @@ func TestCompressionRatio(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v2 := tr.Encode()
-	v1 := disptrace.EncodeV1(tr)
-	if len(v2)*3 > len(v1) {
-		t.Errorf("v2 trace is %d bytes, v1 %d: compression under 3x", len(v2), len(v1))
+	flate := tr.Encode()
+	raw := tr.EncodeCodec(disptrace.CodecRaw)
+	if len(flate)*3 > len(raw) {
+		t.Errorf("flate trace is %d bytes, raw %d: compression under 3x", len(flate), len(raw))
 	}
 	// And the compressed form still decodes to the same stream.
-	got, err := disptrace.Decode(v2)
+	got, err := disptrace.Decode(flate)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,12 +407,10 @@ func TestReplayEquivalence(t *testing.T) {
 				t.Errorf("%s/%s on %s: replay diverged:\n  direct   %+v\n  replayed %+v",
 					pair.w.Name, pair.v.Name, m.Name, direct, replayed)
 			}
-			// And through the serialized forms: current (v3, indexed
-			// and compressed) and the legacy generations.
+			// And through the serialized forms: compressed and raw.
 			for enc, bytes := range map[string][]byte{
-				"v3": tr.Encode(),
-				"v2": disptrace.EncodeV2(tr),
-				"v1": disptrace.EncodeV1(tr),
+				"flate": tr.Encode(),
+				"raw":   tr.EncodeCodec(disptrace.CodecRaw),
 			} {
 				decoded, err := disptrace.Decode(bytes)
 				if err != nil {

@@ -1,51 +1,5 @@
 package disptrace
 
-import (
-	"encoding/binary"
-	"hash/crc32"
-)
-
-// EncodeV1 serializes a trace in the legacy v1 layout — raw payloads
-// only, no codec byte or raw-size field in the segment index — so
-// tests can prove current readers still decode traces written before
-// the v2 codec bump. Only raw segments are encodable in v1; callers
-// pass writer-produced traces.
-func EncodeV1(t *Trace) []byte {
-	hdr := encodeHeader(t.Header)
-	body := binary.AppendUvarint(nil, uint64(len(hdr)))
-	body = append(body, hdr...)
-	body = binary.AppendUvarint(body, uint64(len(t.Segs)))
-	for _, s := range t.Segs {
-		if s.Codec != CodecRaw {
-			panic("EncodeV1: non-raw segment")
-		}
-		body = binary.AppendUvarint(body, uint64(len(s.Data)))
-		body = binary.AppendUvarint(body, uint64(s.Records))
-	}
-	for _, s := range t.Segs {
-		body = append(body, s.Data...)
-	}
-	out := make([]byte, 0, 4+2+4+len(body))
-	out = append(out, magic[:]...)
-	out = binary.LittleEndian.AppendUint16(out, versionV1)
-	out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(body))
-	return append(out, body...)
-}
-
-// EncodeV2 serializes a trace in the v2 layout — codec byte and raw
-// size per segment, but no VM-instruction counts or step tables — so
-// tests can prove current readers (and cursors, via their synthesized
-// step boundaries) still handle traces written before the v3
-// instruction index.
-func EncodeV2(t *Trace) []byte {
-	stripped := &Trace{Header: t.Header, Segs: make([]Segment, len(t.Segs))}
-	for i, s := range t.Segs {
-		s.VMInsts, s.Steps = 0, nil
-		stripped.Segs[i] = s
-	}
-	return stripped.Encode() // a step-table-free trace encodes as v2
-}
-
 // SetWriterSegLimit overrides the writer's records-per-segment limit
 // so tests can produce many-segment traces without writing millions
 // of records.

@@ -25,17 +25,20 @@
 // Records are varint-encoded with per-segment delta bases for
 // addresses, so each segment decodes independently and a replay can
 // decode segments on parallel goroutines while applying them in
-// order. Format v2 added a codec byte per segment (see Codec):
-// payloads are flate-compressed on disk when that shrinks them,
-// typically 3-6x for interpreter dispatch streams. Format v3 makes
-// traces seekable by VM instruction: the writer seals segments at VM
-// instruction boundaries, each index entry carries the number of VM
-// instructions beginning in its segment, and a compact per-segment
-// step table (see Segment.Steps) maps every instruction to its
-// records so a Cursor can Seek to an arbitrary instruction without
-// decoding the whole stream. v1 and v2 traces (no step tables) still
-// decode; Cursors over them reconstruct step boundaries from the
-// fused-record structure instead.
+// order. Each index entry carries a codec byte (see Codec): payloads
+// are flate-compressed on disk when that shrinks them, typically 3-6x
+// for interpreter dispatch streams. Traces are seekable by VM
+// instruction: the writer seals segments at VM instruction
+// boundaries, each index entry carries the number of VM instructions
+// beginning in its segment, and a compact per-segment step table (see
+// Segment.Steps) maps every instruction to its records so a Cursor can
+// Seek to an arbitrary instruction without decoding the whole stream.
+//
+// The format is v3, and it is the only version this package reads:
+// files written by older versions (v1 without codecs, v2 without step
+// tables) are rejected with an error asking to re-record them. The
+// trace cache never serves them anyway, since every cache key hashes
+// Version.
 package disptrace
 
 import (
@@ -45,18 +48,9 @@ import (
 	"math"
 )
 
-// Version is the trace format version this package writes. Readers
-// accept it and every older version listed below.
+// Version is the trace format version this package writes, and the
+// only one it reads.
 const Version = 3
-
-// versionV2 is the compressed-but-unindexed format: codec byte and
-// raw-size field per segment, no VM-instruction counts or step
-// tables.
-const versionV2 = 2
-
-// versionV1 is the legacy format: raw segment payloads only, no codec
-// byte or raw-size field in the segment index.
-const versionV1 = 1
 
 // magic identifies a dispatch trace file.
 var magic = [4]byte{'V', 'M', 'D', 'T'}
@@ -174,15 +168,13 @@ type Segment struct {
 	// (ignored for raw segments, whose size is len(Data)).
 	RawBytes int
 	// VMInsts is the number of VM instructions (steps) beginning in
-	// this segment; zero for segments decoded from v1/v2 traces,
-	// which carry no step information.
+	// this segment.
 	VMInsts int
 	// Steps is the encoded step table mapping the segment's VM
 	// instructions to their records (see encodeStepTable): a prefix
 	// record count continuing the previous segment's last step,
 	// followed by exceptions for steps that span more or fewer than
-	// one record. nil for v1/v2 segments; a Trace whose segments all
-	// carry step tables encodes as v3 and is instruction-seekable.
+	// one record.
 	Steps []byte
 }
 
@@ -467,12 +459,8 @@ func (t *Trace) Encode() []byte { return t.EncodeCodec(DefaultCodec) }
 
 // EncodeCodec is Encode with an explicit codec for raw segments.
 // Segments already carrying a non-raw codec (a decoded trace being
-// re-encoded) are stored as they are. Traces whose segments all carry
-// step tables (writer-produced, or decoded from v3 bytes) encode as
-// v3; traces decoded from v1/v2 bytes have no step information and
-// re-encode as v2.
+// re-encoded) are stored as they are.
 func (t *Trace) EncodeCodec(c Codec) []byte {
-	indexed := t.Indexed()
 	stored := make([]Segment, len(t.Segs))
 	for i, s := range t.Segs {
 		if s.Codec != CodecRaw {
@@ -484,10 +472,6 @@ func (t *Trace) EncodeCodec(c Codec) []byte {
 			VMInsts: s.VMInsts, Steps: s.Steps}
 	}
 
-	version := uint16(Version)
-	if !indexed {
-		version = versionV2
-	}
 	hdr := encodeHeader(t.Header)
 	body := binary.AppendUvarint(nil, uint64(len(hdr)))
 	body = append(body, hdr...)
@@ -497,52 +481,46 @@ func (t *Trace) EncodeCodec(c Codec) []byte {
 		body = binary.AppendUvarint(body, uint64(len(s.Data)))
 		body = binary.AppendUvarint(body, uint64(s.Records))
 		body = binary.AppendUvarint(body, uint64(s.RawBytes))
-		if indexed {
-			body = binary.AppendUvarint(body, uint64(s.VMInsts))
-			body = binary.AppendUvarint(body, uint64(len(s.Steps)))
-		}
+		body = binary.AppendUvarint(body, uint64(s.VMInsts))
+		body = binary.AppendUvarint(body, uint64(len(s.Steps)))
 	}
 	for _, s := range stored {
 		body = append(body, s.Data...)
 	}
-	if indexed {
-		for _, s := range stored {
-			body = append(body, s.Steps...)
-		}
+	for _, s := range stored {
+		body = append(body, s.Steps...)
 	}
 
 	out := make([]byte, 0, 4+2+4+len(body))
 	out = append(out, magic[:]...)
-	out = binary.LittleEndian.AppendUint16(out, version)
+	out = binary.LittleEndian.AppendUint16(out, Version)
 	out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(body))
 	return append(out, body...)
 }
 
-// Indexed reports whether the trace is VM-instruction indexed: every
-// segment carries a step table, so Cursor.Seek works at segment
-// granularity and the trace encodes as format v3.
-func (t *Trace) Indexed() bool {
-	for _, s := range t.Segs {
-		if s.Steps == nil {
-			return false
-		}
+// checkPrefix validates the fixed file prefix — length, magic and
+// version — that Decode and DecodeMeta both read before anything
+// else. A file of another format version is refused here, before its
+// checksum is read.
+func checkPrefix(b []byte) error {
+	if len(b) < 10 {
+		return fmt.Errorf("disptrace: %d bytes is too short for a trace", len(b))
 	}
-	return true
+	if [4]byte(b[:4]) != magic {
+		return fmt.Errorf("disptrace: bad magic %q", b[:4])
+	}
+	if v := binary.LittleEndian.Uint16(b[4:6]); v != Version {
+		return fmt.Errorf("disptrace: trace format v%d is not readable (only v%d is); re-record the trace", v, Version)
+	}
+	return nil
 }
 
 // Decode parses an encoded trace, validating the magic, version and
 // checksum and bounds-checking every field. Corrupt input yields an
 // error, never a panic.
 func Decode(b []byte) (*Trace, error) {
-	if len(b) < 10 {
-		return nil, fmt.Errorf("disptrace: %d bytes is too short for a trace", len(b))
-	}
-	if [4]byte(b[:4]) != magic {
-		return nil, fmt.Errorf("disptrace: bad magic %q", b[:4])
-	}
-	version := binary.LittleEndian.Uint16(b[4:6])
-	if version < versionV1 || version > Version {
-		return nil, fmt.Errorf("disptrace: unsupported trace version %d (want %d through %d)", version, versionV1, Version)
+	if err := checkPrefix(b); err != nil {
+		return nil, err
 	}
 	body := b[10:]
 	if sum := binary.LittleEndian.Uint32(b[6:10]); sum != crc32.ChecksumIEEE(body) {
@@ -579,21 +557,13 @@ func Decode(b []byte) (*Trace, error) {
 	infos := make([]segInfo, segCount)
 	var totalRecords, totalInsts uint64
 	for i := range infos {
-		if version >= versionV2 {
-			infos[i].codec = Codec(r.byte())
-		}
+		infos[i].codec = Codec(r.byte())
 		infos[i].bytes = r.uvarint()
 		infos[i].records = r.uvarint()
-		if version >= versionV2 {
-			infos[i].raw = r.uvarint()
-		} else {
-			infos[i].raw = infos[i].bytes
-		}
-		if version >= Version {
-			infos[i].vmInsts = r.uvarint()
-			infos[i].stepBytes = r.uvarint()
-			totalInsts += infos[i].vmInsts
-		}
+		infos[i].raw = r.uvarint()
+		infos[i].vmInsts = r.uvarint()
+		infos[i].stepBytes = r.uvarint()
+		totalInsts += infos[i].vmInsts
 		totalRecords += infos[i].records
 	}
 	if r.err != nil {
@@ -602,7 +572,7 @@ func Decode(b []byte) (*Trace, error) {
 	if totalRecords != h.Records {
 		return nil, fmt.Errorf("disptrace: index holds %d records, header says %d", totalRecords, h.Records)
 	}
-	if version >= Version && totalInsts != h.VMInstructions {
+	if totalInsts != h.VMInstructions {
 		return nil, fmt.Errorf("disptrace: index holds %d VM instructions, header says %d", totalInsts, h.VMInstructions)
 	}
 
@@ -633,21 +603,19 @@ func Decode(b []byte) (*Trace, error) {
 		t.Segs[i] = Segment{Data: r.bytes(int(in.bytes)), Records: int(in.records), Codec: in.codec, RawBytes: int(in.raw),
 			VMInsts: int(in.vmInsts)}
 	}
-	if version >= Version {
-		for i := range t.Segs {
-			steps := r.bytes(int(infos[i].stepBytes))
-			if r.err != nil {
-				return nil, r.err
-			}
-			// Validate the table now so corrupt step indexes fail at
-			// Decode instead of deep inside a seeking consumer. The
-			// exception count is bounded by the table's own bytes, so
-			// this stays proportional to the input.
-			if _, _, err := parseStepTable(steps, t.Segs[i].VMInsts, t.Segs[i].Records); err != nil {
-				return nil, fmt.Errorf("disptrace: segment %d: %w", i, err)
-			}
-			t.Segs[i].Steps = steps
+	for i := range t.Segs {
+		steps := r.bytes(int(infos[i].stepBytes))
+		if r.err != nil {
+			return nil, r.err
 		}
+		// Validate the table now so corrupt step indexes fail at
+		// Decode instead of deep inside a seeking consumer. The
+		// exception count is bounded by the table's own bytes, so
+		// this stays proportional to the input.
+		if _, _, err := parseStepTable(steps, t.Segs[i].VMInsts, t.Segs[i].Records); err != nil {
+			return nil, fmt.Errorf("disptrace: segment %d: %w", i, err)
+		}
+		t.Segs[i].Steps = steps
 	}
 	if r.err != nil {
 		return nil, r.err
@@ -665,10 +633,6 @@ type Meta struct {
 	Header Header
 	// Segments is the segment count from the index.
 	Segments int
-	// Seekable reports a v3 trace: the index carries per-segment VM
-	// instruction counts and step tables (Cursor.Seek jumps straight
-	// to a segment instead of scanning).
-	Seekable bool
 }
 
 // DecodeMeta parses a trace's metadata from an encoded prefix. It
@@ -677,15 +641,8 @@ type Meta struct {
 // checksum, which covers them, is not verified — callers that need
 // integrity use Decode).
 func DecodeMeta(b []byte) (Meta, error) {
-	if len(b) < 10 {
-		return Meta{}, fmt.Errorf("disptrace: %d bytes is too short for a trace", len(b))
-	}
-	if [4]byte(b[:4]) != magic {
-		return Meta{}, fmt.Errorf("disptrace: bad magic %q", b[:4])
-	}
-	version := binary.LittleEndian.Uint16(b[4:6])
-	if version < versionV1 || version > Version {
-		return Meta{}, fmt.Errorf("disptrace: unsupported trace version %d (want %d through %d)", version, versionV1, Version)
+	if err := checkPrefix(b); err != nil {
+		return Meta{}, err
 	}
 	r := &byteReader{b: b[10:]}
 	hdrLen := r.uvarint()
@@ -708,23 +665,17 @@ func DecodeMeta(b []byte) (Meta, error) {
 		return Meta{}, r.err
 	}
 	for range segCount {
-		if version >= versionV2 {
-			r.byte() // codec
-		}
+		r.byte()    // codec
 		r.uvarint() // stored bytes
 		r.uvarint() // records
-		if version >= versionV2 {
-			r.uvarint() // raw bytes
-		}
-		if version >= Version {
-			r.uvarint() // vm instructions
-			r.uvarint() // step-table bytes
-		}
+		r.uvarint() // raw bytes
+		r.uvarint() // vm instructions
+		r.uvarint() // step-table bytes
 	}
 	if r.err != nil {
 		return Meta{}, r.err
 	}
-	return Meta{Header: h, Segments: int(segCount), Seekable: version >= Version}, nil
+	return Meta{Header: h, Segments: int(segCount)}, nil
 }
 
 // Decode expands the segment into logical records, appending to dst

@@ -43,7 +43,7 @@ func recordsFromBytes(data []byte) []disptrace.Record {
 
 // FuzzTraceRoundTrip checks the codec guarantees the subsystem rests
 // on: (1) any record stream encodes and decodes back bit-exactly
-// through the compressed v2 form, (2) arbitrary bytes — corrupt
+// through the compressed form, (2) arbitrary bytes — corrupt
 // headers and flate payloads included — fed to Decode produce an
 // error or a valid trace, never a panic, and (3) arbitrary bytes
 // interpreted as a compressed segment payload error cleanly out of
@@ -53,14 +53,14 @@ func FuzzTraceRoundTrip(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
 	f.Add(bytes.Repeat([]byte{2, 0xff}, 64)) // dispatch-heavy
 	// Valid encoded traces as seeds for the raw-decode arm: the
-	// compressed v2 form and the legacy v1 form.
+	// compressed form and the raw-codec form.
 	{
 		w := disptrace.NewWriter(disptrace.Header{Workload: "seed", Lang: "forth"})
 		w.RecordWork(7)
 		w.RecordFetch(0x2000, 16)
 		w.RecordDispatch(0x2040, 3, 0x2100)
 		f.Add(w.Trace().Encode())
-		f.Add(disptrace.EncodeV1(w.Trace()))
+		f.Add(w.Trace().EncodeCodec(disptrace.CodecRaw))
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -354,9 +354,7 @@ func (s Segment) DecodeOps(dst []cpu.Op) ([]cpu.Op, error) {
 // payloadScratch) threaded through by the cursor, and an optional
 // record index: when ends is non-nil it receives the cumulative op
 // count after each physical record, which is how the cursor maps step
-// tables (record-granular) onto the decoded op stream and how legacy
-// step synthesis recognizes fused records (they expand to more than
-// one op).
+// tables (record-granular) onto the decoded op stream.
 func (s Segment) decodeOps(dst []cpu.Op, scratch []byte, ends *[]int) ([]cpu.Op, []byte, error) {
 	if s.Records > maxSegmentRecords {
 		return nil, scratch, fmt.Errorf("disptrace: segment claims %d records (limit %d)", s.Records, maxSegmentRecords)

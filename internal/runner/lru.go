@@ -9,13 +9,15 @@ import (
 type lruEntry[K comparable, V any] struct {
 	key        K
 	value      V
+	weight     int64
 	prev, next *lruEntry[K, V]
 }
 
 // LRU is a bounded concurrency-safe least-recently-used cache. It is
 // the in-memory tier the serving subsystem layers over the
-// content-addressed disk trace cache: small (counters, not traces),
-// strictly bounded, and recency-evicting, where Group — the other
+// content-addressed disk trace cache, and (weighted by bytes, see
+// NewWeightedLRU) the store of the trace cache's compiled-arena tier:
+// strictly bounded and recency-evicting, where Group — the other
 // in-memory cache in this package — deliberately never evicts.
 //
 // A capacity <= 0 disables caching: Get always misses and Add is a
@@ -27,15 +29,30 @@ type LRU[K comparable, V any] struct {
 	m          map[K]*lruEntry[K, V]
 	head, tail *lruEntry[K, V] // head is most recent
 
-	// evictions counts entries displaced by capacity pressure —
-	// hit-rate alone cannot distinguish a cold cache (misses, no
-	// evictions) from a thrashing one (misses with evictions).
+	// budget bounds total, the summed weight of the resident entries
+	// (all 0 when weigh is nil).
+	budget int64
+	total  int64
+	weigh  func(V) int64
+
+	// evictions counts entries displaced by the bounds — hit-rate
+	// alone cannot distinguish a cold cache (misses, no evictions)
+	// from a thrashing one (misses with evictions).
 	evictions atomic.Uint64
 }
 
 // NewLRU returns an LRU bounded to capacity entries.
 func NewLRU[K comparable, V any](capacity int) *LRU[K, V] {
 	return &LRU[K, V]{cap: capacity, m: make(map[K]*lruEntry[K, V])}
+}
+
+// NewWeightedLRU returns an LRU bounded to capacity entries and to a
+// total weight of budget, where weigh(v) is v's weight at the time it
+// is added.
+func NewWeightedLRU[K comparable, V any](capacity int, budget int64, weigh func(V) int64) *LRU[K, V] {
+	c := NewLRU[K, V](capacity)
+	c.budget, c.weigh = budget, weigh
+	return c
 }
 
 // unlink removes e from the recency list.
@@ -82,31 +99,68 @@ func (c *LRU[K, V]) Get(key K) (V, bool) {
 	return e.value, true
 }
 
-// Add inserts or refreshes key, evicting the least recently used
-// entry when the cache is full.
-func (c *LRU[K, V]) Add(key K, value V) {
-	if c.cap <= 0 {
-		return
-	}
+// Peek returns the cached value for key without changing its recency.
+func (c *LRU[K, V]) Peek(key K) (V, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e, ok := c.m[key]; ok {
-		e.value = value
-		if c.head != e {
-			c.unlink(e)
-			c.pushFront(e)
-		}
-		return
+		return e.value, true
 	}
-	if len(c.m) >= c.cap {
-		lru := c.tail
-		c.unlink(lru)
-		delete(c.m, lru.key)
+	var zero V
+	return zero, false
+}
+
+// Add inserts or refreshes key as the most recently used entry,
+// (re)weighing its value, then evicts least recently used entries
+// until the cache is back within its bounds and returns their values.
+// The entry just added is never evicted, even when it alone exceeds
+// the budget.
+func (c *LRU[K, V]) Add(key K, value V) (evicted []V) {
+	if c.cap <= 0 {
+		return nil
+	}
+	var w int64
+	if c.weigh != nil {
+		w = c.weigh(value)
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e, ok := c.m[key]
+	if !ok {
+		e = &lruEntry[K, V]{key: key}
+		c.m[key] = e
+		c.pushFront(e)
+	} else if c.head != e {
+		c.unlink(e)
+		c.pushFront(e)
+	}
+	c.total += w - e.weight
+	e.value, e.weight = value, w
+	for c.tail != e && (len(c.m) > c.cap || c.total > c.budget) {
+		victim := c.tail
+		c.unlink(victim)
+		delete(c.m, victim.key)
+		c.total -= victim.weight
 		c.evictions.Add(1)
+		evicted = append(evicted, victim.value)
 	}
-	e := &lruEntry[K, V]{key: key, value: value}
-	c.m[key] = e
-	c.pushFront(e)
+	return evicted
+}
+
+// Remove deletes key, returning its value and whether it was
+// resident. A removal is not an eviction.
+func (c *LRU[K, V]) Remove(key K) (V, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e, ok := c.m[key]
+	if !ok {
+		var zero V
+		return zero, false
+	}
+	c.unlink(e)
+	delete(c.m, key)
+	c.total -= e.weight
+	return e.value, true
 }
 
 // Len returns the number of resident entries.
@@ -116,9 +170,17 @@ func (c *LRU[K, V]) Len() int {
 	return len(c.m)
 }
 
+// Weight returns the summed weight of the resident entries (always 0
+// for an unweighted LRU).
+func (c *LRU[K, V]) Weight() int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.total
+}
+
 // Cap returns the configured capacity.
 func (c *LRU[K, V]) Cap() int { return c.cap }
 
-// Evictions returns how many entries capacity pressure has displaced
-// since creation.
+// Evictions returns how many entries the capacity or budget has
+// displaced since creation.
 func (c *LRU[K, V]) Evictions() uint64 { return c.evictions.Load() }

@@ -96,10 +96,6 @@ type TraceInfo struct {
 	Segments    int    `json:"segments"`
 	StoredBytes int    `json:"stored_bytes"`
 	RawBytes    int    `json:"raw_bytes"`
-	// Seekable marks a v3 trace whose segment index carries VM
-	// instruction counts (cursors seek instead of scanning; /v1/diff
-	// aligns two of these cheaply).
-	Seekable bool `json:"seekable"`
 }
 
 // DiffRequest asks for an instruction-aligned comparison of two

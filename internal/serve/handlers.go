@@ -497,7 +497,7 @@ func (s *Server) handleTraceInfo(w http.ResponseWriter, r *http.Request) {
 		Workload: h.Workload, Lang: h.Lang, Variant: h.Variant, Technique: h.Technique,
 		Scale: h.Scale, ScaleDiv: h.ScaleDiv, MaxSteps: h.MaxSteps,
 		Records: h.Records, Dispatches: h.Dispatches, VMInsts: h.VMInstructions,
-		Segments: len(t.Segs), Seekable: t.Indexed(),
+		Segments: len(t.Segs),
 	}
 	for _, seg := range t.Segs {
 		info.StoredBytes += len(seg.Data)

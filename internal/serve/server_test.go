@@ -621,7 +621,7 @@ func TestDiffEndpoint(t *testing.T) {
 	if a.ID == "" || b.ID == "" {
 		t.Fatalf("trace list lacks variant metadata: %+v", entries)
 	}
-	if !a.Seekable || a.VMInstructions == 0 || a.Segments == 0 {
+	if a.VMInstructions == 0 || a.Segments == 0 {
 		t.Fatalf("listed entry missing index metadata: %+v", a)
 	}
 

@@ -150,7 +150,7 @@ func (st *stats) init(s *Server) {
 		"Trace loads served straight from a compiled arena — no disk read, no decode.",
 		compiledStat(func(cs disptrace.CompiledStats) uint64 { return cs.Hits }))
 	r.CounterFunc("vmserved_compiled_evictions_total",
-		"Compiled arenas displaced by the tier's byte budget.",
+		"Compiled-tier entries displaced by its byte budget or entry bound: built arenas and not-yet-hot hotness counters alike.",
 		compiledStat(func(cs disptrace.CompiledStats) uint64 { return cs.Evictions }))
 	r.GaugeFunc("vmserved_compiled_bytes",
 		"Resident bytes in the compiled-arena tier, bounded by -compiled-budget.",
