@@ -11,6 +11,7 @@ import (
 	"vmopt/internal/btb"
 	"vmopt/internal/core"
 	"vmopt/internal/cpu"
+	"vmopt/internal/disptrace"
 	"vmopt/internal/forth"
 	"vmopt/internal/forthvm"
 	"vmopt/internal/harness"
@@ -288,7 +289,7 @@ func BenchmarkEngineStep(b *testing.B) {
 }
 
 // simStream is the recorded gray/plain event stream at scalediv 10,
-// decoded once for the simulator benchmarks.
+// expanded once for the simulator benchmarks.
 var simStream struct {
 	once sync.Once
 	ops  []cpu.Op
@@ -312,11 +313,9 @@ func simOps(b *testing.B) []cpu.Op {
 			simStream.err = err
 			return
 		}
-		for _, seg := range tr.Segs {
-			if simStream.ops, err = seg.DecodeOps(simStream.ops); err != nil {
-				simStream.err = err
-				return
-			}
+		c := disptrace.NewCursor(tr)
+		for ok := true; ok; {
+			simStream.ops, ok = c.NextBatch(simStream.ops)
 		}
 	})
 	if simStream.err != nil {

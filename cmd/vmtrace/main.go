@@ -14,14 +14,14 @@
 //	vmtrace diff -bench gray -a switch -b plain -scalediv 20 -trace-cache .vmtraces
 //
 // record runs one (benchmark, variant) pair by direct simulation and
-// writes its dispatch trace (flate-compressed segments by default;
-// -codec raw opts out). replay drives a machine model over a trace
-// and prints the counters; -verify additionally re-runs the direct
-// simulation from the trace's recorded configuration and fails unless
-// every counter matches byte for byte (the CI equivalence smoke).
-// info prints a trace's metadata, stream statistics and the per-codec
-// storage breakdown with its compression ratio; -segments lists every
-// segment's codec, stored vs raw byte size and VM-instruction range.
+// writes its dispatch trace. replay drives a machine model over a
+// trace and prints the counters; -verify additionally re-runs the
+// direct simulation from the trace's recorded configuration and fails
+// unless every counter matches byte for byte (the CI equivalence
+// smoke). info prints a trace's metadata, stream statistics, the size
+// of its step dictionary and the stored and raw bytes of its step-ID
+// stream. compile reports what each trace costs resident in
+// vmserved's compiled tier.
 // diff aligns two traces of the same workload by VM instruction index
 // — the paper's Tables I-IV comparison as a tool — and reports where
 // their dispatch streams diverge: either between two trace files, or
@@ -54,9 +54,9 @@ func main() {
 
 func usage() error {
 	return fmt.Errorf("usage: vmtrace <record|replay|info|diff|compile> [flags]\n" +
-		"  record -bench NAME -variant NAME [-scalediv N] [-maxsteps N] [-machine NAME] [-codec raw|flate] -o FILE\n" +
-		"  replay [-machine NAME] [-jobs N] [-verify] FILE\n" +
-		"  info [-segments] FILE\n" +
+		"  record -bench NAME -variant NAME [-scalediv N] [-maxsteps N] [-machine NAME] -o FILE\n" +
+		"  replay [-machine NAME] [-verify] FILE\n" +
+		"  info FILE\n" +
 		"  diff [-n N] FILE_A FILE_B\n" +
 		"  diff [-n N] -bench NAME -a VARIANT -b VARIANT [-scalediv N] [-maxsteps N] [-trace-cache DIR]\n" +
 		"  compile [-verify] [-machine NAME] FILE... | -cache DIR")
@@ -89,17 +89,12 @@ func recordMain(stdout io.Writer, args []string) error {
 	scaleDiv := fs.Int("scalediv", 1, "divide the workload's default scale by this factor")
 	maxSteps := fs.Uint64("maxsteps", 200_000_000, "VM step bound")
 	machine := fs.String("machine", cpu.Celeron800.Name, "machine model of the recording run")
-	codec := fs.String("codec", "flate", "segment payload codec (raw or flate)")
 	out := fs.String("o", "", "output trace file (required)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *bench == "" || *out == "" {
 		return fmt.Errorf("record: -bench and -o are required")
-	}
-	c, err := disptrace.CodecByName(*codec)
-	if err != nil {
-		return err
 	}
 	if fs.NArg() > 0 {
 		return fmt.Errorf("record: unexpected argument %q", fs.Arg(0))
@@ -124,17 +119,16 @@ func recordMain(stdout io.Writer, args []string) error {
 	if err != nil {
 		return err
 	}
-	if err := tr.SaveCodec(*out, c); err != nil {
+	if err := tr.Save(*out); err != nil {
 		return err
 	}
-	// Report what landed on disk (codec and compressed sizes), not the
-	// in-memory raw segments.
-	saved, err := disptrace.Load(*out)
+	// Report what landed on disk, compressed sizes included.
+	meta, err := disptrace.ReadMeta(*out)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(stdout, "recorded %s/%s (scale %d) to %s\n", w.Name, v.Name, tr.Header.Scale, *out)
-	printStreamStats(stdout, saved, false)
+	printStreamStats(stdout, meta, tr)
 	fmt.Fprintf(stdout, "recording run on %s: %v\n", m.Name, counters)
 	return nil
 }
@@ -142,7 +136,6 @@ func recordMain(stdout io.Writer, args []string) error {
 func replayMain(stdout io.Writer, args []string) error {
 	fs := flag.NewFlagSet("replay", flag.ContinueOnError)
 	machine := fs.String("machine", cpu.Celeron800.Name, "machine model to replay on")
-	jobs := fs.Int("jobs", 0, "parallel segment-decode goroutines (0 = auto)")
 	verify := fs.Bool("verify", false, "re-run the direct simulation and require byte-identical counters")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -158,7 +151,7 @@ func replayMain(stdout io.Writer, args []string) error {
 	if err != nil {
 		return err
 	}
-	replayed, err := disptrace.ReplayMachine(tr, m, *jobs)
+	replayed, err := disptrace.ReplayMachine(tr, m)
 	if err != nil {
 		return err
 	}
@@ -313,14 +306,16 @@ func formatStep(d disptrace.StepDiff) string {
 	return s + ", no dispatch"
 }
 
-// compileMain builds the compiled-replay arena of each trace exactly
-// as vmserved's hot tier would — offline warming and, mostly, budget
-// sizing: the per-trace and total arena footprints it prints are what
-// the traces will cost against -compiled-budget once hot.
+// compileMain reports what each trace costs resident in vmserved's
+// compiled tier — budget sizing: the per-trace and total footprints
+// it prints are what the traces will cost against -compiled-budget
+// once hot. -verify replays each trace and requires counters
+// byte-identical to a direct simulation of its recorded
+// configuration.
 func compileMain(stdout io.Writer, args []string) error {
 	fs := flag.NewFlagSet("compile", flag.ContinueOnError)
 	cacheDir := fs.String("cache", "", "compile every trace in this cache directory instead of FILE arguments")
-	verify := fs.Bool("verify", false, "replay each trace compiled and decoded and require byte-identical counters")
+	verify := fs.Bool("verify", false, "replay each trace and require counters byte-identical to direct simulation")
 	machine := fs.String("machine", cpu.Celeron800.Name, "machine model -verify replays on")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -353,40 +348,36 @@ func compileMain(stdout io.Writer, args []string) error {
 
 	var total int64
 	for _, p := range paths {
+		start := time.Now()
 		tr, err := disptrace.Load(p)
 		if err != nil {
 			return err
 		}
-		start := time.Now()
 		a, err := tr.Compile()
 		if err != nil {
 			return fmt.Errorf("%s: %w", p, err)
 		}
-		fmt.Fprintf(stdout, "%s: %s/%s, %d ops over %d VM instructions, %d-byte arena, built in %s\n",
-			p, tr.Header.Workload, tr.Header.Variant, a.Ops(), a.Insts(), a.Bytes(),
+		fmt.Fprintf(stdout, "%s: %s/%s, %d dictionary steps over %d VM instructions, %d bytes resident, loaded in %s\n",
+			p, tr.Header.Workload, tr.Header.Variant, a.DictSteps(), a.Insts(), a.Bytes(),
 			time.Since(start).Round(time.Millisecond))
 		total += a.Bytes()
 		if *verify {
-			dec, err := disptrace.Load(p)
+			got, err := disptrace.ReplayMachine(tr, m)
 			if err != nil {
 				return err
 			}
-			want, err := disptrace.ReplayMachine(dec, m, 0)
+			want, err := directRun(tr, m)
 			if err != nil {
-				return err
-			}
-			got, err := disptrace.ReplayMachine(tr, m, 0)
-			if err != nil {
-				return err
+				return fmt.Errorf("%s: verify: %w", p, err)
 			}
 			if got != want {
-				return fmt.Errorf("%s: verify FAILED: compiled replay diverged from decode path\n  decode   %+v\n  compiled %+v", p, want, got)
+				return fmt.Errorf("%s: verify FAILED: replay diverged from direct simulation\n  direct   %+v\n  replayed %+v", p, want, got)
 			}
-			fmt.Fprintf(stdout, "  verify OK: compiled replay byte-identical to decode path on %s\n", m.Name)
+			fmt.Fprintf(stdout, "  verify OK: replay byte-identical to direct simulation on %s\n", m.Name)
 		}
 	}
 	if len(paths) > 1 {
-		fmt.Fprintf(stdout, "total: %d arena(s), %d bytes resident when hot (size -compiled-budget accordingly)\n",
+		fmt.Fprintf(stdout, "total: %d trace(s), %d bytes resident when hot (size -compiled-budget accordingly)\n",
 			len(paths), total)
 	}
 	return nil
@@ -394,7 +385,6 @@ func compileMain(stdout io.Writer, args []string) error {
 
 func infoMain(stdout io.Writer, args []string) error {
 	fs := flag.NewFlagSet("info", flag.ContinueOnError)
-	segments := fs.Bool("segments", false, "list every segment (codec, stored -> raw bytes, records, VM-instruction range)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -405,59 +395,35 @@ func infoMain(stdout io.Writer, args []string) error {
 	if err != nil {
 		return err
 	}
+	meta, err := disptrace.ReadMeta(fs.Arg(0))
+	if err != nil {
+		return err
+	}
 	h := tr.Header
 	fmt.Fprintf(stdout, "workload:   %s (%s)\n", h.Workload, h.Lang)
 	fmt.Fprintf(stdout, "variant:    %s (technique %s)\n", h.Variant, h.Technique)
 	fmt.Fprintf(stdout, "scale:      %d (scalediv %d, maxsteps %d)\n", h.Scale, h.ScaleDiv, h.MaxSteps)
-	printStreamStats(stdout, tr, *segments)
+	printStreamStats(stdout, meta, tr)
 	return tr.Verify()
 }
 
 // printStreamStats reports the stream totals (ISA fingerprint
 // included, so any summary identifies which instruction set the
-// stream is valid against) plus the per-codec storage picture: stored
-// (possibly compressed) versus raw payload bytes and the overall
-// compression ratio. listSegments additionally prints one line per
-// segment, with its cumulative VM-instruction range.
-func printStreamStats(w io.Writer, tr *disptrace.Trace, listSegments bool) {
-	h := tr.Header
-	var stored, raw int
-	codecSegs := map[disptrace.Codec]int{}
-	for _, s := range tr.Segs {
-		stored += len(s.Data)
-		raw += s.RawLen()
-		codecSegs[s.Codec]++
-	}
-	fmt.Fprintf(w, "stream:     %d records (%d dispatches, %d fetches, %d work instrs) in %d segments\n",
-		h.Records, h.Dispatches, h.Fetches, h.WorkInstrs, len(tr.Segs))
-	var codecs []string
-	for _, c := range []disptrace.Codec{disptrace.CodecRaw, disptrace.CodecFlate} {
-		if n := codecSegs[c]; n > 0 {
-			codecs = append(codecs, fmt.Sprintf("%d %s", n, c))
-		}
-	}
-	ratio := 1.0
-	if stored > 0 {
-		ratio = float64(raw) / float64(stored)
-	}
-	fmt.Fprintf(w, "payload:    %d bytes stored (%s), %d raw, %.2fx compression\n",
-		stored, strings.Join(codecs, ", "), raw, ratio)
+// stream is valid against), the step dictionary, the step-ID
+// stream's stored (flate) and raw bytes from the file's index, and
+// what the trace costs resident.
+func printStreamStats(w io.Writer, meta disptrace.Meta, tr *disptrace.Trace) {
+	h := meta.Header
+	fmt.Fprintf(w, "stream:     %d dispatches, %d fetches, %d work instrs\n",
+		h.Dispatches, h.Fetches, h.WorkInstrs)
 	fmt.Fprintf(w, "totals:     %d VM instructions, %d generated code bytes, isa %#016x\n",
 		h.VMInstructions, h.CodeBytes, h.ISAHash)
-	// Compiled-replay state: what the trace costs once vmserved's hot
-	// tier specializes it (see `vmtrace compile` for offline warming).
-	if a, err := tr.Compile(); err == nil {
-		fmt.Fprintf(w, "compiled:   %d ops -> %d-byte arena when hot (%.1fx the stored payload)\n",
-			a.Ops(), a.Bytes(), float64(a.Bytes())/float64(max(stored, 1)))
-	} else {
-		fmt.Fprintf(w, "compiled:   not compilable: %v\n", err)
+	fmt.Fprintf(w, "dictionary: %d distinct steps\n", meta.DictSteps)
+	ratio := 1.0
+	if meta.StreamStoredBytes > 0 {
+		ratio = float64(meta.StreamRawBytes) / float64(meta.StreamStoredBytes)
 	}
-	if listSegments {
-		insts := uint64(0)
-		for i, s := range tr.Segs {
-			fmt.Fprintf(w, "  seg %4d: %-5s %8d -> %8d bytes, %7d records, insts [%d, %d)\n",
-				i, s.Codec, len(s.Data), s.RawLen(), s.Records, insts, insts+uint64(s.VMInsts))
-			insts += uint64(s.VMInsts)
-		}
-	}
+	fmt.Fprintf(w, "id stream:  %d bytes stored, %d raw, %.2fx compression\n",
+		meta.StreamStoredBytes, meta.StreamRawBytes, ratio)
+	fmt.Fprintf(w, "resident:   %d bytes (see `vmtrace compile`)\n", tr.Arena().Bytes())
 }

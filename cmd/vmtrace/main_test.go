@@ -34,18 +34,10 @@ func TestRecordReplayInfoVerify(t *testing.T) {
 		t.Fatalf("info: %v", err)
 	}
 	for _, want := range []string{"workload:   gray (forth)", "variant:    plain", "dispatches",
-		"flate", "compression"} {
+		"distinct steps", "bytes stored", "compression"} {
 		if !strings.Contains(info.String(), want) {
 			t.Errorf("info output missing %q:\n%s", want, info.String())
 		}
-	}
-	// -segments lists per-segment codec and stored -> raw sizes.
-	var segs bytes.Buffer
-	if err := run(&segs, []string{"info", "-segments", path}); err != nil {
-		t.Fatalf("info -segments: %v", err)
-	}
-	if !strings.Contains(segs.String(), "seg    0: flate") {
-		t.Errorf("info -segments missing per-segment lines:\n%s", segs.String())
 	}
 
 	// Replay on a machine other than the recording one, with
@@ -57,37 +49,6 @@ func TestRecordReplayInfoVerify(t *testing.T) {
 	}
 	if !strings.Contains(rep.String(), "verify OK") {
 		t.Errorf("verify did not report OK:\n%s", rep.String())
-	}
-}
-
-// TestRecordRawCodec: -codec raw writes uncompressed segments that
-// verify just like compressed ones.
-func TestRecordRawCodec(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "raw.vmdt")
-	err := run(io.Discard, []string{"record", "-bench", "gray", "-variant", "plain",
-		"-scalediv", "40", "-codec", "raw", "-o", path})
-	if err != nil {
-		t.Fatalf("record -codec raw: %v", err)
-	}
-	var info bytes.Buffer
-	if err := run(&info, []string{"info", path}); err != nil {
-		t.Fatalf("info: %v", err)
-	}
-	if !strings.Contains(info.String(), "raw") || strings.Contains(info.String(), "flate") {
-		t.Errorf("raw-codec trace reported wrong codecs:\n%s", info.String())
-	}
-	var rep bytes.Buffer
-	if err := run(&rep, []string{"replay", "-verify", path}); err != nil {
-		t.Fatalf("replay -verify: %v", err)
-	}
-	if !strings.Contains(rep.String(), "verify OK") {
-		t.Errorf("verify did not report OK:\n%s", rep.String())
-	}
-
-	// And an unknown codec name errors.
-	if err := run(io.Discard, []string{"record", "-bench", "gray", "-variant", "plain",
-		"-codec", "zstd", "-o", path}); err == nil {
-		t.Error("unknown codec should error")
 	}
 }
 
@@ -229,8 +190,8 @@ func TestInfoRejectsOldFormat(t *testing.T) {
 }
 
 // TestCompileSubcommand records a trace, compiles it with -verify
-// (byte-identity between arena and decode replays), and checks the
-// info surface reports the arena footprint.
+// (byte-identity between replay and direct simulation), and checks
+// the info surface reports the resident footprint.
 func TestCompileSubcommand(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "gray.vmdt")
 	if err := run(io.Discard, []string{"record", "-bench", "gray", "-variant", "plain",
@@ -242,7 +203,7 @@ func TestCompileSubcommand(t *testing.T) {
 	if err := run(&out, []string{"compile", "-verify", path}); err != nil {
 		t.Fatalf("compile -verify: %v", err)
 	}
-	for _, want := range []string{"ops over", "-byte arena", "verify OK"} {
+	for _, want := range []string{"dictionary steps over", "bytes resident", "verify OK"} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("compile output missing %q:\n%s", want, out.String())
 		}
@@ -252,8 +213,8 @@ func TestCompileSubcommand(t *testing.T) {
 	if err := run(&info, []string{"info", path}); err != nil {
 		t.Fatalf("info: %v", err)
 	}
-	if !strings.Contains(info.String(), "compiled:   ") || !strings.Contains(info.String(), "arena when hot") {
-		t.Errorf("info lacks the compiled line:\n%s", info.String())
+	if !strings.Contains(info.String(), "resident:   ") {
+		t.Errorf("info lacks the resident line:\n%s", info.String())
 	}
 
 	// Usage errors: no input, and files alongside -cache.

@@ -159,25 +159,37 @@ type Op struct {
 // replay's apply side. The Sink is NOT observed: Apply exists for
 // replay, and replaying must not re-record.
 func (s *Sim) Apply(ops []Op) {
+	batch := [1][]Op{ops}
+	var ids [1]uint32
+	s.ApplySteps(batch[:], ids[:])
+}
+
+// ApplySteps is Apply over the stream dict[ids[0]], dict[ids[1]], …
+// without materializing it: trace replay keeps each distinct step's
+// events once and the run as step IDs.
+func (s *Sim) ApplySteps(dict [][]Op, ids []uint32) {
 	c := &s.C
 	m := &s.Machine
-	for i := range ops {
-		op := &ops[i]
-		switch op.Kind {
-		case OpWork:
-			c.Instructions += op.A
-			c.Cycles += float64(int(op.A)) * m.CPI
-		case OpFetch:
-			misses := s.ic.Touch(op.A, int(op.B))
-			if misses > 0 {
-				c.ICacheMisses += uint64(misses)
-				penalty := float64(misses) * m.ICacheMissPenalty
-				c.Cycles += penalty
-				c.MissCycles += penalty
+	for _, id := range ids {
+		ops := dict[id]
+		for i := range ops {
+			op := &ops[i]
+			switch op.Kind {
+			case OpWork:
+				c.Instructions += op.A
+				c.Cycles += float64(int(op.A)) * m.CPI
+			case OpFetch:
+				misses := s.ic.Touch(op.A, int(op.B))
+				if misses > 0 {
+					c.ICacheMisses += uint64(misses)
+					penalty := float64(misses) * m.ICacheMissPenalty
+					c.Cycles += penalty
+					c.MissCycles += penalty
+				}
+			case OpDispatch:
+				c.Dispatches++
+				s.Indirect(op.A, op.B, op.C)
 			}
-		case OpDispatch:
-			c.Dispatches++
-			s.Indirect(op.A, op.B, op.C)
 		}
 	}
 }

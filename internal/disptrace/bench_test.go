@@ -10,24 +10,23 @@ import (
 	"vmopt/internal/workload"
 )
 
-// The replay-pipeline benchmarks measure every layer of the trace
-// data path on one real dispatch stream (gray/plain at reduced
-// scale): codec encode/decode, single-sim apply, and the multi-sim
-// parallel-apply schedule, plus the direct simulation the replay has
-// to beat. Results are captured in BENCH_replay.json at the repo
-// root.
+// The replay benchmarks measure every layer of the trace data path on
+// one real dispatch stream (gray/plain at scalediv 10): encode,
+// decode (wire bytes to resident form), single-sim apply and replay,
+// the multi-sim broadcast, the diff, plus the direct simulation a
+// replay replaces. Results are captured in BENCH_replay.json at the
+// repo root.
 //
 //	go test -run '^$' -bench . -benchmem ./internal/disptrace/
 
 var benchState struct {
-	once     sync.Once
-	tr       *disptrace.Trace // writer-produced (raw segments)
-	wire     *disptrace.Trace // decoded from enc (flate segments)
-	compiled *disptrace.Trace // decoded then compiled (arena attached)
-	enc      []byte           // the default (flate) encoding
-	raw      []byte           // the raw-codec encoding
-	ops      []cpu.Op         // fully decoded stream, one batch
-	err      error
+	once  sync.Once
+	tr    *disptrace.Trace // writer-produced
+	wire  *disptrace.Trace // decoded from enc
+	other *disptrace.Trace // gray/switch, the diff partner
+	enc   []byte
+	ops   []cpu.Op // the expanded stream, one batch
+	err   error
 }
 
 func benchSetup(b *testing.B) {
@@ -37,150 +36,92 @@ func benchSetup(b *testing.B) {
 			benchState.err = err
 			return
 		}
-		v, err := harness.VariantByName(w, "plain")
-		if err != nil {
-			benchState.err = err
-			return
-		}
 		s := harness.NewTestSuite()
 		s.ScaleDiv = 10
-		tr, _, err := s.RecordTrace(w, v, cpu.Celeron800)
-		if err != nil {
+		record := func(variant string) *disptrace.Trace {
+			v, err := harness.VariantByName(w, variant)
+			if err == nil {
+				var tr *disptrace.Trace
+				if tr, _, err = s.RecordTrace(w, v, cpu.Celeron800); err == nil {
+					return tr
+				}
+			}
 			benchState.err = err
+			return nil
+		}
+		if benchState.tr = record("plain"); benchState.tr == nil {
 			return
 		}
-		benchState.tr = tr
-		benchState.enc = tr.Encode()
-		benchState.raw = tr.EncodeCodec(disptrace.CodecRaw)
+		if benchState.other = record("switch"); benchState.other == nil {
+			return
+		}
+		benchState.enc = benchState.tr.Encode()
 		if benchState.wire, err = disptrace.Decode(benchState.enc); err != nil {
 			benchState.err = err
 			return
 		}
-		if benchState.compiled, err = disptrace.Decode(benchState.enc); err != nil {
-			benchState.err = err
-			return
-		}
-		if _, err = benchState.compiled.Compile(); err != nil {
-			benchState.err = err
-			return
-		}
-		for _, seg := range tr.Segs {
-			if benchState.ops, err = seg.DecodeOps(benchState.ops); err != nil {
-				benchState.err = err
-				return
-			}
-		}
+		benchState.ops = streamOps(benchState.tr)
 	})
 	if benchState.err != nil {
 		b.Fatal(benchState.err)
 	}
 }
 
-func BenchmarkEncodeFlate(b *testing.B) {
+// BenchmarkEncode serializes the resident form to wire bytes and
+// reports the stored size and the dictionary size.
+func BenchmarkEncode(b *testing.B) {
 	benchSetup(b)
-	b.ResetTimer()
-	b.SetBytes(int64(len(benchState.raw))) // raw payload throughput
 	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		benchState.tr.Encode()
 	}
-	b.ReportMetric(float64(len(benchState.raw))/float64(len(benchState.enc)), "ratio")
-}
-
-func BenchmarkEncodeRaw(b *testing.B) {
-	benchSetup(b)
-	b.ResetTimer()
-	b.SetBytes(int64(len(benchState.raw)))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		benchState.tr.EncodeCodec(disptrace.CodecRaw)
+	m, err := disptrace.DecodeMeta(benchState.enc)
+	if err != nil {
+		b.Fatal(err)
 	}
+	b.ReportMetric(float64(len(benchState.enc)), "stored-bytes")
+	b.ReportMetric(float64(m.DictSteps), "dict-steps")
+	b.ReportMetric(float64(m.StreamRawBytes), "id-raw-bytes")
 }
 
-// decodeAll parses the container and expands every segment to ops —
-// the full wire-to-events cost a replay pays.
-func decodeAll(b *testing.B, wire []byte) {
-	b.Helper()
-	b.ResetTimer()
-	b.SetBytes(int64(len(benchState.raw)))
+// BenchmarkDecode is the whole wire-to-replayable cost a cache load
+// pays: checksum, dictionary, inflate and step-ID validation.
+func BenchmarkDecode(b *testing.B) {
+	benchSetup(b)
+	b.SetBytes(int64(len(benchState.enc)))
 	b.ReportAllocs()
-	var ops []cpu.Op
-	for i := 0; i < b.N; i++ {
-		tr, err := disptrace.Decode(wire)
-		if err != nil {
+	for b.Loop() {
+		if _, err := disptrace.Decode(benchState.enc); err != nil {
 			b.Fatal(err)
 		}
-		for _, seg := range tr.Segs {
-			if ops, err = seg.DecodeOps(ops[:0]); err != nil {
-				b.Fatal(err)
-			}
-		}
 	}
 }
 
-func BenchmarkDecode(b *testing.B) { benchSetup(b); decodeAll(b, benchState.enc) }
-
-// BenchmarkApply is the pure apply side: one pre-decoded batch driven
-// through a single simulator (predictor + I-cache state machines).
+// BenchmarkApply is the pure apply side: the expanded stream, as one
+// batch, driven through one reused simulator (predictor + I-cache
+// state machines).
 func BenchmarkApply(b *testing.B) {
 	benchSetup(b)
-	b.ResetTimer()
+	sim := cpu.NewSim(cpu.Celeron800)
 	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		cpu.NewSim(cpu.Celeron800).Apply(benchState.ops)
+	for b.Loop() {
+		sim.Reset()
+		sim.Apply(benchState.ops)
 	}
 	b.ReportMetric(float64(len(benchState.ops)), "events/op")
 }
 
-// BenchmarkReplay is the end-to-end single-sim path from compressed
-// wire segments (the warm trace-cache hit): inflate + decode + apply.
+// BenchmarkReplay is the serving path: the decoded trace replayed
+// into one reused simulator, one dictionary entry per step. It must
+// not allocate, and its cost above BenchmarkApply is the price of the
+// dictionary indirection.
 func BenchmarkReplay(b *testing.B) {
 	benchSetup(b)
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := disptrace.ReplayMachine(benchState.wire, cpu.Celeron800, 1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkCompile is the compiled tier's one-time cost per trace:
-// wire bytes to attached arena (container parse, inflate, full decode,
-// instruction-index build). The tier pays it on the Nth load and
-// amortizes it over every replay after.
-func BenchmarkCompile(b *testing.B) {
-	benchSetup(b)
-	b.ResetTimer()
-	b.SetBytes(int64(len(benchState.raw)))
-	b.ReportAllocs()
-	var bytes int64
-	for i := 0; i < b.N; i++ {
-		tr, err := disptrace.Decode(benchState.enc)
-		if err != nil {
-			b.Fatal(err)
-		}
-		a, err := tr.Compile()
-		if err != nil {
-			b.Fatal(err)
-		}
-		bytes = a.Bytes()
-	}
-	b.ReportMetric(float64(bytes), "arena-bytes")
-}
-
-// BenchmarkReplayCompiled is the compiled-tier serving path: the
-// arena applied by reference into one reused simulator — zero decode,
-// zero allocation. Its counterpart on the decode path is
-// BenchmarkReplay (inflate + decode + apply per replay).
-func BenchmarkReplayCompiled(b *testing.B) {
-	benchSetup(b)
 	sims := []*cpu.Sim{cpu.NewSim(cpu.Celeron800)}
-	b.ResetTimer()
 	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		sims[0].Reset()
-		if err := disptrace.ReplayEach(benchState.compiled, sims); err != nil {
+		if err := disptrace.ReplayEach(benchState.wire, sims); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -198,13 +139,12 @@ func benchMachines() []cpu.Machine {
 	}
 }
 
-// BenchmarkReplayEach5 replays one decode pass into 5 machines with
-// the parallel-apply pipeline.
+// BenchmarkReplayEach5 replays the trace into 5 fresh machines, one
+// applier goroutine each.
 func BenchmarkReplayEach5(b *testing.B) {
 	benchSetup(b)
-	b.ResetTimer()
 	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		sims := make([]*cpu.Sim, 0, 5)
 		for _, m := range benchMachines() {
 			sims = append(sims, cpu.NewSim(m))
@@ -215,42 +155,20 @@ func BenchmarkReplayEach5(b *testing.B) {
 	}
 }
 
-// BenchmarkReplayCompiledEach5 is the grid-group shape on the
-// compiled tier: no decode pipeline at all, each sim's applier walks
-// the same immutable arena independently.
-func BenchmarkReplayCompiledEach5(b *testing.B) {
+// BenchmarkDiff aligns gray/plain with gray/switch: each dictionary is
+// summarized once, then the step-ID streams are compared.
+func BenchmarkDiff(b *testing.B) {
 	benchSetup(b)
-	b.ResetTimer()
 	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		sims := make([]*cpu.Sim, 0, 5)
-		for _, m := range benchMachines() {
-			sims = append(sims, cpu.NewSim(m))
-		}
-		if err := disptrace.ReplayEach(benchState.compiled, sims); err != nil {
+	for b.Loop() {
+		if _, err := disptrace.DiffTraces(benchState.other, benchState.tr, 5); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkReplaySequential5 is the same 5-machine group replayed one
-// sim at a time — the pre-sharding schedule ReplayEach5 is measured
-// against.
-func BenchmarkReplaySequential5(b *testing.B) {
-	benchSetup(b)
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		for _, m := range benchMachines() {
-			if _, err := disptrace.ReplayMachine(benchState.wire, m, 1); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
 // BenchmarkDirectSimulate is the interpreter run a replay replaces —
-// the bar every decode+apply number above has to clear.
+// the bar every decode and replay number above has to clear.
 func BenchmarkDirectSimulate(b *testing.B) {
 	w, err := workload.ByName("gray")
 	if err != nil {
@@ -261,10 +179,31 @@ func BenchmarkDirectSimulate(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		s := harness.NewTestSuite()
 		s.ScaleDiv = 10
 		if _, err := s.Run(w, v, cpu.Celeron800); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkRecord is the direct simulation with the trace writer
+// attached: its cost above BenchmarkDirectSimulate is the writer's.
+func BenchmarkRecord(b *testing.B) {
+	w, err := workload.ByName("gray")
+	if err != nil {
+		b.Fatal(err)
+	}
+	v, err := harness.VariantByName(w, "plain")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		s := harness.NewTestSuite()
+		s.ScaleDiv = 10
+		if _, _, err := s.RecordTrace(w, v, cpu.Celeron800); err != nil {
 			b.Fatal(err)
 		}
 	}

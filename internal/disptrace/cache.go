@@ -73,9 +73,9 @@ func (k Key) matches(h Header) bool {
 // a directory stay safe through atomic writes, at worst recording the
 // same trace twice.
 //
-// Loaded traces are not memoized in memory: a full experiment grid
-// touches hundreds of megabytes of traces, and the OS page cache
-// already makes re-reading a warm file cheap.
+// Loaded traces are memoized in memory only by the Compiled tier,
+// which keeps hot traces resident under a byte budget; every other
+// load reads and decodes the file again.
 type Cache struct {
 	// Dir is the cache directory (created on first store).
 	Dir string
@@ -99,12 +99,12 @@ type Cache struct {
 	Fill   func(k Key) ([]byte, error)
 	FillID func(id string) ([]byte, error)
 
-	// Compiled, when non-nil, is the in-memory compiled-replay tier:
-	// every clean disk load is offered to it, hot traces come back
-	// with a pre-decoded op arena attached, and tier hits skip the
-	// disk (and every later decode) entirely. Quarantine and scrub
-	// invalidate tier entries together with their files. nil disables
-	// the tier. Set before the cache serves traffic.
+	// Compiled, when non-nil, is the in-memory tier of resident
+	// traces: every clean disk load is offered to it, hot traces stay
+	// resident, and tier hits skip the disk read and the decode
+	// entirely. Quarantine and scrub invalidate tier entries together
+	// with their files. nil disables the tier. Set before the cache
+	// serves traffic.
 	Compiled *CompiledTier
 
 	flight runner.Flight[string, cacheOutcome]
@@ -162,7 +162,7 @@ type CacheStats struct {
 	PeerFillErrors uint64 `json:"peer_fill_errors,omitempty"`
 	PeerServes     uint64 `json:"peer_serves,omitempty"`
 
-	// Compiled reports the in-memory compiled-replay arena tier
+	// Compiled reports the in-memory compiled tier of resident traces
 	// (absent when the cache runs without one).
 	Compiled *CompiledStats `json:"compiled,omitempty"`
 }
@@ -222,8 +222,8 @@ const QuarantineDir = "quarantine"
 // wedge every future run on its key.
 func (c *Cache) quarantine(path string) {
 	// The compiled tier must never outlive its file: a quarantined
-	// entry's arena (and hotness count) goes with it, so the healed
-	// replacement re-earns its arena from clean bytes.
+	// entry's resident trace (and hotness count) goes with it, so the
+	// healed replacement re-earns its place from clean bytes.
 	c.Compiled.Invalidate(strings.TrimSuffix(filepath.Base(path), ".vmdt"))
 	qdir := filepath.Join(c.Dir, QuarantineDir)
 	if err := os.MkdirAll(qdir, 0o755); err == nil {
@@ -301,8 +301,8 @@ var ErrNoTrace = errors.New("disptrace: no such trace in cache")
 
 // CacheEntry is one resident trace file in the cache index: its
 // content address and size plus the identifying metadata and stream
-// shape read from the file's header and segment index (no payload is
-// decoded). Diff tooling picks comparable pairs straight from this
+// shape read from the file's header and index (the dictionary and
+// the ID stream are not read). Diff tooling picks comparable pairs straight from this
 // listing.
 type CacheEntry struct {
 	ID    string `json:"id"`
@@ -314,9 +314,10 @@ type CacheEntry struct {
 	Technique string `json:"technique,omitempty"`
 	ScaleDiv  uint64 `json:"scalediv,omitempty"`
 
-	// VMInstructions and Segments come from the trace's index.
+	// VMInstructions and DictSteps come from the trace's header and
+	// index.
 	VMInstructions uint64 `json:"vm_instructions,omitempty"`
-	Segments       int    `json:"segments,omitempty"`
+	DictSteps      int    `json:"dict_steps,omitempty"`
 }
 
 // List enumerates every trace resident in the cache directory with
@@ -361,7 +362,7 @@ func (c *Cache) List() ([]CacheEntry, error) {
 			entry.Technique = m.meta.Header.Technique
 			entry.ScaleDiv = m.meta.Header.ScaleDiv
 			entry.VMInstructions = m.meta.Header.VMInstructions
-			entry.Segments = m.meta.Segments
+			entry.DictSteps = m.meta.DictSteps
 		}
 		out = append(out, entry)
 	}
@@ -389,8 +390,8 @@ func (c *Cache) LoadID(id string) (*Trace, int64, error) {
 	fi, err := os.Stat(path)
 	if err != nil {
 		if errors.Is(err, fs.ErrNotExist) {
-			if t, size, ok := c.fillID(id); ok {
-				return t, size, nil
+			if t, b, ok := c.fillID(id); ok {
+				return t, int64(len(b)), nil
 			}
 			return nil, 0, ErrNoTrace
 		}
@@ -418,16 +419,50 @@ func (c *Cache) LoadID(id string) (*Trace, int64, error) {
 	return t, fi.Size(), nil
 }
 
+// MetaID reads one cached trace's metadata by its content address:
+// the header and index, with the file's checksum verified, returned
+// with the file's size. Neither the dictionary nor the ID stream is
+// parsed, and the read is no load for the compiled tier. Absent IDs
+// (after a peer fill attempt) return ErrNoTrace; a file that fails its
+// checksum or is of another format version is quarantined and
+// reported as absent, as LoadID does.
+func (c *Cache) MetaID(id string) (Meta, int64, error) {
+	if !ValidID(id) {
+		return Meta{}, 0, ErrNoTrace
+	}
+	path := filepath.Join(c.Dir, id+".vmdt")
+	b, err := c.readFile(path)
+	if errors.Is(err, fs.ErrNotExist) {
+		_, b, ok := c.fillID(id)
+		if !ok {
+			return Meta{}, 0, ErrNoTrace
+		}
+		m, err := DecodeMeta(b)
+		return m, int64(len(b)), err
+	} else if err != nil {
+		return Meta{}, 0, fmt.Errorf("disptrace: %w", err)
+	}
+	m, err := DecodeMeta(b)
+	if err == nil {
+		err = checkSum(b)
+	}
+	if err != nil {
+		c.quarantine(path)
+		return Meta{}, 0, ErrNoTrace
+	}
+	return m, int64(len(b)), nil
+}
+
 // store writes a trace into the cache through the cache.write fault
 // sites: injected latency first, then an injected write error, then
 // payload corruption of the encoded bytes on their way to disk (a
-// later read fails its segment CRC and exercises quarantine).
+// later read fails its checksum and exercises quarantine).
 func (c *Cache) store(k Key, t *Trace) error {
 	c.Faults.Delay(faults.SiteCacheWrite)
 	if err := c.Faults.Err(faults.SiteCacheWrite); err != nil {
 		return err
 	}
-	return atomicWrite(c.Path(k), c.Faults.Corrupt(faults.SiteCacheWrite, t.EncodeCodec(DefaultCodec)))
+	return atomicWrite(c.Path(k), c.Faults.Corrupt(faults.SiteCacheWrite, t.Encode()))
 }
 
 // GetOrRecord returns the trace for key, loading it from disk or
@@ -504,24 +539,25 @@ func (c *Cache) fill(k Key) *Trace {
 
 // fillID is fill for by-ID loads: the filled payload is verified
 // against the content address (the decoded header must hash back to
-// id) before being persisted and served.
-func (c *Cache) fillID(id string) (*Trace, int64, bool) {
+// id) before being persisted and served. It returns the trace and
+// its file bytes.
+func (c *Cache) fillID(id string) (*Trace, []byte, bool) {
 	if c.FillID == nil {
-		return nil, 0, false
+		return nil, nil, false
 	}
 	b, err := c.FillID(id)
 	if err != nil {
 		c.peerFillErrors.Add(1)
-		return nil, 0, false
+		return nil, nil, false
 	}
 	if len(b) == 0 {
 		c.peerFillMisses.Add(1)
-		return nil, 0, false
+		return nil, nil, false
 	}
 	t, err := Decode(b)
 	if err != nil {
 		c.peerFillErrors.Add(1)
-		return nil, 0, false
+		return nil, nil, false
 	}
 	h := t.Header
 	k := Key{Workload: h.Workload, Lang: h.Lang, Variant: h.Variant,
@@ -529,13 +565,13 @@ func (c *Cache) fillID(id string) (*Trace, int64, bool) {
 		MaxSteps: h.MaxSteps, ISAHash: h.ISAHash}
 	if k.ID() != id {
 		c.peerFillErrors.Add(1)
-		return nil, 0, false
+		return nil, nil, false
 	}
 	if err := atomicWrite(filepath.Join(c.Dir, id+".vmdt"), b); err != nil {
 		c.saveErrors.Add(1)
 	}
 	c.peerFills.Add(1)
-	return t, int64(len(b)), true
+	return t, b, true
 }
 
 // ReadRaw returns the raw stored bytes of a resident trace file — the
@@ -568,8 +604,9 @@ type ScrubReport struct {
 	Bytes       int64 `json:"bytes"`
 }
 
-// Scrub verifies every resident trace file — full decode (every
-// segment CRC) plus a content-address check of the decoded header —
+// Scrub verifies every resident trace file — full decode (checksum,
+// dictionary and every step ID) plus a content-address check of the
+// decoded header —
 // and quarantines the failures. It reads the disk directly, bypassing
 // injected read faults: scrub verifies what is actually stored.
 // vmserved runs it at startup under -scrub.

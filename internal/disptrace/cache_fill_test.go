@@ -162,6 +162,80 @@ func TestFillID(t *testing.T) {
 	}
 }
 
+// TestMetaID: the by-ID metadata read returns the file's header and
+// index with its size, without loading the trace into the compiled
+// tier; it fills from FillID on a local miss, and quarantines a file
+// that fails its checksum or is of another format version.
+func TestMetaID(t *testing.T) {
+	k := healKey()
+	id := k.ID()
+	c := disptrace.NewCache(t.TempDir())
+	c.Compiled = disptrace.NewCompiledTier(1<<30, 1)
+	calls := 0
+	if _, _, err := c.GetOrRecord(k, healRecorder(k, &calls)); err != nil {
+		t.Fatal(err)
+	}
+	want, err := disptrace.ReadMeta(c.Path(k))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(c.Path(k))
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := c.CompiledStats()
+	for range 3 {
+		m, size, err := c.MetaID(id)
+		if err != nil || m != want || size != int64(len(raw)) {
+			t.Fatalf("MetaID = %+v, %d, %v; want %+v, %d", m, size, err, want, len(raw))
+		}
+	}
+	if after := c.CompiledStats(); after != before {
+		t.Errorf("metadata reads touched the compiled tier: %+v -> %+v", before, after)
+	}
+	if _, _, err := c.MetaID("not-an-id"); !errors.Is(err, disptrace.ErrNoTrace) {
+		t.Errorf("invalid ID: err=%v", err)
+	}
+
+	filled := disptrace.NewCache(t.TempDir())
+	filled.FillID = func(string) ([]byte, error) { return raw, nil }
+	if m, size, err := filled.MetaID(id); err != nil || m != want || size != int64(len(raw)) {
+		t.Fatalf("MetaID with fill = %+v, %d, %v", m, size, err)
+	}
+	if st := filled.Stats(); st.PeerFills != 1 {
+		t.Fatalf("stats after fill: %+v", st)
+	}
+	if _, err := os.Stat(filled.Path(k)); err != nil {
+		t.Fatalf("filled trace not persisted: %v", err)
+	}
+
+	for name, mut := range map[string]func([]byte){
+		// The last byte lies in the ID stream, which the metadata
+		// read does not parse: only the checksum catches it.
+		"checksum":   func(b []byte) { b[len(b)-1] ^= 0x40 },
+		"version v3": func(b []byte) { b[4] = 3 },
+	} {
+		bad := disptrace.NewCache(t.TempDir())
+		if _, _, err := bad.GetOrRecord(k, healRecorder(k, &calls)); err != nil {
+			t.Fatal(err)
+		}
+		b := bytes.Clone(raw)
+		mut(b)
+		if err := os.WriteFile(bad.Path(k), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := bad.MetaID(id); !errors.Is(err, disptrace.ErrNoTrace) {
+			t.Errorf("%s: MetaID err=%v, want ErrNoTrace", name, err)
+		}
+		if got := bad.Quarantined(); got != 1 {
+			t.Errorf("%s: %d files quarantined, want 1", name, got)
+		}
+		if _, err := os.Stat(bad.Path(k)); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("%s: bad file still in place (stat err=%v)", name, err)
+		}
+	}
+}
+
 // TestReadRaw: the peer-serving read returns the exact file bytes and
 // counts the serve; absences and invalid IDs are ErrNoTrace without
 // touching the fill hooks (no fill recursion between peers).

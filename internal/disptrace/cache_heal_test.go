@@ -63,7 +63,7 @@ func TestCacheQuarantinesCorruptEntry(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Flip one payload bit on disk — the segment CRC must catch it.
+	// Flip one payload bit on disk — the checksum must catch it.
 	bad := append([]byte(nil), clean...)
 	bad[len(bad)-1] ^= 0x04
 	if err := os.WriteFile(c.Path(k), bad, 0o644); err != nil {
@@ -117,7 +117,7 @@ func TestCacheCorruptEntryMidReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1, err := disptrace.ReplayMachine(tr1, cpu.Pentium4Northwood, 1)
+	r1, err := disptrace.ReplayMachine(tr1, cpu.Pentium4Northwood)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestCacheCorruptEntryMidReplay(t *testing.T) {
 	if err != nil || !recorded {
 		t.Fatalf("truncated entry should re-simulate: err=%v recorded=%v", err, recorded)
 	}
-	r2, err := disptrace.ReplayMachine(tr2, cpu.Pentium4Northwood, 1)
+	r2, err := disptrace.ReplayMachine(tr2, cpu.Pentium4Northwood)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -128,16 +128,13 @@ func (ct *refTier) Offer(id string, t *Trace) {
 		ct.evictOver(e)
 		return
 	}
-	a, err := t.Compile()
-	bytes := int64(0)
-	if err == nil {
-		bytes = a.Bytes() + t.storedBytes()
-	}
-	if err != nil || bytes > ct.budget {
+	bytes := t.arena.Bytes()
+	if bytes > ct.budget {
 		e.failed = true
 		ct.buildErrors++
 		return
 	}
+	t.Compile()
 	e.t, e.bytes = t, bytes
 	ct.bytes += bytes
 	ct.builds++
@@ -151,16 +148,14 @@ func (ct *refTier) Invalidate(id string) {
 	}
 }
 
-// tierTestTraces writes a dozen traces of different sizes (all
-// compiled up front, so both tiers share their arenas) and returns
-// them with their summed accounted footprint.
+// tierTestTraces writes a dozen traces of different sizes and
+// returns them with their summed resident footprint.
 func tierTestTraces(t *testing.T) ([]*Trace, int64) {
 	t.Helper()
 	var traces []*Trace
 	var total int64
 	for i := range 12 {
 		w := NewWriter(Header{Workload: fmt.Sprintf("tier%d", i), Lang: "forth"})
-		w.segLimit = 64
 		addr := uint64(0x1000)
 		for k := range 40 + 90*i {
 			w.RecordVMInst()
@@ -172,12 +167,8 @@ func tierTestTraces(t *testing.T) ([]*Trace, int64) {
 			addr += 32
 		}
 		tr := w.Trace()
-		a, err := tr.Compile()
-		if err != nil {
-			t.Fatal(err)
-		}
 		traces = append(traces, tr)
-		total += a.Bytes() + tr.storedBytes()
+		total += tr.Arena().Bytes()
 	}
 	return traces, total
 }

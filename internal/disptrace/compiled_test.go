@@ -8,11 +8,12 @@ import (
 	"vmopt/internal/cpu"
 	"vmopt/internal/disptrace"
 	"vmopt/internal/harness"
+	"vmopt/internal/metrics"
 )
 
-// compiledPair records a workload trace, round-trips it through the
-// wire format (the exact form the cache serves), and returns two
-// independent decodes: one left on the decode path and one compiled.
+// compiledPair round-trips a trace through the wire format (the exact
+// form the cache serves) and returns two independent decodes: one
+// plain and one compiled, as the compiled tier holds it.
 func compiledPair(t *testing.T, w interface{ Encode() []byte }) (dec, comp *disptrace.Trace) {
 	t.Helper()
 	wire := w.Encode()
@@ -30,19 +31,25 @@ func compiledPair(t *testing.T, w interface{ Encode() []byte }) (dec, comp *disp
 	if comp.Compiled() != a {
 		t.Fatal("Compile did not attach the arena")
 	}
+	if a != comp.Arena() {
+		t.Fatal("Compile copied the resident form instead of returning it")
+	}
+	if dec.Compiled() != nil {
+		t.Fatal("a plain decode reports itself compiled")
+	}
 	if uint64(a.Insts()) != comp.Header.VMInstructions {
 		t.Fatalf("arena indexes %d instructions, header declares %d", a.Insts(), comp.Header.VMInstructions)
 	}
-	if a.Ops() == 0 || a.Bytes() <= 0 {
-		t.Fatalf("degenerate arena: %d ops, %d bytes", a.Ops(), a.Bytes())
+	if a.DictSteps() == 0 || a.Bytes() <= 0 {
+		t.Fatalf("degenerate arena: %d steps, %d bytes", a.DictSteps(), a.Bytes())
 	}
 	return dec, comp
 }
 
-// TestCompiledReplayEquivalence is the compiled tier's tentpole
-// guarantee: replaying a compiled trace yields counters byte-identical
-// to the decode path — float cycle order included — on every machine,
-// for single-sim and broadcast replays alike.
+// TestCompiledReplayEquivalence: a trace the compiled tier holds
+// replays byte-identically to direct simulation — float cycle order
+// included — on every machine, for single-sim and broadcast replays
+// alike.
 func TestCompiledReplayEquivalence(t *testing.T) {
 	machines := benchMachines()
 	for _, pair := range tracePairs(t) {
@@ -52,23 +59,23 @@ func TestCompiledReplayEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s/%s: record: %v", pair.w.Name, pair.v.Name, err)
 		}
-		dec, comp := compiledPair(t, tr)
-		for _, m := range machines {
-			want, err := disptrace.ReplayMachine(dec, m, 1)
-			if err != nil {
-				t.Fatalf("%s/%s on %s: decode replay: %v", pair.w.Name, pair.v.Name, m.Name, err)
+		_, comp := compiledPair(t, tr)
+		direct := make([]metrics.Counters, len(machines))
+		for i, m := range machines {
+			if direct[i], err = s.Run(pair.w, pair.v, m); err != nil {
+				t.Fatalf("%s/%s on %s: direct: %v", pair.w.Name, pair.v.Name, m.Name, err)
 			}
-			got, err := disptrace.ReplayMachine(comp, m, 1)
+			got, err := disptrace.ReplayMachine(comp, m)
 			if err != nil {
 				t.Fatalf("%s/%s on %s: compiled replay: %v", pair.w.Name, pair.v.Name, m.Name, err)
 			}
-			if got != want {
-				t.Errorf("%s/%s on %s: compiled replay diverged:\n  decode   %+v\n  compiled %+v",
-					pair.w.Name, pair.v.Name, m.Name, want, got)
+			if got != direct[i] {
+				t.Errorf("%s/%s on %s: compiled replay diverged:\n  direct   %+v\n  compiled %+v",
+					pair.w.Name, pair.v.Name, m.Name, direct[i], got)
 			}
 		}
-		// Broadcast replay: one compiled pass into N sims must match N
-		// decode-path replays.
+		// Broadcast replay: one pass into N sims must match N direct
+		// runs.
 		sims := make([]*cpu.Sim, len(machines))
 		for i, m := range machines {
 			sims[i] = cpu.NewSim(m)
@@ -77,20 +84,16 @@ func TestCompiledReplayEquivalence(t *testing.T) {
 			t.Fatalf("%s/%s: compiled ReplayEach: %v", pair.w.Name, pair.v.Name, err)
 		}
 		for i, m := range machines {
-			want, err := disptrace.ReplayMachine(dec, m, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if sims[i].C != want {
-				t.Errorf("%s/%s on %s: compiled broadcast diverged:\n  decode   %+v\n  compiled %+v",
-					pair.w.Name, pair.v.Name, m.Name, want, sims[i].C)
+			if sims[i].C != direct[i] {
+				t.Errorf("%s/%s on %s: compiled broadcast diverged:\n  direct   %+v\n  compiled %+v",
+					pair.w.Name, pair.v.Name, m.Name, direct[i], sims[i].C)
 			}
 		}
 	}
 }
 
-// TestCompiledCursorEquivalence drives a compiled cursor and a
-// decode-path cursor over the same trace through every access pattern
+// TestCompiledCursorEquivalence drives cursors over a compiled and a
+// plain decode of the same trace through every access pattern
 // — full step walks, batch walks, seeks in both directions, and mixed
 // step/batch iteration — and requires identical streams.
 func TestCompiledCursorEquivalence(t *testing.T) {
@@ -186,8 +189,7 @@ func TestCompiledCursorEquivalence(t *testing.T) {
 		t.Fatal("compiled cursor stepped past the end")
 	}
 
-	// Mixed pattern: steps, then the rest of the segment as a batch,
-	// repeated — the diff tool's shape.
+	// Mixed pattern: steps, then a batch, repeated.
 	wc, gc = disptrace.NewCursor(dec), disptrace.NewCursor(comp)
 	for round := 0; ; round++ {
 		wi, wo := steps(wc, 3)
@@ -254,12 +256,12 @@ func TestCompiledTierThreshold(t *testing.T) {
 		t.Fatalf("load 2 should compile: %+v", st)
 	}
 	if tr.Compiled() == nil {
-		t.Fatal("the threshold-crossing load itself should serve the arena")
+		t.Fatal("the threshold-crossing load itself should be the compiled trace")
 	}
 
 	// From here the tier serves without the disk: remove the file and
 	// the trace still loads, byte-identical.
-	want, err := disptrace.ReplayMachine(tr, cpu.Celeron800, 1)
+	want, err := disptrace.ReplayMachine(tr, cpu.Celeron800)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +278,7 @@ func TestCompiledTierThreshold(t *testing.T) {
 	if calls != 1 {
 		t.Fatalf("recorder ran %d times, want 1", calls)
 	}
-	got, err := disptrace.ReplayMachine(tr2, cpu.Celeron800, 1)
+	got, err := disptrace.ReplayMachine(tr2, cpu.Celeron800)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,7 +373,7 @@ func TestCompiledInvalidation(t *testing.T) {
 	if c.CompiledStats().Arenas != 1 {
 		t.Fatal("first load with after=1 should compile")
 	}
-	want, err := disptrace.ReplayMachine(tr, cpu.Celeron800, 1)
+	want, err := disptrace.ReplayMachine(tr, cpu.Celeron800)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,7 +424,7 @@ func TestCompiledInvalidation(t *testing.T) {
 		t.Fatalf("healed entry did not re-earn its arena: %+v", st)
 	}
 	for _, tr := range []*disptrace.Trace{tr2, tr3} {
-		got, err := disptrace.ReplayMachine(tr, cpu.Celeron800, 1)
+		got, err := disptrace.ReplayMachine(tr, cpu.Celeron800)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -433,8 +435,9 @@ func TestCompiledInvalidation(t *testing.T) {
 }
 
 // TestCompiledReplayAllocs: serving a compiled single-sim replay
-// performs zero allocations — the arena is applied by reference, with
-// no decode buffers, no batch pool, and no sink bookkeeping.
+// performs zero allocations — the dictionary and ID stream are
+// applied by reference, with no decode buffers and no sink
+// bookkeeping.
 func TestCompiledReplayAllocs(t *testing.T) {
 	pair := tracePairs(t)[0]
 	s := harness.NewTestSuite()
@@ -458,9 +461,9 @@ func TestCompiledReplayAllocs(t *testing.T) {
 	}
 
 	// Reusing one sim via Reset across compiled replays matches a
-	// fresh-sim decode replay exactly — the shape the benchmark and the
-	// serving tier rely on.
-	want, err := disptrace.ReplayMachine(tr, cpu.Celeron800, 1)
+	// fresh-sim replay of the writer's trace exactly — the shape the
+	// benchmark and the serving tier rely on.
+	want, err := disptrace.ReplayMachine(tr, cpu.Celeron800)
 	if err != nil {
 		t.Fatal(err)
 	}

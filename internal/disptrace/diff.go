@@ -122,56 +122,58 @@ func DiffTraces(a, b *Trace, maxDetail int) (*DiffReport, error) {
 		FirstDivergence: -1,
 	}
 
-	ca, cb := NewCursor(a), NewCursor(b)
-	for {
-		sa, okA := ca.Next()
-		sb, okB := cb.Next()
-		if !okA || !okB {
-			// The longer side's total is already known (Decode
-			// validated the segment index against the header), so
-			// the tail it never compares is not decoded.
-			if okA {
-				r.AInsts = a.Header.VMInstructions
-			}
-			if okB {
-				r.BInsts = b.Header.VMInstructions
-			}
-			break
-		}
-		r.AInsts++
-		r.BInsts++
-		r.Compared++
-		da, db := summarizeStep(sa), summarizeStep(sb)
-		var fields []string
-		if da.Work != db.Work {
-			fields = append(fields, "work")
-			r.WorkDiffs++
-		}
-		if da.Fetch != db.Fetch {
-			fields = append(fields, "fetch")
-			r.FetchDiffs++
-		}
-		if da.Dispatched != db.Dispatched || da.Branch != db.Branch || da.Target != db.Target {
-			fields = append(fields, "dispatch")
-			r.DispatchDiffs++
-		}
-		if len(fields) == 0 {
+	// Step IDs are local to a trace — equal IDs in two traces need
+	// not mean equal steps — so each side summarizes its own
+	// dictionary once, and the walk compares summaries looked up by
+	// each side's ID.
+	sa, sb := a.arena.summaries(), b.arena.summaries()
+	ia, ib := a.arena.ids, b.arena.ids
+	n := min(len(ia), len(ib))
+	r.AInsts, r.BInsts, r.Compared = uint64(len(ia)), uint64(len(ib)), uint64(n)
+	for i := range n {
+		da, db := &sa[ia[i]], &sb[ib[i]]
+		if *da == *db {
 			continue
 		}
+		work := da.Work != db.Work
+		fetch := da.Fetch != db.Fetch
+		dispatch := da.Dispatched != db.Dispatched || da.Branch != db.Branch || da.Target != db.Target
+		if work {
+			r.WorkDiffs++
+		}
+		if fetch {
+			r.FetchDiffs++
+		}
+		if dispatch {
+			r.DispatchDiffs++
+		}
 		if r.Divergences == 0 {
-			r.FirstDivergence = int64(sa.Index)
+			r.FirstDivergence = int64(i)
 		}
 		r.Divergences++
 		if len(r.First) < maxDetail {
-			r.First = append(r.First, Divergence{Inst: sa.Index, Fields: fields, A: da, B: db})
+			var fields []string
+			for _, f := range []struct {
+				differs bool
+				name    string
+			}{{work, "work"}, {fetch, "fetch"}, {dispatch, "dispatch"}} {
+				if f.differs {
+					fields = append(fields, f.name)
+				}
+			}
+			r.First = append(r.First, Divergence{Inst: uint64(i), Fields: fields, A: *da, B: *db})
 		}
-	}
-	if err := ca.Err(); err != nil {
-		return nil, fmt.Errorf("disptrace: diff side A: %w", err)
-	}
-	if err := cb.Err(); err != nil {
-		return nil, fmt.Errorf("disptrace: diff side B: %w", err)
 	}
 	r.Identical = r.Divergences == 0 && r.AInsts == r.BInsts
 	return r, nil
+}
+
+// summaries condenses every dictionary entry for comparison, indexed
+// by step ID.
+func (a *Arena) summaries() []StepDiff {
+	out := make([]StepDiff, len(a.dict))
+	for k, ops := range a.dict {
+		out[k] = summarizeStep(Step{Ops: ops})
+	}
+	return out
 }

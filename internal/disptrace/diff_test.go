@@ -2,6 +2,9 @@ package disptrace_test
 
 import (
 	"errors"
+	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
 	"vmopt/internal/cpu"
@@ -148,5 +151,156 @@ func TestDiffLengthMismatch(t *testing.T) {
 	}
 	if r.Divergences != 0 {
 		t.Fatalf("identical prefix reported %d divergences", r.Divergences)
+	}
+}
+
+// referenceDiff is DiffTraces as it was before step dictionaries: walk
+// both cursors in lockstep and summarize every step, one at a time.
+// It is kept as the model the dictionary-keyed diff must match.
+func referenceDiff(a, b *disptrace.Trace, maxDetail int) disptrace.DiffReport {
+	summarize := func(st disptrace.Step) disptrace.StepDiff {
+		d := disptrace.StepDiff{Work: st.Work()}
+		d.Fetch, _ = st.Fetch()
+		d.Branch, d.Target, d.Dispatched = st.Dispatch()
+		return d
+	}
+	ah, bh := a.Header, b.Header
+	r := disptrace.DiffReport{
+		Workload: ah.Workload, Lang: ah.Lang, Scale: ah.Scale, ISAHash: ah.ISAHash,
+		AVariant: ah.Variant, ATechnique: ah.Technique,
+		BVariant: bh.Variant, BTechnique: bh.Technique,
+		FirstDivergence: -1,
+	}
+	ca, cb := disptrace.NewCursor(a), disptrace.NewCursor(b)
+	for {
+		sa, okA := ca.Next()
+		sb, okB := cb.Next()
+		if !okA || !okB {
+			if okA {
+				r.AInsts = ah.VMInstructions
+			}
+			if okB {
+				r.BInsts = bh.VMInstructions
+			}
+			break
+		}
+		r.AInsts++
+		r.BInsts++
+		r.Compared++
+		da, db := summarize(sa), summarize(sb)
+		var fields []string
+		if da.Work != db.Work {
+			fields = append(fields, "work")
+			r.WorkDiffs++
+		}
+		if da.Fetch != db.Fetch {
+			fields = append(fields, "fetch")
+			r.FetchDiffs++
+		}
+		if da.Dispatched != db.Dispatched || da.Branch != db.Branch || da.Target != db.Target {
+			fields = append(fields, "dispatch")
+			r.DispatchDiffs++
+		}
+		if len(fields) == 0 {
+			continue
+		}
+		if r.Divergences == 0 {
+			r.FirstDivergence = int64(sa.Index)
+		}
+		r.Divergences++
+		if len(r.First) < maxDetail {
+			r.First = append(r.First, disptrace.Divergence{Inst: sa.Index, Fields: fields, A: da, B: db})
+		}
+	}
+	r.Identical = r.Divergences == 0 && r.AInsts == r.BInsts
+	return r
+}
+
+// diffTemplates draws a pool of step shapes: fall-through and
+// dispatching steps with varied work, fetch and branch fields, plus
+// an empty step. Several share summaries while differing in ops (a
+// second fetch, split work), so equal summaries under different IDs
+// occur.
+func diffTemplates(rng *rand.Rand, n int) [][]event {
+	tpl := [][]event{{}}
+	for len(tpl) < n {
+		code := uint64(0x1000 + rng.Intn(64)*32)
+		st := []event{{kind: 0, a: uint64(rng.Intn(4))}, {kind: 1, a: code, b: 8}}
+		switch rng.Intn(4) {
+		case 0:
+			st = append(st, event{kind: 0, a: uint64(rng.Intn(3))})
+		case 1:
+			st = append(st, event{kind: 0, a: 1}, event{kind: 0, a: 1}) // split work
+		default:
+			branch := code + uint64(8+rng.Intn(3)*8)
+			st = append(st, event{kind: 0, a: 1}, event{kind: 1, a: branch, b: 4},
+				event{kind: 2, a: branch, b: uint64(rng.Intn(4)), c: uint64(0x1000 + rng.Intn(64)*32)})
+		}
+		tpl = append(tpl, st)
+	}
+	return tpl
+}
+
+// TestDiffMatchesReference drives DiffTraces and the per-step
+// reference over seeded writer-built pairs — side B is side A with
+// some steps swapped for other shapes, a different opening (so the
+// two dictionaries number the same steps differently) and sometimes a
+// different length — and requires identical reports.
+func TestDiffMatchesReference(t *testing.T) {
+	seeds := 200
+	if testing.Short() {
+		seeds = 50
+	}
+	renumbered := 0
+	for seed := range seeds {
+		rng := rand.New(rand.NewSource(int64(seed)))
+		tpl := diffTemplates(rng, 4+rng.Intn(24))
+		n := 1 + rng.Intn(400)
+		seqA := make([]int, n)
+		for i := range seqA {
+			seqA[i] = rng.Intn(len(tpl))
+		}
+		seqB := slices.Clone(seqA)
+		seqB[0] = len(tpl) - 1 - seqA[0]
+		for i := range seqB {
+			if rng.Intn(8) == 0 {
+				seqB[i] = rng.Intn(len(tpl))
+			}
+		}
+		switch rng.Intn(3) {
+		case 0:
+			seqB = seqB[:rng.Intn(len(seqB)+1)]
+		case 1:
+			for range rng.Intn(20) {
+				seqB = append(seqB, rng.Intn(len(tpl)))
+			}
+		}
+		record := func(variant string, seq []int) *disptrace.Trace {
+			h := testHeader()
+			h.Variant = variant
+			w := disptrace.NewWriter(h)
+			for _, k := range seq {
+				w.RecordVMInst()
+				feedEvents(w, tpl[k])
+			}
+			return w.Trace()
+		}
+		a, b := record("a", seqA), record("b", seqB)
+		if len(seqB) > 0 && seqA[0] != seqB[0] {
+			renumbered++
+		}
+		for _, pair := range [][2]*disptrace.Trace{{a, b}, {b, a}, {a, a}} {
+			detail := rng.Intn(6)
+			got, err := disptrace.DiffTraces(pair[0], pair[1], detail)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := referenceDiff(pair[0], pair[1], detail); !reflect.DeepEqual(*got, want) {
+				t.Fatalf("seed %d: diff report\n  got       %+v\n  reference %+v", seed, *got, want)
+			}
+		}
+	}
+	if renumbered < seeds/2 {
+		t.Fatalf("only %d of %d pairs open differently; the dictionaries rarely number steps differently", renumbered, seeds)
 	}
 }

@@ -1,11 +1,15 @@
 package disptrace_test
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -26,114 +30,144 @@ func testHeader() disptrace.Header {
 	}
 }
 
-// feed drives records into a writer.
-func feed(w *disptrace.Writer, recs []disptrace.Record) {
-	for _, r := range recs {
-		switch r.Kind {
-		case disptrace.KWork:
-			w.RecordWork(int(r.A))
-		case disptrace.KFetch:
-			w.RecordFetch(r.A, int(r.B))
-		case disptrace.KDispatch:
-			w.RecordDispatch(r.A, r.B, r.C)
+// feed drives ops into a writer.
+func feed(w *disptrace.Writer, ops []cpu.Op) {
+	for _, op := range ops {
+		switch op.Kind {
+		case cpu.OpWork:
+			w.RecordWork(int(op.A))
+		case cpu.OpFetch:
+			w.RecordFetch(op.A, int(op.B))
+		case cpu.OpDispatch:
+			w.RecordDispatch(op.A, op.B, op.C)
 		}
 	}
 }
 
+// streamOps expands a trace's whole op stream through a cursor.
+func streamOps(tr *disptrace.Trace) []cpu.Op {
+	var ops []cpu.Op
+	c := disptrace.NewCursor(tr)
+	for ok := true; ok; {
+		ops, ok = c.NextBatch(ops)
+	}
+	return ops
+}
+
 func TestRoundTrip(t *testing.T) {
-	recs := []disptrace.Record{
-		{Kind: disptrace.KWork, A: 0},
-		{Kind: disptrace.KWork, A: 3},
-		{Kind: disptrace.KWork, A: 300}, // beyond the inline-tag range
-		{Kind: disptrace.KFetch, A: 0x2000, B: 24},
-		{Kind: disptrace.KFetch, A: 0x1fc0, B: 8}, // negative delta
-		{Kind: disptrace.KDispatch, A: 0x2040, B: 7, C: 0x2100},
-		{Kind: disptrace.KDispatch, A: 0x2140, B: 2, C: 0x2000},
-		{Kind: disptrace.KWork, A: 1 << 40}, // huge work burst
-		{Kind: disptrace.KFetch, A: 1<<63 + 5, B: 64},
-		{Kind: disptrace.KDispatch, A: 1 << 62, B: 1 << 30, C: 3},
+	ops := []cpu.Op{
+		{Kind: cpu.OpWork, A: 0},
+		{Kind: cpu.OpWork, A: 3},
+		{Kind: cpu.OpWork, A: 300}, // beyond the inline-tag range
+		{Kind: cpu.OpFetch, A: 0x2000, B: 24},
+		{Kind: cpu.OpFetch, A: 0x1fc0, B: 8}, // negative delta
+		{Kind: cpu.OpDispatch, A: 0x2040, B: 7, C: 0x2100},
+		{Kind: cpu.OpDispatch, A: 0x2140, B: 2, C: 0x2000}, // target below branch
+		{Kind: cpu.OpWork, A: 1 << 40},                     // huge work burst
+		{Kind: cpu.OpFetch, A: 1<<63 + 5, B: 64},
+		{Kind: cpu.OpDispatch, A: 1 << 62, B: 1 << 30, C: 3},
 	}
 	w := disptrace.NewWriter(testHeader())
 	w.RecordCodeBytes(4096)
+	feed(w, ops[:2]) // prelude: before the first VM instruction
 	w.RecordVMInst()
-	w.RecordVMInst()
-	feed(w, recs)
+	w.RecordVMInst() // an empty step
+	feed(w, ops[2:])
 	tr := w.Trace()
 
-	if tr.Header.Records != uint64(len(recs)) || tr.Header.Dispatches != 3 ||
-		tr.Header.Fetches != 3 || tr.Header.VMInstructions != 2 || tr.Header.CodeBytes != 4096 {
+	if tr.Header.Dispatches != 3 || tr.Header.Fetches != 3 || tr.Header.VMInstructions != 2 ||
+		tr.Header.CodeBytes != 4096 || tr.Header.WorkInstrs != 3+300+1<<40 {
 		t.Fatalf("writer totals wrong: %+v", tr.Header)
 	}
 	if err := tr.Verify(); err != nil {
 		t.Fatal(err)
 	}
+	if got := tr.Arena().DictSteps(); got != 2 {
+		t.Fatalf("dictionary holds %d steps, want 2 (empty and the rest)", got)
+	}
 
-	got, err := disptrace.Decode(tr.Encode())
+	enc := tr.Encode()
+	got, err := disptrace.Decode(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Header != tr.Header {
-		t.Fatalf("header round trip: got %+v want %+v", got.Header, tr.Header)
+	if !reflect.DeepEqual(got, tr) {
+		t.Fatalf("decoded trace differs from the writer's:\n  got  %+v\n  want %+v", got, tr)
 	}
-	back, err := got.Records()
-	if err != nil {
-		t.Fatal(err)
+	if !bytes.Equal(got.Encode(), enc) {
+		t.Fatal("re-encoding the decoded trace changed its bytes")
 	}
-	if len(back) != len(recs) {
-		t.Fatalf("got %d records, want %d", len(back), len(recs))
-	}
-	for i := range recs {
-		if back[i] != recs[i] {
-			t.Errorf("record %d: got %+v want %+v", i, back[i], recs[i])
-		}
+	if back := streamOps(got); !slices.Equal(back, ops) {
+		t.Fatalf("stream round trip:\n  got  %+v\n  want %+v", back, ops)
 	}
 }
 
-// TestSegmentation: a stream longer than one segment round-trips and
-// the per-segment delta reset keeps every segment independently
-// decodable.
-func TestSegmentation(t *testing.T) {
-	var recs []disptrace.Record
-	addr := uint64(0x4000)
-	for i := range 3*disptrace.DefaultSegmentRecords + 17 {
-		switch i % 3 {
-		case 0:
-			recs = append(recs, disptrace.Record{Kind: disptrace.KWork, A: uint64(i % 97)})
-		case 1:
-			addr += uint64(i%53) * 8
-			recs = append(recs, disptrace.Record{Kind: disptrace.KFetch, A: addr, B: uint64(4 + i%60)})
-		default:
-			recs = append(recs, disptrace.Record{Kind: disptrace.KDispatch, A: addr + 16, B: uint64(i % 255), C: addr ^ 0x80})
+// TestDictionaryDedup: steps share an ID exactly when their op lists
+// are identical, op for op — a step differing in any one field gets
+// its own entry — and the dictionary numbers steps in first-seen
+// order.
+func TestDictionaryDedup(t *testing.T) {
+	step := []cpu.Op{
+		{Kind: cpu.OpWork, A: 2},
+		{Kind: cpu.OpFetch, A: 0x1000, B: 8},
+		{Kind: cpu.OpWork, A: 1},
+		{Kind: cpu.OpFetch, A: 0x1028, B: 4},
+		{Kind: cpu.OpDispatch, A: 0x1028, B: 9, C: 0x2000},
+	}
+	variants := [][]cpu.Op{step}
+	for i := range step {
+		for _, field := range []int{0, 1, 2} {
+			v := slices.Clone(step)
+			switch field {
+			case 0:
+				v[i].A++
+			case 1:
+				v[i].B++
+			case 2:
+				v[i].C++
+			}
+			if (field == 2 && v[i].Kind != cpu.OpDispatch) || (field == 1 && v[i].Kind == cpu.OpWork) {
+				continue // fields the op kind does not record
+			}
+			variants = append(variants, v)
 		}
 	}
+	variants = append(variants, step[:4], step[1:], nil)
+
 	w := disptrace.NewWriter(testHeader())
-	feed(w, recs)
+	var want []cpu.Op
+	for range 3 {
+		for _, v := range variants {
+			w.RecordVMInst()
+			feed(w, v)
+			want = append(want, v...)
+		}
+	}
 	tr := w.Trace()
-	if len(tr.Segs) != 4 {
-		t.Fatalf("expected 4 segments, got %d", len(tr.Segs))
+	if got := tr.Arena().DictSteps(); got != len(variants) {
+		t.Fatalf("dictionary holds %d steps for %d distinct op lists", got, len(variants))
 	}
-	// Middle segments decode standalone (delta bases reset).
-	if _, err := tr.Segs[2].Decode(nil); err != nil {
-		t.Fatalf("standalone segment decode: %v", err)
+	if got := streamOps(tr); !slices.Equal(got, want) {
+		t.Fatal("deduplicated stream does not expand to the recorded one")
 	}
-	back, err := tr.Records()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range recs {
-		if back[i] != recs[i] {
-			t.Fatalf("record %d diverged after segmentation: got %+v want %+v", i, back[i], recs[i])
+	c := disptrace.NewCursor(tr)
+	for i := range 3 * len(variants) {
+		st, ok := c.Next()
+		if !ok || !slices.Equal(st.Ops, variants[i%len(variants)]) {
+			t.Fatalf("step %d: got %+v want %+v", i, st.Ops, variants[i%len(variants)])
 		}
 	}
 }
 
 func TestDecodeCorrupt(t *testing.T) {
 	w := disptrace.NewWriter(testHeader())
-	feed(w, []disptrace.Record{
-		{Kind: disptrace.KDispatch, A: 0x40, B: 1, C: 0x80},
-		{Kind: disptrace.KWork, A: 12},
+	w.RecordVMInst()
+	feed(w, []cpu.Op{
+		{Kind: cpu.OpDispatch, A: 0x40, B: 1, C: 0x80},
+		{Kind: cpu.OpWork, A: 12},
 	})
-	enc := w.Trace().Encode()
+	tr := w.Trace()
+	enc := tr.Encode()
 
 	if _, err := disptrace.Decode(nil); err == nil {
 		t.Error("empty input must error")
@@ -141,39 +175,37 @@ func TestDecodeCorrupt(t *testing.T) {
 	if _, err := disptrace.Decode([]byte("VMXT????????????")); err == nil {
 		t.Error("bad magic must error")
 	}
-	short := enc[:len(enc)-1]
-	if _, err := disptrace.Decode(short); err == nil {
-		t.Error("truncated trace must error")
+	for n := range enc {
+		if _, err := disptrace.Decode(enc[:n]); err == nil {
+			t.Errorf("trace truncated to %d of %d bytes decoded", n, len(enc))
+		}
 	}
 	for i := range enc {
 		mut := append([]byte(nil), enc...)
 		mut[i] ^= 0x5a
-		if tr, err := disptrace.Decode(mut); err == nil {
-			// A flip that lands in the checksum's own bytes can only
-			// produce a mismatch; anywhere else it must be caught by
-			// magic/version/crc checks. Surviving decode untouched
-			// means corruption went unnoticed.
-			if tr.Header == w.Trace().Header {
-				t.Errorf("flip at byte %d decoded to the original", i)
-			}
+		// A flip anywhere must be caught by the magic, version or
+		// checksum checks: surviving decode means corruption went
+		// unnoticed.
+		if _, err := disptrace.Decode(mut); err == nil {
 			t.Errorf("flip at byte %d not detected", i)
 		}
 	}
 }
 
 // TestDecodeRejectsOldVersions: a file whose version bytes name any
-// format but the current one is refused by both readers with an error
-// that names the version and asks to re-record — before the checksum
-// (which still matches) is even read.
+// format but the current one — v3's segments included — is refused by
+// both readers with an error that names the version and asks to
+// re-record, before the checksum (which still matches) is even read.
 func TestDecodeRejectsOldVersions(t *testing.T) {
 	w := disptrace.NewWriter(testHeader())
-	feed(w, []disptrace.Record{
-		{Kind: disptrace.KWork, A: 7},
-		{Kind: disptrace.KFetch, A: 0x2000, B: 24},
-		{Kind: disptrace.KDispatch, A: 0x2040, B: 3, C: 0x2100},
+	w.RecordVMInst()
+	feed(w, []cpu.Op{
+		{Kind: cpu.OpWork, A: 7},
+		{Kind: cpu.OpFetch, A: 0x2000, B: 24},
+		{Kind: cpu.OpDispatch, A: 0x2040, B: 3, C: 0x2100},
 	})
 	enc := w.Trace().Encode()
-	for _, v := range []uint16{0, 1, 2, 4} {
+	for _, v := range []uint16{0, 1, 2, 3, 5} {
 		old := append([]byte(nil), enc...)
 		binary.LittleEndian.PutUint16(old[4:6], v)
 		want := fmt.Sprintf("v%d", v)
@@ -191,10 +223,10 @@ func TestDecodeRejectsOldVersions(t *testing.T) {
 	}
 }
 
-// TestCompressionRatio: a real dispatch stream must shrink at least
-// 3x on disk under the flate codec against the raw codec (the
-// measured ratio is 60x+; the assertion leaves headroom for
-// codec-irrelevant stream changes).
+// TestCompressionRatio: on a real dispatch stream, flate must shrink
+// the step-ID stream at least 3x (the measured ratio is 15x+; the
+// assertion leaves headroom for stream changes), and the dictionary
+// must hold far fewer steps than the run executes.
 func TestCompressionRatio(t *testing.T) {
 	pair := tracePairs(t)[0]
 	s := harness.NewTestSuite()
@@ -203,145 +235,42 @@ func TestCompressionRatio(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	flate := tr.Encode()
-	raw := tr.EncodeCodec(disptrace.CodecRaw)
-	if len(flate)*3 > len(raw) {
-		t.Errorf("flate trace is %d bytes, raw %d: compression under 3x", len(flate), len(raw))
-	}
-	// And the compressed form still decodes to the same stream.
-	got, err := disptrace.Decode(flate)
+	enc := tr.Encode()
+	m, err := disptrace.DecodeMeta(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := tr.Records()
-	if err != nil {
-		t.Fatal(err)
+	if m.StreamStoredBytes*3 > m.StreamRawBytes {
+		t.Errorf("ID stream is %d bytes stored, %d raw: compression under 3x", m.StreamStoredBytes, m.StreamRawBytes)
 	}
-	back, err := got.Records()
-	if err != nil {
-		t.Fatal(err)
+	if uint64(m.DictSteps)*100 > tr.Header.VMInstructions {
+		t.Errorf("%d distinct steps for %d VM instructions: the dictionary does not deduplicate", m.DictSteps, tr.Header.VMInstructions)
 	}
-	if len(back) != len(want) {
-		t.Fatalf("decoded %d records, want %d", len(back), len(want))
+	if m.DictSteps != tr.Arena().DictSteps() || m.Header != tr.Header {
+		t.Errorf("metadata %+v disagrees with the trace", m)
 	}
-	for i := range want {
-		if back[i] != want[i] {
-			t.Fatalf("record %d diverged through compression: got %+v want %+v", i, back[i], want[i])
-		}
-	}
+	t.Logf("%d steps, %d distinct; ID stream %d -> %d bytes; file %d bytes",
+		tr.Header.VMInstructions, m.DictSteps, m.StreamRawBytes, m.StreamStoredBytes, len(enc))
 }
 
 // fixCRC recomputes the container checksum after a test mutates the
-// body, so corruption below the crc layer reaches the segment
-// decoders.
+// body, so corruption below the checksum reaches the decoder's
+// structural checks.
 func fixCRC(enc []byte) {
 	binary.LittleEndian.PutUint32(enc[6:10], crc32.ChecksumIEEE(enc[10:]))
 }
 
-// TestCorruptCompressedSegments: damage inside a flate payload —
-// garbled bytes, truncation, or a lying raw-size field — must surface
-// as a decode error from every decode entry point, never a panic, even
-// when the container checksum has been fixed up to pass.
-func TestCorruptCompressedSegments(t *testing.T) {
-	// A payload long and varied enough that flate actually compresses
-	// it (forcing the CodecFlate path).
-	var recs []disptrace.Record
-	addr := uint64(0x4000)
-	for i := range 4096 {
-		addr += uint64(i%13) * 8
-		recs = append(recs,
-			disptrace.Record{Kind: disptrace.KWork, A: uint64(i % 7)},
-			disptrace.Record{Kind: disptrace.KFetch, A: addr, B: 16},
-			disptrace.Record{Kind: disptrace.KDispatch, A: addr + 8, B: uint64(i % 97), C: addr ^ 0x40})
-	}
-	w := disptrace.NewWriter(testHeader())
-	feed(w, recs)
-	tr := w.Trace()
-	enc := tr.Encode()
-	probe, err := disptrace.Decode(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(probe.Segs) == 0 || probe.Segs[0].Codec != disptrace.CodecFlate {
-		t.Fatalf("test stream did not compress (codec %v); cannot exercise the flate path", probe.Segs[0].Codec)
-	}
-
-	decodeAll := func(tr *disptrace.Trace) error {
-		if _, err := tr.Records(); err != nil {
-			return err
-		}
-		for _, s := range tr.Segs {
-			if _, err := s.DecodeOps(nil); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	// Garble bytes inside the first segment payload (the payload area
-	// starts after header block and index; flipping tail bytes of the
-	// file lands in segment data) and fix the crc so the container
-	// decodes.
-	garbled := append([]byte(nil), enc...)
-	for i := len(garbled) - 64; i < len(garbled); i++ {
-		garbled[i] ^= 0xa5
-	}
-	fixCRC(garbled)
-	if dec, err := disptrace.Decode(garbled); err == nil {
-		if decodeAll(dec) == nil {
-			t.Error("garbled flate payload decoded cleanly")
-		}
-	}
-
-	// Truncated and garbled payloads, and a lying RawBytes, fed
-	// straight to the segment decoders.
-	seg := probe.Segs[0]
-	for name, bad := range map[string]disptrace.Segment{
-		"truncated": {Data: seg.Data[:len(seg.Data)/2], Records: seg.Records, Codec: disptrace.CodecFlate, RawBytes: seg.RawBytes},
-		"empty":     {Data: nil, Records: seg.Records, Codec: disptrace.CodecFlate, RawBytes: seg.RawBytes},
-		"raw-short": {Data: seg.Data, Records: seg.Records, Codec: disptrace.CodecFlate, RawBytes: seg.RawBytes / 2},
-		"raw-long":  {Data: seg.Data, Records: seg.Records, Codec: disptrace.CodecFlate, RawBytes: seg.RawBytes * 2},
-		"raw-huge":  {Data: seg.Data, Records: seg.Records, Codec: disptrace.CodecFlate, RawBytes: 1 << 30},
-		"codec-99":  {Data: seg.Data, Records: seg.Records, Codec: disptrace.Codec(99), RawBytes: seg.RawBytes},
-		// A huge-but-raw-consistent record count must be rejected
-		// before any allocation keyed on it (a max-ratio DEFLATE
-		// stream can declare ~1000x its stored size, so the count is
-		// no longer bounded by the input bytes).
-		"records-huge": {Data: seg.Data, Records: 1 << 29, Codec: disptrace.CodecFlate, RawBytes: 1 << 30},
-	} {
-		if _, err := bad.Decode(nil); err == nil {
-			t.Errorf("%s: Decode accepted a corrupt flate segment", name)
-		}
-		if _, err := bad.DecodeOps(nil); err == nil {
-			t.Errorf("%s: DecodeOps accepted a corrupt flate segment", name)
-		}
-	}
-
-	// An unknown codec byte in the wire index must be rejected by the
-	// container decoder. The index begins right after the
-	// length-prefixed header block; its first byte is segment 0's
-	// codec.
-	mut := append([]byte(nil), enc...)
-	hdrLen, n := binary.Uvarint(mut[10:])
-	codecOff := 10 + n + int(hdrLen)
-	segCount, n2 := binary.Uvarint(mut[codecOff:])
-	if segCount != uint64(len(probe.Segs)) {
-		t.Fatalf("index offset wrong: read %d segments, want %d", segCount, len(probe.Segs))
-	}
-	mut[codecOff+n2] = 99
-	fixCRC(mut)
-	if _, err := disptrace.Decode(mut); err == nil {
-		t.Error("unknown codec byte in index not rejected")
-	}
-}
-
-// tracePairs are the (workload, variant) pairs of the equivalence
-// tests: three pairs spanning both VMs and static, dynamic and plain
-// techniques (quickening included via the JVM workload).
-func tracePairs(t *testing.T) []struct {
+// tracePair is one (workload, variant): the unit a trace records.
+type tracePair struct {
 	w *workload.Workload
 	v harness.Variant
-} {
+}
+
+// tracePairs are the (workload, variant) pairs of the smaller
+// equivalence tests: three pairs spanning both VMs and static,
+// dynamic and plain techniques (quickening included via the JVM
+// workload).
+func tracePairs(t *testing.T) []tracePair {
 	t.Helper()
 	gray, err := workload.ByName("gray")
 	if err != nil {
@@ -355,83 +284,119 @@ func tracePairs(t *testing.T) []struct {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return []struct {
-		w *workload.Workload
-		v harness.Variant
-	}{
+	return []tracePair{
 		{gray, harness.Variant{Name: "plain", Technique: core.TPlain}},
 		{brainless, harness.Variant{Name: "dynamic super", Technique: core.TDynamicSuper}},
 		{compress, harness.Variant{Name: "across bb", Technique: core.TAcrossBB}},
 	}
 }
 
-// TestReplayEquivalence is the tentpole guarantee: for three
-// (workload, technique) pairs and every predictor kind, a recorded
-// trace replayed on machine M yields counters byte-identical to
-// directly simulating on M — including the float cycle counters and
-// on machines other than the one that recorded.
+// TestReplayEquivalence is the tentpole guarantee, on every pair of
+// the paper grid at a cheap scale: a trace recorded on one machine
+// and replayed on each of the five paper machines yields counters
+// byte-identical to directly simulating on that machine — the float
+// cycle counters included — and the recording run's own counters
+// equal a plain run on the recording machine. Each trace's wire form
+// is canonical (Encode(Decode(b)) == b) and decodes to exactly the
+// writer's resident form. tracePairs additionally replay on the
+// non-paper predictors: 2-bit counters, a 64-entry BTB, and the
+// case-block predictor, the only one that reads the dispatch hint
+// (op.B) the dictionary stores.
 func TestReplayEquivalence(t *testing.T) {
-	machines := []cpu.Machine{
-		cpu.Celeron800, // plain BTB
-		cpu.Celeron800.WithPredictor(cpu.PredictBTB2bc), // BTB + 2-bit counters
-		cpu.PentiumM, // two-level
+	var pairs []tracePair
+	for _, w := range workload.Forth() {
+		for _, v := range harness.ForthVariants() {
+			pairs = append(pairs, tracePair{w, v})
+		}
+	}
+	for _, w := range workload.Java() {
+		for _, v := range harness.JavaVariants() {
+			pairs = append(pairs, tracePair{w, v})
+		}
+	}
+	machines := cpu.Machines()
+	extra := []cpu.Machine{
+		cpu.Celeron800.WithPredictor(cpu.PredictBTB2bc),    // BTB + 2-bit counters
 		cpu.Celeron800.WithPredictor(cpu.PredictCaseBlock), // operand-keyed
-		cpu.Pentium4Northwood,                              // CPI 0.7: float cycle paths
 		cpu.Celeron800.WithBTBEntries(64),                  // capacity-miss regime
 	}
-	for _, pair := range tracePairs(t) {
-		s := harness.NewTestSuite()
-		s.ScaleDiv = 40
-		// Record on the first machine only.
-		tr, recCounters, err := s.RecordTrace(pair.w, pair.v, machines[0])
+	isExtra := make(map[string]bool) // "workload/variant" of tracePairs
+	for _, p := range tracePairs(t) {
+		isExtra[p.w.Name+"/"+p.v.Name] = true
+	}
+	var specs []harness.RunSpec
+	for _, p := range pairs {
+		for _, m := range machines {
+			specs = append(specs, harness.RunSpec{W: p.w, V: p.v, M: m})
+		}
+		if isExtra[p.w.Name+"/"+p.v.Name] {
+			for _, m := range extra {
+				specs = append(specs, harness.RunSpec{W: p.w, V: p.v, M: m})
+			}
+		}
+	}
+	if len(isExtra) != len(tracePairs(t)) {
+		t.Fatal("tracePairs holds duplicates")
+	}
+	s := harness.NewTestSuite()
+	s.ScaleDiv = 50
+	s.Jobs = runtime.GOMAXPROCS(0)
+	direct, err := s.RunSpecs(specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seenExtra := 0
+	for _, p := range pairs {
+		ms := machines
+		if isExtra[p.w.Name+"/"+p.v.Name] {
+			ms = append(slices.Clip(machines), extra...)
+			seenExtra++
+		}
+		want := direct[:len(ms)]
+		direct = direct[len(ms):]
+
+		tr, recCounters, err := s.RecordTrace(p.w, p.v, ms[0])
 		if err != nil {
-			t.Fatalf("%s/%s: record: %v", pair.w.Name, pair.v.Name, err)
+			t.Fatalf("%s/%s: record: %v", p.w.Name, p.v.Name, err)
 		}
 		if tr.Header.Dispatches == 0 {
-			t.Fatalf("%s/%s: empty dispatch stream", pair.w.Name, pair.v.Name)
+			t.Fatalf("%s/%s: empty dispatch stream", p.w.Name, p.v.Name)
 		}
-		for i, m := range machines {
-			direct, err := s.Run(pair.w, pair.v, m)
+		if recCounters != want[0] {
+			t.Errorf("%s/%s: recording run disagrees with plain run: %v vs %v",
+				p.w.Name, p.v.Name, recCounters, want[0])
+		}
+		enc := tr.Encode()
+		dec, err := disptrace.Decode(enc)
+		if err != nil {
+			t.Fatalf("%s/%s: decode: %v", p.w.Name, p.v.Name, err)
+		}
+		if !reflect.DeepEqual(dec, tr) {
+			t.Errorf("%s/%s: decoded trace differs from the writer's", p.w.Name, p.v.Name)
+		}
+		if !bytes.Equal(dec.Encode(), enc) {
+			t.Errorf("%s/%s: re-encoding the decoded trace changed its bytes", p.w.Name, p.v.Name)
+		}
+		for k, m := range ms {
+			replayed, err := disptrace.ReplayMachine(dec, m)
 			if err != nil {
-				t.Fatalf("%s/%s on %s: direct: %v", pair.w.Name, pair.v.Name, m.Name, err)
+				t.Fatalf("%s/%s on %s: replay: %v", p.w.Name, p.v.Name, m.Name, err)
 			}
-			if i == 0 && direct != recCounters {
-				t.Errorf("%s/%s: recording run disagrees with plain run: %v vs %v",
-					pair.w.Name, pair.v.Name, recCounters, direct)
-			}
-			replayed, err := disptrace.ReplayMachine(tr, m, 1)
-			if err != nil {
-				t.Fatalf("%s/%s on %s: replay: %v", pair.w.Name, pair.v.Name, m.Name, err)
-			}
-			if replayed != direct {
+			if replayed != want[k] {
 				t.Errorf("%s/%s on %s: replay diverged:\n  direct   %+v\n  replayed %+v",
-					pair.w.Name, pair.v.Name, m.Name, direct, replayed)
-			}
-			// And through the serialized forms: compressed and raw.
-			for enc, bytes := range map[string][]byte{
-				"flate": tr.Encode(),
-				"raw":   tr.EncodeCodec(disptrace.CodecRaw),
-			} {
-				decoded, err := disptrace.Decode(bytes)
-				if err != nil {
-					t.Fatal(err)
-				}
-				reloaded, err := disptrace.ReplayMachine(decoded, m, 1)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if reloaded != direct {
-					t.Errorf("%s/%s on %s: replay after %s encode/decode diverged", pair.w.Name, pair.v.Name, m.Name, enc)
-				}
+					p.w.Name, p.v.Name, m.Name, want[k], replayed)
 			}
 		}
+	}
+	if seenExtra != len(isExtra) {
+		t.Fatalf("only %d of %d tracePairs are paper-grid pairs", seenExtra, len(isExtra))
 	}
 }
 
-// TestReplayEachMatchesSolo: the parallel-apply broadcast (one decode
-// pass, one applier goroutine per sim) must deliver every machine the
-// counters a solo sequential replay produces, from both raw and
-// compressed segments.
+// TestReplayEachMatchesSolo: the parallel broadcast (one applier
+// goroutine per sim) must deliver every machine the counters a solo
+// replay produces, from the writer's form and from the decoded wire
+// form alike.
 func TestReplayEachMatchesSolo(t *testing.T) {
 	pair := tracePairs(t)[0]
 	s := harness.NewTestSuite()
@@ -449,7 +414,7 @@ func TestReplayEachMatchesSolo(t *testing.T) {
 		cpu.Celeron800.WithPredictor(cpu.PredictBTB2bc),
 		cpu.Celeron800.WithBTBEntries(64),
 	}
-	for name, src := range map[string]*disptrace.Trace{"raw": tr, "flate": wire} {
+	for name, src := range map[string]*disptrace.Trace{"mem": tr, "wire": wire} {
 		sims := make([]*cpu.Sim, len(machines))
 		for i, m := range machines {
 			sims[i] = cpu.NewSim(m)
@@ -458,7 +423,7 @@ func TestReplayEachMatchesSolo(t *testing.T) {
 			t.Fatalf("%s: ReplayEach: %v", name, err)
 		}
 		for i, m := range machines {
-			solo, err := disptrace.ReplayMachine(tr, m, 1)
+			solo, err := disptrace.ReplayMachine(tr, m)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -470,8 +435,8 @@ func TestReplayEachMatchesSolo(t *testing.T) {
 	}
 }
 
-// TestReplayParallelMatchesSequential: parallel segment decode must
-// not change results or ordering.
+// TestReplayParallelMatchesSequential: the jobs hint Replay accepts
+// must not change results.
 func TestReplayParallelMatchesSequential(t *testing.T) {
 	pair := tracePairs(t)[0]
 	s := harness.NewTestSuite()
@@ -479,16 +444,16 @@ func TestReplayParallelMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := disptrace.ReplayMachine(tr, cpu.Pentium4Northwood, 1)
+	seq, err := disptrace.ReplayMachine(tr, cpu.Pentium4Northwood)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, jobs := range []int{2, 4, 8} {
-		par, err := disptrace.ReplayMachine(tr, cpu.Pentium4Northwood, jobs)
-		if err != nil {
+	for _, jobs := range []int{0, 2, 4, 8} {
+		sim := cpu.NewSim(cpu.Pentium4Northwood)
+		if err := disptrace.Replay(tr, sim, jobs); err != nil {
 			t.Fatal(err)
 		}
-		if par != seq {
+		if par := sim.C; par != seq {
 			t.Errorf("jobs=%d: parallel replay diverged:\n  seq %+v\n  par %+v", jobs, seq, par)
 		}
 	}
@@ -496,10 +461,11 @@ func TestReplayParallelMatchesSequential(t *testing.T) {
 
 func TestSaveLoad(t *testing.T) {
 	w := disptrace.NewWriter(testHeader())
-	feed(w, []disptrace.Record{
-		{Kind: disptrace.KDispatch, A: 0x40, B: 1, C: 0x80},
-		{Kind: disptrace.KWork, A: 9},
-		{Kind: disptrace.KFetch, A: 0x100, B: 16},
+	w.RecordVMInst()
+	feed(w, []cpu.Op{
+		{Kind: cpu.OpDispatch, A: 0x40, B: 1, C: 0x80},
+		{Kind: cpu.OpWork, A: 9},
+		{Kind: cpu.OpFetch, A: 0x100, B: 16},
 	})
 	tr := w.Trace()
 	path := filepath.Join(t.TempDir(), "sub", "t.vmdt")
@@ -510,8 +476,8 @@ func TestSaveLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Header != tr.Header {
-		t.Fatalf("header changed across save/load: %+v vs %+v", got.Header, tr.Header)
+	if !reflect.DeepEqual(got, tr) {
+		t.Fatalf("trace changed across save/load: %+v vs %+v", got, tr)
 	}
 }
 

@@ -3,17 +3,21 @@ package disptrace_test
 import (
 	"bytes"
 	"encoding/binary"
+	"reflect"
+	"slices"
 	"testing"
 
+	"vmopt/internal/cpu"
 	"vmopt/internal/disptrace"
 )
 
-// recordsFromBytes derives a bounded record stream from raw fuzz
-// input: each record consumes a kind byte plus up to three 8-byte
-// values, so the fuzzer steers kinds, magnitudes and deltas freely.
-func recordsFromBytes(data []byte) []disptrace.Record {
-	const maxRecords = 1 << 12
-	var recs []disptrace.Record
+// eventsFromBytes derives a bounded event stream from raw fuzz input:
+// each event consumes a kind byte plus up to three 8-byte values, so
+// the fuzzer steers kinds, magnitudes, deltas and instruction
+// boundaries freely.
+func eventsFromBytes(data []byte) []event {
+	const maxEvents = 1 << 12
+	var evs []event
 	u64 := func() uint64 {
 		if len(data) == 0 {
 			return 0
@@ -23,114 +27,206 @@ func recordsFromBytes(data []byte) []disptrace.Record {
 		data = data[n:]
 		return binary.LittleEndian.Uint64(buf[:])
 	}
-	for len(data) > 0 && len(recs) < maxRecords {
-		kind := data[0] % 3
+	for len(data) > 0 && len(evs) < maxEvents {
+		kind := data[0] % 4
 		data = data[1:]
-		switch disptrace.Kind(kind) {
-		case disptrace.KWork:
-			// RecordWork takes an int and clamps negatives to 0;
-			// stay in the non-negative int range so the round trip
-			// is exact.
-			recs = append(recs, disptrace.Record{Kind: disptrace.KWork, A: u64() >> 1})
-		case disptrace.KFetch:
-			recs = append(recs, disptrace.Record{Kind: disptrace.KFetch, A: u64(), B: u64() >> 1})
-		default:
-			recs = append(recs, disptrace.Record{Kind: disptrace.KDispatch, A: u64(), B: u64(), C: u64()})
+		switch kind {
+		case 0:
+			// RecordWork takes an int and clamps negatives to 0; stay
+			// in the non-negative int range so the round trip is
+			// exact.
+			evs = append(evs, event{kind: 0, a: u64() >> 1})
+		case 1:
+			evs = append(evs, event{kind: 1, a: u64(), b: u64() >> 1})
+		case 2:
+			evs = append(evs, event{kind: 2, a: u64(), b: u64(), c: u64()})
+		case 3:
+			evs = append(evs, event{kind: 3})
 		}
 	}
-	return recs
+	return evs
+}
+
+// groundTruthOps is the whole op stream an event stream records, in
+// order, prelude included.
+func groundTruthOps(evs []event) []cpu.Op {
+	var ops []cpu.Op
+	for _, e := range evs {
+		switch e.kind {
+		case 0:
+			ops = append(ops, cpu.Op{Kind: cpu.OpWork, A: e.a})
+		case 1:
+			ops = append(ops, cpu.Op{Kind: cpu.OpFetch, A: e.a, B: e.b})
+		case 2:
+			ops = append(ops, cpu.Op{Kind: cpu.OpDispatch, A: e.a, B: e.b, C: e.c})
+		}
+	}
+	return ops
+}
+
+// walkSteps advances a cursor to the end without copying its steps:
+// a decoded trace may repeat a large dictionary entry many times.
+func walkSteps(c *disptrace.Cursor) {
+	for {
+		if _, ok := c.Next(); !ok {
+			return
+		}
+	}
 }
 
 // FuzzTraceRoundTrip checks the codec guarantees the subsystem rests
-// on: (1) any record stream encodes and decodes back bit-exactly
-// through the compressed form, (2) arbitrary bytes — corrupt
-// headers and flate payloads included — fed to Decode produce an
-// error or a valid trace, never a panic, and (3) arbitrary bytes
-// interpreted as a compressed segment payload error cleanly out of
-// both segment decoders.
+// on: (1) arbitrary bytes fed to Decode — corrupt headers,
+// dictionaries and ID streams included — produce an error or a valid
+// trace, never a panic; (2) arbitrary bytes spliced in as the flate
+// ID stream of a valid trace error cleanly or decode to in-range
+// IDs; and (3) any event stream encodes and decodes back bit-exactly,
+// to the writer's resident form and to the same bytes.
 func FuzzTraceRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
 	f.Add(bytes.Repeat([]byte{2, 0xff}, 64)) // dispatch-heavy
-	// Valid encoded traces as seeds for the raw-decode arm: the
-	// compressed form and the raw-codec form.
+	// Valid encoded traces as seeds for the raw-decode arm: one step,
+	// and a prelude plus repeating steps.
 	{
 		w := disptrace.NewWriter(disptrace.Header{Workload: "seed", Lang: "forth"})
+		w.RecordVMInst()
 		w.RecordWork(7)
 		w.RecordFetch(0x2000, 16)
 		w.RecordDispatch(0x2040, 3, 0x2100)
 		f.Add(w.Trace().Encode())
-		f.Add(w.Trace().EncodeCodec(disptrace.CodecRaw))
 	}
+	{
+		w := disptrace.NewWriter(disptrace.Header{Workload: "seed", Lang: "forth"})
+		feedEvents(w, stepEvents(64, 1))
+		f.Add(w.Trace().Encode())
+	}
+
+	base := func() []byte {
+		w := disptrace.NewWriter(disptrace.Header{Workload: "base", Lang: "forth"})
+		feedEvents(w, stepEvents(16, 2))
+		return w.Trace().Encode()
+	}()
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Arm 1: raw bytes into Decode — must never panic; on
-		// success the decoded trace must re-encode decodable.
+		// success the decoded trace must re-encode to an equal trace
+		// (not necessarily the same bytes: DEFLATE has many encodings
+		// of one stream) and walk without panicking.
 		if tr, err := disptrace.Decode(data); err == nil {
-			if _, err := tr.Records(); err != nil {
-				// A checksum-valid trace with undecodable segments is
-				// possible for fuzz-built files; it must error
-				// cleanly, which it just did.
-				_ = err
-			}
-			if _, err := disptrace.Decode(tr.Encode()); err != nil {
+			again, err := disptrace.Decode(tr.Encode())
+			if err != nil || !reflect.DeepEqual(again, tr) {
 				t.Fatalf("re-encoding a decoded trace broke it: %v", err)
 			}
+			_ = tr.Verify()
+			walkSteps(disptrace.NewCursor(tr))
 		}
 
-		// Arm 2: raw bytes as a flate segment payload — truncated or
-		// garbled DEFLATE streams and lying raw sizes must error, not
-		// panic, from both segment decoders.
-		for _, rawBytes := range []int{0, 1, 64, 1 << 16} {
-			seg := disptrace.Segment{
-				Data:     data,
-				Records:  len(data)/4 + 1,
-				Codec:    disptrace.CodecFlate,
-				RawBytes: rawBytes,
-			}
-			if recs, err := seg.Decode(nil); err == nil {
-				_ = recs // a fuzz-built payload that inflates and decodes is fine
-			}
-			if ops, err := seg.DecodeOps(nil); err == nil {
-				_ = ops
+		// Arm 2: raw bytes as the flate ID stream of a valid trace,
+		// under several declared raw lengths — garbled or truncated
+		// DEFLATE, lying lengths and out-of-range IDs must error, not
+		// panic.
+		p := splitV4(t, base)
+		for _, raw := range []uint64{0, 1, 16, 64, 1 << 16} {
+			p.rawLen, p.stream = raw, data
+			if tr, err := disptrace.Decode(p.join()); err == nil {
+				walkSteps(disptrace.NewCursor(tr))
 			}
 		}
 
 		// Arm 3: structured round trip — bit-exact.
-		recs := recordsFromBytes(data)
+		evs := eventsFromBytes(data)
 		w := disptrace.NewWriter(disptrace.Header{Workload: "fuzz", Lang: "forth", Scale: 1})
-		for _, r := range recs {
-			switch r.Kind {
-			case disptrace.KWork:
-				w.RecordWork(int(r.A))
-			case disptrace.KFetch:
-				w.RecordFetch(r.A, int(r.B))
-			case disptrace.KDispatch:
-				w.RecordDispatch(r.A, r.B, r.C)
-			}
-		}
+		feedEvents(w, evs)
 		tr := w.Trace()
 		if err := tr.Verify(); err != nil {
 			t.Fatalf("writer produced inconsistent totals: %v", err)
 		}
-		back, err := disptrace.Decode(tr.Encode())
+		enc := tr.Encode()
+		back, err := disptrace.Decode(enc)
 		if err != nil {
 			t.Fatalf("decoding own encoding: %v", err)
 		}
-		if back.Header != tr.Header {
-			t.Fatalf("header round trip: got %+v want %+v", back.Header, tr.Header)
+		if !reflect.DeepEqual(back, tr) {
+			t.Fatalf("decoded trace differs from the writer's:\n  got  %+v\n  want %+v", back, tr)
 		}
-		got, err := back.Records()
+		if !bytes.Equal(back.Encode(), enc) {
+			t.Fatal("re-encoding the decoded trace changed its bytes")
+		}
+		if got, want := streamOps(back), groundTruthOps(evs); !slices.Equal(got, want) {
+			t.Fatalf("stream round trip: got %d ops, want %d", len(got), len(want))
+		}
+	})
+}
+
+// FuzzCursor feeds arbitrary event streams (instruction marks
+// included) and seek points through the writer and the wire format:
+// cursors must reproduce the ground-truth instruction grouping
+// exactly, Seek must agree with a full walk, and a corrupted encoding
+// must error at Decode or iterate cleanly, never panic.
+func FuzzCursor(f *testing.F) {
+	f.Add([]byte{}, uint16(0), byte(0))
+	f.Add([]byte{3, 0, 1, 1, 2, 3, 0, 3, 3}, uint16(2), byte(1))
+	f.Add(bytes.Repeat([]byte{3, 2, 0xff}, 50), uint16(25), byte(0))
+
+	f.Fuzz(func(t *testing.T, data []byte, seekAt uint16, mutByte byte) {
+		evs := eventsFromBytes(data)
+		w := disptrace.NewWriter(disptrace.Header{Workload: "fuzz", Lang: "forth"})
+		feedEvents(w, evs)
+		tr := w.Trace()
+
+		want := groundTruthSteps(evs)
+		enc := tr.Encode()
+		dec, err := disptrace.Decode(enc)
 		if err != nil {
-			t.Fatalf("decoding records: %v", err)
+			t.Fatalf("decoding own encoding: %v", err)
 		}
-		if len(got) != len(recs) {
-			t.Fatalf("got %d records, want %d", len(got), len(recs))
-		}
-		for i := range recs {
-			if got[i] != recs[i] {
-				t.Fatalf("record %d: got %+v want %+v", i, got[i], recs[i])
+		for name, form := range map[string]*disptrace.Trace{"mem": tr, "wire": dec} {
+			steps := drainSteps(t, disptrace.NewCursor(form))
+			// The grouping is exact for arbitrary streams.
+			if len(steps) != len(want) {
+				t.Fatalf("%s: %d steps, want %d", name, len(steps), len(want))
 			}
+			for i := range want {
+				if steps[i].Index != uint64(i) || !opsEqual(steps[i].Ops, want[i]) {
+					t.Fatalf("%s: step %d diverged", name, i)
+				}
+			}
+			// Seek then drain equals the full walk's suffix — the
+			// seekability contract, in every form.
+			at := uint64(seekAt)
+			c := disptrace.NewCursor(form)
+			if err := c.Seek(at); err != nil {
+				t.Fatalf("%s: Seek(%d): %v", name, at, err)
+			}
+			rest := drainSteps(t, c)
+			if at >= uint64(len(steps)) {
+				if len(rest) != 0 {
+					t.Fatalf("%s: Seek(%d) past the end yielded %d steps", name, at, len(rest))
+				}
+				continue
+			}
+			if len(rest) != len(steps)-int(at) {
+				t.Fatalf("%s: Seek(%d) drained %d of %d steps", name, at, len(rest), len(steps))
+			}
+			for k, st := range rest {
+				i := int(at) + k
+				if st.Index != steps[i].Index || !opsEqual(st.Ops, steps[i].Ops) {
+					t.Fatalf("%s: Seek(%d): step %d diverged from full walk", name, at, i)
+				}
+			}
+		}
+
+		// Mutate one byte of the encoding (checksum repaired): decode
+		// must reject it or the cursor must survive it.
+		mut := append([]byte(nil), enc...)
+		pos := 10 + int(seekAt)%(len(mut)-10)
+		mut[pos] ^= mutByte | 1
+		fixCRC(mut)
+		if dec, err := disptrace.Decode(mut); err == nil {
+			walkSteps(disptrace.NewCursor(dec))
+			c := disptrace.NewCursor(dec)
+			_ = c.Seek(uint64(seekAt))
+			c.NextBatch(nil)
 		}
 	})
 }

@@ -1,0 +1,254 @@
+package disptrace_test
+
+import (
+	"bytes"
+	"compress/flate"
+	"encoding/binary"
+	"io"
+	"testing"
+
+	"vmopt/internal/disptrace"
+)
+
+// v4Parts is an encoded trace split at the boundaries a crafted file
+// needs to vary: everything before the index, the index's dictionary
+// size and declared raw ID-stream length, the dictionary and prelude
+// bytes, and the stored ID stream.
+type v4Parts struct {
+	head      []byte
+	dictSteps uint64
+	rawLen    uint64
+	body      []byte
+	stream    []byte
+}
+
+// splitV4 parses the layout of a valid encoding.
+func splitV4(t testing.TB, enc []byte) v4Parts {
+	t.Helper()
+	off := 10
+	next := func() uint64 {
+		v, n := binary.Uvarint(enc[off:])
+		if n <= 0 {
+			t.Fatalf("malformed uvarint at %d", off)
+		}
+		off += n
+		return v
+	}
+	hdrLen := next()
+	off += int(hdrLen)
+	head := off
+	var p v4Parts
+	p.head = enc[:head]
+	p.dictSteps, p.rawLen = next(), next()
+	stored := int(next())
+	p.body = enc[off : len(enc)-stored]
+	p.stream = enc[len(enc)-stored:]
+	return p
+}
+
+// join re-encodes the parts with the stored length and checksum made
+// consistent, so a decoder's structural checks are what must catch
+// the crafted field.
+func (p v4Parts) join() []byte {
+	b := append([]byte(nil), p.head...)
+	b = binary.AppendUvarint(b, p.dictSteps)
+	b = binary.AppendUvarint(b, p.rawLen)
+	b = binary.AppendUvarint(b, uint64(len(p.stream)))
+	b = append(b, p.body...)
+	b = append(b, p.stream...)
+	fixCRC(b)
+	return b
+}
+
+// deflateBytes compresses raw as the ID stream is stored.
+func deflateBytes(t testing.TB, raw []byte) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	zw, err := flate.NewWriter(&buf, flate.DefaultCompression)
+	if err != nil {
+		t.Fatal(err)
+	}
+	zw.Write(raw)
+	zw.Close()
+	return buf.Bytes()
+}
+
+// inflateIDs decompresses a stored ID stream into its step IDs.
+func inflateIDs(t testing.TB, stream []byte) []uint64 {
+	t.Helper()
+	raw, err := io.ReadAll(flate.NewReader(bytes.NewReader(stream)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []uint64
+	for len(raw) > 0 {
+		v, n := binary.Uvarint(raw)
+		if n <= 0 {
+			t.Fatal("malformed ID stream")
+		}
+		ids, raw = append(ids, v), raw[n:]
+	}
+	return ids
+}
+
+// hardenTrace is a small trace with a prelude, several distinct steps
+// and a long enough ID stream for flate to matter.
+func hardenTrace(t testing.TB) []byte {
+	t.Helper()
+	w := disptrace.NewWriter(testHeader())
+	feedEvents(w, append([]event{{kind: 0, a: 4}}, stepEvents(2000, 11)...))
+	enc := w.Trace().Encode()
+	if _, err := disptrace.Decode(enc); err != nil {
+		t.Fatal(err)
+	}
+	return enc
+}
+
+// TestCorruptCompressedStream: damage inside the flate ID stream —
+// garbled bytes, truncation, or a lying raw-size field — must surface
+// as a decode error, never a panic, even when the container checksum
+// has been fixed up to pass.
+func TestCorruptCompressedStream(t *testing.T) {
+	enc := hardenTrace(t)
+	p := splitV4(t, enc)
+	if !bytes.Equal(p.join(), enc) {
+		t.Fatal("splitV4/join does not round-trip the encoding")
+	}
+	if uint64(len(p.stream)) >= p.rawLen {
+		t.Fatalf("ID stream did not compress (%d stored, %d raw)", len(p.stream), p.rawLen)
+	}
+	garbled := append([]byte(nil), p.stream...)
+	for i := range garbled {
+		garbled[i] ^= 0xa5
+	}
+	for name, mut := range map[string]func(*v4Parts){
+		"garbled":   func(q *v4Parts) { q.stream = garbled },
+		"truncated": func(q *v4Parts) { q.stream = q.stream[:len(q.stream)/2] },
+		"empty":     func(q *v4Parts) { q.stream = nil },
+		"raw-short": func(q *v4Parts) { q.rawLen-- },
+		"raw-long":  func(q *v4Parts) { q.rawLen++ },
+		"raw-huge":  func(q *v4Parts) { q.rawLen = 1 << 40 },
+		// The header declares 2000 VM instructions: a raw length below
+		// one byte per ID, or above five, cannot hold them.
+		"raw-below-ids": func(q *v4Parts) { q.rawLen = 1999 },
+		"raw-above-ids": func(q *v4Parts) { q.rawLen = 5*2000 + 1 },
+	} {
+		q := p
+		mut(&q)
+		if _, err := disptrace.Decode(q.join()); err == nil {
+			t.Errorf("%s: Decode accepted a corrupt ID stream", name)
+		}
+	}
+}
+
+// TestCursorCorruptStepTable: corrupt step tables — the step
+// dictionary and the step-ID stream — are rejected at Decode: a step
+// ID at or beyond the dictionary size, a short or long ID stream, and
+// crafted dictionary or op counts. So no cursor, replay or diff ever
+// indexes out of the dictionary.
+func TestCursorCorruptStepTable(t *testing.T) {
+	enc := hardenTrace(t)
+	p := splitV4(t, enc)
+	orig := inflateIDs(t, p.stream)
+	if len(orig) != 2000 {
+		t.Fatalf("hardenTrace holds %d steps, want 2000", len(orig))
+	}
+	// ids is the original ID stream with its first IDs replaced by vs.
+	ids := func(vs ...uint64) []byte {
+		var raw []byte
+		for i, v := range orig {
+			if i < len(vs) {
+				v = vs[i]
+			}
+			raw = binary.AppendUvarint(raw, v)
+		}
+		return raw
+	}
+	for name, raw := range map[string][]byte{
+		"id-equals-dict": ids(p.dictSteps),
+		"id-huge":        ids(1 << 40),
+		"too-few":        ids()[:1999],
+		"too-many":       append(ids(), 0),
+		"unterminated":   append(ids()[:1999], 0x80),
+	} {
+		q := p
+		q.rawLen, q.stream = uint64(len(raw)), deflateBytes(t, raw)
+		if _, err := disptrace.Decode(q.join()); err == nil {
+			t.Errorf("%s: Decode accepted the ID stream", name)
+		}
+	}
+	// The original IDs, re-compressed, decode: the rejections above are
+	// the IDs', not the splice's. Swapping two IDs that name steps with
+	// different events keeps every ID in range but no longer matches the
+	// header's totals.
+	q := p
+	raw := ids()
+	q.rawLen, q.stream = uint64(len(raw)), deflateBytes(t, raw)
+	if _, err := disptrace.Decode(q.join()); err != nil {
+		t.Fatalf("a valid spliced ID stream was rejected: %v", err)
+	}
+	swapped := false
+	for i := 1; i < len(orig) && !swapped; i++ {
+		if orig[i] != orig[0] {
+			raw = ids(orig[i])
+			q.rawLen, q.stream = uint64(len(raw)), deflateBytes(t, raw)
+			_, err := disptrace.Decode(q.join())
+			swapped = err != nil
+		}
+	}
+	if !swapped {
+		t.Error("no in-range ID substitution was caught by the header totals")
+	}
+
+	for name, mut := range map[string]func(*v4Parts){
+		"dict-huge":    func(q *v4Parts) { q.dictSteps = 1 << 40 },
+		"dict-beyond":  func(q *v4Parts) { q.dictSteps = uint64(len(q.body)) + 1 },
+		"dict-short":   func(q *v4Parts) { q.dictSteps-- },
+		"dict-long":    func(q *v4Parts) { q.dictSteps++ },
+		"op-count":     func(q *v4Parts) { q.body = binary.AppendUvarint(nil, 1<<40) },
+		"body-chopped": func(q *v4Parts) { q.body = q.body[:len(q.body)-1] },
+		"body-extra":   func(q *v4Parts) { q.body = append(append([]byte(nil), q.body...), 3) },
+	} {
+		q := p
+		mut(&q)
+		if _, err := disptrace.Decode(q.join()); err == nil {
+			t.Errorf("%s: Decode accepted a crafted dictionary", name)
+		}
+	}
+}
+
+// TestDecodeBoundsReplayWork: one long dictionary entry named by many
+// IDs would make replay cost quadratic in the file size, although the
+// file itself stays small and its totals agree with its header. Decode
+// and Verify refuse it; the same entry used a few times is accepted.
+func TestDecodeBoundsReplayWork(t *testing.T) {
+	build := func(entryOps, uses int) *disptrace.Trace {
+		w := disptrace.NewWriter(testHeader())
+		for range uses {
+			w.RecordVMInst()
+			for i := range entryOps {
+				w.RecordFetch(uint64(0x1000+8*i), 8)
+			}
+			w.RecordWork(0)
+		}
+		return w.Trace()
+	}
+	for _, c := range []struct {
+		entryOps, uses int
+		ok             bool
+	}{
+		{2000, 1, true},     // a long step used once
+		{2000, 500, true},   // 1 000 500 ops: within the free allowance
+		{2000, 1000, false}, // 2 001 000 ops from a ~6 KB file
+		{1, 100000, true},   // short steps: linear however long the stream
+	} {
+		tr := build(c.entryOps, c.uses)
+		enc := tr.Encode()
+		_, err := disptrace.Decode(enc)
+		verr := tr.Verify()
+		if (err == nil) != c.ok || (verr == nil) != c.ok {
+			t.Errorf("%d-op entry used %d times (%d bytes): Decode err %v, Verify err %v, want ok=%v",
+				c.entryOps+1, c.uses, len(enc), err, verr, c.ok)
+		}
+	}
+}

@@ -1,80 +1,46 @@
 package disptrace
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
+
+	"vmopt/internal/cpu"
 )
 
 // Writer records the event stream of one simulated run into an
 // in-memory trace. It implements cpu.Sink: attach it to a cpu.Sim and
 // run the engine, then call Trace to finalize.
 //
-// The writer buffers up to four events to recognize the engine's
-// per-step shapes and emit them as fused step records (tagStepSeq /
-// tagStepDisp); any sequence that breaks a pattern is flushed as
-// plain records, so arbitrary streams remain encodable. Records are
-// buffered per segment with delta bases reset at every segment
-// boundary, so the finished trace decodes segment-parallel.
-//
-// The writer also attributes every record to the VM instruction it
-// belongs to (RecordVMInst marks instruction starts) and seals
-// segments at instruction boundaries, building the v3 step tables
-// that make the finished trace seekable by instruction index.
-// Streams that never report a VM instruction seal at the plain record
-// limit, exactly like the v2 writer did.
+// The writer collects each VM instruction's events (RecordVMInst
+// marks instruction starts) and interns the finished step into the
+// step dictionary: two steps share an ID only when their op lists are
+// identical, op for op — a hash only picks the candidates to compare.
+// Events before the first instruction form the prelude, which belongs
+// to no step.
 type Writer struct {
-	h          Header
-	segLimit   int
-	cur        []byte
-	curRecords int
-	segs       []Segment
+	h Header
+	// started marks that the first VM instruction has begun; cur holds
+	// the open step's ops (the prelude's before that).
+	started bool
+	cur     []cpu.Op
+	prelude []cpu.Op
 
-	prevFetch, prevBranch, prevTarget uint64
-
-	// pending holds buffered events not yet emitted; only the prefix
-	// shapes [W], [W,F], [W,F,W], [W,F,W,F] occur.
-	pending [4]pendingEvent
-	npend   int
-
-	// Step attribution for the current segment. stepOpen marks a VM
-	// instruction whose records are currently being emitted (stepRecs
-	// counts them, stepIdx is its segment-local index); pendingSteps
-	// counts instructions announced by RecordVMInst that have not
-	// received a record yet — they materialize in whichever segment
-	// their first record lands in, or as empty trailing steps at
-	// finalization. segPrefix counts records emitted while no step is
-	// open (the continuation of a step sealed mid-instruction, or the
-	// stream before the first VM instruction). sealDue defers a due
-	// segment seal to the next instruction boundary.
-	stepOpen     bool
-	stepRecs     int
-	stepIdx      int
-	pendingSteps int
-	segPrefix    int
-	segInsts     int
-	segExc       []stepExc
-	sealDue      bool
-	metas        []segMeta
-}
-
-// segMeta is the unencoded step table of one sealed segment; tables
-// are serialized together at finalization so trailing empty
-// instructions can still be folded into the last segment.
-type segMeta struct {
-	prefix int
-	insts  int
-	exc    []stepExc
-}
-
-// pendingEvent is one buffered Work (a = n) or Fetch (a = addr,
-// b = size) awaiting pattern resolution.
-type pendingEvent struct {
-	kind Kind
-	a, b uint64
+	// dictOps holds the dictionary entries back to back, entry k
+	// ending at dictEnds[k].
+	dictOps  []cpu.Op
+	dictEnds []int
+	ids      []uint32
+	// index maps hashOps of an entry to the IDs of every entry with
+	// that hash.
+	index map[uint64][]uint32
+	// follow[k] is the ID that last came after entry k. Interpreter
+	// streams repeat their step sequences, so comparing the open step
+	// against it first finds most steps without hashing.
+	follow []uint32
 }
 
 // NewWriter starts a trace with the given metadata (the writer fills
@@ -82,158 +48,10 @@ type pendingEvent struct {
 func NewWriter(h Header) *Writer {
 	h.VMInstructions = 0
 	h.CodeBytes = 0
-	h.Records = 0
 	h.Dispatches = 0
 	h.Fetches = 0
 	h.WorkInstrs = 0
-	return &Writer{h: h, segLimit: DefaultSegmentRecords}
-}
-
-// endRecord accounts one appended record — attributing it to the open
-// VM instruction, materializing instructions still pending their
-// first record, or counting it into the segment prefix — and seals
-// the segment when the limit allows. Segments seal immediately at the
-// limit while no instruction is open (matching the v2 writer for
-// streams that never report instructions); with one open they seal at
-// the next instruction boundary (RecordVMInst), falling back to a
-// mid-instruction seal at twice the limit so a pathological stream
-// cannot grow a segment unboundedly.
-func (w *Writer) endRecord() {
-	w.h.Records++
-	w.curRecords++
-	if w.pendingSteps > 0 {
-		// Instructions that arrived with no records of their own
-		// become empty steps here; the newest one claims this record.
-		for ; w.pendingSteps > 1; w.pendingSteps-- {
-			w.segExc = append(w.segExc, stepExc{idx: w.segInsts, recs: 0})
-			w.segInsts++
-		}
-		w.pendingSteps = 0
-		w.stepOpen = true
-		w.stepIdx = w.segInsts
-		w.stepRecs = 0
-		w.segInsts++
-	}
-	if w.stepOpen {
-		w.stepRecs++
-	} else {
-		w.segPrefix++
-	}
-	if w.curRecords >= w.segLimit {
-		if !w.stepOpen {
-			w.flushSegment()
-		} else if w.curRecords >= 2*w.segLimit {
-			// Mid-instruction seal: close the open step with its
-			// in-segment record count; its remaining records become
-			// the next segment's prefix and the cursor stitches them
-			// back together.
-			w.closeStep()
-			w.flushSegment()
-		} else {
-			w.sealDue = true
-		}
-	}
-}
-
-// closeStep finishes the open instruction's record attribution,
-// adding a step-table exception when it spans more or fewer than the
-// default single record.
-func (w *Writer) closeStep() {
-	if !w.stepOpen {
-		return
-	}
-	if w.stepRecs != 1 {
-		w.segExc = append(w.segExc, stepExc{idx: w.stepIdx, recs: w.stepRecs})
-	}
-	w.stepOpen = false
-}
-
-func (w *Writer) flushSegment() {
-	w.sealDue = false
-	if w.curRecords == 0 && w.segInsts == 0 {
-		return
-	}
-	w.segs = append(w.segs, Segment{Data: w.cur, Records: w.curRecords})
-	w.metas = append(w.metas, segMeta{prefix: w.segPrefix, insts: w.segInsts, exc: w.segExc})
-	w.cur = nil
-	w.curRecords = 0
-	w.segPrefix, w.segInsts, w.segExc = 0, 0, nil
-	w.prevFetch, w.prevBranch, w.prevTarget = 0, 0, 0
-}
-
-// emitWork appends a plain work record.
-func (w *Writer) emitWork(n uint64) {
-	if n <= maxInlineWork {
-		w.cur = append(w.cur, byte(tagWorkBase+n))
-	} else {
-		w.cur = append(w.cur, tagWorkExt)
-		w.cur = binary.AppendUvarint(w.cur, n)
-	}
-	w.endRecord()
-}
-
-// emitFetch appends a plain fetch record.
-func (w *Writer) emitFetch(addr, size uint64) {
-	w.cur = append(w.cur, tagFetch)
-	w.cur = binary.AppendVarint(w.cur, int64(addr-w.prevFetch))
-	w.cur = binary.AppendUvarint(w.cur, size)
-	w.prevFetch = addr
-	w.endRecord()
-}
-
-// emitDispatch appends a plain dispatch record.
-func (w *Writer) emitDispatch(branch, hint, target uint64) {
-	w.cur = append(w.cur, tagDispatch)
-	w.cur = binary.AppendVarint(w.cur, int64(branch-w.prevBranch))
-	w.cur = binary.AppendUvarint(w.cur, hint)
-	w.cur = binary.AppendVarint(w.cur, int64(target-w.prevTarget))
-	w.prevBranch, w.prevTarget = branch, target
-	w.endRecord()
-}
-
-// emitStepSeq fuses pending [W, F, W] into one record.
-func (w *Writer) emitStepSeq() {
-	p := &w.pending
-	w.cur = append(w.cur, tagStepSeq)
-	w.cur = binary.AppendUvarint(w.cur, p[0].a)
-	w.cur = binary.AppendVarint(w.cur, int64(p[1].a-w.prevFetch))
-	w.cur = binary.AppendUvarint(w.cur, p[1].b)
-	w.cur = binary.AppendUvarint(w.cur, p[2].a)
-	w.prevFetch = p[1].a
-	w.npend = 0
-	w.endRecord()
-}
-
-// emitStepDisp fuses pending [W, F, W, F] plus the dispatch (whose
-// branch equals the second fetch address) into one record.
-func (w *Writer) emitStepDisp(branch, hint, target uint64) {
-	p := &w.pending
-	w.cur = append(w.cur, tagStepDisp)
-	w.cur = binary.AppendUvarint(w.cur, p[0].a)
-	w.cur = binary.AppendVarint(w.cur, int64(p[1].a-w.prevFetch))
-	w.cur = binary.AppendUvarint(w.cur, p[1].b)
-	w.cur = binary.AppendUvarint(w.cur, p[2].a)
-	w.cur = binary.AppendUvarint(w.cur, p[3].b)
-	w.cur = binary.AppendVarint(w.cur, int64(branch-w.prevBranch))
-	w.cur = binary.AppendUvarint(w.cur, hint)
-	w.cur = binary.AppendVarint(w.cur, int64(target-w.prevTarget))
-	w.prevFetch = branch // the step's last fetch
-	w.prevBranch, w.prevTarget = branch, target
-	w.npend = 0
-	w.endRecord()
-}
-
-// flushPending emits every buffered event as plain records.
-func (w *Writer) flushPending() {
-	for i := 0; i < w.npend; i++ {
-		p := w.pending[i]
-		if p.kind == KWork {
-			w.emitWork(p.a)
-		} else {
-			w.emitFetch(p.a, p.b)
-		}
-	}
-	w.npend = 0
+	return &Writer{h: h, index: make(map[uint64][]uint32)}
 }
 
 // RecordWork implements cpu.Sink.
@@ -242,21 +60,7 @@ func (w *Writer) RecordWork(n int) {
 		n = 0
 	}
 	w.h.WorkInstrs += uint64(n)
-	switch w.npend {
-	case 0:
-		// Starts a step pattern.
-	case 2:
-		// [W, F] + W: still a valid prefix of both patterns.
-	case 3:
-		// [W, F, W] + W: the buffered events are a complete
-		// fall-through step; the new work starts the next one.
-		w.emitStepSeq()
-	default:
-		// [W] + W or [W, F, W, F] + W: no pattern fits.
-		w.flushPending()
-	}
-	w.pending[w.npend] = pendingEvent{kind: KWork, a: uint64(n)}
-	w.npend++
+	w.cur = append(w.cur, cpu.Op{Kind: cpu.OpWork, A: uint64(n)})
 }
 
 // RecordFetch implements cpu.Sink.
@@ -265,97 +69,104 @@ func (w *Writer) RecordFetch(addr uint64, size int) {
 		size = 0
 	}
 	w.h.Fetches++
-	switch w.npend {
-	case 1, 3:
-		// [W] + F or [W, F, W] + F: valid prefix, keep buffering.
-		w.pending[w.npend] = pendingEvent{kind: KFetch, a: addr, b: uint64(size)}
-		w.npend++
-	default:
-		// A fetch can only follow a work inside a pattern.
-		w.flushPending()
-		w.emitFetch(addr, uint64(size))
-	}
+	w.cur = append(w.cur, cpu.Op{Kind: cpu.OpFetch, A: addr, B: uint64(size)})
 }
 
 // RecordDispatch implements cpu.Sink.
 func (w *Writer) RecordDispatch(branch, hint, target uint64) {
 	w.h.Dispatches++
-	if w.npend == 4 && w.pending[3].a == branch {
-		w.emitStepDisp(branch, hint, target)
-		return
-	}
-	w.flushPending()
-	w.emitDispatch(branch, hint, target)
+	w.cur = append(w.cur, cpu.Op{Kind: cpu.OpDispatch, A: branch, B: hint, C: target})
 }
 
-// RecordVMInst implements cpu.Sink. It marks the boundary between VM
-// instructions: buffered events are resolved so every record lands in
-// the instruction that produced it (the engine always follows an
-// instruction's trailing [W,F,W] with another work event, so fusing
-// it here emits the exact bytes lazy fusion would), the finished
-// instruction's step-table entry is closed, and a due segment seal
-// runs — segments therefore break at instruction boundaries and the
-// step tables stay exact.
+// RecordVMInst implements cpu.Sink. It closes the open step (or the
+// prelude) and opens the next one.
 func (w *Writer) RecordVMInst() {
 	w.h.VMInstructions++
-	if w.npend == 3 {
-		w.emitStepSeq()
-	} else if w.npend != 0 {
-		w.flushPending()
-	}
 	w.closeStep()
-	if w.sealDue {
-		w.flushSegment()
-	}
-	w.pendingSteps++
+	w.started = true
 }
 
 // RecordCodeBytes implements cpu.Sink.
 func (w *Writer) RecordCodeBytes(n uint64) { w.h.CodeBytes += n }
 
-// Trace seals pending events, steps and the current segment, encodes
-// the per-segment step tables, and returns the finished trace. The
+// closeStep appends the open step's ID to the stream, interning the
+// step on first sight — or, before the first instruction, keeps the
+// collected ops as the prelude.
+func (w *Writer) closeStep() {
+	if !w.started {
+		if len(w.cur) > 0 {
+			w.prelude = append([]cpu.Op(nil), w.cur...)
+		}
+		w.cur = w.cur[:0]
+		return
+	}
+	id := w.intern()
+	if n := len(w.ids); n > 0 {
+		w.follow[w.ids[n-1]] = id
+	}
+	w.ids = append(w.ids, id)
+	w.cur = w.cur[:0]
+}
+
+// intern returns the dictionary ID of the open step's op list, adding
+// an entry when no existing one is equal to it op for op.
+func (w *Writer) intern() uint32 {
+	if n := len(w.ids); n > 0 {
+		if id := w.follow[w.ids[n-1]]; slices.Equal(w.entry(id), w.cur) {
+			return id
+		}
+	}
+	h := hashOps(w.cur)
+	for _, id := range w.index[h] {
+		if slices.Equal(w.entry(id), w.cur) {
+			return id
+		}
+	}
+	id := uint32(len(w.dictEnds))
+	w.index[h] = append(w.index[h], id)
+	w.dictOps = append(w.dictOps, w.cur...)
+	w.dictEnds = append(w.dictEnds, len(w.dictOps))
+	w.follow = append(w.follow, id)
+	return id
+}
+
+// entry returns dictionary entry id's ops.
+func (w *Writer) entry(id uint32) []cpu.Op {
+	lo := 0
+	if id > 0 {
+		lo = w.dictEnds[id-1]
+	}
+	return w.dictOps[lo:w.dictEnds[id]]
+}
+
+// hashOps mixes every field of an op list into 64 bits. Equal lists
+// hash equal; unequal ones rarely collide, and intern compares the
+// ops anyway.
+func hashOps(ops []cpu.Op) uint64 {
+	const m1, m2 = 0x9e3779b97f4a7c15, 0xff51afd7ed558ccd
+	h := uint64(len(ops))
+	for _, op := range ops {
+		h = (h^op.A^uint64(op.Kind)<<61)*m1 ^ op.B
+		h = (h^op.C)*m2 ^ h>>29
+	}
+	return h
+}
+
+// Trace closes the last step and returns the finished trace. The
 // writer must not be used afterwards.
 func (w *Writer) Trace() *Trace {
-	w.flushPending()
 	w.closeStep()
-	// Instructions announced but never followed by a record become
-	// empty trailing steps; fold them into the last sealed segment
-	// when the current one holds nothing else, so finalization never
-	// appends an empty segment to a non-empty trace.
-	if w.pendingSteps > 0 {
-		if w.curRecords == 0 && w.segInsts == 0 && len(w.metas) > 0 {
-			last := &w.metas[len(w.metas)-1]
-			for range w.pendingSteps {
-				last.exc = append(last.exc, stepExc{idx: last.insts, recs: 0})
-				last.insts++
-			}
-		} else {
-			for range w.pendingSteps {
-				w.segExc = append(w.segExc, stepExc{idx: w.segInsts, recs: 0})
-				w.segInsts++
-			}
-		}
-		w.pendingSteps = 0
-	}
-	w.flushSegment()
-	for i := range w.segs {
-		w.segs[i].VMInsts = w.metas[i].insts
-		w.segs[i].Steps = encodeStepTable(w.metas[i].prefix, w.metas[i].exc)
-	}
-	return &Trace{Header: w.h, Segs: w.segs}
+	return &Trace{Header: w.h, arena: &Arena{
+		dict:    sliceEntries(w.dictOps, w.dictEnds),
+		prelude: w.prelude,
+		ids:     w.ids,
+	}}
 }
 
 // Save writes the trace to path atomically (temp file + rename), so a
 // crashed or concurrent writer never leaves a half-written trace
-// behind for readers to trip over. Segment payloads are compressed
-// with DefaultCodec on the way out (SaveCodec chooses explicitly).
-func (t *Trace) Save(path string) error { return t.SaveCodec(path, DefaultCodec) }
-
-// SaveCodec is Save with an explicit segment codec.
-func (t *Trace) SaveCodec(path string, c Codec) error {
-	return atomicWrite(path, t.EncodeCodec(c))
-}
+// behind for readers to trip over.
+func (t *Trace) Save(path string) error { return atomicWrite(path, t.Encode()) }
 
 // atomicWrite writes b to path via a temp file + rename in path's
 // directory (created if needed), so readers only ever observe whole
@@ -399,13 +210,13 @@ func Load(path string) (*Trace, error) {
 }
 
 // metaReadAhead is the prefix ReadMeta reads first: the header and
-// segment index of any realistic trace fit comfortably (the index
-// costs ~10 bytes per 16Ki-record segment), so listing a cache
-// directory reads a few KB per file instead of whole traces.
-const metaReadAhead = 64 << 10
+// index of any realistic trace take well under a hundred bytes, so
+// listing a cache directory reads one small block per file instead of
+// whole traces.
+const metaReadAhead = 4 << 10
 
-// ReadMeta reads a trace file's metadata — header and segment index —
-// without loading or inflating its payloads. It reads a small prefix
+// ReadMeta reads a trace file's metadata — header and index — without
+// loading its dictionary or inflating its ID stream. It reads a small prefix
 // and falls back to the whole file only when the index genuinely
 // extends past it.
 func ReadMeta(path string) (Meta, error) {

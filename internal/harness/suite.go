@@ -419,20 +419,9 @@ func (s *Suite) Compute(ctx context.Context, w *workload.Workload, v Variant, ma
 	for k, m := range replay {
 		sims[k] = cpu.NewSim(m)
 	}
-	switch len(sims) {
-	case 0:
-	case 1:
-		// jobs=1: a lone cell runs inside a worker pool that already
-		// saturates the cores; sequential replay keeps its buffer reuse
-		// instead of nesting decode goroutines that have nowhere to run.
-		if err := disptrace.ReplayCtx(ctx, tr, sims[0], 1); err != nil {
-			return nil, fmt.Errorf("%s/%s on %s: replaying trace: %w", w.Name, v.Name, replay[0].Name, err)
-		}
-	default:
-		// One decode pass feeds every machine's simulator.
-		if err := disptrace.ReplayEachCtx(ctx, tr, sims); err != nil {
-			return nil, fmt.Errorf("%s/%s: replaying trace: %w", w.Name, v.Name, err)
-		}
+	// One resident trace feeds every machine's simulator.
+	if err := disptrace.ReplayEachCtx(ctx, tr, sims); err != nil {
+		return nil, fmt.Errorf("%s/%s: replaying trace: %w", w.Name, v.Name, err)
 	}
 	off := len(machines) - len(sims)
 	for k, sim := range sims {

@@ -16,7 +16,7 @@
 // the measurement window for cross-checking the client-side view.
 // Diff compares such a report against a checked-in baseline
 // (BENCH_serve.json) with tolerance thresholds, giving the serving
-// tier the same CI regression gate the replay pipeline has.
+// tier the same CI regression gate the replay path has.
 package loadgen
 
 import (

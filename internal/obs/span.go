@@ -43,8 +43,8 @@ var outcomeNames = [...]string{"", "hit", "compiled", "coalesced", "computed", "
 // Outcome labels for Trace.SetOutcome.
 const (
 	OutcomeHit = "hit"
-	// OutcomeCompiled marks a request served from the compiled-replay
-	// arena tier: a cache hit that also skipped decode entirely. It
+	// OutcomeCompiled marks a request replayed from a trace the
+	// compiled tier holds in memory: no disk read, no decode. It
 	// outranks a plain hit (it says more about how the request was
 	// served) but loses to any outcome that did real work.
 	OutcomeCompiled  = "compiled"

@@ -16,7 +16,7 @@ type lruEntry[K comparable, V any] struct {
 // LRU is a bounded concurrency-safe least-recently-used cache. It is
 // the in-memory tier the serving subsystem layers over the
 // content-addressed disk trace cache, and (weighted by bytes, see
-// NewWeightedLRU) the store of the trace cache's compiled-arena tier:
+// NewWeightedLRU) the store of the trace cache's compiled tier:
 // strictly bounded and recency-evicting, where Group — the other
 // in-memory cache in this package — deliberately never evicts.
 //

@@ -81,21 +81,23 @@ type SweepLine struct {
 // TraceInfo is the metadata GET /v1/traces/{id} reports about one
 // cached dispatch trace.
 type TraceInfo struct {
-	ID          string `json:"id"`
-	FileBytes   int64  `json:"file_bytes"`
-	Workload    string `json:"workload"`
-	Lang        string `json:"lang"`
-	Variant     string `json:"variant"`
-	Technique   string `json:"technique"`
-	Scale       uint64 `json:"scale"`
-	ScaleDiv    uint64 `json:"scalediv"`
-	MaxSteps    uint64 `json:"max_steps"`
-	Records     uint64 `json:"records"`
-	Dispatches  uint64 `json:"dispatches"`
-	VMInsts     uint64 `json:"vm_instructions"`
-	Segments    int    `json:"segments"`
-	StoredBytes int    `json:"stored_bytes"`
-	RawBytes    int    `json:"raw_bytes"`
+	ID         string `json:"id"`
+	FileBytes  int64  `json:"file_bytes"`
+	Workload   string `json:"workload"`
+	Lang       string `json:"lang"`
+	Variant    string `json:"variant"`
+	Technique  string `json:"technique"`
+	Scale      uint64 `json:"scale"`
+	ScaleDiv   uint64 `json:"scalediv"`
+	MaxSteps   uint64 `json:"max_steps"`
+	Dispatches uint64 `json:"dispatches"`
+	VMInsts    uint64 `json:"vm_instructions"`
+	// DictSteps is the size of the trace's step dictionary;
+	// StoredBytes and RawBytes size its step-ID stream on disk
+	// (flate-compressed) and inflated.
+	DictSteps   int `json:"dict_steps"`
+	StoredBytes int `json:"stored_bytes"`
+	RawBytes    int `json:"raw_bytes"`
 }
 
 // DiffRequest asks for an instruction-aligned comparison of two

@@ -11,10 +11,10 @@ import (
 	"vmopt/internal/obs"
 )
 
-// TestCompiledTierServing drives the compiled-replay tier end to end:
-// one workload/variant across three machines shares one cached trace,
-// so with CompileAfter=1 the second request's disk load builds the
-// arena and the third is served straight from it. Responses must stay
+// TestCompiledTierServing drives the compiled tier end to end: one
+// workload/variant across three machines shares one cached trace, so
+// with CompileAfter=1 the second request's disk load makes the trace
+// resident and the third is served straight from memory. Responses must stay
 // byte-identical to the direct harness result, the request outcome
 // must report "compiled", and the tier's activity must show up in both
 // /v1/stats and /metrics.
@@ -29,7 +29,7 @@ func TestCompiledTierServing(t *testing.T) {
 
 	// Distinct machines miss the result LRU but share the (workload,
 	// variant, scalediv) trace: request 1 records it, request 2 loads
-	// it from disk (and compiles), request 3 is served from the arena.
+	// it from disk (and compiles), request 3 is served from the tier.
 	machines := []string{"celeron-800", "pentium4-northwood", "pentium-m"}
 	for i, m := range machines {
 		req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/run", strings.NewReader(
@@ -61,7 +61,7 @@ func TestCompiledTierServing(t *testing.T) {
 		t.Fatalf("compiled tier saw no action: %+v", cs)
 	}
 
-	// The arena-served request reports the "compiled" outcome with a
+	// The tier-served request reports the "compiled" outcome with a
 	// "compiled" stage in its trace.
 	debugBody, err := fetchOK(ts.URL + "/debug/requests")
 	if err != nil {
@@ -81,7 +81,7 @@ func TestCompiledTierServing(t *testing.T) {
 		t.Fatal("compiled-pentium-m trace not in /debug/requests")
 	}
 	if last.Outcome != "compiled" {
-		t.Errorf("arena-served request outcome = %q, want compiled", last.Outcome)
+		t.Errorf("tier-served request outcome = %q, want compiled", last.Outcome)
 	}
 	found := false
 	for _, st := range last.Stages {
@@ -90,7 +90,7 @@ func TestCompiledTierServing(t *testing.T) {
 		}
 	}
 	if !found {
-		t.Errorf("arena-served request has no compiled stage: %+v", last.Stages)
+		t.Errorf("tier-served request has no compiled stage: %+v", last.Stages)
 	}
 
 	// /v1/stats carries the tier block under traces.compiled.

@@ -481,7 +481,7 @@ func (s *Server) handleTraceInfo(w http.ResponseWriter, r *http.Request) {
 	}
 	id := r.PathValue("id")
 	sp := obs.Start(r.Context(), "trace_load")
-	t, size, err := s.cfg.Traces.LoadID(id)
+	m, size, err := s.cfg.Traces.MetaID(id)
 	sp.End()
 	if errors.Is(err, disptrace.ErrNoTrace) {
 		errorBody(w, http.StatusNotFound, "no trace %s", id)
@@ -491,17 +491,13 @@ func (s *Server) handleTraceInfo(w http.ResponseWriter, r *http.Request) {
 		errorBody(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	h := t.Header
+	h := m.Header
 	info := TraceInfo{
 		ID: id, FileBytes: size,
 		Workload: h.Workload, Lang: h.Lang, Variant: h.Variant, Technique: h.Technique,
 		Scale: h.Scale, ScaleDiv: h.ScaleDiv, MaxSteps: h.MaxSteps,
-		Records: h.Records, Dispatches: h.Dispatches, VMInsts: h.VMInstructions,
-		Segments: len(t.Segs),
-	}
-	for _, seg := range t.Segs {
-		info.StoredBytes += len(seg.Data)
-		info.RawBytes += seg.RawLen()
+		Dispatches: h.Dispatches, VMInsts: h.VMInstructions,
+		DictSteps: m.DictSteps, StoredBytes: m.StreamStoredBytes, RawBytes: m.StreamRawBytes,
 	}
 	writeJSON(w, r.Context(), info)
 }

@@ -26,7 +26,7 @@
 //
 // A group that misses the LRU is computed by harness.Suite.Compute,
 // which loads the (workload, variant, scale) dispatch trace down the
-// ladder compiled arena → disk (disptrace.Cache) → peer fill →
+// ladder compiled tier → disk (disptrace.Cache) → peer fill →
 // simulate, and replays it into every machine of the group in one
 // pass. Per-scalediv suites hold only what is expensive to rebuild
 // and never a result: the trained static instruction sets.
@@ -108,14 +108,14 @@ type Config struct {
 	// recorder (<= 0 picks obs defaults).
 	DebugRecent  int
 	DebugSlowest int
-	// CompiledBudget bounds the in-memory compiled-replay arena tier
-	// in bytes: hot cached traces are specialized into pre-decoded op
-	// arenas and served with zero decode work. 0 means
-	// DefaultCompiledBudget; < 0 disables the tier. Ignored when
-	// Traces is nil or already carries a tier.
+	// CompiledBudget bounds the in-memory compiled tier in bytes: hot
+	// cached traces stay resident in their decoded form and are served
+	// with no disk read and no decode. 0 means DefaultCompiledBudget;
+	// < 0 disables the tier. Ignored when Traces is nil or already
+	// carries a tier.
 	CompiledBudget int64
 	// CompileAfter is the disk-load count on which a hot trace earns
-	// its arena; <= 0 means disptrace.DefaultCompileAfter.
+	// its place in the tier; <= 0 means disptrace.DefaultCompileAfter.
 	CompileAfter int
 }
 
@@ -127,10 +127,11 @@ const (
 	// maxSuites bounds the live per-scalediv suites: scalediv comes
 	// from the request, so the pool must stay bounded.
 	maxSuites = 4
-	// DefaultCompiledBudget is the arena tier's byte budget when the
-	// config leaves it zero: 256 MiB holds roughly six gray-scale
-	// full-size arenas (~32 B per logical event) — enough for a hot
-	// working set without competing with the result caches for memory.
+	// DefaultCompiledBudget is the compiled tier's byte budget when
+	// the config leaves it zero: 256 MiB holds every trace of the
+	// paper grid at scalediv 10 (4 B per VM instruction plus a few
+	// kilobytes of dictionary each) with room to spare, without
+	// competing with the result caches for memory.
 	DefaultCompiledBudget = int64(256) << 20
 )
 
@@ -426,7 +427,7 @@ func (s *Server) runGroup(ctx context.Context, g group) (map[string]metrics.Coun
 		}
 		s.stats.computedCells.Add(uint64(len(g.cells)))
 		src = fromCompute
-		// A replay served from the compiled arena tier (the replay
+		// A replay of a trace the compiled tier holds (the replay
 		// attributes a "compiled" stage) reports that instead of
 		// "computed"; by rank, real computation anywhere in the
 		// request still wins.

@@ -568,8 +568,8 @@ func TestTraceAndStatsEndpoints(t *testing.T) {
 	if err := json.Unmarshal(infoBody, &info); err != nil {
 		t.Fatal(err)
 	}
-	if info.Workload != "tscp" || info.Variant != "plain" || info.Records == 0 || info.Segments == 0 {
-		t.Errorf("trace info = %+v, want tscp/plain with records and segments", info)
+	if info.Workload != "tscp" || info.Variant != "plain" || info.DictSteps == 0 || info.StoredBytes == 0 || info.RawBytes < info.StoredBytes {
+		t.Errorf("trace info = %+v, want tscp/plain with a step dictionary and its ID-stream sizes", info)
 	}
 
 	statsBody, err := fetchOK(ts.URL + "/v1/stats")
@@ -621,7 +621,7 @@ func TestDiffEndpoint(t *testing.T) {
 	if a.ID == "" || b.ID == "" {
 		t.Fatalf("trace list lacks variant metadata: %+v", entries)
 	}
-	if a.VMInstructions == 0 || a.Segments == 0 {
+	if a.VMInstructions == 0 || a.DictSteps == 0 {
 		t.Fatalf("listed entry missing index metadata: %+v", a)
 	}
 

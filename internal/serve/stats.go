@@ -144,16 +144,16 @@ func (st *stats) init(s *Server) {
 		}
 	}
 	r.CounterFunc("vmserved_compiled_builds_total",
-		"Hot traces compiled into pre-decoded op arenas.",
+		"Hot traces the compiled tier keeps resident in memory.",
 		compiledStat(func(cs disptrace.CompiledStats) uint64 { return cs.Builds }))
 	r.CounterFunc("vmserved_compiled_hits_total",
-		"Trace loads served straight from a compiled arena — no disk read, no decode.",
+		"Trace loads served straight from the compiled tier — no disk read, no decode.",
 		compiledStat(func(cs disptrace.CompiledStats) uint64 { return cs.Hits }))
 	r.CounterFunc("vmserved_compiled_evictions_total",
-		"Compiled-tier entries displaced by its byte budget or entry bound: built arenas and not-yet-hot hotness counters alike.",
+		"Compiled-tier entries displaced by its byte budget or entry bound: resident traces and not-yet-hot hotness counters alike.",
 		compiledStat(func(cs disptrace.CompiledStats) uint64 { return cs.Evictions }))
 	r.GaugeFunc("vmserved_compiled_bytes",
-		"Resident bytes in the compiled-arena tier, bounded by -compiled-budget.",
+		"Resident bytes of the traces the compiled tier holds (step dictionaries, preludes and step-ID streams), bounded by -compiled-budget.",
 		func() float64 {
 			if s.cfg.Traces == nil {
 				return 0
