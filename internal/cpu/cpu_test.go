@@ -201,7 +201,7 @@ func TestApplyMatchesPerEventCalls(t *testing.T) {
 		}
 		batched := NewSim(m)
 		// Split the batch to prove Apply composes like the call stream
-		// does (replay hands segments to Apply one at a time).
+		// does (replay applies the prelude, then the steps, on one sim).
 		batched.Apply(ops[:len(ops)/3])
 		batched.Apply(ops[len(ops)/3:])
 		if batched.C != perCall.C {

@@ -1,0 +1,218 @@
+package cpu
+
+import (
+	"math"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"vmopt/internal/metrics"
+)
+
+// applyStepsRef is the per-op replay loop lowering replaced: each
+// step's dictionary entry through Apply, event by event. ApplySteps
+// must leave every counter and all predictor and I-cache state exactly
+// as it does.
+func (s *Sim) applyStepsRef(dict [][]Op, ids []uint32) {
+	for _, id := range ids {
+		s.Apply(dict[id])
+	}
+}
+
+// sameCounters compares counters bitwise, the float cycle counters by
+// their bit patterns.
+func sameCounters(a, b metrics.Counters) bool {
+	if math.Float64bits(a.Cycles) != math.Float64bits(b.Cycles) ||
+		math.Float64bits(a.MissCycles) != math.Float64bits(b.MissCycles) {
+		return false
+	}
+	a.Cycles, a.MissCycles, b.Cycles, b.MissCycles = 0, 0, 0, 0
+	return a == b
+}
+
+// sameState reports whether two sims hold the same counters, I-cache
+// (keys in LRU order, accesses and misses) and predictor tables.
+func sameState(a, b *Sim) bool {
+	return sameCounters(a.C, b.C) && reflect.DeepEqual(a.ic, b.ic) && reflect.DeepEqual(a.pred, b.pred)
+}
+
+// tinyICache has 4 sets of 2 ways with 32-byte lines, so a fetch of
+// 128 bytes or more spans every set and set conflicts inside one
+// entry are frequent.
+var tinyICache = Machine{
+	Name:      "tiny-icache",
+	Predictor: PredictBTB, BTBEntries: 64, BTBWays: 2,
+	ICacheBytes: 256, ICacheLine: 32, ICacheWays: 2,
+	MispredictPenalty: 10, ICacheMissPenalty: 10,
+	CPI: 0.7, ClockMHz: 800,
+}
+
+// lowerMachines covers every predictor kind, a small BTB and the tiny
+// I-cache.
+func lowerMachines() []Machine {
+	return []Machine{
+		Celeron800,
+		Pentium4Northwood,
+		PentiumM,
+		Celeron800.WithPredictor(PredictBTB2bc),
+		Celeron800.WithPredictor(PredictCaseBlock),
+		Celeron800.WithBTBEntries(64),
+		tinyICache,
+	}
+}
+
+// randomDict builds a seeded step dictionary for machine m's I-cache
+// geometry. Besides the shapes core.Run emits, its entries hold
+// re-fetches that are and are not guaranteed hits: multi-line fetches
+// and their sub-ranges, two different lines of one set, fetches wider
+// than the set count, size-0, negative-size and wrapping fetches, and
+// random op soups.
+func randomDict(r *rand.Rand, m Machine, entries int) [][]Op {
+	line := uint64(m.ICacheLine)
+	stride := uint64(m.ICacheBytes / m.ICacheWays) // one set's period
+	// Addresses stay within a few set periods, so sets fill and evict.
+	addr := func() uint64 { return 0x10000 + uint64(r.Intn(int(4*stride))) }
+	work := func() Op { return Op{Kind: OpWork, A: uint64(r.Intn(40))} }
+	fetch := func(a uint64, size int) Op { return Op{Kind: OpFetch, A: a, B: uint64(size)} }
+	dispatch := func(br uint64) Op {
+		return Op{Kind: OpDispatch, A: br, B: uint64(r.Intn(8)), C: addr() &^ 3}
+	}
+	dict := make([][]Op, entries)
+	for k := range dict {
+		a := addr()
+		size := 1 + r.Intn(int(3*line))
+		// A dispatch branch inside the fetched range: its fetch is a
+		// guaranteed hit unless it runs past the range.
+		br := a + uint64(r.Intn(size))
+		var e []Op
+		switch r.Intn(13) {
+		case 0: // the empty step
+		case 1, 2: // a dispatching step
+			e = []Op{work(), fetch(a, size), work(), fetch(br, 4+r.Intn(8)), dispatch(br)}
+		case 3: // a fall-through inside a superinstruction
+			e = []Op{work(), fetch(a, size), work()}
+		case 4: // the dispatch fetch elsewhere
+			b := addr()
+			e = []Op{work(), fetch(a, size), work(), fetch(b, 4), dispatch(b)}
+		case 5: // two lines of one set, then the first again
+			e = []Op{work(), fetch(a, 8), fetch(a+stride, 8), work(), fetch(a, 8), dispatch(a)}
+		case 6: // the same, with the conflicting line fetched in between
+			e = []Op{fetch(a, 8), work(), fetch(a+stride*uint64(1+r.Intn(3)), size), fetch(a+4, 4), dispatch(a)}
+		case 7: // a fetch wider than the set count, then parts of it
+			wide := int(stride) + r.Intn(int(2*stride))
+			e = []Op{work(), fetch(a, wide), fetch(a, 8), fetch(a+uint64(wide)-8, 8), work(), dispatch(a)}
+		case 8: // fetches Touch ignores, around real ones
+			e = []Op{work(), fetch(a, 0), fetch(a, size), fetch(math.MaxUint64-8, 64),
+				Op{Kind: OpFetch, A: a, B: 1 << 63}, work(), fetch(br, 4), dispatch(br)}
+		case 9: // a quickening step: extra work first
+			e = []Op{work(), work(), fetch(a, size), work(), fetch(br, 4), dispatch(br)}
+		case 10: // a halt step: no dispatch
+			e = []Op{work(), fetch(a, size)}
+		case 11: // a dispatching step whose first fetch is wider than the set count
+			wide := int(stride) + r.Intn(int(2*stride))
+			e = []Op{work(), fetch(a, wide), work(), fetch(a+uint64(r.Intn(wide)), 4), dispatch(a)}
+		default: // a random soup
+			for range 1 + r.Intn(12) {
+				switch r.Intn(4) {
+				case 0:
+					e = append(e, work())
+				case 1:
+					e = append(e, fetch(a, 1+r.Intn(int(2*line))))
+				case 2:
+					a = addr()
+					e = append(e, fetch(a, r.Intn(int(3*line))))
+				default:
+					e = append(e, dispatch(a))
+				}
+			}
+		}
+		dict[k] = e
+	}
+	return dict
+}
+
+// randomIDs draws n step IDs, mostly repeating short runs as an
+// interpreter loop does.
+func randomIDs(r *rand.Rand, entries, n int) []uint32 {
+	ids := make([]uint32, 0, n)
+	for len(ids) < n {
+		run := make([]uint32, 1+r.Intn(6))
+		for i := range run {
+			run[i] = uint32(r.Intn(entries))
+		}
+		for range 1 + r.Intn(5) {
+			ids = append(ids, run...)
+		}
+	}
+	return ids[:n]
+}
+
+// TestApplyStepsMatchesReference: lowered replay must leave counters,
+// I-cache and predictor state bit-identical to the per-op loop, on
+// every predictor kind and I-cache geometry, across repeated calls on
+// one sim (whose buffers lowering reuses).
+func TestApplyStepsMatchesReference(t *testing.T) {
+	for _, m := range lowerMachines() {
+		for seed := int64(1); seed <= 20; seed++ {
+			r := rand.New(rand.NewSource(seed))
+			got, want := NewSim(m), NewSim(m)
+			for call := range 3 {
+				dict := randomDict(r, m, 1+r.Intn(40))
+				ids := randomIDs(r, len(dict), 2000)
+				got.ApplySteps(dict, ids)
+				want.applyStepsRef(dict, ids)
+				if !sameState(got, want) {
+					t.Fatalf("%s seed %d call %d: lowered replay diverged:\n  got  %+v (I-cache %d/%d)\n  want %+v (I-cache %d/%d)",
+						m.Name, seed, call, got.C, got.ic.Accesses, got.ic.Misses, want.C, want.ic.Accesses, want.ic.Misses)
+				}
+			}
+		}
+	}
+}
+
+// TestLowerDropsGuaranteedHits pins the lowering of the shapes
+// core.Run emits on a Celeron (32-byte lines, 128 sets): a dispatch
+// fetch inside the step's fetched lines is dropped, one outside them
+// is kept, and so is one whose line a later line of its set displaced
+// as the set's most recently used; an entry of no fixed shape lowers to
+// the generic zero entry.
+func TestLowerDropsGuaranteedHits(t *testing.T) {
+	w := Op{Kind: OpWork, A: 3}
+	f := func(a, size uint64) Op { return Op{Kind: OpFetch, A: a, B: size} }
+	d := Op{Kind: OpDispatch, A: 0x1010, C: 0x2000}
+	const stride = 128 * 32
+	for _, c := range []struct {
+		name  string
+		entry []Op
+		shape shape
+		hits  uint64
+	}{
+		{"inside", []Op{w, f(0x1000, 40), w, f(0x1010, 4), d}, shapeWFWD, 1},
+		{"second line", []Op{w, f(0x1000, 40), w, f(0x1020, 4), d}, shapeWFWD, 1},
+		{"outside", []Op{w, f(0x1000, 40), w, f(0x1040, 4), d}, shapeWFWFD, 0},
+		{"fall-through", []Op{w, f(0x1000, 40), w}, shapeWFW, 0},
+		{"same set", []Op{w, f(0x1000, 8), f(0x1000+stride, 8), w, f(0x1000, 4), d}, shapeGeneric, 0},
+		{"wide, evicted line", []Op{w, f(0x1000, stride+32), w, f(0x1000, 4), d}, shapeWFWFD, 0},
+		{"wide, latest line", []Op{w, f(0x1000, stride+32), w, f(0x1000+stride, 4), d}, shapeWFWD, 1},
+		{"zero size", []Op{w, f(0x1000, 8), w, f(0x1000, 0), d}, shapeWFWD, 0},
+	} {
+		s := NewSim(Celeron800)
+		st := s.lower([][]Op{c.entry})[0]
+		if st.shape != c.shape || st.hitLines != c.hits {
+			t.Errorf("%s: shape %d with %d hit lines, want %d with %d", c.name, st.shape, st.hitLines, c.shape, c.hits)
+		}
+	}
+}
+
+// TestApplyStepsReusesBuffers: lowering writes into the sim's own
+// buffer, so only the first call on a sim allocates.
+func TestApplyStepsReusesBuffers(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	dict := randomDict(r, Celeron800, 64)
+	ids := randomIDs(r, len(dict), 500)
+	s := NewSim(Celeron800)
+	s.ApplySteps(dict, ids)
+	if n := testing.AllocsPerRun(10, func() { s.ApplySteps(dict, ids) }); n != 0 {
+		t.Errorf("ApplySteps allocates %v times per call on a warm sim, want 0", n)
+	}
+}

@@ -47,6 +47,10 @@ type Sim struct {
 	// Indirect's type switch covers every predictor a Sim can hold.
 	pred btb.Predictor
 	ic   *icache.Cache
+
+	// steps holds the dictionary ApplySteps last lowered; each call
+	// rebuilds it in place (see lower).
+	steps []loweredStep
 }
 
 // NewSim builds a simulator for the machine.
@@ -60,7 +64,7 @@ func (s *Sim) Work(n int) {
 		s.Sink.RecordWork(n)
 	}
 	s.C.Instructions += uint64(n)
-	s.C.Cycles += float64(n) * s.Machine.CPI
+	s.C.Cycles += float64(float64(n) * s.Machine.CPI)
 }
 
 // Fetch runs the byte range [addr, addr+size) through the I-cache and
@@ -69,10 +73,14 @@ func (s *Sim) Fetch(addr uint64, size int) {
 	if s.Sink != nil {
 		s.Sink.RecordFetch(addr, size)
 	}
-	misses := s.ic.Touch(addr, size)
+	s.chargeMisses(s.ic.Touch(addr, size))
+}
+
+// chargeMisses accounts the I-cache misses of one fetch.
+func (s *Sim) chargeMisses(misses int) {
 	if misses > 0 {
 		s.C.ICacheMisses += uint64(misses)
-		penalty := float64(misses) * s.Machine.ICacheMissPenalty
+		penalty := float64(float64(misses) * s.Machine.ICacheMissPenalty)
 		s.C.Cycles += penalty
 		s.C.MissCycles += penalty
 	}
@@ -143,9 +151,10 @@ const (
 	OpDispatch
 )
 
-// Op is one pre-decoded simulator event for Apply. A batch of Ops is
-// immutable shared data: trace replay decodes a segment once and
-// hands the same batch to every machine's simulator.
+// Op is one simulator event for Apply and ApplySteps. Ops are
+// immutable shared data: a decoded trace's step dictionary is read by
+// every machine's simulator at once, and each lowers it for itself
+// (see ApplySteps).
 type Op struct {
 	A, B, C uint64
 	Kind    OpKind
@@ -159,37 +168,19 @@ type Op struct {
 // replay's apply side. The Sink is NOT observed: Apply exists for
 // replay, and replaying must not re-record.
 func (s *Sim) Apply(ops []Op) {
-	batch := [1][]Op{ops}
-	var ids [1]uint32
-	s.ApplySteps(batch[:], ids[:])
-}
-
-// ApplySteps is Apply over the stream dict[ids[0]], dict[ids[1]], …
-// without materializing it: trace replay keeps each distinct step's
-// events once and the run as step IDs.
-func (s *Sim) ApplySteps(dict [][]Op, ids []uint32) {
 	c := &s.C
-	m := &s.Machine
-	for _, id := range ids {
-		ops := dict[id]
-		for i := range ops {
-			op := &ops[i]
-			switch op.Kind {
-			case OpWork:
-				c.Instructions += op.A
-				c.Cycles += float64(int(op.A)) * m.CPI
-			case OpFetch:
-				misses := s.ic.Touch(op.A, int(op.B))
-				if misses > 0 {
-					c.ICacheMisses += uint64(misses)
-					penalty := float64(misses) * m.ICacheMissPenalty
-					c.Cycles += penalty
-					c.MissCycles += penalty
-				}
-			case OpDispatch:
-				c.Dispatches++
-				s.Indirect(op.A, op.B, op.C)
-			}
+	cpi := s.Machine.CPI
+	for i := range ops {
+		op := &ops[i]
+		switch op.Kind {
+		case OpWork:
+			c.Instructions += op.A
+			c.Cycles += float64(float64(int(op.A)) * cpi)
+		case OpFetch:
+			s.chargeMisses(s.ic.Touch(op.A, int(op.B)))
+		case OpDispatch:
+			c.Dispatches++
+			s.Indirect(op.A, op.B, op.C)
 		}
 	}
 }

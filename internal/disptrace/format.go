@@ -46,6 +46,7 @@ package disptrace
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"math"
@@ -183,6 +184,17 @@ const maxStringLen = 1 << 16
 
 // maxIDBytes is the longest uvarint encoding of a step ID (a uint32).
 const maxIDBytes = 5
+
+// MaxFetchBytes bounds the size of one fetch in a decoded trace. The
+// recorded engines fetch at most a few VM instructions' code at once
+// (90 bytes across the paper grid), while replay touches every line a
+// fetch covers: without the bound, a few crafted bytes could make one
+// replay walk billions of lines.
+const MaxFetchBytes = 64 << 10
+
+// ErrFetchTooLarge reports a decoded fetch above MaxFetchBytes; test
+// for it with errors.Is.
+var ErrFetchTooLarge = errors.New("disptrace: fetch larger than 64 KiB")
 
 // byteReader is a bounds-checked cursor over an encoded buffer. After
 // any method reports failure the cursor stays failed ("sticky
@@ -334,7 +346,11 @@ func (r *byteReader) readOps(dst []cpu.Op, n int) []cpu.Op {
 			dst = append(dst, cpu.Op{Kind: cpu.OpWork, A: r.uvarint()})
 		case tag == tagFetch:
 			prev += uint64(r.varint())
-			dst = append(dst, cpu.Op{Kind: cpu.OpFetch, A: prev, B: r.uvarint()})
+			size := r.uvarint()
+			if size > MaxFetchBytes {
+				r.fail("%w: %d bytes at offset %d", ErrFetchTooLarge, size, r.off)
+			}
+			dst = append(dst, cpu.Op{Kind: cpu.OpFetch, A: prev, B: size})
 		default: // tagDispatch
 			prev += uint64(r.varint())
 			hint := r.uvarint()
@@ -498,11 +514,12 @@ func DecodeMeta(b []byte) (Meta, error) {
 
 // Decode parses an encoded trace into its resident form, validating
 // the magic, version and checksum and bounds-checking every field:
-// dictionary and op counts are bounded by the input, the declared
-// ID-stream length is capped before inflating, every step ID must
-// name a dictionary entry, and the stream's totals must match the
-// header with an expanded op count linear in the input (see
-// checkTotals). Corrupt input yields an error, never a panic.
+// dictionary and op counts are bounded by the input, every fetch by
+// MaxFetchBytes (ErrFetchTooLarge), the declared ID-stream length is
+// capped before inflating, every step ID must name a dictionary entry,
+// and the stream's totals must match the header with an expanded op
+// count linear in the input (see checkTotals). Corrupt input yields an
+// error, never a panic.
 func Decode(b []byte) (*Trace, error) {
 	if err := checkPrefix(b); err != nil {
 		return nil, err

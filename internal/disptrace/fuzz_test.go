@@ -3,6 +3,7 @@ package disptrace_test
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"reflect"
 	"slices"
 	"testing"
@@ -37,7 +38,9 @@ func eventsFromBytes(data []byte) []event {
 			// exact.
 			evs = append(evs, event{kind: 0, a: u64() >> 1})
 		case 1:
-			evs = append(evs, event{kind: 1, a: u64(), b: u64() >> 1})
+			// Sizes fall about half under MaxFetchBytes, which
+			// round-trip, and half over it, which Decode refuses.
+			evs = append(evs, event{kind: 1, a: u64(), b: u64() % (2 * disptrace.MaxFetchBytes)})
 		case 2:
 			evs = append(evs, event{kind: 2, a: u64(), b: u64(), c: u64()})
 		case 3:
@@ -45,6 +48,17 @@ func eventsFromBytes(data []byte) []event {
 		}
 	}
 	return evs
+}
+
+// oversized reports whether evs hold a fetch above
+// disptrace.MaxFetchBytes, which Decode refuses.
+func oversized(evs []event) bool {
+	for _, e := range evs {
+		if e.kind == 1 && e.b > disptrace.MaxFetchBytes {
+			return true
+		}
+	}
+	return false
 }
 
 // groundTruthOps is the whole op stream an event stream records, in
@@ -80,7 +94,9 @@ func walkSteps(c *disptrace.Cursor) {
 // trace, never a panic; (2) arbitrary bytes spliced in as the flate
 // ID stream of a valid trace error cleanly or decode to in-range
 // IDs; and (3) any event stream encodes and decodes back bit-exactly,
-// to the writer's resident form and to the same bytes.
+// to the writer's resident form and to the same bytes — or, when it
+// holds a fetch above MaxFetchBytes, fails to decode with
+// ErrFetchTooLarge.
 func FuzzTraceRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
@@ -143,6 +159,12 @@ func FuzzTraceRoundTrip(f *testing.F) {
 		}
 		enc := tr.Encode()
 		back, err := disptrace.Decode(enc)
+		if oversized(evs) {
+			if !errors.Is(err, disptrace.ErrFetchTooLarge) {
+				t.Fatalf("decoding a fetch above MaxFetchBytes: err %v, want ErrFetchTooLarge", err)
+			}
+			return
+		}
 		if err != nil {
 			t.Fatalf("decoding own encoding: %v", err)
 		}
@@ -162,7 +184,9 @@ func FuzzTraceRoundTrip(f *testing.F) {
 // included) and seek points through the writer and the wire format:
 // cursors must reproduce the ground-truth instruction grouping
 // exactly, Seek must agree with a full walk, and a corrupted encoding
-// must error at Decode or iterate cleanly, never panic.
+// must error at Decode or iterate cleanly, never panic. A stream with
+// a fetch above MaxFetchBytes must fail to decode with
+// ErrFetchTooLarge; its in-memory form is still checked.
 func FuzzCursor(f *testing.F) {
 	f.Add([]byte{}, uint16(0), byte(0))
 	f.Add([]byte{3, 0, 1, 1, 2, 3, 0, 3, 3}, uint16(2), byte(1))
@@ -176,11 +200,19 @@ func FuzzCursor(f *testing.F) {
 
 		want := groundTruthSteps(evs)
 		enc := tr.Encode()
+		forms := map[string]*disptrace.Trace{"mem": tr}
 		dec, err := disptrace.Decode(enc)
-		if err != nil {
+		switch {
+		case oversized(evs):
+			if !errors.Is(err, disptrace.ErrFetchTooLarge) {
+				t.Fatalf("decoding a fetch above MaxFetchBytes: err %v, want ErrFetchTooLarge", err)
+			}
+		case err != nil:
 			t.Fatalf("decoding own encoding: %v", err)
+		default:
+			forms["wire"] = dec
 		}
-		for name, form := range map[string]*disptrace.Trace{"mem": tr, "wire": dec} {
+		for name, form := range forms {
 			steps := drainSteps(t, disptrace.NewCursor(form))
 			// The grouping is exact for arbitrary streams.
 			if len(steps) != len(want) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"compress/flate"
 	"encoding/binary"
+	"errors"
 	"io"
 	"testing"
 
@@ -250,5 +251,42 @@ func TestDecodeBoundsReplayWork(t *testing.T) {
 			t.Errorf("%d-op entry used %d times (%d bytes): Decode err %v, Verify err %v, want ok=%v",
 				c.entryOps+1, c.uses, len(enc), err, verr, c.ok)
 		}
+	}
+}
+
+// TestDecodeRejectsHugeFetch: a fetch's size costs one uvarint on
+// disk but one I-cache touch per line on replay, so a few crafted
+// bytes naming 16 GiB fetches would make one replay take seconds and
+// billions of touches. Decode refuses any fetch above MaxFetchBytes
+// with ErrFetchTooLarge, and so does a peer fill, which decodes the
+// same way; a fetch of exactly MaxFetchBytes decodes.
+func TestDecodeRejectsHugeFetch(t *testing.T) {
+	k := healKey()
+	craft := func(size int) []byte {
+		w := disptrace.NewWriter(k.Header())
+		w.RecordVMInst()
+		for range 3 {
+			w.RecordFetch(0x1000, size)
+		}
+		return w.Trace().Encode()
+	}
+	huge := craft(1 << 34)
+	if _, err := disptrace.Decode(huge); !errors.Is(err, disptrace.ErrFetchTooLarge) {
+		t.Fatalf("Decode of a %d-byte trace with 16 GiB fetches: err %v, want ErrFetchTooLarge", len(huge), err)
+	}
+	if _, err := disptrace.Decode(craft(disptrace.MaxFetchBytes + 1)); !errors.Is(err, disptrace.ErrFetchTooLarge) {
+		t.Errorf("a fetch one byte over the cap: err %v, want ErrFetchTooLarge", err)
+	}
+	if _, err := disptrace.Decode(craft(disptrace.MaxFetchBytes)); err != nil {
+		t.Errorf("a fetch of exactly MaxFetchBytes: %v", err)
+	}
+
+	c := disptrace.NewCache(t.TempDir())
+	c.FillID = func(string) ([]byte, error) { return huge, nil }
+	if _, _, err := c.LoadID(k.ID()); !errors.Is(err, disptrace.ErrNoTrace) {
+		t.Fatalf("a peer fill with 16 GiB fetches was served: err %v", err)
+	}
+	if st := c.Stats(); st.PeerFillErrors != 1 || st.PeerFills != 0 {
+		t.Errorf("peer fill stats %+v, want one error and no fill", st)
 	}
 }

@@ -66,14 +66,35 @@ func (c *Cache) LineSize() int { return c.lineSize }
 // SizeBytes returns the total capacity in bytes.
 func (c *Cache) SizeBytes() int { return len(c.keys) * c.lineSize }
 
+// Sets returns the number of sets.
+func (c *Cache) Sets() int { return int(c.mask) + 1 }
+
+// Lines returns the line numbers first..last that Touch(addr, size)
+// fetches. ok is false when Touch is a no-op: size <= 0, or a range
+// that wraps past the top of the address space.
+func (c *Cache) Lines(addr uint64, size int) (first, last uint64, ok bool) {
+	if size <= 0 {
+		return 0, 0, false
+	}
+	first = addr >> c.lineShift
+	last = (addr + uint64(size) - 1) >> c.lineShift
+	return first, last, first <= last
+}
+
 // Touch fetches the byte range [addr, addr+size) through the cache and
 // returns the number of line misses it caused.
 func (c *Cache) Touch(addr uint64, size int) int {
 	if size <= 0 {
 		return 0
 	}
-	first := addr >> c.lineShift
-	last := (addr + uint64(size) - 1) >> c.lineShift
+	// Lines' arithmetic, spelled out so Touch stays inlinable.
+	return c.TouchLines(addr>>c.lineShift, (addr+uint64(size)-1)>>c.lineShift)
+}
+
+// TouchLines fetches the lines first..last in order, exactly as Touch
+// does for the byte range Lines mapped to them, and returns the number
+// that missed. An empty range (first > last) fetches nothing.
+func (c *Cache) TouchLines(first, last uint64) int {
 	// A one-line fetch that hits its set's most recently used way
 	// changes nothing but the access count.
 	if first == last && c.keys[int(first&c.mask)*c.ways] == first+1 {
