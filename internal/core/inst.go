@@ -121,15 +121,21 @@ func (k EventKind) String() string {
 	}
 }
 
-// Event reports one executed VM instruction: the position executed,
-// the position control transferred to, how, and whether the
+// Event reports one executed VM instruction, the one at the PC before
+// Step: the position control transferred to, how, and whether the
 // instruction quickened itself (rewrote its opcode) as part of this
 // execution.
+//
+// Event has four fields so that Go keeps a returned Event in registers:
+// the compiler decomposes structs of at most four fields into SSA
+// values, and spills larger ones through memory (see
+// TestEventFitsInRegisters).
 type Event struct {
-	From, To  int
+	To        int
 	Kind      EventKind
 	Quickened bool
-	// NewOp is the opcode installed at From when Quickened is true.
+	// NewOp is the opcode installed at the executed position when
+	// Quickened is true.
 	NewOp uint32
 }
 

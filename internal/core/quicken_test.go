@@ -68,7 +68,7 @@ func (v *quickVM) Step() (core.Event, error) {
 		return core.Event{}, errors.New("halted")
 	}
 	in := v.code[v.pc]
-	ev := core.Event{From: v.pc, To: v.pc + 1, Kind: core.EvFall}
+	ev := core.Event{To: v.pc + 1, Kind: core.EvFall}
 	switch in.Op {
 	case qLit:
 		v.stack = append(v.stack, in.Arg)
@@ -93,7 +93,7 @@ func (v *quickVM) Step() (core.Event, error) {
 	case qHalt:
 		v.halted = true
 		ev.Kind = core.EvHalt
-		ev.To = ev.From
+		ev.To = v.pc
 	}
 	v.pc = ev.To
 	return ev, nil

@@ -1,20 +1,25 @@
 package cpu
 
-// Trace replay is itself an interpreter: a step dictionary of event
-// lists driven by a long stream of step IDs. ApplySteps applies the
-// paper's two remedies to it. It resolves once per replay what the
+import "math"
+
+// Driving the simulator is itself an interpreter: trace replay runs a
+// step dictionary of event lists over a long stream of step IDs, and
+// core.Run drives the events of each (position, fall-through or
+// transfer) once per executed VM instruction. Lowering applies the
+// paper's two remedies to both. It resolves once per step what the
 // per-event loop recomputes on every event — cycle addends, I-cache
 // line numbers, a step's integer counter deltas and fetches that
-// cannot miss — and it dispatches once per step on the step's shape
-// instead of once per event on the event's kind.
+// cannot miss — and ApplyStep dispatches once per step on the step's
+// shape instead of once per event on the event's kind.
 
-// shape classifies a lowered dictionary entry. The fixed shapes are
-// the ones core.Run emits for nearly every step; any other entry runs
-// through Apply.
+// shape classifies a lowered step. The fixed shapes are the ones
+// core.Run emits for nearly every step; any other step goes through
+// the per-event path.
 type shape uint8
 
 const (
-	// shapeGeneric runs the entry's ops through Apply.
+	// shapeGeneric is a step of no fixed shape; ApplyStep applies
+	// nothing for it.
 	shapeGeneric shape = iota
 	// shapeWFWFD is work, fetch, work, fetch, dispatch: a step that
 	// ends in a dispatch.
@@ -32,9 +37,9 @@ type lowOp struct {
 	kind OpKind
 	// cycles is an OpWork's cycle addend.
 	cycles float64
-	// a and b are an OpFetch's first and last line; a, b and c are an
-	// OpDispatch's branch, hint and target.
-	a, b, c uint64
+	// a and b are an OpFetch's first and last line; a is an
+	// OpDispatch's branch.
+	a, b uint64
 }
 
 // maxShapeOps is the most lowered ops a fixed shape holds; an entry
@@ -46,20 +51,35 @@ const maxShapeOps = 5
 // whatever a crafted entry holds.
 const maxHitLines = 8
 
-// loweredStep is one dictionary entry specialized to a Sim's machine.
-// A generic entry is the zero loweredStep.
-type loweredStep struct {
-	shape shape
-	// instructions is the entry's Instructions delta, summed once;
-	// hitLines counts the lines of its dropped fetches, each one
-	// I-cache access.
-	instructions, hitLines uint64
-	// w0, f0/l0, w1, f1/l1 and branch/hint/target are the events of
-	// the fixed shapes, in order: cycle addends, fetched line ranges
-	// and the dispatch.
-	w0, w1               float64
-	f0, l0, f1, l1       uint64
-	branch, hint, target uint64
+// Step is one VM instruction's events specialized to a Sim's machine:
+// the same float additions and I-cache touches, in the same order, as
+// the per-event calls, with every per-event computation done once. A
+// Step of no fixed shape is the zero Step and applies nothing.
+//
+// The dispatch's hint and target are not part of a Step: the engine
+// lowers one Step per (position, fall-through or transfer) and supplies
+// the destination on each apply (see ApplyStep).
+type Step struct {
+	// instructions is the step's Instructions delta, summed once.
+	instructions uint32
+	shape        shape
+	// span0 and span1 are how many lines f0's and f1's fetches span,
+	// less one; hitLines counts the lines of the dropped fetches, each
+	// one I-cache access. A step whose counts overflow these fields
+	// has no fixed shape.
+	span0, span1, hitLines uint8
+	// w0, f0, w1, f1 and branch are the events of the fixed shapes, in
+	// order: cycle addends, first lines of the fetches and the
+	// dispatch branch.
+	w0, w1         float64
+	f0, f1, branch uint64
+}
+
+// replayStep is one dictionary entry lowered for ApplySteps: a
+// recorded dispatch carries its own hint and target.
+type replayStep struct {
+	Step
+	hint, target uint64
 }
 
 // ApplySteps is Apply over the stream dict[ids[0]], dict[ids[1]], …
@@ -67,109 +87,105 @@ type loweredStep struct {
 // events once and the run as step IDs.
 //
 // It first lowers dict for the sim's machine (see lower), then applies
-// one lowered entry per ID; an entry of no fixed shape goes through
-// Apply. The counters, float cycle counters included, and the
-// predictor and I-cache state end bit-identical to Apply over the
-// expanded stream: every float addition happens in the same order with
-// the same operands, integer deltas commute, and a dropped fetch is
-// one whose every line is its set's most recently used, which a fetch
-// leaves unchanged but for the access count. The lowered entries live
-// in a buffer the sim reuses, so only a sim's first call (or a larger
-// dictionary) allocates.
+// one lowered entry per ID through ApplyStep; an entry of no fixed
+// shape goes through Apply. The counters, float cycle counters
+// included, and the predictor and I-cache state end bit-identical to
+// Apply over the expanded stream: every float addition happens in the
+// same order with the same operands, integer deltas commute, and a
+// dropped fetch is one whose every line is its set's most recently
+// used, which a fetch leaves unchanged but for the access count. The
+// lowered entries live in a buffer the sim reuses, so only a sim's
+// first call (or a larger dictionary) allocates.
 func (s *Sim) ApplySteps(dict [][]Op, ids []uint32) {
 	steps := s.lower(dict)
-	c := &s.C
-	ic := s.ic
 	for _, id := range ids {
 		st := &steps[id]
-		switch st.shape {
-		case shapeWFWFD:
-			c.Instructions += st.instructions
-			c.Cycles += st.w0
-			s.chargeMisses(ic.TouchLines(st.f0, st.l0))
-			c.Cycles += st.w1
-			s.chargeMisses(ic.TouchLines(st.f1, st.l1))
-			c.Dispatches++
-			s.Indirect(st.branch, st.hint, st.target)
-		case shapeWFWD:
-			c.Instructions += st.instructions
-			c.Cycles += st.w0
-			s.chargeMisses(ic.TouchLines(st.f0, st.l0))
-			c.Cycles += st.w1
-			ic.Accesses += st.hitLines
-			c.Dispatches++
-			s.Indirect(st.branch, st.hint, st.target)
-		case shapeWFW:
-			c.Instructions += st.instructions
-			c.Cycles += st.w0
-			s.chargeMisses(ic.TouchLines(st.f0, st.l0))
-			c.Cycles += st.w1
-		default:
+		if !s.ApplyStep(&st.Step, st.hint, st.target) {
 			s.Apply(dict[id])
 		}
 	}
 }
 
 // lower specializes every dictionary entry to the sim's machine, into
-// s.steps, and returns the lowered entries.
-func (s *Sim) lower(dict [][]Op) []loweredStep {
+// s.steps, and returns the lowered entries; an entry of no fixed shape
+// lowers to the zero Step.
+func (s *Sim) lower(dict [][]Op) []replayStep {
 	if cap(s.steps) < len(dict) {
-		s.steps = make([]loweredStep, len(dict))
+		s.steps = make([]replayStep, len(dict))
 	}
 	s.steps = s.steps[:len(dict)]
 	for i, e := range dict {
-		s.steps[i] = s.lowerStep(e)
+		st := &s.steps[i]
+		st.Step, _ = s.LowerStep(e)
+		// A fixed shape holds one dispatch; fetches dropped after it
+		// may follow it in the entry.
+		st.hint, st.target = 0, 0
+		for k := len(e) - 1; k >= 0; k-- {
+			if e[k].Kind == OpDispatch {
+				st.hint, st.target = e[k].B, e[k].C
+				break
+			}
+		}
 	}
 	return s.steps
 }
 
-// lowerStep lowers one entry into a fixed shape, or returns the
-// generic zero loweredStep. A Work op becomes its cycle addend,
-// float64(float64(int(n)) * CPI) exactly as Apply computes it; a Fetch
-// op becomes its line range, or nothing when Touch would do nothing
-// (size <= 0 or a wrapping range) or when the fetch is a guaranteed
-// hit (see guaranteedHit), whose lines then count as accesses.
-func (s *Sim) lowerStep(e []Op) loweredStep {
+// LowerStep lowers one VM instruction's events for the sim's machine.
+// ok is false when they match no fixed shape; such a step must go
+// through the per-event calls (or Apply) instead. A Dispatch op's hint
+// and target are ignored.
+//
+// A Work op becomes its cycle addend, float64(float64(int(n)) * CPI)
+// exactly as Work computes it; a Fetch op becomes its line range, or
+// nothing when Touch would do nothing (size <= 0 or a wrapping range)
+// or when the fetch is a guaranteed hit (see guaranteedHit), whose
+// lines then count as accesses.
+func (s *Sim) LowerStep(ops []Op) (st Step, ok bool) {
 	var buf [maxShapeOps]lowOp
-	ops := buf[:0]
-	var st loweredStep
+	low := buf[:0]
+	var instructions, hitLines uint64
 	cpi := s.Machine.CPI
-	for i := range e {
-		op := &e[i]
+	for i := range ops {
+		op := &ops[i]
 		var lo lowOp
 		switch op.Kind {
 		case OpWork:
-			st.instructions += op.A
+			instructions += op.A
 			lo = lowOp{kind: OpWork, cycles: float64(float64(int(op.A)) * cpi)}
 		case OpFetch:
 			first, last, ok := s.ic.Lines(op.A, int(op.B))
 			if !ok { // Touch would do nothing
 				continue
 			}
-			if s.guaranteedHit(ops, first, last) {
-				st.hitLines += last - first + 1
+			if s.guaranteedHit(low, first, last) {
+				hitLines += last - first + 1
 				continue
 			}
 			lo = lowOp{kind: OpFetch, a: first, b: last}
 		case OpDispatch:
-			lo = lowOp{kind: OpDispatch, a: op.A, b: op.B, c: op.C}
+			lo = lowOp{kind: OpDispatch, a: op.A}
 		default:
 			continue
 		}
-		if len(ops) == maxShapeOps {
-			return loweredStep{}
+		if len(low) == maxShapeOps {
+			return Step{}, false
 		}
-		ops = append(ops, lo)
+		low = append(low, lo)
 	}
-	if !st.classify(ops) {
-		return loweredStep{}
+	if instructions > math.MaxUint32 || hitLines > math.MaxUint8 {
+		return Step{}, false
 	}
-	return st
+	st.instructions, st.hitLines = uint32(instructions), uint8(hitLines)
+	if !st.classify(low) {
+		return Step{}, false
+	}
+	return st, true
 }
 
 // classify gives st a fixed shape when its lowered ops match one,
-// copying them into st's fields, and reports whether it did.
-func (st *loweredStep) classify(ops []lowOp) bool {
+// copying them into st's fields, and reports whether it did. A fetch
+// spanning more lines than a span holds matches no shape.
+func (st *Step) classify(ops []lowOp) bool {
 	kinds := func(ks ...OpKind) bool {
 		if len(ops) != len(ks) {
 			return false
@@ -181,10 +197,18 @@ func (st *loweredStep) classify(ops []lowOp) bool {
 		}
 		return true
 	}
+	span := func(op lowOp) (uint8, bool) {
+		d := op.b - op.a
+		return uint8(d), d <= math.MaxUint8
+	}
+	var ok bool
 	switch {
 	case st.hitLines == 0 && kinds(OpWork, OpFetch, OpWork, OpFetch, OpDispatch):
 		st.shape = shapeWFWFD
-		st.f1, st.l1 = ops[3].a, ops[3].b
+		st.f1 = ops[3].a
+		if st.span1, ok = span(ops[3]); !ok {
+			return false
+		}
 	case kinds(OpWork, OpFetch, OpWork, OpDispatch):
 		st.shape = shapeWFWD
 	case st.hitLines == 0 && kinds(OpWork, OpFetch, OpWork):
@@ -192,10 +216,49 @@ func (st *loweredStep) classify(ops []lowOp) bool {
 	default:
 		return false
 	}
-	st.w0, st.f0, st.l0, st.w1 = ops[0].cycles, ops[1].a, ops[1].b, ops[2].cycles
-	if d := ops[len(ops)-1]; d.kind == OpDispatch {
-		st.branch, st.hint, st.target = d.a, d.b, d.c
+	st.w0, st.f0, st.w1 = ops[0].cycles, ops[1].a, ops[2].cycles
+	if st.span0, ok = span(ops[1]); !ok {
+		return false
 	}
+	if d := ops[len(ops)-1]; d.kind == OpDispatch {
+		st.branch = d.a
+	}
+	return true
+}
+
+// ApplyStep applies one lowered step, its dispatch (if it has one)
+// predicting hint and jumping to target, and reports whether it did: a
+// step of no fixed shape applies nothing and returns false. The
+// counters and the predictor and I-cache state end bit-identical to
+// the per-event calls the step was lowered from; the Sink is not
+// observed.
+func (s *Sim) ApplyStep(st *Step, hint, target uint64) bool {
+	if st.shape == shapeGeneric {
+		return false
+	}
+	// Every fixed shape starts work, fetch, work.
+	c := &s.C
+	ic := s.ic
+	c.Instructions += uint64(st.instructions)
+	c.Cycles += st.w0
+	// TouchLines' fast path, a one-line hit on the set's most recently
+	// used line, is checked inline, which saves a call on most fetches.
+	if st.span0 != 0 || !ic.HitMRU(st.f0) {
+		s.chargeMisses(ic.TouchLines(st.f0, st.f0+uint64(st.span0)))
+	}
+	c.Cycles += st.w1
+	switch st.shape {
+	case shapeWFW:
+		return true
+	case shapeWFWFD:
+		if st.span1 != 0 || !ic.HitMRU(st.f1) {
+			s.chargeMisses(ic.TouchLines(st.f1, st.f1+uint64(st.span1)))
+		}
+	case shapeWFWD:
+		ic.Accesses += uint64(st.hitLines)
+	}
+	c.Dispatches++
+	s.Indirect(st.branch, hint, target)
 	return true
 }
 

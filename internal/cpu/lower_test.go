@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"vmopt/internal/metrics"
@@ -85,7 +86,7 @@ func randomDict(r *rand.Rand, m Machine, entries int) [][]Op {
 		// guaranteed hit unless it runs past the range.
 		br := a + uint64(r.Intn(size))
 		var e []Op
-		switch r.Intn(13) {
+		switch r.Intn(14) {
 		case 0: // the empty step
 		case 1, 2: // a dispatching step
 			e = []Op{work(), fetch(a, size), work(), fetch(br, 4+r.Intn(8)), dispatch(br)}
@@ -111,6 +112,8 @@ func randomDict(r *rand.Rand, m Machine, entries int) [][]Op {
 		case 11: // a dispatching step whose first fetch is wider than the set count
 			wide := int(stride) + r.Intn(int(2*stride))
 			e = []Op{work(), fetch(a, wide), work(), fetch(a+uint64(r.Intn(wide)), 4), dispatch(a)}
+		case 12: // a re-fetch of the step's line after its dispatch
+			e = []Op{work(), fetch(a, size), work(), fetch(br, 4), dispatch(br), fetch(a, 1)}
 		default: // a random soup
 			for range 1 + r.Intn(12) {
 				switch r.Intn(4) {
@@ -170,6 +173,47 @@ func TestApplyStepsMatchesReference(t *testing.T) {
 	}
 }
 
+// TestApplyStepTakesDestination: the engine lowers a step once and
+// supplies each executed dispatch's hint and target on apply. Lowering
+// random entries with their dispatch hint and target zeroed, then
+// applying each with a fresh destination, must match Apply over the
+// entry with that destination filled in.
+func TestApplyStepTakesDestination(t *testing.T) {
+	for _, m := range lowerMachines() {
+		for seed := int64(1); seed <= 10; seed++ {
+			r := rand.New(rand.NewSource(seed))
+			dict := randomDict(r, m, 1+r.Intn(40))
+			got, want := NewSim(m), NewSim(m)
+			steps := make([]Step, len(dict))
+			for k, e := range dict {
+				blank := append([]Op(nil), e...)
+				for i := range blank {
+					if blank[i].Kind == OpDispatch {
+						blank[i].B, blank[i].C = 0, 0
+					}
+				}
+				steps[k], _ = got.LowerStep(blank)
+			}
+			for _, id := range randomIDs(r, len(dict), 2000) {
+				e := append([]Op(nil), dict[id]...)
+				hint, target := uint64(r.Intn(8)), uint64(r.Intn(1<<12))&^3
+				for i := range e {
+					if e[i].Kind == OpDispatch {
+						e[i].B, e[i].C = hint, target
+					}
+				}
+				if !got.ApplyStep(&steps[id], hint, target) {
+					got.Apply(e)
+				}
+				want.Apply(e)
+			}
+			if !sameState(got, want) {
+				t.Fatalf("%s seed %d: lowered steps diverged:\n  got  %+v\n  want %+v", m.Name, seed, got.C, want.C)
+			}
+		}
+	}
+}
+
 // TestLowerDropsGuaranteedHits pins the lowering of the shapes
 // core.Run emits on a Celeron (32-byte lines, 128 sets): a dispatch
 // fetch inside the step's fetched lines is dropped, one outside them
@@ -185,7 +229,7 @@ func TestLowerDropsGuaranteedHits(t *testing.T) {
 		name  string
 		entry []Op
 		shape shape
-		hits  uint64
+		hits  uint8
 	}{
 		{"inside", []Op{w, f(0x1000, 40), w, f(0x1010, 4), d}, shapeWFWD, 1},
 		{"second line", []Op{w, f(0x1000, 40), w, f(0x1020, 4), d}, shapeWFWD, 1},
@@ -195,6 +239,9 @@ func TestLowerDropsGuaranteedHits(t *testing.T) {
 		{"wide, evicted line", []Op{w, f(0x1000, stride+32), w, f(0x1000, 4), d}, shapeWFWFD, 0},
 		{"wide, latest line", []Op{w, f(0x1000, stride+32), w, f(0x1000+stride, 4), d}, shapeWFWD, 1},
 		{"zero size", []Op{w, f(0x1000, 8), w, f(0x1000, 0), d}, shapeWFWD, 0},
+		{"too many hit lines", append([]Op{w, f(0x1000, 256), w}, append(slices.Repeat([]Op{f(0x1000, 256)}, 40), d)...), shapeGeneric, 0},
+		{"too much work", []Op{{Kind: OpWork, A: 1 << 33}, f(0x1000, 40), w, f(0x1040, 4), d}, shapeGeneric, 0},
+		{"too wide", []Op{w, f(0x1000, 256*32+1), w, f(0x1000, 4), d}, shapeGeneric, 0},
 	} {
 		s := NewSim(Celeron800)
 		st := s.lower([][]Op{c.entry})[0]

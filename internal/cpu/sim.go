@@ -50,7 +50,7 @@ type Sim struct {
 
 	// steps holds the dictionary ApplySteps last lowered; each call
 	// rebuilds it in place (see lower).
-	steps []loweredStep
+	steps []replayStep
 }
 
 // NewSim builds a simulator for the machine.

@@ -155,7 +155,7 @@ func (v *VM) Step() (core.Event, error) {
 	from := v.pc
 	in := v.code[from]
 	v.Steps++
-	ev := core.Event{From: from, To: from + 1, Kind: core.EvFall}
+	ev := core.Event{To: from + 1, Kind: core.EvFall}
 	err := v.exec(in, &ev)
 	if err != nil {
 		return core.Event{}, fmt.Errorf("at %d (%s): %w", from, OpName(in.Op), err)
@@ -183,7 +183,7 @@ func (v *VM) exec(in core.Inst, ev *core.Event) error {
 	case OpHalt:
 		v.halted = true
 		ev.Kind = core.EvHalt
-		ev.To = ev.From
+		ev.To = v.pc
 
 	case OpLit:
 		return v.push(in.Arg)
@@ -546,7 +546,7 @@ func (v *VM) exec(in core.Inst, ev *core.Event) error {
 			ev.To = int(in.Arg)
 		}
 	case OpCall:
-		if err := v.rpush(int64(ev.From + 1)); err != nil {
+		if err := v.rpush(int64(v.pc + 1)); err != nil {
 			return err
 		}
 		ev.Kind = core.EvCall
@@ -563,7 +563,7 @@ func (v *VM) exec(in core.Inst, ev *core.Event) error {
 		if err != nil {
 			return err
 		}
-		if err := v.rpush(int64(ev.From + 1)); err != nil {
+		if err := v.rpush(int64(v.pc + 1)); err != nil {
 			return err
 		}
 		if xt < 0 || xt >= int64(len(v.code)) {

@@ -327,13 +327,14 @@ func TestEventKinds(t *testing.T) {
 	wantKinds := []core.EventKind{core.EvFall, core.EvFall, core.EvCall, core.EvReturn, core.EvTaken, core.EvHalt}
 	wantTo := []int{1, 2, 5, 3, 6, 6}
 	for k := 0; !v.Done(); k++ {
+		from := v.PC()
 		ev, err := v.Step()
 		if err != nil {
 			t.Fatalf("step %d: %v", k, err)
 		}
 		if ev.Kind != wantKinds[k] || ev.To != wantTo[k] {
 			t.Errorf("step %d: event = %v->%d kind %v, want ->%d kind %v",
-				k, ev.From, ev.To, ev.Kind, wantTo[k], wantKinds[k])
+				k, from, ev.To, ev.Kind, wantTo[k], wantKinds[k])
 		}
 	}
 }

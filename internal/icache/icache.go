@@ -95,13 +95,22 @@ func (c *Cache) Touch(addr uint64, size int) int {
 // does for the byte range Lines mapped to them, and returns the number
 // that missed. An empty range (first > last) fetches nothing.
 func (c *Cache) TouchLines(first, last uint64) int {
-	// A one-line fetch that hits its set's most recently used way
-	// changes nothing but the access count.
-	if first == last && c.keys[int(first&c.mask)*c.ways] == first+1 {
-		c.Accesses++
+	if first == last && c.HitMRU(first) {
 		return 0
 	}
 	return c.touchRange(first, last)
+}
+
+// HitMRU fetches line if it is its set's most recently used, and
+// reports whether it was: such a fetch hits and changes nothing but the
+// access count. It is TouchLines' fast path, small enough to inline
+// into a caller's loop.
+func (c *Cache) HitMRU(line uint64) bool {
+	if c.keys[int(line&c.mask)*c.ways] == line+1 {
+		c.Accesses++
+		return true
+	}
+	return false
 }
 
 // touchRange fetches the lines first..last in order, with the full

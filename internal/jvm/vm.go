@@ -181,7 +181,7 @@ func (v *VM) Step() (core.Event, error) {
 	from := v.pc
 	in := v.code[from]
 	v.Steps++
-	ev := core.Event{From: from, To: from + 1, Kind: core.EvFall}
+	ev := core.Event{To: from + 1, Kind: core.EvFall}
 	err := v.exec(in, &ev)
 	if err != nil {
 		return core.Event{}, fmt.Errorf("at %d (%s): %w", from, OpName(in.Op), err)
@@ -190,9 +190,9 @@ func (v *VM) Step() (core.Event, error) {
 	return ev, nil
 }
 
-// quicken rewrites the instruction at ev.From and marks the event.
+// quicken rewrites the executing instruction and marks the event.
 func (v *VM) quicken(ev *core.Event, newOp uint32, newArg int64) {
-	v.code[ev.From] = core.Inst{Op: newOp, Arg: newArg}
+	v.code[v.pc] = core.Inst{Op: newOp, Arg: newArg}
 	ev.Quickened = true
 	ev.NewOp = newOp
 }
@@ -485,7 +485,7 @@ func (v *VM) exec(in core.Inst, ev *core.Event) error {
 		if len(v.frames) == 0 {
 			v.halted = true
 			ev.Kind = core.EvHalt
-			ev.To = ev.From
+			ev.To = v.pc
 			if in.Op == OpIreturn {
 				// Main's return value lands on the operand stack.
 				return v.push(ret)
@@ -557,7 +557,7 @@ func (v *VM) execPutfield(off int64) error {
 
 func (v *VM) execInvokestatic(id int64, ev *core.Event) error {
 	m := v.prog.Methods[id]
-	if err := v.call(m, ev.From+1); err != nil {
+	if err := v.call(m, v.pc+1); err != nil {
 		return err
 	}
 	ev.Kind = core.EvCall
@@ -577,7 +577,7 @@ func (v *VM) execInvokevirtual(vslot int64, ev *core.Event) error {
 		return err
 	}
 	_ = recv
-	if err := v.call(m, ev.From+1); err != nil {
+	if err := v.call(m, v.pc+1); err != nil {
 		return err
 	}
 	ev.Kind = core.EvIndirect
