@@ -329,10 +329,9 @@ func checkMetricsMain(args []string) error {
 		`vmserved_cache_hits_total`,
 		`vmserved_cache_misses_total`,
 		`vmserved_cache_evictions_total`,
-		`vmserved_compiled_builds_total`,
-		`vmserved_compiled_hits_total`,
-		`vmserved_compiled_evictions_total`,
-		`vmserved_compiled_bytes`,
+		`vmserved_trace_memory_hits_total`,
+		`vmserved_trace_memory_evictions_total`,
+		`vmserved_trace_memory_bytes`,
 		`vmserved_in_flight`,
 		`vmserved_request_seconds_count{endpoint="run"}`,
 		`go_goroutines`,

@@ -28,10 +28,10 @@
 // port. -access-log writes one JSON record per request (request ID,
 // endpoint, status, cache outcome, latency) to stderr.
 //
-// -compiled-budget bounds the in-memory compiled tier: a trace loaded
-// from the cache -compile-after times stays resident in its decoded
-// form and is served from memory with no disk read and no decode (see
-// the README "Compiled replay" section; 0 disables the tier).
+// With -trace-cache, every trace loaded from disk stays decoded in
+// memory under a fixed 16 MiB budget, least recently used first out,
+// and later loads of it skip the disk read and the decode (see the
+// README "Memory tier" section).
 //
 // Cluster mode (see internal/cluster and the README "Cluster"
 // section):
@@ -88,8 +88,6 @@ func main() {
 	inflight := flag.Int("inflight", serve.DefaultMaxInFlight, "max concurrently executing run/sweep requests (backpressure; 503 beyond)")
 	maxCells := flag.Int("max-cells", serve.DefaultMaxCells, "max cells one sweep may resolve to")
 	scaleDiv := flag.Int("scalediv", 1, "default scale divisor for requests that omit scalediv")
-	compiledBudget := flag.Int64("compiled-budget", serve.DefaultCompiledBudget, "byte budget for the in-memory compiled tier of resident traces (0 disables)")
-	compileAfter := flag.Int("compile-after", disptrace.DefaultCompileAfter, "disk loads of the same trace before the compiled tier keeps it resident")
 	runDeadline := flag.Duration("run-deadline", 0, "server-side deadline for one /v1/run request (504 beyond; 0 = none)")
 	sweepDeadline := flag.Duration("sweep-deadline", 0, "server-side deadline for one /v1/sweep request (0 = none)")
 	diffDeadline := flag.Duration("diff-deadline", 0, "server-side deadline for one /v1/diff request (0 = none)")
@@ -149,12 +147,6 @@ func main() {
 		SweepDeadline:   *sweepDeadline,
 		DiffDeadline:    *diffDeadline,
 		InstanceID:      *instanceID,
-		CompiledBudget:  *compiledBudget,
-		CompileAfter:    *compileAfter,
-	}
-	if *compiledBudget == 0 {
-		// The flag's 0 means "off"; Config's 0 means "default budget".
-		cfg.CompiledBudget = -1
 	}
 	if cfg.InstanceID == "" {
 		cfg.InstanceID = defaultInstanceID(*addr)

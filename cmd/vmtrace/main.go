@@ -19,9 +19,8 @@
 // direct simulation from the trace's recorded configuration and fails
 // unless every counter matches byte for byte (the CI equivalence
 // smoke). info prints a trace's metadata, stream statistics, the size
-// of its step dictionary and the stored and raw bytes of its step-ID
-// stream. compile reports what each trace costs resident in
-// vmserved's compiled tier.
+// of its step dictionary, the stored and raw bytes of its step-ID
+// stream, and what the trace costs resident in memory.
 // diff aligns two traces of the same workload by VM instruction index
 // — the paper's Tables I-IV comparison as a tool — and reports where
 // their dispatch streams diverge: either between two trace files, or
@@ -34,9 +33,7 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"strings"
-	"time"
 
 	"vmopt/internal/cpu"
 	"vmopt/internal/disptrace"
@@ -53,13 +50,12 @@ func main() {
 }
 
 func usage() error {
-	return fmt.Errorf("usage: vmtrace <record|replay|info|diff|compile> [flags]\n" +
+	return fmt.Errorf("usage: vmtrace <record|replay|info|diff> [flags]\n" +
 		"  record -bench NAME -variant NAME [-scalediv N] [-maxsteps N] [-machine NAME] -o FILE\n" +
 		"  replay [-machine NAME] [-verify] FILE\n" +
 		"  info FILE\n" +
 		"  diff [-n N] FILE_A FILE_B\n" +
-		"  diff [-n N] -bench NAME -a VARIANT -b VARIANT [-scalediv N] [-maxsteps N] [-trace-cache DIR]\n" +
-		"  compile [-verify] [-machine NAME] FILE... | -cache DIR")
+		"  diff [-n N] -bench NAME -a VARIANT -b VARIANT [-scalediv N] [-maxsteps N] [-trace-cache DIR]")
 }
 
 func run(stdout io.Writer, args []string) error {
@@ -75,8 +71,6 @@ func run(stdout io.Writer, args []string) error {
 		return infoMain(stdout, args[1:])
 	case "diff":
 		return diffMain(stdout, args[1:])
-	case "compile":
-		return compileMain(stdout, args[1:])
 	default:
 		return usage()
 	}
@@ -306,83 +300,6 @@ func formatStep(d disptrace.StepDiff) string {
 	return s + ", no dispatch"
 }
 
-// compileMain reports what each trace costs resident in vmserved's
-// compiled tier — budget sizing: the per-trace and total footprints
-// it prints are what the traces will cost against -compiled-budget
-// once hot. -verify replays each trace and requires counters
-// byte-identical to a direct simulation of its recorded
-// configuration.
-func compileMain(stdout io.Writer, args []string) error {
-	fs := flag.NewFlagSet("compile", flag.ContinueOnError)
-	cacheDir := fs.String("cache", "", "compile every trace in this cache directory instead of FILE arguments")
-	verify := fs.Bool("verify", false, "replay each trace and require counters byte-identical to direct simulation")
-	machine := fs.String("machine", cpu.Celeron800.Name, "machine model -verify replays on")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	m, err := cpu.MachineByName(*machine)
-	if err != nil {
-		return err
-	}
-	var paths []string
-	switch {
-	case *cacheDir != "":
-		if fs.NArg() > 0 {
-			return fmt.Errorf("compile: unexpected argument %q alongside -cache", fs.Arg(0))
-		}
-		entries, err := disptrace.NewCache(*cacheDir).List()
-		if err != nil {
-			return err
-		}
-		for _, e := range entries {
-			paths = append(paths, filepath.Join(*cacheDir, e.ID+".vmdt"))
-		}
-		if len(paths) == 0 {
-			return fmt.Errorf("compile: no traces in cache %s", *cacheDir)
-		}
-	case fs.NArg() > 0:
-		paths = fs.Args()
-	default:
-		return fmt.Errorf("compile: want trace files or -cache DIR")
-	}
-
-	var total int64
-	for _, p := range paths {
-		start := time.Now()
-		tr, err := disptrace.Load(p)
-		if err != nil {
-			return err
-		}
-		a, err := tr.Compile()
-		if err != nil {
-			return fmt.Errorf("%s: %w", p, err)
-		}
-		fmt.Fprintf(stdout, "%s: %s/%s, %d dictionary steps over %d VM instructions, %d bytes resident, loaded in %s\n",
-			p, tr.Header.Workload, tr.Header.Variant, a.DictSteps(), a.Insts(), a.Bytes(),
-			time.Since(start).Round(time.Millisecond))
-		total += a.Bytes()
-		if *verify {
-			got, err := disptrace.ReplayMachine(tr, m)
-			if err != nil {
-				return err
-			}
-			want, err := directRun(tr, m)
-			if err != nil {
-				return fmt.Errorf("%s: verify: %w", p, err)
-			}
-			if got != want {
-				return fmt.Errorf("%s: verify FAILED: replay diverged from direct simulation\n  direct   %+v\n  replayed %+v", p, want, got)
-			}
-			fmt.Fprintf(stdout, "  verify OK: replay byte-identical to direct simulation on %s\n", m.Name)
-		}
-	}
-	if len(paths) > 1 {
-		fmt.Fprintf(stdout, "total: %d trace(s), %d bytes resident when hot (size -compiled-budget accordingly)\n",
-			len(paths), total)
-	}
-	return nil
-}
-
 func infoMain(stdout io.Writer, args []string) error {
 	fs := flag.NewFlagSet("info", flag.ContinueOnError)
 	if err := fs.Parse(args); err != nil {
@@ -425,5 +342,5 @@ func printStreamStats(w io.Writer, meta disptrace.Meta, tr *disptrace.Trace) {
 	}
 	fmt.Fprintf(w, "id stream:  %d bytes stored, %d raw, %.2fx compression\n",
 		meta.StreamStoredBytes, meta.StreamRawBytes, ratio)
-	fmt.Fprintf(w, "resident:   %d bytes (see `vmtrace compile`)\n", tr.Arena().Bytes())
+	fmt.Fprintf(w, "resident:   %d bytes\n", tr.Arena().Bytes())
 }

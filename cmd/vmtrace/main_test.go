@@ -3,11 +3,14 @@ package main
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"vmopt/internal/disptrace"
 )
 
 // TestRecordReplayInfoVerify walks the full CLI surface: record a
@@ -189,39 +192,23 @@ func TestInfoRejectsOldFormat(t *testing.T) {
 	}
 }
 
-// TestCompileSubcommand records a trace, compiles it with -verify
-// (byte-identity between replay and direct simulation), and checks
-// the info surface reports the resident footprint.
-func TestCompileSubcommand(t *testing.T) {
+// TestInfoReportsResident records a trace and checks that info
+// reports what it costs resident in memory.
+func TestInfoReportsResident(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "gray.vmdt")
 	if err := run(io.Discard, []string{"record", "-bench", "gray", "-variant", "plain",
 		"-scalediv", "40", "-o", path}); err != nil {
 		t.Fatalf("record: %v", err)
 	}
-
-	var out bytes.Buffer
-	if err := run(&out, []string{"compile", "-verify", path}); err != nil {
-		t.Fatalf("compile -verify: %v", err)
+	tr, err := disptrace.Load(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, want := range []string{"dictionary steps over", "bytes resident", "verify OK"} {
-		if !strings.Contains(out.String(), want) {
-			t.Errorf("compile output missing %q:\n%s", want, out.String())
-		}
-	}
-
 	var info bytes.Buffer
 	if err := run(&info, []string{"info", path}); err != nil {
 		t.Fatalf("info: %v", err)
 	}
-	if !strings.Contains(info.String(), "resident:   ") {
-		t.Errorf("info lacks the resident line:\n%s", info.String())
-	}
-
-	// Usage errors: no input, and files alongside -cache.
-	if err := run(io.Discard, []string{"compile"}); err == nil {
-		t.Error("compile with no input did not fail")
-	}
-	if err := run(io.Discard, []string{"compile", "-cache", t.TempDir(), path}); err == nil {
-		t.Error("compile -cache with a file argument did not fail")
+	if want := fmt.Sprintf("resident:   %d bytes\n", tr.Arena().Bytes()); !strings.Contains(info.String(), want) {
+		t.Errorf("info lacks %q:\n%s", want, info.String())
 	}
 }

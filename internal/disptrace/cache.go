@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
+	"math"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -57,15 +58,26 @@ func (k Key) Header() Header {
 	}
 }
 
-// matches reports whether a loaded trace's header describes this key
-// (belt and braces over the content address: a stale or hand-renamed
-// file is rejected instead of silently replayed).
-func (k Key) matches(h Header) bool {
-	return h.Workload == k.Workload && h.Lang == k.Lang &&
-		h.Variant == k.Variant && h.Technique == k.Technique &&
-		h.Scale == k.Scale && h.ScaleDiv == k.ScaleDiv &&
-		h.MaxSteps == k.MaxSteps && h.ISAHash == k.ISAHash
+// keyOf is the inverse of Key.Header: the key a trace header was
+// recorded under. A loaded trace matches its key when keyOf gives the
+// key back (belt and braces over the content address: a stale or
+// hand-renamed file is rejected instead of silently replayed).
+func keyOf(h Header) Key {
+	return Key{
+		Workload: h.Workload, Lang: h.Lang,
+		Variant: h.Variant, Technique: h.Technique,
+		Scale: h.Scale, ScaleDiv: h.ScaleDiv,
+		MaxSteps: h.MaxSteps, ISAHash: h.ISAHash,
+	}
 }
+
+// memoryBudget bounds the resident bytes (Arena.Bytes) of the decoded
+// traces a Cache keeps in memory. 16 MiB holds the largest paper-grid
+// trace at full scale (11.1 MB), so one trace walked across every
+// machine decodes once; a larger budget only adds heap (about a
+// megabyte per megabyte of budget on the serve-replay benchmark) with
+// no gain in its latency.
+const memoryBudget = 16 << 20
 
 // Cache is a content-addressed on-disk trace store: traces live under
 // Dir as <key-id>.vmdt. Concurrent recordings of the same key are
@@ -73,9 +85,9 @@ func (k Key) matches(h Header) bool {
 // a directory stay safe through atomic writes, at worst recording the
 // same trace twice.
 //
-// Loaded traces are memoized in memory only by the Compiled tier,
-// which keeps hot traces resident under a byte budget; every other
-// load reads and decodes the file again.
+// Decoded traces stay in memory in one least-recently-used list under
+// a byte budget (memoryBudget), so a load runs down the ladder memory
+// → disk → peer (Fill) → simulate. Build a Cache with NewCache.
 type Cache struct {
 	// Dir is the cache directory (created on first store).
 	Dir string
@@ -99,13 +111,11 @@ type Cache struct {
 	Fill   func(k Key) ([]byte, error)
 	FillID func(id string) ([]byte, error)
 
-	// Compiled, when non-nil, is the in-memory tier of resident
-	// traces: every clean disk load is offered to it, hot traces stay
-	// resident, and tier hits skip the disk read and the decode
-	// entirely. Quarantine and scrub invalidate tier entries together
-	// with their files. nil disables the tier. Set before the cache
-	// serves traffic.
-	Compiled *CompiledTier
+	// mem holds decoded traces by ID, each weighed by its
+	// Arena.Bytes. Load and LoadID add every clean disk decode and
+	// serve later loads from it without a read or a decode;
+	// quarantine drops an entry together with its file.
+	mem *runner.LRU[string, *Trace]
 
 	flight runner.Flight[string, cacheOutcome]
 
@@ -117,7 +127,7 @@ type Cache struct {
 	// are dropped during List.
 	metas sync.Map
 
-	loads, records, joined              atomic.Uint64
+	loads, records, joined, memHits     atomic.Uint64
 	quarantined, readErrors, saveErrors atomic.Uint64
 	peerFills, peerFillMisses           atomic.Uint64
 	peerFillErrors, peerServes          atomic.Uint64
@@ -133,9 +143,9 @@ type cachedMeta struct {
 
 // CacheStats counts cache activity since process start; the serving
 // subsystem reports it on /v1/stats. Loads + Records is the number of
-// flights that ran (disk hits vs fresh recordings); Joined counts
-// GetOrRecord calls that coalesced onto an in-progress flight instead
-// of touching the disk at all.
+// flights that ran (loads from memory or disk vs fresh recordings);
+// Joined counts GetOrRecord calls that coalesced onto an in-progress
+// flight instead of touching the disk at all.
 type CacheStats struct {
 	Loads   uint64 `json:"loads"`
 	Records uint64 `json:"records"`
@@ -162,14 +172,18 @@ type CacheStats struct {
 	PeerFillErrors uint64 `json:"peer_fill_errors,omitempty"`
 	PeerServes     uint64 `json:"peer_serves,omitempty"`
 
-	// Compiled reports the in-memory compiled tier of resident traces
-	// (absent when the cache runs without one).
-	Compiled *CompiledStats `json:"compiled,omitempty"`
+	// MemoryHits counts loads served from memory, with no disk read
+	// and no decode; MemoryEvictions counts decoded traces the byte
+	// budget displaced (quarantine removals are not counted);
+	// MemoryBytes is the resident size of the traces held now.
+	MemoryHits      uint64 `json:"memory_hits"`
+	MemoryEvictions uint64 `json:"memory_evictions"`
+	MemoryBytes     int64  `json:"memory_bytes"`
 }
 
 // Stats snapshots the cache's activity counters.
 func (c *Cache) Stats() CacheStats {
-	cs := CacheStats{
+	return CacheStats{
 		Loads:          c.loads.Load(),
 		Records:        c.records.Load(),
 		Joined:         c.joined.Load(),
@@ -180,17 +194,12 @@ func (c *Cache) Stats() CacheStats {
 		PeerFillMisses: c.peerFillMisses.Load(),
 		PeerFillErrors: c.peerFillErrors.Load(),
 		PeerServes:     c.peerServes.Load(),
-	}
-	if c.Compiled != nil {
-		s := c.Compiled.Stats()
-		cs.Compiled = &s
-	}
-	return cs
-}
 
-// CompiledStats snapshots the compiled tier's counters (zeroes when
-// the cache runs without one) — the vmserved_compiled_* metrics.
-func (c *Cache) CompiledStats() CompiledStats { return c.Compiled.Stats() }
+		MemoryHits:      c.memHits.Load(),
+		MemoryEvictions: c.mem.Evictions(),
+		MemoryBytes:     c.mem.Weight(),
+	}
+}
 
 // Quarantined reports files quarantined since process start (the
 // vmserved_cache_quarantined_total metric).
@@ -203,7 +212,35 @@ type cacheOutcome struct {
 }
 
 // NewCache returns a cache rooted at dir.
-func NewCache(dir string) *Cache { return &Cache{Dir: dir} }
+func NewCache(dir string) *Cache {
+	return &Cache{Dir: dir, mem: newMemory(memoryBudget)}
+}
+
+// newMemory returns the in-memory list of decoded traces, bounded by
+// budget bytes alone: every entry weighs at least its arena's slice
+// headers, so the budget also bounds the entry count.
+func newMemory(budget int64) *runner.LRU[string, *Trace] {
+	return runner.NewWeightedLRU[string](math.MaxInt, budget,
+		func(t *Trace) int64 { return t.arena.Bytes() })
+}
+
+// memGet returns the decoded trace memory holds for id, or nil.
+func (c *Cache) memGet(id string) *Trace {
+	t, _ := c.mem.Get(id)
+	if t != nil {
+		c.memHits.Add(1)
+	}
+	return t
+}
+
+// remember keeps a clean decode in memory. A trace heavier than the
+// whole budget is served but not kept: holding it would evict
+// everything else and still break the bound.
+func (c *Cache) remember(id string, t *Trace) {
+	if t.arena.Bytes() <= c.mem.Budget() {
+		c.mem.Add(id, t)
+	}
+}
 
 // Path returns the file a key's trace is stored at.
 func (c *Cache) Path(k Key) string {
@@ -221,10 +258,10 @@ const QuarantineDir = "quarantine"
 // instead — a poisoned entry that cannot be set aside must still not
 // wedge every future run on its key.
 func (c *Cache) quarantine(path string) {
-	// The compiled tier must never outlive its file: a quarantined
-	// entry's resident trace (and hotness count) goes with it, so the
-	// healed replacement re-earns its place from clean bytes.
-	c.Compiled.Invalidate(strings.TrimSuffix(filepath.Base(path), ".vmdt"))
+	// Memory must never outlive its file: a quarantined entry's
+	// decoded trace goes with it, so the healed replacement is
+	// decoded from clean bytes.
+	c.mem.Remove(strings.TrimSuffix(filepath.Base(path), ".vmdt"))
 	qdir := filepath.Join(c.Dir, QuarantineDir)
 	if err := os.MkdirAll(qdir, 0o755); err == nil {
 		if os.Rename(path, filepath.Join(qdir, filepath.Base(path))) == nil {
@@ -261,7 +298,7 @@ func (c *Cache) readFile(path string) ([]byte, error) {
 // re-simulating instead).
 func (c *Cache) Load(k Key) (*Trace, error) {
 	id := k.ID()
-	if t := c.Compiled.Get(id); t != nil {
+	if t := c.memGet(id); t != nil {
 		return t, nil
 	}
 	path := filepath.Join(c.Dir, id+".vmdt")
@@ -279,11 +316,11 @@ func (c *Cache) Load(k Key) (*Trace, error) {
 		c.quarantine(path)
 		return nil, nil
 	}
-	if !k.matches(t.Header) {
+	if keyOf(t.Header) != k {
 		c.quarantine(path)
 		return nil, nil
 	}
-	c.Compiled.Offer(id, t)
+	c.remember(id, t)
 	return t, nil
 }
 
@@ -398,9 +435,9 @@ func (c *Cache) LoadID(id string) (*Trace, int64, error) {
 		return nil, 0, fmt.Errorf("disptrace: %w", err)
 	}
 	// The stat above keeps deleted files reporting ErrNoTrace even
-	// when the tier still remembers them; past it, a tier hit skips
-	// the read and decode.
-	if t := c.Compiled.Get(id); t != nil {
+	// when memory still holds them; past it, a memory hit skips the
+	// read and decode.
+	if t := c.memGet(id); t != nil {
 		return t, fi.Size(), nil
 	}
 	b, err := c.readFile(path)
@@ -415,14 +452,14 @@ func (c *Cache) LoadID(id string) (*Trace, int64, error) {
 		c.quarantine(path)
 		return nil, 0, ErrNoTrace
 	}
-	c.Compiled.Offer(id, t)
+	c.remember(id, t)
 	return t, fi.Size(), nil
 }
 
 // MetaID reads one cached trace's metadata by its content address:
 // the header and index, with the file's checksum verified, returned
 // with the file's size. Neither the dictionary nor the ID stream is
-// parsed, and the read is no load for the compiled tier. Absent IDs
+// parsed, and the read neither consults nor fills memory. Absent IDs
 // (after a peer fill attempt) return ErrNoTrace; a file that fails its
 // checksum or is of another format version is quarantined and
 // reported as absent, as LoadID does.
@@ -526,7 +563,7 @@ func (c *Cache) fill(k Key) *Trace {
 		return nil
 	}
 	t, err := Decode(b)
-	if err != nil || !k.matches(t.Header) {
+	if err != nil || keyOf(t.Header) != k {
 		c.peerFillErrors.Add(1)
 		return nil
 	}
@@ -559,11 +596,7 @@ func (c *Cache) fillID(id string) (*Trace, []byte, bool) {
 		c.peerFillErrors.Add(1)
 		return nil, nil, false
 	}
-	h := t.Header
-	k := Key{Workload: h.Workload, Lang: h.Lang, Variant: h.Variant,
-		Technique: h.Technique, Scale: h.Scale, ScaleDiv: h.ScaleDiv,
-		MaxSteps: h.MaxSteps, ISAHash: h.ISAHash}
-	if k.ID() != id {
+	if keyOf(t.Header).ID() != id {
 		c.peerFillErrors.Add(1)
 		return nil, nil, false
 	}
@@ -632,14 +665,8 @@ func (c *Cache) Scrub() (ScrubReport, error) {
 		rep.Checked++
 		rep.Bytes += int64(len(b))
 		t, derr := Decode(b)
-		if derr == nil {
-			h := t.Header
-			k := Key{Workload: h.Workload, Lang: h.Lang, Variant: h.Variant,
-				Technique: h.Technique, Scale: h.Scale, ScaleDiv: h.ScaleDiv,
-				MaxSteps: h.MaxSteps, ISAHash: h.ISAHash}
-			if k.ID() == id {
-				continue
-			}
+		if derr == nil && keyOf(t.Header).ID() == id {
+			continue
 		}
 		c.quarantine(path)
 		rep.Quarantined++

@@ -163,17 +163,19 @@ func TestFillID(t *testing.T) {
 }
 
 // TestMetaID: the by-ID metadata read returns the file's header and
-// index with its size, without loading the trace into the compiled
-// tier; it fills from FillID on a local miss, and quarantines a file
+// index with its size, without consulting or filling the cache's
+// memory of decoded traces; it fills from FillID on a local miss, and quarantines a file
 // that fails its checksum or is of another format version.
 func TestMetaID(t *testing.T) {
 	k := healKey()
 	id := k.ID()
 	c := disptrace.NewCache(t.TempDir())
-	c.Compiled = disptrace.NewCompiledTier(1<<30, 1)
 	calls := 0
 	if _, _, err := c.GetOrRecord(k, healRecorder(k, &calls)); err != nil {
 		t.Fatal(err)
+	}
+	if _, err := c.Load(k); err != nil || !disptrace.InMemory(c, id) {
+		t.Fatalf("load did not keep the trace in memory: err=%v", err)
 	}
 	want, err := disptrace.ReadMeta(c.Path(k))
 	if err != nil {
@@ -183,15 +185,15 @@ func TestMetaID(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := c.CompiledStats()
+	before := c.Stats()
 	for range 3 {
 		m, size, err := c.MetaID(id)
 		if err != nil || m != want || size != int64(len(raw)) {
 			t.Fatalf("MetaID = %+v, %d, %v; want %+v, %d", m, size, err, want, len(raw))
 		}
 	}
-	if after := c.CompiledStats(); after != before {
-		t.Errorf("metadata reads touched the compiled tier: %+v -> %+v", before, after)
+	if after := c.Stats(); after != before {
+		t.Errorf("metadata reads touched the cache's loads or memory: %+v -> %+v", before, after)
 	}
 	if _, _, err := c.MetaID("not-an-id"); !errors.Is(err, disptrace.ErrNoTrace) {
 		t.Errorf("invalid ID: err=%v", err)

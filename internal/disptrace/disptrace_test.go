@@ -512,10 +512,17 @@ func TestCacheGetOrRecord(t *testing.T) {
 		t.Fatalf("distinct key: err=%v recorded=%v calls=%d", err, recorded, calls)
 	}
 
-	// Corrupt the file on disk: the cache must heal by re-recording.
+	// Corrupt the file on disk. Memory keeps serving the verified
+	// decode of the second call until the disk is read again.
 	if err := os.WriteFile(c.Path(k), []byte("garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	if _, recorded, err = c.GetOrRecord(k, record); err != nil || recorded || calls != 2 {
+		t.Fatalf("memory should serve over a corrupt file: err=%v recorded=%v calls=%d", err, recorded, calls)
+	}
+
+	// A restarted cache reads the disk: it must heal by re-recording.
+	c = disptrace.NewCache(c.Dir)
 	if _, recorded, err = c.GetOrRecord(k, record); err != nil || !recorded || calls != 3 {
 		t.Fatalf("corrupt file should re-record: err=%v recorded=%v calls=%d", err, recorded, calls)
 	}

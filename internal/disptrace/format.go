@@ -170,13 +170,20 @@ type Trace struct {
 	Header Header
 
 	arena *Arena
-	// compiled marks a trace the compiled tier holds (see Compile):
-	// its replays report the "compiled" stage instead of "apply".
-	compiled bool
 }
 
 // Arena returns the trace's resident form.
 func (t *Trace) Arena() *Arena { return t.arena }
+
+// Compile returns the trace's resident form, which decoding already
+// built; the error is always nil. Its only caller is perfbench's
+// replay probe, and it goes with the next change to the benchmark.
+func (t *Trace) Compile() (*Arena, error) { return t.arena, nil }
+
+// Attach makes a the trace's resident form. Its only caller is
+// perfbench's replay probe, and it goes with the next change to the
+// benchmark.
+func (t *Trace) Attach(a *Arena) { t.arena = a }
 
 // maxStringLen bounds length-prefixed strings during decoding so a
 // corrupt header cannot force a huge allocation.

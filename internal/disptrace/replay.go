@@ -44,8 +44,7 @@ func ReplayEach(t *Trace, sims []*cpu.Sim) error {
 
 // ReplayEachCtx is ReplayEach under a request context: when ctx
 // carries an obs trace, the replay's wall time is attributed to its
-// "apply" stage — or to "compiled" when the compiled tier holds the
-// trace (see Compile). Counters are byte-identical either way.
+// "apply" stage.
 func ReplayEachCtx(ctx context.Context, t *Trace, sims []*cpu.Sim) error {
 	start := time.Now()
 	switch len(sims) {
@@ -73,11 +72,7 @@ func ReplayEachCtx(ctx context.Context, t *Trace, sims []*cpu.Sim) error {
 		sim.C.VMInstructions += t.Header.VMInstructions
 	}
 	if obs.FromContext(ctx) != nil {
-		stage := "apply"
-		if t.compiled {
-			stage = "compiled"
-		}
-		obs.Observe(ctx, stage, time.Since(start))
+		obs.Observe(ctx, "apply", time.Since(start))
 	}
 	return nil
 }

@@ -31,23 +31,17 @@ import (
 const (
 	outcomeNone = iota
 	outcomeHit
-	outcomeCompiled
 	outcomeCoalesced
 	outcomeComputed
 	outcomeError
 	outcomeTimeout
 )
 
-var outcomeNames = [...]string{"", "hit", "compiled", "coalesced", "computed", "error", "timeout"}
+var outcomeNames = [...]string{"", "hit", "coalesced", "computed", "error", "timeout"}
 
 // Outcome labels for Trace.SetOutcome.
 const (
-	OutcomeHit = "hit"
-	// OutcomeCompiled marks a request replayed from a trace the
-	// compiled tier holds in memory: no disk read, no decode. It
-	// outranks a plain hit (it says more about how the request was
-	// served) but loses to any outcome that did real work.
-	OutcomeCompiled  = "compiled"
+	OutcomeHit       = "hit"
 	OutcomeCoalesced = "coalesced"
 	OutcomeComputed  = "computed"
 	OutcomeError     = "error"
@@ -207,25 +201,6 @@ func (tr *Trace) Outcome() string {
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
 	return outcomeNames[tr.outcome]
-}
-
-// StageDur reports the total duration attributed to a named stage so
-// far. The serving tier uses it to detect, after a replay, whether the
-// compiled fast path ran (the replay attributes a "compiled" stage)
-// without threading a flag through the replay API. Nil-safe.
-func (tr *Trace) StageDur(name string) time.Duration {
-	if tr == nil {
-		return 0
-	}
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	var d time.Duration
-	for _, sp := range tr.spans {
-		if sp.Name == name {
-			d += sp.Dur
-		}
-	}
-	return d
 }
 
 // Finish seals the trace with the response status and total handler

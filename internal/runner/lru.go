@@ -14,11 +14,10 @@ type lruEntry[K comparable, V any] struct {
 }
 
 // LRU is a bounded concurrency-safe least-recently-used cache. It is
-// the in-memory tier the serving subsystem layers over the
-// content-addressed disk trace cache, and (weighted by bytes, see
-// NewWeightedLRU) the store of the trace cache's compiled tier:
-// strictly bounded and recency-evicting, where Group — the other
-// in-memory cache in this package — deliberately never evicts.
+// the serving subsystem's memo of finished results, and (weighted by
+// bytes, see NewWeightedLRU) the trace cache's memory of decoded
+// traces: strictly bounded and recency-evicting, where Group — the
+// other in-memory cache in this package — deliberately never evicts.
 //
 // A capacity <= 0 disables caching: Get always misses and Add is a
 // no-op, so callers can wire an LRU unconditionally and size it at
@@ -177,6 +176,10 @@ func (c *LRU[K, V]) Weight() int64 {
 	defer c.mu.Unlock()
 	return c.total
 }
+
+// Budget returns the configured weight budget (0 for an unweighted
+// LRU).
+func (c *LRU[K, V]) Budget() int64 { return c.budget }
 
 // Cap returns the configured capacity.
 func (c *LRU[K, V]) Cap() int { return c.cap }

@@ -26,7 +26,7 @@
 //
 // A group that misses the LRU is computed by harness.Suite.Compute,
 // which loads the (workload, variant, scale) dispatch trace down the
-// ladder compiled tier → disk (disptrace.Cache) → peer fill →
+// ladder memory → disk (both in disptrace.Cache) → peer fill →
 // simulate, and replays it into every machine of the group in one
 // pass. Per-scalediv suites hold only what is expensive to rebuild
 // and never a result: the trained static instruction sets.
@@ -108,15 +108,6 @@ type Config struct {
 	// recorder (<= 0 picks obs defaults).
 	DebugRecent  int
 	DebugSlowest int
-	// CompiledBudget bounds the in-memory compiled tier in bytes: hot
-	// cached traces stay resident in their decoded form and are served
-	// with no disk read and no decode. 0 means DefaultCompiledBudget;
-	// < 0 disables the tier. Ignored when Traces is nil or already
-	// carries a tier.
-	CompiledBudget int64
-	// CompileAfter is the disk-load count on which a hot trace earns
-	// its place in the tier; <= 0 means disptrace.DefaultCompileAfter.
-	CompileAfter int
 }
 
 // Defaults for Config fields left zero.
@@ -127,12 +118,6 @@ const (
 	// maxSuites bounds the live per-scalediv suites: scalediv comes
 	// from the request, so the pool must stay bounded.
 	maxSuites = 4
-	// DefaultCompiledBudget is the compiled tier's byte budget when
-	// the config leaves it zero: 256 MiB holds every trace of the
-	// paper grid at scalediv 10 (4 B per VM instruction plus a few
-	// kilobytes of dictionary each) with room to spare, without
-	// competing with the result caches for memory.
-	DefaultCompiledBudget = int64(256) << 20
 )
 
 func (c Config) cacheSize() int {
@@ -161,16 +146,6 @@ func (c Config) defaultScaleDiv() int {
 		return c.DefaultScaleDiv
 	}
 	return 1
-}
-
-func (c Config) compiledBudget() int64 {
-	if c.CompiledBudget < 0 {
-		return 0
-	}
-	if c.CompiledBudget > 0 {
-		return c.CompiledBudget
-	}
-	return DefaultCompiledBudget
 }
 
 // Server is the simulation-as-a-service engine: tiered caches,
@@ -232,11 +207,6 @@ func New(cfg Config) *Server {
 	jobs := cfg.Jobs
 	if jobs <= 0 {
 		jobs = runtime.GOMAXPROCS(0)
-	}
-	if cfg.Traces != nil && cfg.Traces.Compiled == nil {
-		// NewCompiledTier returns nil for a zero budget, which keeps
-		// the tier disabled; the cache's tier hooks are all nil-safe.
-		cfg.Traces.Compiled = disptrace.NewCompiledTier(cfg.compiledBudget(), cfg.CompileAfter)
 	}
 	s := &Server{
 		cfg:        cfg,
@@ -415,7 +385,6 @@ func (s *Server) runGroup(ctx context.Context, g group) (map[string]metrics.Coun
 		for i, rc := range g.cells {
 			machines[i] = rc.m
 		}
-		compiledBefore := tr.StageDur("compiled")
 		cs, err := s.suiteFor(first.cell.scaleDiv).Compute(ctx, first.w, first.v, machines)
 		if err != nil {
 			return nil, err
@@ -427,15 +396,7 @@ func (s *Server) runGroup(ctx context.Context, g group) (map[string]metrics.Coun
 		}
 		s.stats.computedCells.Add(uint64(len(g.cells)))
 		src = fromCompute
-		// A replay of a trace the compiled tier holds (the replay
-		// attributes a "compiled" stage) reports that instead of
-		// "computed"; by rank, real computation anywhere in the
-		// request still wins.
-		if tr.StageDur("compiled") > compiledBefore {
-			tr.SetOutcome(obs.OutcomeCompiled)
-		} else {
-			tr.SetOutcome(obs.OutcomeComputed)
-		}
+		tr.SetOutcome(obs.OutcomeComputed)
 		return m, nil
 	})
 	if err != nil {

@@ -120,7 +120,7 @@ func (st *stats) init(s *Server) {
 		"Dispatch traces recorded by simulation on this instance — the fleet-wide sum bounds duplicate work.",
 		traceStat(func(cs disptrace.CacheStats) uint64 { return cs.Records }))
 	r.CounterFunc("vmserved_trace_loads_total",
-		"Dispatch traces loaded from the local disk cache.",
+		"Dispatch traces loaded from the local trace cache, from memory or disk.",
 		traceStat(func(cs disptrace.CacheStats) uint64 { return cs.Loads }))
 	r.CounterFunc("vmserved_peer_fill_hits_total",
 		"Local trace-cache misses satisfied by fetching from the owning peer instead of re-simulating.",
@@ -134,32 +134,16 @@ func (st *stats) init(s *Server) {
 	r.CounterFunc("vmserved_peer_serves_total",
 		"Raw trace files this instance served to filling peers.",
 		traceStat(func(cs disptrace.CacheStats) uint64 { return cs.PeerServes }))
-
-	compiledStat := func(read func(disptrace.CompiledStats) uint64) func() uint64 {
-		return func() uint64 {
-			if s.cfg.Traces == nil {
-				return 0
-			}
-			return read(s.cfg.Traces.CompiledStats())
-		}
-	}
-	r.CounterFunc("vmserved_compiled_builds_total",
-		"Hot traces the compiled tier keeps resident in memory.",
-		compiledStat(func(cs disptrace.CompiledStats) uint64 { return cs.Builds }))
-	r.CounterFunc("vmserved_compiled_hits_total",
-		"Trace loads served straight from the compiled tier — no disk read, no decode.",
-		compiledStat(func(cs disptrace.CompiledStats) uint64 { return cs.Hits }))
-	r.CounterFunc("vmserved_compiled_evictions_total",
-		"Compiled-tier entries displaced by its byte budget or entry bound: resident traces and not-yet-hot hotness counters alike.",
-		compiledStat(func(cs disptrace.CompiledStats) uint64 { return cs.Evictions }))
-	r.GaugeFunc("vmserved_compiled_bytes",
-		"Resident bytes of the traces the compiled tier holds (step dictionaries, preludes and step-ID streams), bounded by -compiled-budget.",
-		func() float64 {
-			if s.cfg.Traces == nil {
-				return 0
-			}
-			return float64(s.cfg.Traces.CompiledStats().Bytes)
-		})
+	r.CounterFunc("vmserved_trace_memory_hits_total",
+		"Trace loads served from the trace cache's memory of decoded traces: no disk read, no decode.",
+		traceStat(func(cs disptrace.CacheStats) uint64 { return cs.MemoryHits }))
+	r.CounterFunc("vmserved_trace_memory_evictions_total",
+		"Decoded traces displaced from the trace cache's memory by its byte budget.",
+		traceStat(func(cs disptrace.CacheStats) uint64 { return cs.MemoryEvictions }))
+	memBytes := traceStat(func(cs disptrace.CacheStats) uint64 { return uint64(cs.MemoryBytes) })
+	r.GaugeFunc("vmserved_trace_memory_bytes",
+		"Resident bytes of the decoded traces the trace cache holds in memory (step dictionaries, preludes and step-ID streams), bounded at 16 MiB.",
+		func() float64 { return float64(memBytes()) })
 
 	if s.cfg.InstanceID != "" {
 		r.GaugeVec("vmserved_instance_info",
