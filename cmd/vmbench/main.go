@@ -10,7 +10,6 @@
 //	vmbench -jobs 16                   # worker-pool parallelism
 //	vmbench -format json -out results  # machine-readable results
 //	vmbench -trace-cache .vmtraces     # record-once-replay-many runs
-//	vmbench diff BENCH_baseline.json   # regression check vs a baseline
 //
 // Experiments: table1 table2 table3 table4 table5 table6 table7
 // table8 table9 table10 fig7 fig8 fig9 fig10 fig11 fig12 fig13 fig14
@@ -26,16 +25,16 @@
 // results never change — machine-sweep experiments just get faster,
 // especially on a warm cache.
 //
-// diff re-runs the experiments recorded in the baseline report (same
-// -exp and -scalediv) and exits non-zero when any run's cycles or
-// mispredictions regressed beyond -tol. With -trace-cache pointing at
-// a warm cache (for instance the one the preceding result run
-// populated), the baseline re-run replays dispatch traces instead of
-// re-simulating, making the regression gate near-instant.
+// vmbench takes flags only: a positional argument exits with status 2
+// before anything is simulated. Counter regressions are caught by the
+// exact golden tests of internal/harness, which compare every counter
+// of the paper grid, simulated directly and replayed, bit for bit with
+// perfbench/reference/counters-sd10.json.
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -51,33 +50,37 @@ import (
 	"vmopt/internal/workload"
 )
 
-func main() {
-	if len(os.Args) > 1 && os.Args[1] == "diff" {
-		if err := diffMain(os.Args[2:]); err != nil {
-			fmt.Fprintln(os.Stderr, "vmbench diff:", err)
-			os.Exit(1)
-		}
-		return
-	}
+func main() { os.Exit(vmbench(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	exp := flag.String("exp", "all", "experiment to regenerate (e.g. fig8, table9, all; see -list)")
-	list := flag.Bool("list", false, "list valid -exp names with descriptions and exit")
-	scaleDiv := flag.Int("scalediv", 1, "divide workload scales by this factor")
-	jobs := flag.Int("jobs", 0, "parallel simulation jobs (0 = GOMAXPROCS)")
-	format := flag.String("format", "text", "output format: text, json or csv")
-	out := flag.String("out", "", "directory for output (results.txt/.json/.csv; default stdout)")
-	progress := flag.Bool("progress", false, "report run progress on stderr")
-	traceCache := flag.String("trace-cache", "", "directory for the dispatch-trace cache (record once, replay per machine)")
-	flag.Parse()
-	if flag.NArg() > 0 {
-		// Without this a mistyped subcommand ("dif", "Diff") would
-		// silently start the full multi-hour experiment run.
-		fmt.Fprintf(os.Stderr, "vmbench: unexpected argument %q (subcommands: diff)\n", flag.Arg(0))
-		os.Exit(2)
+// vmbench parses args and runs the selected experiments. It returns
+// the exit status: 0 on success, 1 when an experiment fails, and 2 on
+// a usage error, which is reported before anything is simulated.
+func vmbench(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("vmbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	exp := fs.String("exp", "all", "experiment to regenerate (e.g. fig8, table9, all; see -list)")
+	list := fs.Bool("list", false, "list valid -exp names with descriptions and exit")
+	scaleDiv := fs.Int("scalediv", 1, "divide workload scales by this factor")
+	jobs := fs.Int("jobs", 0, "parallel simulation jobs (0 = GOMAXPROCS)")
+	format := fs.String("format", "text", "output format: text, json or csv")
+	out := fs.String("out", "", "directory for output (results.txt/.json/.csv; default stdout)")
+	progress := fs.Bool("progress", false, "report run progress on stderr")
+	traceCache := fs.String("trace-cache", "", "directory for the dispatch-trace cache (record once, replay per machine)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if fs.NArg() > 0 {
+		// Without this a stray word ("diff", "table5") would silently
+		// start the full multi-hour experiment run.
+		fmt.Fprintf(stderr, "vmbench: unexpected argument %q (vmbench takes no arguments, only flags; see -h)\n", fs.Arg(0))
+		return 2
 	}
 	if *list {
-		listExps(os.Stdout)
-		return
+		listExps(stdout)
+		return 0
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -91,28 +94,11 @@ func main() {
 		s.Traces = disptrace.NewCache(*traceCache)
 	}
 
-	if err := run(os.Stdout, s, strings.ToLower(*exp), *format, *out); err != nil {
-		fmt.Fprintln(os.Stderr, "vmbench:", err)
-		os.Exit(1)
+	if err := run(stdout, s, strings.ToLower(*exp), *format, *out); err != nil {
+		fmt.Fprintln(stderr, "vmbench:", err)
+		return 1
 	}
-}
-
-func diffMain(args []string) error {
-	fs := flag.NewFlagSet("diff", flag.ExitOnError)
-	tol := fs.Float64("tol", 0.02, "relative regression tolerance (0.02 = 2%)")
-	jobs := fs.Int("jobs", 0, "parallel simulation jobs (0 = GOMAXPROCS)")
-	progress := fs.Bool("progress", false, "report run progress on stderr")
-	current := fs.String("current", "", "compare this report instead of re-running the baseline's experiments")
-	traceCache := fs.String("trace-cache", "", "replay baseline runs from this dispatch-trace cache instead of re-simulating")
-	fs.Parse(args)
-	if fs.NArg() != 1 {
-		return fmt.Errorf("usage: vmbench diff [-tol pct] [-jobs n] [-current results.json] [-trace-cache dir] <baseline.json>")
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	context.AfterFunc(ctx, stop)
-	return runDiff(os.Stdout, ctx, fs.Arg(0), *current, *traceCache, *jobs, *tol, *progress)
+	return 0
 }
 
 func newSuite(ctx context.Context, scaleDiv, jobs int, progress bool) *harness.Suite {
@@ -129,40 +115,6 @@ func newSuite(ctx context.Context, scaleDiv, jobs int, progress bool) *harness.S
 		}
 	}
 	return s
-}
-
-// runDiff compares a current report against the baseline and fails
-// when any run regressed beyond tol. With currentPath empty it
-// re-runs the baseline's experiments at the baseline's scale;
-// otherwise it reads the pre-computed report from currentPath. A
-// non-empty traceCache attaches the shared dispatch-trace cache to
-// the re-run, so a warm cache (one the result-producing run already
-// populated) turns the baseline check into pure trace replay —
-// near-instant, and byte-identical to re-simulating.
-func runDiff(stdout io.Writer, ctx context.Context, baselinePath, currentPath, traceCache string, jobs int, tol float64, progress bool) error {
-	base, err := runner.ReadReportFile(baselinePath)
-	if err != nil {
-		return err
-	}
-	var cur *runner.Report
-	if currentPath != "" {
-		if cur, err = runner.ReadReportFile(currentPath); err != nil {
-			return err
-		}
-	} else {
-		s := newSuite(ctx, base.ScaleDiv, jobs, progress)
-		if traceCache != "" {
-			s.Traces = disptrace.NewCache(traceCache)
-		}
-		if cur, err = collect(s, base.Exp); err != nil {
-			return err
-		}
-	}
-	regs, err := runner.Diff(base, cur, tol)
-	if err != nil {
-		return err
-	}
-	return runner.WriteDiff(stdout, regs, len(base.Runs), tol)
 }
 
 // expOutput is one experiment's rendered result.
@@ -336,8 +288,7 @@ func collect(s *harness.Suite, exp string) (*runner.Report, error) {
 func collectExps(s *harness.Suite, exp string, selected []experiment) (*runner.Report, error) {
 	// Host metadata documents the capture environment (notably the
 	// core count behind any parallel-replay wall-clock claims); the
-	// simulated runs themselves are host-independent and Diff ignores
-	// the block.
+	// simulated runs themselves are host-independent.
 	r := &runner.Report{Schema: runner.SchemaVersion, Exp: exp, ScaleDiv: s.ScaleDiv, Host: runner.CurrentHost()}
 	for _, e := range selected {
 		out, err := e.fn(s)

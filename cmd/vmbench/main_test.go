@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"context"
 	"io"
 	"os"
 	"path/filepath"
@@ -123,7 +122,11 @@ func TestOutDir(t *testing.T) {
 	if err := run(io.Discard, testSuite(50), "table5", "json", dir); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := runner.ReadReportFile(filepath.Join(dir, "results.json"))
+	b, err := os.ReadFile(filepath.Join(dir, "results.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := runner.ReadReport(bytes.NewReader(b))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,124 +244,27 @@ func TestSweepWithTraceCache(t *testing.T) {
 	}
 }
 
-// TestDiffWithTraceCache: the trace-cache-aware regression gate. A
-// result run populates the cache; the diff re-run replays from it and
-// reaches the same verdict as a direct re-simulation — pass against
-// the true baseline, fail against a perturbed one — while recording
-// nothing new (the near-instant CI path).
-func TestDiffWithTraceCache(t *testing.T) {
-	ctx := context.Background()
-	cacheDir := t.TempDir()
-
-	s := testSuite(50)
-	s.Traces = disptrace.NewCache(cacheDir)
-	rep, err := collect(s, "table5")
-	if err != nil {
-		t.Fatal(err)
-	}
-	traces, err := filepath.Glob(filepath.Join(cacheDir, "*.vmdt"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(traces) == 0 {
-		t.Fatal("result run populated no traces")
-	}
-
-	dir := t.TempDir()
-	baseline := filepath.Join(dir, "baseline.json")
-	f, err := os.Create(baseline)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rep.WriteJSON(f); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	if err := runDiff(io.Discard, ctx, baseline, "", cacheDir, 0, 0.02, false); err != nil {
-		t.Errorf("cached diff against own baseline should pass: %v", err)
-	}
-	after, err := filepath.Glob(filepath.Join(cacheDir, "*.vmdt"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(after) != len(traces) {
-		t.Errorf("cached diff changed the cache: %d traces before, %d after", len(traces), len(after))
-	}
-
-	perturbed, err := runner.ReadReportFile(baseline)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range perturbed.Runs {
-		perturbed.Runs[i].Counters.Cycles *= 0.8
-	}
-	bad := filepath.Join(dir, "perturbed.json")
-	bf, err := os.Create(bad)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := perturbed.WriteJSON(bf); err != nil {
-		t.Fatal(err)
-	}
-	if err := bf.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := runDiff(io.Discard, ctx, bad, "", cacheDir, 0, 0.02, false); err == nil {
-		t.Error("cached diff against perturbed baseline should fail")
-	}
-}
-
-// TestDiffCleanAndPerturbed: diff against a matching baseline passes;
-// against a perturbed baseline (faster cycles than we can reproduce)
-// it must fail.
-func TestDiffCleanAndPerturbed(t *testing.T) {
-	ctx := context.Background()
-	s := testSuite(50)
-	rep, err := collect(s, "table5")
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	dir := t.TempDir()
-	write := func(name string, r *runner.Report) string {
-		path := filepath.Join(dir, name)
-		f, err := os.Create(path)
-		if err != nil {
-			t.Fatal(err)
+// TestRejectsArguments: vmbench takes no positional argument. Each one,
+// including the removed diff subcommand's, exits 2 with a usage message
+// before any experiment runs: the table5 run the flags select would
+// write results.json.
+func TestRejectsArguments(t *testing.T) {
+	for _, args := range [][]string{
+		{"diff", "baseline.json"},
+		{"table5"},
+		{"-exp", "table5", "extra"},
+	} {
+		dir := t.TempDir()
+		var stdout, stderr bytes.Buffer
+		full := append([]string{"-scalediv", "50", "-format", "json", "-out", dir, "-exp", "table5"}, args...)
+		if code := vmbench(full, &stdout, &stderr); code != 2 {
+			t.Errorf("vmbench %q exited %d, want 2", args, code)
 		}
-		defer f.Close()
-		if err := r.WriteJSON(f); err != nil {
-			t.Fatal(err)
+		if !strings.Contains(stderr.String(), "takes no arguments") {
+			t.Errorf("vmbench %q: stderr lacks the usage message: %q", args, stderr.String())
 		}
-		return path
-	}
-
-	clean := write("baseline.json", rep)
-	if err := runDiff(io.Discard, ctx, clean, "", "", 0, 0.02, false); err != nil {
-		t.Errorf("diff against own baseline should pass: %v", err)
-	}
-	// -current: compare a pre-computed report without re-running.
-	if err := runDiff(io.Discard, ctx, clean, clean, "", 0, 0.02, false); err != nil {
-		t.Errorf("diff with -current against itself should pass: %v", err)
-	}
-
-	// Perturb: pretend the baseline was 20% faster than reality.
-	perturbed, err := runner.ReadReportFile(clean)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range perturbed.Runs {
-		perturbed.Runs[i].Counters.Cycles *= 0.8
-	}
-	var buf bytes.Buffer
-	bad := write("perturbed.json", perturbed)
-	if err := runDiff(&buf, ctx, bad, "", "", 0, 0.02, false); err == nil {
-		t.Error("diff against perturbed baseline should fail")
-	}
-	if !strings.Contains(buf.String(), "REGRESSION") {
-		t.Errorf("diff output missing regression lines:\n%s", buf.String())
+		if _, err := os.Stat(filepath.Join(dir, "results.json")); !os.IsNotExist(err) {
+			t.Errorf("vmbench %q ran an experiment before rejecting its arguments", args)
+		}
 	}
 }

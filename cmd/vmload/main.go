@@ -300,7 +300,7 @@ func diffMain(args []string) error {
 		MaxErrorRateDelta: *errDelta,
 		ThroughputFactor:  *tputFactor,
 	}
-	return loadgen.WriteDiff(os.Stdout, loadgen.Diff(base, cur, t), base, t)
+	return loadgen.WriteGate(os.Stdout, loadgen.Diff(base, cur, t), base, t)
 }
 
 // checkMetricsMain is the CI validity gate for the exposition surface:

@@ -28,10 +28,10 @@
 // port. -access-log writes one JSON record per request (request ID,
 // endpoint, status, cache outcome, latency) to stderr.
 //
-// With -trace-cache, every trace loaded from disk stays decoded in
-// memory under a fixed 16 MiB budget, least recently used first out,
-// and later loads of it skip the disk read and the decode (see the
-// README "Memory tier" section).
+// With -trace-cache, every trace loaded from disk, filled from a peer
+// or recorded stays decoded in memory under a fixed 16 MiB budget,
+// least recently used first out, and later loads of it skip the disk
+// read and the decode (see the README "Memory tier" section).
 //
 // Cluster mode (see internal/cluster and the README "Cluster"
 // section):

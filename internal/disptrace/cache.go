@@ -112,9 +112,10 @@ type Cache struct {
 	FillID func(id string) ([]byte, error)
 
 	// mem holds decoded traces by ID, each weighed by its
-	// Arena.Bytes. Load and LoadID add every clean disk decode and
-	// serve later loads from it without a read or a decode;
-	// quarantine drops an entry together with its file.
+	// Arena.Bytes and each verified to hash back to its ID. Every
+	// clean disk decode, peer fill and recording goes in, and later
+	// loads are served from it without a read or a decode; quarantine
+	// drops an entry together with its file.
 	mem *runner.LRU[string, *Trace]
 
 	flight runner.Flight[string, cacheOutcome]
@@ -233,7 +234,7 @@ func (c *Cache) memGet(id string) *Trace {
 	return t
 }
 
-// remember keeps a clean decode in memory. A trace heavier than the
+// remember keeps a verified trace in memory. A trace heavier than the
 // whole budget is served but not kept: holding it would evict
 // everything else and still break the bound.
 func (c *Cache) remember(id string, t *Trace) {
@@ -296,8 +297,15 @@ func (c *Cache) readFile(path string) ([]byte, error) {
 // propagate — quarantining a valid trace over a transient I/O failure
 // would needlessly discard cache (GetOrRecord absorbs the error by
 // re-simulating instead).
-func (c *Cache) Load(k Key) (*Trace, error) {
-	id := k.ID()
+func (c *Cache) Load(k Key) (*Trace, error) { return c.loadID(k.ID()) }
+
+// loadID is the one verified read by content address, shared by Load
+// and LoadID: memory first, then the file, decoded and kept in memory
+// only when its header hashes back to id. A file that fails to decode,
+// or holds another key's trace (stale or renamed), is quarantined.
+// Both that and an absent file return (nil, nil); other read errors
+// propagate.
+func (c *Cache) loadID(id string) (*Trace, error) {
 	if t := c.memGet(id); t != nil {
 		return t, nil
 	}
@@ -310,13 +318,10 @@ func (c *Cache) Load(k Key) (*Trace, error) {
 		return nil, fmt.Errorf("disptrace: %w", err)
 	}
 	t, err := Decode(b)
-	if err != nil {
-		// Truncated, bit-flipped, or stale: set it aside and treat as
-		// a miss rather than wedging every run on the key.
-		c.quarantine(path)
-		return nil, nil
-	}
-	if keyOf(t.Header) != k {
+	if err != nil || keyOf(t.Header).ID() != id {
+		// Truncated, bit-flipped, stale or renamed: set it aside and
+		// treat as a miss rather than wedging every run on the key or
+		// serving another key's trace under this one.
 		c.quarantine(path)
 		return nil, nil
 	}
@@ -416,43 +421,33 @@ func (c *Cache) List() ([]CacheEntry, error) {
 
 // LoadID loads a cached trace by its content address, returning the
 // trace and its on-disk size. Absent IDs return ErrNoTrace (also for
-// malformed IDs, which cannot name a cache file). A file that reads
-// but fails to decode is quarantined and reported as absent: the
-// cache has no valid trace under that ID any more.
+// malformed IDs, which cannot name a cache file). A file that fails to
+// decode or to hash back to id is quarantined and reported as absent:
+// the cache has no valid trace under that ID any more.
 func (c *Cache) LoadID(id string) (*Trace, int64, error) {
 	if !ValidID(id) {
 		return nil, 0, ErrNoTrace
 	}
-	path := filepath.Join(c.Dir, id+".vmdt")
-	fi, err := os.Stat(path)
+	// The stat keeps deleted files reporting ErrNoTrace even when
+	// memory still holds them.
+	fi, err := os.Stat(filepath.Join(c.Dir, id+".vmdt"))
 	if err != nil {
 		if errors.Is(err, fs.ErrNotExist) {
 			if t, b, ok := c.fillID(id); ok {
+				c.remember(id, t)
 				return t, int64(len(b)), nil
 			}
 			return nil, 0, ErrNoTrace
 		}
 		return nil, 0, fmt.Errorf("disptrace: %w", err)
 	}
-	// The stat above keeps deleted files reporting ErrNoTrace even
-	// when memory still holds them; past it, a memory hit skips the
-	// read and decode.
-	if t := c.memGet(id); t != nil {
-		return t, fi.Size(), nil
-	}
-	b, err := c.readFile(path)
+	t, err := c.loadID(id)
 	if err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			return nil, 0, ErrNoTrace
-		}
-		return nil, 0, fmt.Errorf("disptrace: %w", err)
+		return nil, 0, err
 	}
-	t, err := Decode(b)
-	if err != nil {
-		c.quarantine(path)
+	if t == nil {
 		return nil, 0, ErrNoTrace
 	}
-	c.remember(id, t)
 	return t, fi.Size(), nil
 }
 
@@ -461,8 +456,9 @@ func (c *Cache) LoadID(id string) (*Trace, int64, error) {
 // with the file's size. Neither the dictionary nor the ID stream is
 // parsed, and the read neither consults nor fills memory. Absent IDs
 // (after a peer fill attempt) return ErrNoTrace; a file that fails its
-// checksum or is of another format version is quarantined and
-// reported as absent, as LoadID does.
+// checksum, is of another format version or holds a header that does
+// not hash back to id is quarantined and reported as absent, as
+// LoadID does.
 func (c *Cache) MetaID(id string) (Meta, int64, error) {
 	if !ValidID(id) {
 		return Meta{}, 0, ErrNoTrace
@@ -483,7 +479,7 @@ func (c *Cache) MetaID(id string) (Meta, int64, error) {
 	if err == nil {
 		err = checkSum(b)
 	}
-	if err != nil {
+	if err != nil || keyOf(m.Header).ID() != id {
 		c.quarantine(path)
 		return Meta{}, 0, ErrNoTrace
 	}
@@ -502,10 +498,12 @@ func (c *Cache) store(k Key, t *Trace) error {
 	return atomicWrite(c.Path(k), c.Faults.Corrupt(faults.SiteCacheWrite, t.Encode()))
 }
 
-// GetOrRecord returns the trace for key, loading it from disk or
-// recording it with record exactly once per in-process flight.
+// GetOrRecord returns the trace for key, loading it from memory or
+// disk or recording it with record exactly once per in-process flight.
 // recorded reports whether this call (or the flight it joined)
-// performed a fresh recording rather than a disk load.
+// performed a fresh recording rather than a load. A filled or recorded
+// trace stays in memory, so the next load does not decode the file
+// just written.
 //
 // Storage failure in either direction is absorbed rather than served:
 // a load that errors at the I/O layer falls back to re-simulation
@@ -514,8 +512,9 @@ func (c *Cache) store(k Key, t *Trace) error {
 // cache entry costs the next request a re-simulation; losing the
 // response would fail this one.
 func (c *Cache) GetOrRecord(k Key, record func() (*Trace, error)) (t *Trace, recorded bool, err error) {
-	o, leader, err := c.flight.Do(k.ID(), func() (cacheOutcome, error) {
-		t, lerr := c.Load(k)
+	id := k.ID()
+	o, leader, err := c.flight.Do(id, func() (cacheOutcome, error) {
+		t, lerr := c.loadID(id)
 		if lerr != nil {
 			c.readErrors.Add(1)
 		} else if t != nil {
@@ -523,6 +522,7 @@ func (c *Cache) GetOrRecord(k Key, record func() (*Trace, error)) (t *Trace, rec
 			return cacheOutcome{t: t}, nil
 		}
 		if t := c.fill(k); t != nil {
+			c.remember(id, t)
 			return cacheOutcome{t: t}, nil
 		}
 		t, err := record()
@@ -533,6 +533,11 @@ func (c *Cache) GetOrRecord(k Key, record func() (*Trace, error)) (t *Trace, rec
 			c.saveErrors.Add(1)
 		}
 		c.records.Add(1)
+		// A recording for another key is served but never kept: memory
+		// holds only what hashes back to its ID.
+		if keyOf(t.Header) == k {
+			c.remember(id, t)
+		}
 		return cacheOutcome{t: t, recorded: true}, nil
 	})
 	if !leader {

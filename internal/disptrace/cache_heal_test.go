@@ -2,6 +2,7 @@ package disptrace_test
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -47,7 +48,8 @@ func quarantineFiles(t *testing.T, dir string) []string {
 // TestCacheQuarantinesCorruptEntry: a corrupt cache file is moved to
 // the quarantine sidecar (not deleted), the request heals by
 // re-recording, and the healed file is byte-identical to the
-// original.
+// original. The cache restarts before the corrupt read, since the
+// recording's own cache keeps serving it from memory.
 func TestCacheQuarantinesCorruptEntry(t *testing.T) {
 	dir := t.TempDir()
 	c := disptrace.NewCache(dir)
@@ -69,6 +71,7 @@ func TestCacheQuarantinesCorruptEntry(t *testing.T) {
 	if err := os.WriteFile(c.Path(k), bad, 0o644); err != nil {
 		t.Fatal(err)
 	}
+	c = disptrace.NewCache(dir)
 
 	if _, recorded, err := c.GetOrRecord(k, record); err != nil || !recorded || calls != 2 {
 		t.Fatalf("corrupt entry should re-record: err=%v recorded=%v calls=%d", err, recorded, calls)
@@ -100,8 +103,8 @@ func TestCacheQuarantinesCorruptEntry(t *testing.T) {
 
 // TestCacheCorruptEntryMidReplay: the full serve-shaped sequence — a
 // trace is recorded and replayed, its cache entry is then corrupted,
-// and the next replay of the same key falls back to re-simulation,
-// re-records, and produces byte-identical counters.
+// and the next replay of the same key on a restarted cache falls back
+// to re-simulation, re-records, and produces byte-identical counters.
 func TestCacheCorruptEntryMidReplay(t *testing.T) {
 	pair := tracePairs(t)[0]
 	s := harness.NewTestSuite()
@@ -130,6 +133,7 @@ func TestCacheCorruptEntryMidReplay(t *testing.T) {
 	if err := os.WriteFile(c.Path(k), clean[:len(clean)/3], 0o644); err != nil {
 		t.Fatal(err)
 	}
+	c = disptrace.NewCache(dir)
 
 	tr2, recorded, err := c.GetOrRecord(k, record)
 	if err != nil || !recorded {
@@ -154,9 +158,10 @@ func TestCacheCorruptEntryMidReplay(t *testing.T) {
 	}
 }
 
-// TestCacheReadErrorFallsBackToRecord: an injected read failure is
-// absorbed by re-simulating instead of failing the request, and the
-// valid on-disk entry survives (no quarantine for transient I/O).
+// TestCacheReadErrorFallsBackToRecord: an injected read failure on a
+// restarted cache is absorbed by re-simulating instead of failing the
+// request, and the valid on-disk entry survives (no quarantine for
+// transient I/O).
 func TestCacheReadErrorFallsBackToRecord(t *testing.T) {
 	dir := t.TempDir()
 	c := disptrace.NewCache(dir)
@@ -175,6 +180,7 @@ func TestCacheReadErrorFallsBackToRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	c = disptrace.NewCache(dir)
 	c.Faults = faults.New(spec)
 
 	if _, recorded, err := c.GetOrRecord(k, record); err != nil || !recorded || calls != 2 {
@@ -184,7 +190,8 @@ func TestCacheReadErrorFallsBackToRecord(t *testing.T) {
 		t.Fatalf("stats = %+v, want 1 read error, 0 quarantined", st)
 	}
 	// The fault is spent (limit 1): the next call loads the re-stored
-	// entry, which is byte-identical to the original.
+	// entry (from memory), and the file is byte-identical to the
+	// original.
 	if _, recorded, err := c.GetOrRecord(k, record); err != nil || recorded || calls != 2 {
 		t.Fatalf("after fault spent: err=%v recorded=%v calls=%d", err, recorded, calls)
 	}
@@ -198,7 +205,8 @@ func TestCacheReadErrorFallsBackToRecord(t *testing.T) {
 }
 
 // TestCacheSaveErrorStillServes: an injected write failure loses the
-// cache entry but never the response.
+// cache file but never the response: memory keeps serving the
+// recording, and a restarted cache re-records and stores cleanly.
 func TestCacheSaveErrorStillServes(t *testing.T) {
 	dir := t.TempDir()
 	c := disptrace.NewCache(dir)
@@ -221,7 +229,10 @@ func TestCacheSaveErrorStillServes(t *testing.T) {
 	if st := c.Stats(); st.SaveErrors != 1 {
 		t.Fatalf("Stats().SaveErrors = %d, want 1", st.SaveErrors)
 	}
-	// Next request re-records (the entry was lost) and stores cleanly.
+	if again, recorded, err := c.GetOrRecord(k, record); err != nil || recorded || again != tr {
+		t.Fatalf("memory should serve the unsaved recording: err=%v recorded=%v", err, recorded)
+	}
+	c = disptrace.NewCache(dir)
 	if _, recorded, err := c.GetOrRecord(k, record); err != nil || !recorded || calls != 2 {
 		t.Fatalf("re-record after lost store: err=%v recorded=%v calls=%d", err, recorded, calls)
 	}
@@ -231,8 +242,9 @@ func TestCacheSaveErrorStillServes(t *testing.T) {
 }
 
 // TestCacheWriteCorruptionHealsOnNextRead: a bit-flip injected on the
-// write path lands on disk, fails its CRC at the next load, is
-// quarantined, and the key heals by re-recording byte-identically.
+// write path lands on disk, fails its CRC at a restarted cache's first
+// load, is quarantined, and the key heals by re-recording
+// byte-identically.
 func TestCacheWriteCorruptionHealsOnNextRead(t *testing.T) {
 	dir := t.TempDir()
 	c := disptrace.NewCache(dir)
@@ -252,6 +264,7 @@ func TestCacheWriteCorruptionHealsOnNextRead(t *testing.T) {
 	if _, err := disptrace.Load(c.Path(k)); err == nil {
 		t.Fatal("injected write corruption did not damage the stored file")
 	}
+	c = disptrace.NewCache(dir)
 
 	tr, recorded, err := c.GetOrRecord(k, record)
 	if err != nil || !recorded || tr == nil || calls != 2 {
@@ -262,6 +275,52 @@ func TestCacheWriteCorruptionHealsOnNextRead(t *testing.T) {
 	}
 	if _, err := disptrace.Load(c.Path(k)); err != nil {
 		t.Fatalf("healed entry does not decode: %v", err)
+	}
+}
+
+// TestCacheRenamedFileQuarantined: a file that holds another key's
+// trace (stale or renamed) fails the content-address check of every
+// by-ID read. It reads as absent, is quarantined and never enters
+// memory, so a later Load of the key the file is named for records
+// that key's own trace instead of serving the other one.
+func TestCacheRenamedFileQuarantined(t *testing.T) {
+	for _, via := range []string{"load", "meta"} {
+		t.Run(via, func(t *testing.T) {
+			dir := t.TempDir()
+			c := disptrace.NewCache(dir)
+			a, b := healKey(), healKey()
+			b.Scale++
+			calls := 0
+			tr, err := healRecorder(a, &calls)()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tr.Save(c.Path(b)); err != nil {
+				t.Fatal(err)
+			}
+
+			if via == "load" {
+				if got, _, err := c.LoadID(b.ID()); !errors.Is(err, disptrace.ErrNoTrace) {
+					t.Fatalf("LoadID of a renamed file: %v, err=%v; want ErrNoTrace", got, err)
+				}
+			} else if m, _, err := c.MetaID(b.ID()); !errors.Is(err, disptrace.ErrNoTrace) {
+				t.Fatalf("MetaID of a renamed file: %+v, err=%v; want ErrNoTrace", m.Header, err)
+			}
+			if got := quarantineFiles(t, dir); len(got) != 1 || got[0] != b.ID()+".vmdt" {
+				t.Fatalf("quarantine dir = %v, want exactly the renamed file", got)
+			}
+			if disptrace.InMemory(c, b.ID()) {
+				t.Fatal("renamed file's trace entered memory")
+			}
+
+			got, recorded, err := c.GetOrRecord(b, healRecorder(b, &calls))
+			if err != nil || !recorded || calls != 2 {
+				t.Fatalf("load after quarantine: err=%v recorded=%v calls=%d; want a fresh recording", err, recorded, calls)
+			}
+			if got.Header.Scale != b.Scale {
+				t.Fatalf("load of scale %d served a trace of scale %d", b.Scale, got.Header.Scale)
+			}
+		})
 	}
 }
 

@@ -499,7 +499,7 @@ func TestCacheGetOrRecord(t *testing.T) {
 	}
 	tr2, recorded, err := c.GetOrRecord(k, record)
 	if err != nil || recorded || calls != 1 {
-		t.Fatalf("second call should load from disk: err=%v recorded=%v calls=%d", err, recorded, calls)
+		t.Fatalf("second call should load the recording: err=%v recorded=%v calls=%d", err, recorded, calls)
 	}
 	if tr2.Header != tr1.Header {
 		t.Fatal("loaded trace header differs from recorded")
@@ -512,8 +512,8 @@ func TestCacheGetOrRecord(t *testing.T) {
 		t.Fatalf("distinct key: err=%v recorded=%v calls=%d", err, recorded, calls)
 	}
 
-	// Corrupt the file on disk. Memory keeps serving the verified
-	// decode of the second call until the disk is read again.
+	// Corrupt the file on disk. Memory keeps serving the recording
+	// until the disk is read again.
 	if err := os.WriteFile(c.Path(k), []byte("garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -528,11 +528,12 @@ func TestCacheGetOrRecord(t *testing.T) {
 	}
 
 	// A file whose header doesn't match its key is rejected too
-	// (simulates a renamed/stale cache entry).
+	// (simulates a renamed/stale cache entry) by a restarted cache.
 	other := disptrace.NewWriter(disptrace.Header{Workload: "tscp"})
 	if err := other.Trace().Save(c.Path(k)); err != nil {
 		t.Fatal(err)
 	}
+	c = disptrace.NewCache(c.Dir)
 	if _, recorded, err = c.GetOrRecord(k, record); err != nil || !recorded || calls != 4 {
 		t.Fatalf("mismatched header should re-record: err=%v recorded=%v calls=%d", err, recorded, calls)
 	}

@@ -136,14 +136,16 @@ func (a *Arena) DictSteps() int { return len(a.dict) }
 
 // Bytes reports the arena's resident memory footprint: the
 // dictionary's ops and slice headers, the prelude and the ID stream.
+// The prelude and the ID stream count by capacity, since a recording
+// grows them by append and keeps the spare room.
 func (a *Arena) Bytes() int64 {
 	const opBytes = int64(unsafe.Sizeof(cpu.Op{}))
 	const entryBytes = int64(unsafe.Sizeof([]cpu.Op(nil)))
-	ops := int64(len(a.prelude))
+	ops := int64(cap(a.prelude))
 	for _, e := range a.dict {
 		ops += int64(len(e))
 	}
-	return ops*opBytes + int64(len(a.dict))*entryBytes + int64(len(a.ids))*4
+	return ops*opBytes + int64(len(a.dict))*entryBytes + int64(cap(a.ids))*4
 }
 
 // sliceEntries cuts the dictionary entries out of one backing array:

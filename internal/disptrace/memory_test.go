@@ -21,8 +21,8 @@ func memKeys(n int) []disptrace.Key {
 	return ks
 }
 
-// recordAndLoad records k into c, then loads it once from disk, which
-// leaves the decoded trace in memory when it fits the budget.
+// recordAndLoad records k into c, then loads it once more: a memory
+// hit when the recording fits the budget, a disk load when it does not.
 func recordAndLoad(t *testing.T, c *disptrace.Cache, k disptrace.Key, calls *int) *disptrace.Trace {
 	t.Helper()
 	if _, recorded, err := c.GetOrRecord(k, healRecorder(k, calls)); err != nil || !recorded {
@@ -35,19 +35,30 @@ func recordAndLoad(t *testing.T, c *disptrace.Cache, k disptrace.Key, calls *int
 	return tr
 }
 
-// TestMemoryFirstLoad: recording keeps nothing in memory; the first
-// disk load does, and every later load is a memory hit that returns
-// the same decoded trace without touching the disk.
+// TestMemoryFirstLoad: a recording stays in memory, so the next load
+// is a memory hit that returns the recorded trace itself. A fresh
+// cache over the same directory keeps its first disk load, and every
+// later load is a memory hit that returns the same decoded trace
+// without touching the disk.
 func TestMemoryFirstLoad(t *testing.T) {
 	c := disptrace.NewCache(t.TempDir())
 	k := healKey()
 	calls := 0
-	if _, _, err := c.GetOrRecord(k, healRecorder(k, &calls)); err != nil {
+	rec, _, err := c.GetOrRecord(k, healRecorder(k, &calls))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if st := c.Stats(); st.MemoryBytes != 0 || disptrace.InMemory(c, k.ID()) {
-		t.Fatalf("recording alone filled memory: %+v", st)
+	if st := c.Stats(); st.MemoryBytes != rec.Arena().Bytes() || !disptrace.InMemory(c, k.ID()) {
+		t.Fatalf("recording not kept: %+v, want %d bytes", st, rec.Arena().Bytes())
 	}
+	if tr, err := c.Load(k); err != nil || tr != rec {
+		t.Fatalf("load after recording: %p, %v; want the recording (%p)", tr, err, rec)
+	}
+	if st := c.Stats(); st.MemoryHits != 1 {
+		t.Fatalf("load after recording was no memory hit: %+v", st)
+	}
+
+	c = disptrace.NewCache(c.Dir)
 	tr, err := c.Load(k)
 	if err != nil || tr == nil {
 		t.Fatalf("load: %v, %v", tr, err)
@@ -194,6 +205,7 @@ func TestMemoryLoadIDDeletedFile(t *testing.T) {
 	if _, _, err := c.GetOrRecord(k, healRecorder(k, &calls)); err != nil {
 		t.Fatal(err)
 	}
+	c = disptrace.NewCache(c.Dir)
 	tr, size, err := c.LoadID(k.ID())
 	if err != nil {
 		t.Fatal(err)
@@ -236,6 +248,7 @@ func TestMemoryHitReplayAllocs(t *testing.T) {
 	if _, _, err := c.GetOrRecord(k, func() (*disptrace.Trace, error) { return rec, nil }); err != nil {
 		t.Fatal(err)
 	}
+	c = disptrace.NewCache(c.Dir)
 	decoded, err := c.Load(k)
 	if err != nil || decoded == nil {
 		t.Fatalf("disk load: %v, %v", decoded, err)
@@ -274,5 +287,22 @@ func TestMemoryHitReplayAllocs(t *testing.T) {
 	}
 	if sims[0].C != want {
 		t.Fatalf("reset-reuse replay diverged: %+v vs %+v", sims[0].C, want)
+	}
+}
+
+// TestMemoryMismatchedRecording: a recording whose header names another
+// key is served to its caller but never kept, so memory holds only
+// traces that hash back to their ID.
+func TestMemoryMismatchedRecording(t *testing.T) {
+	c := disptrace.NewCache(t.TempDir())
+	k, other := healKey(), healKey()
+	other.Scale++
+	calls := 0
+	tr, recorded, err := c.GetOrRecord(k, healRecorder(other, &calls))
+	if err != nil || !recorded || tr == nil {
+		t.Fatalf("record: %v, recorded=%v, err=%v", tr, recorded, err)
+	}
+	if st := c.Stats(); st.MemoryBytes != 0 || disptrace.InMemory(c, k.ID()) {
+		t.Fatalf("mismatched recording kept in memory: %+v", st)
 	}
 }

@@ -153,11 +153,15 @@ func hashOps(ops []cpu.Op) uint64 {
 }
 
 // Trace closes the last step and returns the finished trace. The
-// writer must not be used afterwards.
+// writer must not be used afterwards. The dictionary's ops move to a
+// backing array of their exact size, so Arena.Bytes, which counts
+// them by length, is what the trace holds; the far larger ID stream
+// keeps its append-grown array and is weighed by capacity instead of
+// copied.
 func (w *Writer) Trace() *Trace {
 	w.closeStep()
 	return &Trace{Header: w.h, arena: &Arena{
-		dict:    sliceEntries(w.dictOps, w.dictEnds),
+		dict:    sliceEntries(append(make([]cpu.Op, 0, len(w.dictOps)), w.dictOps...), w.dictEnds),
 		prelude: w.prelude,
 		ids:     w.ids,
 	}}

@@ -4,12 +4,14 @@ import (
 	"encoding/json"
 	"math"
 	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
 	"vmopt/internal/cpu"
 	"vmopt/internal/disptrace"
 	"vmopt/internal/metrics"
+	"vmopt/internal/runner"
 	"vmopt/internal/workload"
 )
 
@@ -22,13 +24,10 @@ const goldenPath = "../../perfbench/reference/counters-sd10.json"
 // goldenScaleDiv is the scale the reference was simulated at.
 const goldenScaleDiv = 10
 
-// TestDirectSimulationMatchesGolden simulates directly every paper-grid
-// pair on two machines that differ in line size (32 and 64 bytes) and
-// CPI (1.0 and 0.7), and gray on every machine, and compares every
-// counter field bit for bit with the reference. Any change to the
-// guest VMs, the engine, the plans or the simulator that moves a single
-// counter of a single cell fails it.
-func TestDirectSimulationMatchesGolden(t *testing.T) {
+// readGolden returns the reference counters by run key, checking that
+// they are for goldenScaleDiv.
+func readGolden(t *testing.T) map[string]metrics.Counters {
+	t.Helper()
 	b, err := os.ReadFile(goldenPath)
 	if err != nil {
 		t.Fatalf("reading the reference: %v", err)
@@ -50,20 +49,65 @@ func TestDirectSimulationMatchesGolden(t *testing.T) {
 	for _, c := range ref.Cells {
 		want[c.Key] = c.Counters
 	}
+	return want
+}
 
+// matchGolden runs specs on s and checks the cells s produced against
+// the reference in both directions: s produced exactly the cells of
+// specs, and each one is in the reference with every counter field
+// equal bit for bit.
+func matchGolden(t *testing.T, want map[string]metrics.Counters, s *Suite, specs []RunSpec) {
+	t.Helper()
+	if _, err := s.RunSpecs(specs); err != nil {
+		t.Fatal(err)
+	}
+	runs := s.Snapshot()
+	if len(runs) != len(specs) {
+		t.Fatalf("produced %d distinct cells, want %d", len(runs), len(specs))
+	}
+	got := make(map[string]bool, len(runs))
+	for _, r := range runs {
+		got[r.Key()] = true
+		w, ok := want[r.Key()]
+		if !ok {
+			t.Errorf("%s: cell not in the reference", r.Key())
+			continue
+		}
+		if d := counterDiff(w, r.Counters); len(d) > 0 {
+			t.Errorf("%s: counters differ from the reference: %v", r.Key(), d)
+		}
+	}
+	for _, sp := range specs {
+		if k := runner.NewRun(sp.W.Name, sp.V.Name, sp.M.Name, s.scale(sp.W), metrics.Counters{}).Key(); !got[k] {
+			t.Errorf("%s: grid cell not produced", k)
+		}
+	}
+}
+
+// gridSpecs returns every cell of ws × vs × ms.
+func gridSpecs(ws []*workload.Workload, vs []Variant, ms []cpu.Machine) []RunSpec {
 	var specs []RunSpec
-	add := func(ws []*workload.Workload, vs []Variant, ms []cpu.Machine) {
-		for _, w := range ws {
-			for _, v := range vs {
-				for _, m := range ms {
-					specs = append(specs, RunSpec{W: w, V: v, M: m})
-				}
+	for _, w := range ws {
+		for _, v := range vs {
+			for _, m := range ms {
+				specs = append(specs, RunSpec{W: w, V: v, M: m})
 			}
 		}
 	}
+	return specs
+}
+
+// TestDirectSimulationMatchesGolden simulates directly every paper-grid
+// pair on two machines that differ in line size (32 and 64 bytes) and
+// CPI (1.0 and 0.7), and gray on every machine, and compares every
+// counter field bit for bit with the reference. Any change to the
+// guest VMs, the engine, the plans or the simulator that moves a single
+// counter of a single cell fails it.
+func TestDirectSimulationMatchesGolden(t *testing.T) {
+	want := readGolden(t)
 	two := []cpu.Machine{cpu.Celeron800, cpu.Pentium4Northwood}
-	add(workload.Forth(), ForthVariants(), two)
-	add(workload.Java(), JavaVariants(), two)
+	specs := gridSpecs(workload.Forth(), ForthVariants(), two)
+	specs = append(specs, gridSpecs(workload.Java(), JavaVariants(), two)...)
 	gray, err := workload.ByName("gray")
 	if err != nil {
 		t.Fatal(err)
@@ -74,27 +118,49 @@ func TestDirectSimulationMatchesGolden(t *testing.T) {
 			rest = append(rest, m)
 		}
 	}
-	add([]*workload.Workload{gray}, ForthVariants(), rest)
+	specs = append(specs, gridSpecs([]*workload.Workload{gray}, ForthVariants(), rest)...)
 
 	s := NewSuite()
 	s.ScaleDiv = goldenScaleDiv
 	s.Jobs = 2
-	if _, err := s.RunSpecs(specs); err != nil {
-		t.Fatal(err)
-	}
-	runs := s.Snapshot()
-	if len(runs) != len(specs) {
-		t.Fatalf("simulated %d distinct cells, want %d", len(runs), len(specs))
-	}
-	for _, r := range runs {
-		w, ok := want[r.Key()]
-		if !ok {
-			t.Errorf("%s: cell not in the reference", r.Key())
-			continue
-		}
-		if d := counterDiff(w, r.Counters); len(d) > 0 {
-			t.Errorf("%s: counters differ from the reference: %v", r.Key(), d)
-		}
+	matchGolden(t, want, s, specs)
+}
+
+// TestReplayMatchesGolden is the golden check of record and replay: the
+// whole paper grid, every ForthVariants and JavaVariants pair on every
+// machine, runs through a trace cache and every counter field of every
+// cell must equal the reference bit for bit. The first pass records
+// each pair's trace on a cold cache, on the pair's first machine, and
+// replays it into the others. The second pass is a fresh suite and
+// cache over the warm directory, so every cell is replayed from a
+// decoded file; it must read each trace once and write none.
+func TestReplayMatchesGolden(t *testing.T) {
+	want := readGolden(t)
+	specs := gridSpecs(workload.Forth(), ForthVariants(), cpu.Machines())
+	specs = append(specs, gridSpecs(workload.Java(), JavaVariants(), cpu.Machines())...)
+	pairs := uint64(len(specs) / len(cpu.Machines()))
+	dir := t.TempDir()
+
+	for _, pass := range []struct {
+		name    string
+		records uint64
+	}{{"cold", pairs}, {"warm", 0}} {
+		t.Run(pass.name, func(t *testing.T) {
+			s := NewSuite()
+			s.ScaleDiv = goldenScaleDiv
+			s.Jobs = 2
+			s.Traces = disptrace.NewCache(dir)
+			matchGolden(t, want, s, specs)
+			st := s.Traces.Stats()
+			if st.Records != pass.records || st.Loads != pairs-pass.records {
+				t.Errorf("%d recordings and %d loads, want %d and %d",
+					st.Records, st.Loads, pass.records, pairs-pass.records)
+			}
+			files, err := filepath.Glob(filepath.Join(dir, "*.vmdt"))
+			if err != nil || len(files) != int(pairs) {
+				t.Errorf("%d trace files (%v), want %d", len(files), err, pairs)
+			}
+		})
 	}
 }
 

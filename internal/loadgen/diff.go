@@ -108,9 +108,9 @@ func Diff(baseline, current *Report, t Thresholds) []Regression {
 	return regs
 }
 
-// WriteDiff renders a gate outcome for humans and returns an error
+// WriteGate renders a gate outcome for humans and returns an error
 // when regressions were found (the vmload diff exit status).
-func WriteDiff(w io.Writer, regs []Regression, baseline *Report, t Thresholds) error {
+func WriteGate(w io.Writer, regs []Regression, baseline *Report, t Thresholds) error {
 	if len(regs) == 0 {
 		fmt.Fprintf(w, "vmload diff: %d ops compared, no regressions (p99 limit %gx+%gms, error-rate delta %g, throughput factor %g)\n",
 			len(baseline.Ops), t.P99Factor, t.P99SlackMS, t.MaxErrorRateDelta, t.ThroughputFactor)

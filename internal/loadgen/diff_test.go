@@ -34,8 +34,8 @@ func TestDiffPassesWithinThresholds(t *testing.T) {
 		t.Fatalf("unexpected regressions: %v", regs)
 	}
 	var buf bytes.Buffer
-	if err := WriteDiff(&buf, nil, base, testThresholds); err != nil {
-		t.Errorf("WriteDiff on clean gate: %v", err)
+	if err := WriteGate(&buf, nil, base, testThresholds); err != nil {
+		t.Errorf("WriteGate on clean gate: %v", err)
 	}
 	if !strings.Contains(buf.String(), "no regressions") {
 		t.Errorf("clean gate output = %q", buf.String())
@@ -50,8 +50,8 @@ func TestDiffCatchesP99Regression(t *testing.T) {
 		t.Fatalf("regressions = %v, want one sweep p99_ms", regs)
 	}
 	var buf bytes.Buffer
-	if err := WriteDiff(&buf, regs, base, testThresholds); err == nil {
-		t.Error("WriteDiff with regressions returned nil error")
+	if err := WriteGate(&buf, regs, base, testThresholds); err == nil {
+		t.Error("WriteGate with regressions returned nil error")
 	}
 	if !strings.Contains(buf.String(), "REGRESSION: sweep: p99_ms") {
 		t.Errorf("gate output = %q", buf.String())

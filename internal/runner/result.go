@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"runtime"
 	"sort"
 	"strconv"
@@ -14,8 +13,8 @@ import (
 )
 
 // SchemaVersion identifies the JSON result schema. Bump it when the
-// shape of Report changes incompatibly; vmbench diff refuses to
-// compare reports across schema versions.
+// shape of Report changes incompatibly; ReadReport refuses reports of
+// another schema version.
 const SchemaVersion = "vmbench/v1"
 
 // Run is the structured record of one simulated (workload, variant,
@@ -49,7 +48,8 @@ func NewRun(workload, variant, machine string, scale int, c metrics.Counters) Ru
 	}
 }
 
-// Key identifies the run for baseline comparison and sorting.
+// Key identifies the run: reports sort by it, and the exact counter
+// reference is keyed by it.
 func (r Run) Key() string {
 	return r.Workload + "/" + r.Variant + "/" + r.Machine + "/" + strconv.Itoa(r.Scale)
 }
@@ -105,8 +105,7 @@ func CurrentHost() *Host {
 // free of wall-clock metadata (timestamps, run durations) so that the
 // same experiments at the same scale serialize to identical bytes on
 // one machine whatever -jobs was; the optional Host block describes
-// the capture environment without affecting any run, and Diff ignores
-// it.
+// the capture environment without affecting any run.
 type Report struct {
 	Schema      string       `json:"schema"`
 	Exp         string       `json:"exp"`
@@ -149,16 +148,6 @@ func ReadReport(rd io.Reader) (*Report, error) {
 		return nil, fmt.Errorf("report schema %q, want %q", r.Schema, SchemaVersion)
 	}
 	return &r, nil
-}
-
-// ReadReportFile reads a JSON report from a file.
-func ReadReportFile(path string) (*Report, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadReport(f)
 }
 
 // csvHeader names the flat per-run CSV columns.

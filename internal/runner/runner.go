@@ -1,8 +1,7 @@
 // Package runner is the experiment execution engine of the
 // reproduction: a context-aware worker pool with deterministic result
-// ordering and full error aggregation (runner.Map), the
-// machine-readable result schema vmbench emits (Report, Run), and the
-// baseline regression diff CI tracks (Diff).
+// ordering and full error aggregation (runner.Map), and the
+// machine-readable result schema vmbench emits (Report, Run).
 package runner
 
 import (

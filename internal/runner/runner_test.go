@@ -192,63 +192,3 @@ func TestReportCSVRoundTrip(t *testing.T) {
 		t.Error("headerless CSV should be rejected")
 	}
 }
-
-func TestDiff(t *testing.T) {
-	base := sampleReport()
-	cur := sampleReport()
-
-	regs, err := Diff(base, cur, 0.01)
-	if err != nil || len(regs) != 0 {
-		t.Fatalf("identical reports should not regress: %v %v", regs, err)
-	}
-
-	// Perturb one run's cycles beyond tolerance.
-	cur.Runs[0].Counters.Cycles *= 1.10
-	regs, err = Diff(base, cur, 0.01)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(regs) != 1 || regs[0].Metric != "cycles" {
-		t.Fatalf("want one cycles regression, got %v", regs)
-	}
-	// Within tolerance: no regression.
-	cur = sampleReport()
-	cur.Runs[0].Counters.Cycles *= 1.005
-	if regs, _ = Diff(base, cur, 0.01); len(regs) != 0 {
-		t.Errorf("0.5%% growth within 1%% tolerance flagged: %v", regs)
-	}
-	// Improvement: no regression.
-	cur = sampleReport()
-	cur.Runs[0].Counters.Cycles *= 0.5
-	if regs, _ = Diff(base, cur, 0.01); len(regs) != 0 {
-		t.Errorf("improvement flagged as regression: %v", regs)
-	}
-	// Missing run.
-	cur = sampleReport()
-	cur.Runs = cur.Runs[:1]
-	regs, _ = Diff(base, cur, 0.01)
-	if len(regs) != 1 || regs[0].Metric != "missing" {
-		t.Fatalf("want one missing regression, got %v", regs)
-	}
-	// Scale mismatch is an error.
-	cur = sampleReport()
-	cur.ScaleDiv = 10
-	if _, err := Diff(base, cur, 0.01); err == nil {
-		t.Error("scalediv mismatch should error")
-	}
-}
-
-func TestWriteDiff(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteDiff(&buf, nil, 12, 0.02); err != nil {
-		t.Errorf("clean diff should not error: %v", err)
-	}
-	buf.Reset()
-	regs := []Regression{{Key: "a/b/c/1", Metric: "cycles", Base: 100, Cur: 120}}
-	if err := WriteDiff(&buf, regs, 12, 0.02); err == nil {
-		t.Error("regressions should produce an error")
-	}
-	if !strings.Contains(buf.String(), "REGRESSION") {
-		t.Errorf("diff output missing regression line: %q", buf.String())
-	}
-}

@@ -13,9 +13,9 @@ import (
 
 // TestMemoryTierServing drives the trace cache's memory end to end:
 // /v1/run of one workload/variant on three machines misses the result
-// LRU each time but shares one cached trace, so request 1 records it,
-// request 2 decodes it from disk into memory, and request 3 is served
-// from memory. Every body must stay byte-identical to the direct
+// LRU each time but shares one cached trace, so request 1 records it
+// and keeps the recording in memory, and requests 2 and 3 are served
+// from memory with no disk read. Every body must stay byte-identical to the direct
 // harness result, and the memory hit must show up in /v1/stats and in
 // /metrics.
 func TestMemoryTierServing(t *testing.T) {
@@ -40,8 +40,8 @@ func TestMemoryTierServing(t *testing.T) {
 		t.Fatal(err)
 	}
 	if tr := stats.Traces; tr == nil || tr.Records != 1 || tr.Loads != 2 ||
-		tr.MemoryHits != 1 || tr.MemoryBytes <= 0 {
-		t.Fatalf("/v1/stats traces block: want 1 record, 2 loads of which 1 from memory, and resident bytes: %s", statsBody)
+		tr.MemoryHits != 2 || tr.MemoryBytes <= 0 {
+		t.Fatalf("/v1/stats traces block: want 1 record, 2 loads both from memory, and resident bytes: %s", statsBody)
 	}
 
 	metricsBody, err := fetchOK(ts.URL + "/metrics")
