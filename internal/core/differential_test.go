@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -8,6 +9,7 @@ import (
 
 	"vmopt/internal/core"
 	"vmopt/internal/cpu"
+	"vmopt/internal/disptrace"
 )
 
 // genWord emits a random unary word body ( n -- m ): a chain of
@@ -90,6 +92,46 @@ func TestDifferentialTechniques(t *testing.T) {
 				}
 				if c.Dispatches > c.IndirectBranches {
 					t.Errorf("%v: more dispatches than indirect branches", cfg.Technique)
+				}
+			}
+		})
+	}
+}
+
+// TestDifferentialRecording: for the same random programs under every
+// technique, recording lowered (a disptrace.Writer as the sink, so
+// core.Run records one step ID per instruction) must encode to the
+// same bytes as recording per event (the same Writer behind a plain
+// cpu.Sink). Decoding the recording must give back those bytes, and
+// replaying it on every machine the counters of direct simulation.
+func TestDifferentialRecording(t *testing.T) {
+	for seed := int64(1); seed <= 12; seed++ {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			src := genProgram(seed)
+			for _, cfg := range allConfigs(t, src) {
+				lowered, ref := disptrace.NewWriter(disptrace.Header{}), disptrace.NewWriter(disptrace.Header{})
+				runSink(t, src, cfg, bigBTB, lowered)
+				runSink(t, src, cfg, bigBTB, struct{ cpu.Sink }{ref})
+				enc := lowered.Trace().Encode()
+				if !bytes.Equal(enc, ref.Trace().Encode()) {
+					t.Errorf("%v: lowered recording encodes differently from the per-event one\nprogram:\n%s", cfg.Technique, src)
+				}
+				tr, err := disptrace.Decode(enc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(tr.Encode(), enc) {
+					t.Errorf("%v: re-encoding the decoded recording changed its bytes", cfg.Technique)
+				}
+				for _, m := range cpu.Machines() {
+					want, _ := runTech(t, src, cfg, m)
+					got, err := disptrace.ReplayMachine(tr, m)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got != want {
+						t.Errorf("%v on %s: replay differs from direct simulation:\n  got  %+v\n  want %+v", cfg.Technique, m.Name, got, want)
+					}
 				}
 			}
 		})

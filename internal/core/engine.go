@@ -25,20 +25,33 @@ var ErrStepLimit = errors.New("core: VM step limit exceeded")
 // cpu.Sim.LowerStep) and then applies one lowered step per executed VM
 // instruction, with only the dispatch's hint and target read per
 // instruction. The counters are bit-identical to driving the events one
-// at a time, which Run still does for every step while sim.Sink is set
-// (so recorded traces see each event), and for steps that quicken, run
-// in shadow mode, halt or lower to no fixed shape.
+// at a time, which Run still does for steps that quicken, run in shadow
+// mode, halt or lower to no fixed shape.
+//
+// Recording lowers too when sim.Sink is a cpu.StepSink: each lowered
+// step remembers the destination it last ran to and the step ID its
+// events were interned under, so a repeat records just that ID, and a
+// destination seen before is looked up instead of interned again. The
+// IDs reach the Sink in batches. The steps Run drives one event at a
+// time reach it per event, as every step does for a Sink that is not a
+// cpu.StepSink.
 func Run(proc Process, plan *Plan, sim *cpu.Sim, maxSteps uint64) (metrics.Counters, error) {
 	code := proc.Code()
 	sim.AddCodeBytes(plan.dynBytes)
 
 	// Steps are lowered on first use: at[2*pos] locates pos's step on
 	// a fall-through and at[2*pos+1] on a transfer, as an index into
-	// lowered plus one, or 0 when not lowered yet. Recording needs
-	// every event, so it lowers nothing.
+	// lowered plus one, or 0 when not lowered yet. A Sink that records
+	// events only one at a time needs them all, so then Run lowers
+	// nothing; a cpu.StepSink gets a recorder.
 	var at []uint32
 	var lowered []cpu.Step
-	if sim.Sink == nil {
+	var rec *recorder
+	if ss, ok := sim.Sink.(cpu.StepSink); ok {
+		rec = &recorder{sink: ss, seen: make(map[uint64]uint32)}
+		defer rec.flush()
+	}
+	if sim.Sink == nil || rec != nil {
 		at = make([]uint32, 2*len(code))
 		lowered = make([]cpu.Step, 0, len(code))
 	}
@@ -60,7 +73,6 @@ func Run(proc Process, plan *Plan, sim *cpu.Sim, maxSteps uint64) (metrics.Count
 		if err != nil {
 			return sim.C, err
 		}
-		sim.VMInst()
 
 		to := ev.To
 		inShadow := shadowEnd >= 0 && pos < shadowEnd
@@ -86,13 +98,31 @@ func Run(proc Process, plan *Plan, sim *cpu.Sim, maxSteps uint64) (metrics.Count
 				k++
 			}
 			if at[k] == 0 {
-				st, _ := sim.LowerStep(plan.stepEvents(&buf, pos, dispatch, branch))
+				st, _ := sim.LowerStep(plan.stepEvents(&buf, pos, dispatch, branch, 0, 0))
 				lowered = append(lowered, st)
+				if rec != nil {
+					rec.memo = append(rec.memo, stepMemo{})
+				}
 				at[k] = uint32(len(lowered))
 			}
-			applied = sim.ApplyStep(&lowered[at[k]-1], hint, target)
+			i := at[k] - 1
+			if applied = sim.ApplyStep(&lowered[i], hint, target); applied {
+				sim.C.VMInstructions++
+				if rec != nil {
+					if m := rec.memo[i]; m.to == uint32(to)+1 && rec.n < len(rec.ids) {
+						rec.ids[rec.n] = m.id
+						rec.n++
+					} else {
+						rec.step(plan, i, pos, to, dispatch, branch, hint, target)
+					}
+				}
+			}
 		}
 		if !applied {
+			if rec != nil {
+				rec.flush()
+			}
+			sim.VMInst()
 			if ev.Quickened {
 				// The quickening execution runs the original (slow)
 				// routine plus the one-time resolution work; the plan
@@ -133,9 +163,66 @@ func Run(proc Process, plan *Plan, sim *cpu.Sim, maxSteps uint64) (metrics.Count
 			plan.Quicken(pos, ev.NewOp)
 			clear(at)
 			lowered = lowered[:0]
+			if rec != nil {
+				rec.reset()
+			}
 		}
 	}
 	return sim.C, nil
+}
+
+// recorder records the lowered steps of a run into a cpu.StepSink.
+// memo[i] is lowered step i's ID for the destination it last ran to,
+// and seen holds the ID of every (lowered step, destination) pair run
+// so far: a return moves between its callers, and seen spares it a
+// re-intern on each move. ids[:n] are IDs not yet handed to sink.
+type recorder struct {
+	sink cpu.StepSink
+	memo []stepMemo
+	seen map[uint64]uint32
+	ids  [256]uint32
+	n    int
+	buf  [maxStepEvents]cpu.Op
+}
+
+// stepMemo is a lowered step's last destination plus one (0 before
+// its first run) and the ID its events were interned under for it.
+type stepMemo struct{ to, id uint32 }
+
+// step records one run of lowered step i, at pos, to to, when the
+// run's inline fast path cannot: the step's memo is for another
+// destination, or the batch is full. The slot and its destination fix
+// the step's events, the dispatch's hint and target included.
+func (r *recorder) step(plan *Plan, i uint32, pos, to int, dispatch bool, branch, hint, target uint64) {
+	if m := &r.memo[i]; m.to != uint32(to)+1 {
+		key := uint64(i)<<32 | uint64(to)
+		id, ok := r.seen[key]
+		if !ok {
+			id = r.sink.InternStep(plan.stepEvents(&r.buf, pos, dispatch, branch, hint, target))
+			r.seen[key] = id
+		}
+		*m = stepMemo{to: uint32(to) + 1, id: id}
+	}
+	if r.n == len(r.ids) {
+		r.flush()
+	}
+	r.ids[r.n] = r.memo[i].id
+	r.n++
+}
+
+// flush hands the pending IDs to the sink.
+func (r *recorder) flush() {
+	if r.n > 0 {
+		r.sink.RecordSteps(r.ids[:r.n])
+		r.n = 0
+	}
+}
+
+// reset forgets every memoised ID: the lowered steps they belong to
+// are stale.
+func (r *recorder) reset() {
+	r.memo = r.memo[:0]
+	clear(r.seen)
 }
 
 // maxStepEvents is the most events stepEvents writes.
@@ -161,10 +248,9 @@ func (p *Plan) boundary(pos int, kind EventKind, inShadow bool) (dispatch bool, 
 // stepEvents writes into buf, and returns, the events Run's per-event
 // path drives for an instruction at pos outside shadow mode that
 // neither quickened nor halted: its work and fetch, then the dispatch
-// sequence through branch, or the kept ip increment when the boundary
-// does not dispatch. The dispatch's hint and target are left zero:
-// they depend on the destination, not on the step.
-func (p *Plan) stepEvents(buf *[maxStepEvents]cpu.Op, pos int, dispatch bool, branch uint64) []cpu.Op {
+// sequence through branch, predicting hint and jumping to target, or
+// the kept ip increment when the boundary does not dispatch.
+func (p *Plan) stepEvents(buf *[maxStepEvents]cpu.Op, pos int, dispatch bool, branch, hint, target uint64) []cpu.Op {
 	work := func(n int) cpu.Op { return cpu.Op{Kind: cpu.OpWork, A: uint64(n)} }
 	ops := append(buf[:0], work(int(p.workInstrs[pos])),
 		cpu.Op{Kind: cpu.OpFetch, A: p.addr[pos], B: uint64(p.workBytes[pos])})
@@ -173,5 +259,5 @@ func (p *Plan) stepEvents(buf *[maxStepEvents]cpu.Op, pos int, dispatch bool, br
 	}
 	return append(ops, work(p.dispatchWork),
 		cpu.Op{Kind: cpu.OpFetch, A: branch, B: uint64(p.dispatchBytes)},
-		cpu.Op{Kind: cpu.OpDispatch, A: branch})
+		cpu.Op{Kind: cpu.OpDispatch, A: branch, B: hint, C: target})
 }

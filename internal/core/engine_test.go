@@ -6,6 +6,7 @@ import (
 
 	"vmopt/internal/core"
 	"vmopt/internal/cpu"
+	"vmopt/internal/disptrace"
 	"vmopt/internal/forth"
 	"vmopt/internal/forthvm"
 	"vmopt/internal/metrics"
@@ -38,6 +39,12 @@ const benchSrc = `
 // counters plus the program output.
 func runTech(t *testing.T, src string, cfg core.Config, m cpu.Machine) (metrics.Counters, string) {
 	t.Helper()
+	return runSink(t, src, cfg, m, nil)
+}
+
+// runSink is runTech with sink, when not nil, recording the run.
+func runSink(t *testing.T, src string, cfg core.Config, m cpu.Machine, sink cpu.Sink) (metrics.Counters, string) {
+	t.Helper()
 	p, err := forth.Compile(src)
 	if err != nil {
 		t.Fatalf("compile: %v", err)
@@ -53,6 +60,7 @@ func runTech(t *testing.T, src string, cfg core.Config, m cpu.Machine) (metrics.
 		t.Fatalf("BuildPlan(%v): %v", cfg.Technique, err)
 	}
 	sim := cpu.NewSim(m)
+	sim.Sink = sink
 	c, err := core.Run(vm, plan, sim, 50_000_000)
 	if err != nil {
 		t.Fatalf("Run(%v): %v", cfg.Technique, err)
@@ -356,14 +364,20 @@ func TestSpeedupOrdering(t *testing.T) {
 	le(core.TStaticSuper, core.TPlain)
 }
 
-// TestMaxStepsGuard: a runaway program errors out instead of hanging.
+// TestMaxStepsGuard: a runaway program errors out instead of hanging,
+// and a recording of it holds every instruction run up to the limit.
 func TestMaxStepsGuard(t *testing.T) {
 	p := forth.MustCompile("begin 1 drop again")
 	vm := p.NewVM(16)
 	plan := core.MustBuildPlan(vm.Code(), forthvm.ISA(), core.Config{Technique: core.TPlain})
 	sim := cpu.NewSim(bigBTB)
+	w := disptrace.NewWriter(disptrace.Header{})
+	sim.Sink = w
 	if _, err := core.Run(vm, plan, sim, 1000); !errors.Is(err, core.ErrStepLimit) {
 		t.Errorf("Run past maxSteps = %v, want ErrStepLimit", err)
+	}
+	if n := w.Trace().Header.VMInstructions; n != 1000 {
+		t.Errorf("recording of a run stopped at 1000 steps holds %d", n)
 	}
 }
 

@@ -31,6 +31,23 @@ type Sink interface {
 	RecordCodeBytes(n uint64)
 }
 
+// StepSink is what a Sink may also implement to observe VM
+// instructions' events as whole steps. core.Run, given a Sink that
+// implements it, interns the events of each distinct step once and
+// then records one step ID per executed instruction, in batches and
+// with no per-event call; steps it cannot resolve ahead still go
+// through the Sink's per-event calls.
+type StepSink interface {
+	// InternStep returns the ID of the step whose events are ops,
+	// exactly as the per-event calls would record them. ops is not
+	// retained.
+	InternStep(ops []Op) uint32
+	// RecordSteps observes one VM instruction per ID, whose events are
+	// those of that step: each ID stands for RecordVMInst followed by
+	// the step's per-event calls. ids is not retained.
+	RecordSteps(ids []uint32)
+}
+
 // Sim is one simulated processor instance: predictor, I-cache and the
 // accumulated counters. The interpreter core drives it with three
 // event kinds: straight-line work, instruction fetch, and indirect

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -156,6 +157,81 @@ func TestDictionaryDedup(t *testing.T) {
 		if !ok || !slices.Equal(st.Ops, variants[i%len(variants)]) {
 			t.Fatalf("step %d: got %+v want %+v", i, st.Ops, variants[i%len(variants)])
 		}
+	}
+}
+
+// TestWriterStepsMatchEvents: a writer fed whole steps (InternStep,
+// then RecordSteps in batches of any size) mixed with steps fed one
+// event at a time, after a prelude, produces the trace of a writer fed
+// every step event by event: the same bytes, header totals and
+// resident weight. The stream runs past several of the writer's ID
+// chunks, and some batches span a chunk boundary.
+func TestWriterStepsMatchEvents(t *testing.T) {
+	steps := [][]cpu.Op{
+		{{Kind: cpu.OpWork, A: 2}, {Kind: cpu.OpFetch, A: 0x1000, B: 8}, {Kind: cpu.OpWork, A: 1},
+			{Kind: cpu.OpFetch, A: 0x1008, B: 4}, {Kind: cpu.OpDispatch, A: 0x1008, B: 9, C: 0x2000}},
+		{{Kind: cpu.OpWork, A: 3}, {Kind: cpu.OpFetch, A: 0x2000, B: 8}, {Kind: cpu.OpWork, A: 1}},
+		{{Kind: cpu.OpWork, A: 5}, {Kind: cpu.OpWork, A: 3}, {Kind: cpu.OpFetch, A: 0x2008, B: 12}},
+		nil,
+	}
+	prelude := []cpu.Op{{Kind: cpu.OpFetch, A: 0x40, B: 16}, {Kind: cpu.OpWork, A: 7}}
+	want, got := disptrace.NewWriter(testHeader()), disptrace.NewWriter(testHeader())
+	for _, w := range []*disptrace.Writer{want, got} {
+		w.RecordCodeBytes(64)
+		feed(w, prelude)
+	}
+	r := rand.New(rand.NewSource(1))
+	var batch []uint32
+	for range 50_000 {
+		ops := steps[r.Intn(len(steps))]
+		want.RecordVMInst()
+		feed(want, ops)
+		if r.Intn(500) == 0 {
+			got.RecordSteps(batch)
+			batch = batch[:0]
+			got.RecordVMInst()
+			feed(got, ops)
+		} else {
+			batch = append(batch, got.InternStep(ops))
+		}
+	}
+	got.RecordSteps(batch)
+	a, b := got.Trace(), want.Trace()
+	if err := a.Verify(); err != nil {
+		t.Fatal(err)
+	}
+	if a.Header != b.Header || !bytes.Equal(a.Encode(), b.Encode()) {
+		t.Fatalf("whole-step recording differs:\n  got  %+v\n  want %+v", a.Header, b.Header)
+	}
+	if g, w := a.Arena().Bytes(), b.Arena().Bytes(); g != w {
+		t.Fatalf("whole-step recording weighs %d bytes, the per-event one %d", g, w)
+	}
+}
+
+// TestRecordingWeighsItsDecodedForm: a fresh recording weighs what the
+// same trace decoded from its encoding weighs, so it takes the same
+// share of the memory tier's budget whichever way it arrived there.
+func TestRecordingWeighsItsDecodedForm(t *testing.T) {
+	w, err := workload.ByName("gray")
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := harness.VariantByName(w, "plain")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := harness.NewTestSuite()
+	s.ScaleDiv = 100
+	tr, _, err := s.RecordTrace(w, v, cpu.Celeron800)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := disptrace.Decode(tr.Encode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g, w := tr.Arena().Bytes(), back.Arena().Bytes(); g != w {
+		t.Fatalf("recording weighs %d bytes, its decoded form %d", g, w)
 	}
 }
 

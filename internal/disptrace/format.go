@@ -136,8 +136,9 @@ func (a *Arena) DictSteps() int { return len(a.dict) }
 
 // Bytes reports the arena's resident memory footprint: the
 // dictionary's ops and slice headers, the prelude and the ID stream.
-// The prelude and the ID stream count by capacity, since a recording
-// grows them by append and keeps the spare room.
+// The prelude and the ID stream count by capacity, which is what they
+// hold; the Writer and Decode both size them exactly, so a recording
+// weighs what its decoded form does.
 func (a *Arena) Bytes() int64 {
 	const opBytes = int64(unsafe.Sizeof(cpu.Op{}))
 	const entryBytes = int64(unsafe.Sizeof([]cpu.Op(nil)))

@@ -97,7 +97,8 @@ func ReplayMachine(t *Trace, m cpu.Machine) (metrics.Counters, error) {
 
 // Verify checks the stream against the header totals and bounds its
 // expanded op count (see checkTotals). Decode runs the same check, so
-// a decoded trace always passes; Verify catches writer bugs.
+// a decoded trace always passes, and the Writer derives its totals
+// from the stream, so a recording passes but for the bound.
 func (t *Trace) Verify() error {
 	uses := make([]uint64, len(t.arena.dict))
 	for _, id := range t.arena.ids {
@@ -129,7 +130,25 @@ func (a *Arena) checkTotals(h Header, uses []uint64) error {
 		limit += uint64(len(e))
 	}
 	ops := uint64(len(a.prelude))
-	var dispatches, fetches, work uint64
+	for k, e := range a.dict {
+		n := uint64(len(e))
+		if n > 0 && uses[k] > (limit-ops)/n {
+			return fmt.Errorf("disptrace: stream expands past %d ops (%d steps, %d-op entry %d used %d times)",
+				limit, len(a.ids), n, k, uses[k])
+		}
+		ops += uses[k] * n
+	}
+	dispatches, fetches, work := a.totals(uses)
+	if uint64(len(a.ids)) != h.VMInstructions || dispatches != h.Dispatches || fetches != h.Fetches || work != h.WorkInstrs {
+		return fmt.Errorf("disptrace: stream totals (%d steps, %d dispatches, %d fetches, %d work) disagree with header (%d, %d, %d, %d)",
+			len(a.ids), dispatches, fetches, work, h.VMInstructions, h.Dispatches, h.Fetches, h.WorkInstrs)
+	}
+	return nil
+}
+
+// totals returns the stream's dispatch and fetch events and its summed
+// work amounts: the prelude's plus each entry's times its use count.
+func (a *Arena) totals(uses []uint64) (dispatches, fetches, work uint64) {
 	count := func(ops []cpu.Op, n uint64) {
 		for _, op := range ops {
 			switch op.Kind {
@@ -144,19 +163,9 @@ func (a *Arena) checkTotals(h Header, uses []uint64) error {
 	}
 	count(a.prelude, 1)
 	for k, e := range a.dict {
-		n := uint64(len(e))
-		if n > 0 && uses[k] > (limit-ops)/n {
-			return fmt.Errorf("disptrace: stream expands past %d ops (%d steps, %d-op entry %d used %d times)",
-				limit, len(a.ids), n, k, uses[k])
-		}
-		ops += uses[k] * n
 		count(e, uses[k])
 	}
-	if uint64(len(a.ids)) != h.VMInstructions || dispatches != h.Dispatches || fetches != h.Fetches || work != h.WorkInstrs {
-		return fmt.Errorf("disptrace: stream totals (%d steps, %d dispatches, %d fetches, %d work) disagree with header (%d, %d, %d, %d)",
-			len(a.ids), dispatches, fetches, work, h.VMInstructions, h.Dispatches, h.Fetches, h.WorkInstrs)
-	}
-	return nil
+	return dispatches, fetches, work
 }
 
 // HashISA fingerprints a VM instruction set: the name, opcode count

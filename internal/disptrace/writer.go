@@ -12,121 +12,139 @@ import (
 )
 
 // Writer records the event stream of one simulated run into an
-// in-memory trace. It implements cpu.Sink: attach it to a cpu.Sim and
-// run the engine, then call Trace to finalize.
+// in-memory trace. It implements cpu.Sink and cpu.StepSink: attach it
+// to a cpu.Sim and run the engine, then call Trace to finalize.
 //
-// The writer collects each VM instruction's events (RecordVMInst
-// marks instruction starts) and interns the finished step into the
-// step dictionary: two steps share an ID only when their op lists are
-// identical, op for op — a hash only picks the candidates to compare.
-// Events before the first instruction form the prelude, which belongs
-// to no step.
+// A step — one VM instruction's events — reaches the writer one of two
+// ways. core.Run interns the events of each step it can resolve ahead
+// once (InternStep) and then records the step's ID per executed
+// instruction (RecordSteps, in batches). Any other step, and every
+// step a plain Sink user drives, arrives one event at a time:
+// RecordVMInst opens it, and the next RecordVMInst, InternStep,
+// RecordSteps or Trace closes and interns it. Either way two steps
+// share an ID only when their op lists are identical, op for op — a
+// hash only picks the candidates to compare. Events before the first
+// instruction form the prelude, which belongs to no step.
 type Writer struct {
 	h Header
-	// started marks that the first VM instruction has begun; cur holds
-	// the open step's ops (the prelude's before that).
-	started bool
-	cur     []cpu.Op
+	// open marks a step begun by RecordVMInst; cur holds its ops (the
+	// prelude's before the first instruction).
+	open bool
+	cur  []cpu.Op
+	// prelude holds the events recorded before the first instruction.
 	prelude []cpu.Op
 
 	// dictOps holds the dictionary entries back to back, entry k
 	// ending at dictEnds[k].
 	dictOps  []cpu.Op
 	dictEnds []int
-	ids      []uint32
+	// full holds the step-ID stream's full chunks, idChunk IDs each, and
+	// tail the rest: the growing stream is never copied, and Trace
+	// joins it into one array of its exact length.
+	full [][]uint32
+	tail []uint32
 	// index maps hashOps of an entry to the IDs of every entry with
 	// that hash.
 	index map[uint64][]uint32
-	// follow[k] is the ID that last came after entry k. Interpreter
-	// streams repeat their step sequences, so comparing the open step
-	// against it first finds most steps without hashing.
-	follow []uint32
 }
 
 // NewWriter starts a trace with the given metadata (the writer fills
 // the stream totals itself).
 func NewWriter(h Header) *Writer {
-	h.VMInstructions = 0
 	h.CodeBytes = 0
-	h.Dispatches = 0
-	h.Fetches = 0
-	h.WorkInstrs = 0
 	return &Writer{h: h, index: make(map[uint64][]uint32)}
 }
 
 // RecordWork implements cpu.Sink.
 func (w *Writer) RecordWork(n int) {
-	if n < 0 {
-		n = 0
-	}
-	w.h.WorkInstrs += uint64(n)
-	w.cur = append(w.cur, cpu.Op{Kind: cpu.OpWork, A: uint64(n)})
+	w.cur = append(w.cur, cpu.Op{Kind: cpu.OpWork, A: uint64(max(n, 0))})
 }
 
 // RecordFetch implements cpu.Sink.
 func (w *Writer) RecordFetch(addr uint64, size int) {
-	if size < 0 {
-		size = 0
-	}
-	w.h.Fetches++
-	w.cur = append(w.cur, cpu.Op{Kind: cpu.OpFetch, A: addr, B: uint64(size)})
+	w.cur = append(w.cur, cpu.Op{Kind: cpu.OpFetch, A: addr, B: uint64(max(size, 0))})
 }
 
 // RecordDispatch implements cpu.Sink.
 func (w *Writer) RecordDispatch(branch, hint, target uint64) {
-	w.h.Dispatches++
 	w.cur = append(w.cur, cpu.Op{Kind: cpu.OpDispatch, A: branch, B: hint, C: target})
 }
 
 // RecordVMInst implements cpu.Sink. It closes the open step (or the
 // prelude) and opens the next one.
 func (w *Writer) RecordVMInst() {
-	w.h.VMInstructions++
 	w.closeStep()
-	w.started = true
+	w.open = true
 }
 
 // RecordCodeBytes implements cpu.Sink.
 func (w *Writer) RecordCodeBytes(n uint64) { w.h.CodeBytes += n }
 
+// InternStep implements cpu.StepSink. It closes the open step (or the
+// prelude), so IDs keep the order of first sight, and returns the
+// dictionary ID of ops, adding an entry when it is new.
+func (w *Writer) InternStep(ops []cpu.Op) uint32 {
+	w.closeStep()
+	return w.intern(ops)
+}
+
+// RecordSteps implements cpu.StepSink. It closes the open step and
+// appends ids, which must come from InternStep. Events may follow only
+// after the next RecordVMInst, which opens a step for them.
+func (w *Writer) RecordSteps(ids []uint32) {
+	if w.open {
+		w.closeStep()
+	}
+	for len(ids) > 0 {
+		if len(w.tail) == cap(w.tail) {
+			w.grow()
+		}
+		n := copy(w.tail[len(w.tail):cap(w.tail)], ids)
+		w.tail, ids = w.tail[:len(w.tail)+n], ids[n:]
+	}
+}
+
+// idChunk is the number of step IDs in one chunk of the stream.
+const idChunk = 1 << 14
+
+// grow starts a new chunk of the step-ID stream.
+func (w *Writer) grow() {
+	if w.tail != nil {
+		w.full = append(w.full, w.tail)
+	}
+	w.tail = make([]uint32, 0, idChunk)
+}
+
 // closeStep appends the open step's ID to the stream, interning the
 // step on first sight — or, before the first instruction, keeps the
 // collected ops as the prelude.
 func (w *Writer) closeStep() {
-	if !w.started {
-		if len(w.cur) > 0 {
-			w.prelude = append([]cpu.Op(nil), w.cur...)
-		}
-		w.cur = w.cur[:0]
-		return
+	switch {
+	case w.open:
+		w.open = false
+		w.RecordSteps([]uint32{w.intern(w.cur)})
+	case len(w.cur) == 0: // nothing to close
+	case w.tail == nil: // no instruction yet
+		w.prelude = append(make([]cpu.Op, 0, len(w.cur)), w.cur...)
+	default:
+		panic("disptrace: events recorded after RecordSteps, outside any step")
 	}
-	id := w.intern()
-	if n := len(w.ids); n > 0 {
-		w.follow[w.ids[n-1]] = id
-	}
-	w.ids = append(w.ids, id)
 	w.cur = w.cur[:0]
 }
 
-// intern returns the dictionary ID of the open step's op list, adding
-// an entry when no existing one is equal to it op for op.
-func (w *Writer) intern() uint32 {
-	if n := len(w.ids); n > 0 {
-		if id := w.follow[w.ids[n-1]]; slices.Equal(w.entry(id), w.cur) {
-			return id
-		}
-	}
-	h := hashOps(w.cur)
+// intern returns the dictionary ID of ops, adding an entry when no
+// existing one is equal to it op for op.
+func (w *Writer) intern(ops []cpu.Op) uint32 {
+	h := hashOps(ops)
 	for _, id := range w.index[h] {
-		if slices.Equal(w.entry(id), w.cur) {
+		if slices.Equal(w.entry(id), ops) {
 			return id
 		}
 	}
 	id := uint32(len(w.dictEnds))
 	w.index[h] = append(w.index[h], id)
-	w.dictOps = append(w.dictOps, w.cur...)
+	w.dictOps = append(w.dictOps, ops...)
 	w.dictEnds = append(w.dictEnds, len(w.dictOps))
-	w.follow = append(w.follow, id)
 	return id
 }
 
@@ -153,18 +171,31 @@ func hashOps(ops []cpu.Op) uint64 {
 }
 
 // Trace closes the last step and returns the finished trace. The
-// writer must not be used afterwards. The dictionary's ops move to a
-// backing array of their exact size, so Arena.Bytes, which counts
-// them by length, is what the trace holds; the far larger ID stream
-// keeps its append-grown array and is weighed by capacity instead of
-// copied.
+// writer must not be used afterwards. The dictionary's ops and the ID
+// stream move to backing arrays of their exact size, so the trace
+// holds, and Arena.Bytes weighs, what Decode of its encoding holds.
+// The stream totals in the header come from each entry's events times
+// its use count.
 func (w *Writer) Trace() *Trace {
 	w.closeStep()
-	return &Trace{Header: w.h, arena: &Arena{
+	a := &Arena{
 		dict:    sliceEntries(append(make([]cpu.Op, 0, len(w.dictOps)), w.dictOps...), w.dictEnds),
 		prelude: w.prelude,
-		ids:     w.ids,
-	}}
+	}
+	uses := make([]uint64, len(w.dictEnds))
+	if n := len(w.full)*idChunk + len(w.tail); n > 0 {
+		a.ids = make([]uint32, 0, n)
+		for _, chunk := range append(w.full, w.tail) {
+			for _, id := range chunk {
+				uses[id]++
+			}
+			a.ids = append(a.ids, chunk...)
+		}
+	}
+	h := w.h
+	h.VMInstructions = uint64(len(a.ids))
+	h.Dispatches, h.Fetches, h.WorkInstrs = a.totals(uses)
+	return &Trace{Header: h, arena: a}
 }
 
 // Save writes the trace to path atomically (temp file + rename), so a

@@ -1,6 +1,8 @@
 package harness
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"math"
 	"os"
@@ -8,6 +10,7 @@ import (
 	"reflect"
 	"testing"
 
+	"vmopt/internal/core"
 	"vmopt/internal/cpu"
 	"vmopt/internal/disptrace"
 	"vmopt/internal/metrics"
@@ -177,13 +180,13 @@ var oneSet = cpu.Machine{
 
 // TestLoweredRunMatchesEventStream is the oracle of core.Run's lowered
 // path: with no sink, Run applies one machine-lowered step per VM
-// instruction; with a sink, it drives every event one call at a time.
-// Driving the recorded per-event stream, expanded by a Cursor, through
-// Sim.Apply must give bit-identical counters on every machine. The
-// pairs cover every technique, the switch baseline included: shadow
-// mode (w/static super across), JVM quickening, which re-parses the
-// plan around the quickened position mid-run, and the halt every
-// program ends in.
+// instruction; with a plain cpu.Sink (a Writer behind perEvent), it
+// drives every event one call at a time. Driving that per-event
+// stream, expanded by a Cursor, through Sim.Apply must give
+// bit-identical counters on every machine. The pairs cover every
+// technique, the switch baseline included: shadow mode (w/static super
+// across), JVM quickening, which re-parses the plan around the
+// quickened position mid-run, and the halt every program ends in.
 func TestLoweredRunMatchesEventStream(t *testing.T) {
 	s := NewSuite()
 	s.ScaleDiv = 200
@@ -202,10 +205,11 @@ func TestLoweredRunMatchesEventStream(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, v := range append(variants, sw) {
-			tr, _, err := s.RecordTrace(w, v, machines[0])
-			if err != nil {
+			tw := disptrace.NewWriter(s.TraceKey(w, v).Header())
+			if _, err := s.simulate(w, v, machines[0], perEvent{tw}); err != nil {
 				t.Fatal(err)
 			}
+			tr := tw.Trace()
 			for _, m := range machines {
 				got, err := s.simulate(w, v, m, nil)
 				if err != nil {
@@ -218,6 +222,121 @@ func TestLoweredRunMatchesEventStream(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// perEvent hides a Writer's cpu.StepSink methods, so core.Run records
+// through it one event at a time: the reference the lowered recording
+// is checked against.
+type perEvent struct{ cpu.Sink }
+
+// stepPaths forwards a recording to its Writer and counts the steps
+// core.Run drives one event at a time, by their events: a quickened
+// step starts with two work events (the one-time quickening work
+// first), a halt is work and fetch alone, and any other is a step in
+// shadow mode.
+type stepPaths struct {
+	*disptrace.Writer
+	open                     bool
+	kinds                    []cpu.OpKind
+	quickened, halts, shadow int
+}
+
+func (p *stepPaths) RecordWork(n int) {
+	p.kinds = append(p.kinds, cpu.OpWork)
+	p.Writer.RecordWork(n)
+}
+
+func (p *stepPaths) RecordFetch(addr uint64, size int) {
+	p.kinds = append(p.kinds, cpu.OpFetch)
+	p.Writer.RecordFetch(addr, size)
+}
+
+func (p *stepPaths) RecordDispatch(branch, hint, target uint64) {
+	p.kinds = append(p.kinds, cpu.OpDispatch)
+	p.Writer.RecordDispatch(branch, hint, target)
+}
+
+func (p *stepPaths) RecordVMInst() {
+	p.count()
+	p.open = true
+	p.Writer.RecordVMInst()
+}
+
+func (p *stepPaths) InternStep(ops []cpu.Op) uint32 {
+	p.count()
+	return p.Writer.InternStep(ops)
+}
+
+func (p *stepPaths) RecordSteps(ids []uint32) {
+	p.count()
+	p.Writer.RecordSteps(ids)
+}
+
+// count classifies the open per-event step, if there is one.
+func (p *stepPaths) count() {
+	if p.open {
+		switch k := p.kinds; {
+		case len(k) >= 2 && k[0] == cpu.OpWork && k[1] == cpu.OpWork:
+			p.quickened++
+		case len(k) == 2:
+			p.halts++
+		default:
+			p.shadow++
+		}
+	}
+	p.open, p.kinds = false, p.kinds[:0]
+}
+
+// TestLoweredRecordingMatchesPerEvent records every paper-grid pair at
+// the reference scale both ways, lowered (core.Run interns each step
+// once and records its ID) and per event (the same Writer behind
+// perEvent), and requires the same Encode bytes and the same resident
+// weight. The grid reaches every step the lowered recording leaves to
+// the per-event calls: JVM quickening, shadow mode and the halt that
+// ends every run.
+func TestLoweredRecordingMatchesPerEvent(t *testing.T) {
+	specs := gridSpecs(workload.Forth(), ForthVariants(), cpu.Machines()[:1])
+	specs = append(specs, gridSpecs(workload.Java(), JavaVariants(), cpu.Machines()[:1])...)
+	s := NewSuite()
+	s.ScaleDiv = goldenScaleDiv
+	s.Jobs = 2
+	paths, err := runner.Map(context.Background(), len(specs), runner.Options{Jobs: s.Jobs},
+		func(_ context.Context, i int) (*stepPaths, error) {
+			sp := specs[i]
+			h := s.TraceKey(sp.W, sp.V).Header()
+			lowered, ref := &stepPaths{Writer: disptrace.NewWriter(h)}, disptrace.NewWriter(h)
+			if _, err := s.simulate(sp.W, sp.V, sp.M, lowered); err != nil {
+				return nil, err
+			}
+			if _, err := s.simulate(sp.W, sp.V, sp.M, perEvent{ref}); err != nil {
+				return nil, err
+			}
+			lowered.count()
+			got, want := lowered.Trace(), ref.Trace()
+			if !bytes.Equal(got.Encode(), want.Encode()) {
+				t.Errorf("%s/%s: lowered recording encodes differently from the per-event one (%d vs %d steps, %d vs %d dictionary entries)",
+					sp.W.Name, sp.V.Name, got.Arena().Insts(), want.Arena().Insts(), got.Arena().DictSteps(), want.Arena().DictSteps())
+			}
+			if g, w := got.Arena().Bytes(), want.Arena().Bytes(); g != w {
+				t.Errorf("%s/%s: lowered recording weighs %d bytes, the per-event one %d", sp.W.Name, sp.V.Name, g, w)
+			}
+			return lowered, nil
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var quickened, halts, shadow int
+	for i, p := range paths {
+		quickened += p.quickened
+		halts += p.halts
+		if specs[i].V.Technique == core.TWithStaticSuperAcross {
+			shadow += p.shadow
+		}
+	}
+	if quickened == 0 || shadow == 0 || halts != len(specs) {
+		t.Errorf("per-event steps: %d quickened, %d in shadow mode, %d halts; want some of the first two and one halt per pair (%d)",
+			quickened, shadow, halts, len(specs))
 	}
 }
 
