@@ -1,6 +1,10 @@
 package cpu
 
-import "math"
+import (
+	"cmp"
+	"math"
+	"slices"
+)
 
 // Driving the simulator is itself an interpreter: trace replay runs a
 // step dictionary of event lists over a long stream of step IDs, and
@@ -80,28 +84,134 @@ type Step struct {
 type replayStep struct {
 	Step
 	hint, target uint64
+	// lines counts the entry's I-cache accesses, span0+1, plus span1+1
+	// for shapeWFWFD, plus hitLines: all that fetching its lines
+	// changes once they are resident. It is 0 for an entry of no fixed
+	// shape.
+	lines uint16
+	// lastUse is 1 + the index in ids of the entry's latest use in this
+	// call of ApplySteps, 0 before its first (see applyResident).
+	lastUse uint64
 }
 
 // ApplySteps is Apply over the stream dict[ids[0]], dict[ids[1]], …
 // without materializing it: trace replay keeps each distinct step's
 // events once and the run as step IDs.
 //
-// It first lowers dict for the sim's machine (see lower), then applies
-// one lowered entry per ID through ApplyStep; an entry of no fixed
-// shape goes through Apply. The counters, float cycle counters
-// included, and the predictor and I-cache state end bit-identical to
-// Apply over the expanded stream: every float addition happens in the
-// same order with the same operands, integer deltas commute, and a
-// dropped fetch is one whose every line is its set's most recently
-// used, which a fetch leaves unchanged but for the access count. The
-// lowered entries live in a buffer the sim reuses, so only a sim's
-// first call (or a larger dictionary) allocates.
+// It first lowers dict for the sim's machine (see lower). When no
+// fetch of dict can evict a line from the sim's I-cache (see Resident),
+// each entry runs in full on its first use and later uses skip the
+// I-cache simulation (see applyResident); otherwise it applies one
+// lowered entry per ID through ApplyStep. Either way an entry of no
+// fixed shape goes through Apply. The counters, float cycle counters
+// included, and the predictor and I-cache state, LRU order included,
+// end bit-identical to Apply over the expanded stream: every float
+// addition happens in the same order with the same operands, integer
+// deltas commute, and a dropped fetch is one whose every line is its
+// set's most recently used, which a fetch leaves unchanged but for the
+// access count. The lowered entries and the resident path's scratch
+// live in buffers the sim reuses, so only a sim's first call (or a
+// larger dictionary or cache) allocates.
 func (s *Sim) ApplySteps(dict [][]Op, ids []uint32) {
 	steps := s.lower(dict)
+	if s.Resident(dict) {
+		s.applyResident(dict, steps, ids)
+		return
+	}
 	for _, id := range ids {
 		st := &steps[id]
 		if !s.ApplyStep(&st.Step, st.hint, st.target) {
 			s.Apply(dict[id])
+		}
+	}
+}
+
+// Resident reports whether no fetch of any entry of dict can evict a
+// line from the sim's I-cache as it is now: in every set, the distinct
+// lines it holds and those the entries fetch fit its ways. Then a line
+// misses only on its first fetch, and LRU order decides no hit or
+// miss. The check costs O(dictionary ops + cache lines): a fetch that
+// spans more lines than a Step's span holds fails it at once, and it
+// stops at the first set that overflows.
+func (s *Sim) Resident(dict [][]Op) bool {
+	r := &s.res
+	r.Reset(s.ic)
+	for _, e := range dict {
+		for i := range e {
+			op := &e[i]
+			if op.Kind != OpFetch {
+				continue
+			}
+			first, last, ok := s.ic.Lines(op.A, int(op.B))
+			if ok && (last-first > math.MaxUint8 || !r.Add(first, last)) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// applyResident is ApplySteps' loop when dict is resident (see
+// Resident). An entry's first use in the call is cold: it runs in full
+// through ApplyStep or Apply, which leaves every line it fetches in
+// the cache for good. A later use of a fixed-shape entry is warm: its
+// fetches all hit and change only the access count and the LRU order,
+// so it applies the step's counter deltas and its dispatch and adds
+// its line count to the accesses, with the float additions in
+// ApplyStep's order. Each step stores its index as its entry's last
+// use, which marks the entries already run; restoreLRU then leaves the
+// LRU order the skipped fetches would have.
+func (s *Sim) applyResident(dict [][]Op, steps []replayStep, ids []uint32) {
+	c := &s.C
+	ic := s.ic
+	for i, id := range ids {
+		st := &steps[id]
+		if st.lastUse != 0 && st.shape != shapeGeneric {
+			c.Instructions += uint64(st.instructions)
+			// ApplyStep's two additions in its order, c.Cycles += w0
+			// then c.Cycles += w1, with one store.
+			c.Cycles = c.Cycles + st.w0 + st.w1
+			ic.Accesses += uint64(st.lines)
+			if st.shape != shapeWFW {
+				c.Dispatches++
+				s.Indirect(st.branch, st.hint, st.target)
+			}
+		} else if !s.ApplyStep(&st.Step, st.hint, st.target) {
+			s.Apply(dict[id])
+		}
+		st.lastUse = uint64(i) + 1
+	}
+	s.restoreLRU(dict, steps)
+}
+
+// restoreLRU gives each I-cache set the order the fetches of every
+// step of the call would have left, given each entry's last use. With
+// nothing evicted, a set holds its lines by their last fetch, most
+// recent first, then the lines not fetched in the call in their
+// earlier order. A line's last fetch lies in the last use of the
+// latest-used entry that fetches it, so fetching each used entry's
+// lines once more, in the order of the entries' last uses, gives every
+// line the same rank.
+func (s *Sim) restoreLRU(dict [][]Op, steps []replayStep) {
+	if cap(s.used) < len(steps) {
+		s.used = make([]uint32, 0, len(steps))
+	}
+	used := s.used[:0]
+	for k := range steps {
+		if steps[k].lastUse != 0 {
+			used = append(used, uint32(k))
+		}
+	}
+	slices.SortFunc(used, func(a, b uint32) int { return cmp.Compare(steps[a].lastUse, steps[b].lastUse) })
+	for _, k := range used {
+		for i := range dict[k] {
+			op := &dict[k][i]
+			if op.Kind != OpFetch {
+				continue
+			}
+			if first, last, ok := s.ic.Lines(op.A, int(op.B)); ok {
+				s.ic.Promote(first, last)
+			}
 		}
 	}
 }
@@ -117,6 +227,13 @@ func (s *Sim) lower(dict [][]Op) []replayStep {
 	for i, e := range dict {
 		st := &s.steps[i]
 		st.Step, _ = s.LowerStep(e)
+		st.lines, st.lastUse = 0, 0
+		if st.shape != shapeGeneric {
+			st.lines = uint16(st.span0) + 1 + uint16(st.hitLines)
+			if st.shape == shapeWFWFD {
+				st.lines += uint16(st.span1) + 1
+			}
+		}
 		// A fixed shape holds one dispatch; fetches dropped after it
 		// may follow it in the entry.
 		st.hint, st.target = 0, 0

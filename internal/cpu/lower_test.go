@@ -173,6 +173,74 @@ func TestApplyStepsMatchesReference(t *testing.T) {
 	}
 }
 
+// fitICache has 8 sets of 4 ways with 32-byte lines. randomDict keeps
+// its addresses within four set periods, one line per way, so a small
+// dictionary often fits it and a larger one, or one with a fetch
+// wider than a set period, often does not.
+var fitICache = Machine{
+	Name:      "fit-icache",
+	Predictor: PredictBTB, BTBEntries: 64, BTBWays: 2,
+	ICacheBytes: 1024, ICacheLine: 32, ICacheWays: 4,
+	MispredictPenalty: 10, ICacheMissPenalty: 10,
+	CPI: 0.7, ClockMHz: 800,
+}
+
+// TestApplyStepsResidentPath checks ApplySteps' resident path against
+// the per-op loop, LRU order included, over runs of calls on one sim
+// so that lines stay resident from one call to the next. Each run ends
+// with a dictionary that cannot fit: one naming more lines of a set
+// than it has ways, and one with a fetch wider than the cache. Both
+// paths must be taken many times.
+func TestApplyStepsResidentPath(t *testing.T) {
+	m := fitICache
+	line := uint64(m.ICacheLine)
+	stride := uint64(m.ICacheBytes / m.ICacheWays)
+	w := Op{Kind: OpWork, A: 3}
+	f := func(a, size uint64) Op { return Op{Kind: OpFetch, A: a, B: size} }
+	d := func(br uint64) Op { return Op{Kind: OpDispatch, A: br, B: 1, C: 0x2000} }
+	overflow := [][]Op{{w, f(0x10000, 4), w, f(0x10000+stride, 4), d(0x10000 + stride)}}
+	for k := uint64(2); k <= uint64(m.ICacheWays); k++ {
+		overflow = append(overflow, []Op{w, f(0x10000+k*stride, 8), w, f(0x10000, 4), d(0x10000)})
+	}
+	wide := [][]Op{
+		{w, f(0x10000, 8), w, f(0x10000, 4), d(0x10000)},
+		{w, f(0x10000, uint64(m.ICacheBytes)+line), w, f(0x10000, 4), d(0x10000)},
+	}
+	resident, full := 0, 0
+	for seed := int64(1); seed <= 40; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		got, want := NewSim(m), NewSim(m)
+		for call := range 6 {
+			dict := randomDict(r, m, 1+r.Intn(12))
+			switch call {
+			case 4:
+				dict = overflow
+			case 5:
+				dict = wide
+			}
+			ids := randomIDs(r, len(dict), 1000)
+			fits := got.Resident(dict)
+			if fits && call >= 4 {
+				t.Fatalf("seed %d call %d: a dictionary that cannot fit is resident", seed, call)
+			}
+			if fits {
+				resident++
+			} else {
+				full++
+			}
+			got.ApplySteps(dict, ids)
+			want.applyStepsRef(dict, ids)
+			if !sameState(got, want) {
+				t.Fatalf("seed %d call %d (resident %v): replay diverged:\n  got  %+v (I-cache %d/%d)\n  want %+v (I-cache %d/%d)",
+					seed, call, fits, got.C, got.ic.Accesses, got.ic.Misses, want.C, want.ic.Accesses, want.ic.Misses)
+			}
+		}
+	}
+	if resident < 40 || full < 120 {
+		t.Errorf("%d resident calls and %d full ones, want at least 40 and 120", resident, full)
+	}
+}
+
 // TestApplyStepTakesDestination: the engine lowers a step once and
 // supplies each executed dispatch's hint and target on apply. Lowering
 // random entries with their dispatch hint and target zeroed, then
@@ -251,15 +319,27 @@ func TestLowerDropsGuaranteedHits(t *testing.T) {
 	}
 }
 
-// TestApplyStepsReusesBuffers: lowering writes into the sim's own
-// buffer, so only the first call on a sim allocates.
+// TestApplyStepsReusesBuffers: lowering and the resident path write
+// into the sim's own buffers, so only the first call on a sim
+// allocates, on either path, and a Reset keeps the buffers.
 func TestApplyStepsReusesBuffers(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	dict := randomDict(r, Celeron800, 64)
-	ids := randomIDs(r, len(dict), 500)
-	s := NewSim(Celeron800)
-	s.ApplySteps(dict, ids)
-	if n := testing.AllocsPerRun(10, func() { s.ApplySteps(dict, ids) }); n != 0 {
-		t.Errorf("ApplySteps allocates %v times per call on a warm sim, want 0", n)
+	for _, c := range []struct {
+		m        Machine
+		resident bool
+	}{{Celeron800, false}, {PentiumM, true}} {
+		r := rand.New(rand.NewSource(7))
+		dict := randomDict(r, c.m, 64)
+		ids := randomIDs(r, len(dict), 500)
+		s := NewSim(c.m)
+		if got := s.Resident(dict); got != c.resident {
+			t.Fatalf("%s: Resident = %v, want %v", c.m.Name, got, c.resident)
+		}
+		s.ApplySteps(dict, ids)
+		if n := testing.AllocsPerRun(10, func() { s.ApplySteps(dict, ids) }); n != 0 {
+			t.Errorf("%s: ApplySteps allocates %v times per call on a warm sim, want 0", c.m.Name, n)
+		}
+		if n := testing.AllocsPerRun(10, func() { s.Reset(); s.ApplySteps(dict, ids) }); n != 0 {
+			t.Errorf("%s: ApplySteps allocates %v times per call on a reset sim, want 0", c.m.Name, n)
+		}
 	}
 }

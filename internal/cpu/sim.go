@@ -68,6 +68,10 @@ type Sim struct {
 	// steps holds the dictionary ApplySteps last lowered; each call
 	// rebuilds it in place (see lower).
 	steps []replayStep
+	// res and used are ApplySteps' scratch for its resident path (see
+	// Resident and restoreLRU), reused like steps.
+	res  icache.Residency
+	used []uint32
 }
 
 // NewSim builds a simulator for the machine.
@@ -202,7 +206,9 @@ func (s *Sim) Apply(ops []Op) {
 	}
 }
 
-// Reset clears counters, predictor and cache state.
+// Reset clears counters, predictor and cache state. It keeps the
+// buffers ApplySteps reuses, so a reset sim replays without
+// allocating.
 func (s *Sim) Reset() {
 	s.C = metrics.Counters{}
 	s.pred.Reset()

@@ -146,6 +146,69 @@ func (c *Cache) touchLine(lineNum uint64) bool {
 	return false
 }
 
+// Promote moves the lines first..last the cache holds, in order, to
+// the front of their sets, as fetching them would, but counts no
+// access; a line the cache does not hold is left out.
+func (c *Cache) Promote(first, last uint64) {
+	for l := first; l <= last; l++ {
+		base := int(l&c.mask) * c.ways
+		set := c.keys[base : base+c.ways]
+		key := l + 1
+		for i := range set {
+			if set[i] == key {
+				copy(set[1:i+1], set[:i])
+				set[0] = key
+				break
+			}
+		}
+	}
+}
+
+// Residency checks whether a set of lines fits a cache with nothing
+// evicted. It lists each set's distinct lines, those the cache held
+// when the check began and those added since, in a scratch copy of the
+// cache's ways, which later checks reuse.
+type Residency struct {
+	keys []uint64
+	mask uint64
+	ways int
+}
+
+// Reset begins a check on c: the lines c holds now are listed.
+func (r *Residency) Reset(c *Cache) {
+	r.keys = append(r.keys[:0], c.keys...)
+	r.mask, r.ways = c.mask, c.ways
+}
+
+// Add lists the lines first..last and reports whether each of their
+// sets still holds no more distinct lines than it has ways. Once it
+// reports false the lines do not fit and the check is over.
+func (r *Residency) Add(first, last uint64) bool {
+	for l := first; l <= last; l++ {
+		base := int(l&r.mask) * r.ways
+		if !list(r.keys[base:base+r.ways], l+1) {
+			return false
+		}
+	}
+	return true
+}
+
+// list adds key to set unless it is there and reports whether it is
+// there now. Keys fill a set from the front, as a cache's do, so the
+// first empty way ends the set's keys.
+func list(set []uint64, key uint64) bool {
+	for i, k := range set {
+		if k == key {
+			return true
+		}
+		if k == 0 {
+			set[i] = key
+			return true
+		}
+	}
+	return false
+}
+
 // Contains reports whether the line holding addr is currently cached,
 // without updating LRU state.
 func (c *Cache) Contains(addr uint64) bool {

@@ -1,6 +1,7 @@
 package icache
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -165,5 +166,49 @@ func TestMissesBounded(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestResidency: a set's distinct lines fit while they number at most
+// its ways, counting the lines the cache holds and repeats once.
+func TestResidency(t *testing.T) {
+	c := New(256, 32, 2) // 4 sets of 2 ways
+	c.Touch(0, 1)        // line 0, set 0
+	var r Residency
+	r.Reset(c)
+	if !r.Add(0, 3) || !r.Add(2, 2) { // lines 0..3, one per set, and 2 again
+		t.Fatal("one line per set does not fit")
+	}
+	if !r.Add(4, 4) { // line 4: set 0's second way
+		t.Fatal("a second line of a 2-way set does not fit")
+	}
+	if r.Add(8, 8) { // line 8: a third line of set 0
+		t.Fatal("a third line of a 2-way set fits")
+	}
+	r.Reset(c)
+	if r.Add(0, 8) { // nine lines in four 2-way sets
+		t.Fatal("a range wider than the cache fits")
+	}
+	if c.Accesses != 1 || c.Misses != 1 || !c.Contains(0) || c.Contains(4*32) {
+		t.Fatal("the check changed the cache")
+	}
+}
+
+// TestPromote: promoting lines reorders their sets exactly as fetching
+// them does, counts nothing and installs no line.
+func TestPromote(t *testing.T) {
+	c, ref := New(128, 32, 4), New(128, 32, 4) // one set of 4 ways
+	for _, l := range []uint64{0, 1, 2, 3} {
+		c.TouchLines(l, l)
+		ref.TouchLines(l, l)
+	}
+	c.Promote(1, 2)
+	c.Promote(7, 7)
+	ref.TouchLines(1, 2)
+	if c.Accesses != 4 || c.Misses != 4 {
+		t.Errorf("Promote counted: %d accesses, %d misses, want 4 and 4", c.Accesses, c.Misses)
+	}
+	if !slices.Equal(c.keys, ref.keys) {
+		t.Errorf("Promote left keys %v, fetching leaves %v", c.keys, ref.keys)
 	}
 }
