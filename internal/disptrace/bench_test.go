@@ -97,6 +97,45 @@ func BenchmarkDecode(b *testing.B) {
 	}
 }
 
+// BenchmarkDecodeWide is BenchmarkDecode on a trace whose dictionary
+// is wider than 128 steps (mtrt/dynamic repl at scalediv 10, 321
+// steps), so many of its step IDs take two bytes. Most paper-grid
+// traces are of this kind; gray/plain's IDs take one byte each.
+func BenchmarkDecodeWide(b *testing.B) {
+	wideOnce.Do(func() {
+		var w *workload.Workload
+		var v harness.Variant
+		var tr *disptrace.Trace
+		if w, wideErr = workload.ByName("mtrt"); wideErr != nil {
+			return
+		}
+		if v, wideErr = harness.VariantByName(w, "dynamic repl"); wideErr != nil {
+			return
+		}
+		s := harness.NewTestSuite()
+		s.ScaleDiv = 10
+		if tr, _, wideErr = s.RecordTrace(w, v, cpu.Celeron800); wideErr == nil {
+			wideEnc = tr.Encode()
+		}
+	})
+	if wideErr != nil {
+		b.Fatal(wideErr)
+	}
+	b.SetBytes(int64(len(wideEnc)))
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := disptrace.Decode(wideEnc); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+var (
+	wideOnce sync.Once
+	wideEnc  []byte
+	wideErr  error
+)
+
 // BenchmarkApply is the pure apply side: the expanded stream, as one
 // batch, driven through one reused simulator (predictor + I-cache
 // state machines).

@@ -19,3 +19,6 @@ func ResidentOn(t *Trace, sim *cpu.Sim) bool {
 	sim.Apply(t.arena.prelude)
 	return sim.Resident(t.arena.dict)
 }
+
+// ParseIDs is parseIDs, the decoder of a trace's raw step-ID stream.
+var ParseIDs = parseIDs

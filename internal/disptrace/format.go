@@ -593,15 +593,18 @@ func parseIDs(raw []byte, n uint64, uses []uint64) ([]uint32, error) {
 	// readMeta bounded n by the declared raw length, which inflate
 	// just matched, so this reservation is proportional to the input.
 	ids := make([]uint32, n)
-	if uint64(len(raw)) == n && parseBytes(raw, ids, uses) {
-		return ids, nil
-	}
 	off := 0
 	for i := range ids {
 		var v uint64
 		if off < len(raw) && raw[off] < 0x80 {
 			v = uint64(raw[off])
 			off++
+		} else if off+1 < len(raw) && raw[off+1] < 0x80 {
+			// Every ID of a dictionary of at most 16384 steps takes
+			// one or two bytes, so decoding both inline spares most
+			// streams a binary.Uvarint call per ID.
+			v = uint64(raw[off]&0x7f) | uint64(raw[off+1])<<7
+			off += 2
 		} else {
 			var k int
 			v, k = binary.Uvarint(raw[off:])
@@ -620,41 +623,4 @@ func parseIDs(raw []byte, n uint64, uses []uint64) ([]uint32, error) {
 		return nil, fmt.Errorf("disptrace: %d trailing bytes after %d step IDs", len(raw)-off, n)
 	}
 	return ids, nil
-}
-
-// parseBytes is parseIDs for a stream of one byte per ID, as every
-// stream of a dictionary of at most 128 entries is: it decodes each
-// byte of raw into ids, counts the uses and reports whether every byte
-// was a one-byte uvarint below len(uses). When one is not, it leaves
-// uses untouched, and parseIDs' general loop reports the error.
-func parseBytes(raw []byte, ids []uint32, uses []uint64) bool {
-	limit := byte(min(len(uses), 0x80))
-	ids = ids[:len(raw)]
-	// Four count tables, so that a run of one ID does not chain every
-	// count through one memory word.
-	var counts [4][0x80]uint64
-	i := 0
-	for ; i+4 <= len(raw); i += 4 {
-		b0, b1, b2, b3 := raw[i], raw[i+1], raw[i+2], raw[i+3]
-		if b0 >= limit || b1 >= limit || b2 >= limit || b3 >= limit {
-			return false
-		}
-		ids[i], ids[i+1], ids[i+2], ids[i+3] = uint32(b0), uint32(b1), uint32(b2), uint32(b3)
-		counts[0][b0]++
-		counts[1][b1]++
-		counts[2][b2]++
-		counts[3][b3]++
-	}
-	for ; i < len(raw); i++ {
-		b := raw[i]
-		if b >= limit {
-			return false
-		}
-		ids[i] = uint32(b)
-		counts[0][b]++
-	}
-	for v := range limit {
-		uses[v] += counts[0][v] + counts[1][v] + counts[2][v] + counts[3][v]
-	}
-	return true
 }

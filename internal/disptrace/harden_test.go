@@ -6,6 +6,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"vmopt/internal/disptrace"
@@ -288,5 +290,63 @@ func TestDecodeRejectsHugeFetch(t *testing.T) {
 	}
 	if st := c.Stats(); st.PeerFillErrors != 1 || st.PeerFills != 0 {
 		t.Errorf("peer fill stats %+v, want one error and no fill", st)
+	}
+}
+
+// TestParseIDsMatchesUvarint: parseIDs, which decodes one- and
+// two-byte IDs inline, reads every raw stream as a plain
+// binary.Uvarint loop does. Streams mix IDs of one to three bytes,
+// non-minimal encodings, truncations and IDs past the dictionary, and
+// both decoders must agree on the IDs, the use counts and whether the
+// stream is rejected.
+func TestParseIDsMatchesUvarint(t *testing.T) {
+	ref := func(raw []byte, n uint64, dict int) ([]uint32, []uint64, bool) {
+		ids, uses := make([]uint32, 0, n), make([]uint64, dict)
+		off := 0
+		for range n {
+			v, k := binary.Uvarint(raw[off:])
+			if k <= 0 || v >= uint64(dict) {
+				return nil, nil, false
+			}
+			off += k
+			ids = append(ids, uint32(v))
+			uses[v]++
+		}
+		return ids, uses, off == len(raw)
+	}
+	rng := rand.New(rand.NewPCG(1, 2))
+	dicts := []int{1, 100, 128, 129, 351, 16384, 16385, 70000}
+	for iter := range 3000 {
+		dict := dicts[iter%len(dicts)]
+		var raw []byte
+		n := uint64(rng.IntN(12))
+		for range n {
+			switch rng.IntN(8) {
+			case 0:
+				raw = append(raw, 0x80, 0x00) // non-minimal 0
+			case 1:
+				raw = append(raw, byte(0x80|rng.IntN(0x80))) // truncated
+			default:
+				raw = binary.AppendUvarint(raw, uint64(rng.IntN(dict+dict/8+1)))
+			}
+		}
+		if rng.IntN(4) == 0 && len(raw) > 0 {
+			raw = raw[:rng.IntN(len(raw))]
+		}
+		if rng.IntN(8) == 0 {
+			n++
+		}
+		if n == 0 {
+			continue
+		}
+		wantIDs, wantUses, ok := ref(raw, n, dict)
+		uses := make([]uint64, dict)
+		ids, err := disptrace.ParseIDs(raw, n, uses)
+		if (err == nil) != ok {
+			t.Fatalf("stream % x, n %d, dict %d: error %v, Uvarint loop accepts: %v", raw, n, dict, err, ok)
+		}
+		if ok && (!slices.Equal(ids, wantIDs) || !slices.Equal(uses, wantUses)) {
+			t.Fatalf("stream % x, dict %d: ids %v uses %v, want %v %v", raw, dict, ids, uses, wantIDs, wantUses)
+		}
 	}
 }

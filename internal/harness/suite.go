@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync"
 
 	"vmopt/internal/core"
 	"vmopt/internal/cpu"
@@ -51,20 +50,7 @@ type Suite struct {
 
 	results  runner.Group[resultKey, metrics.Counters]
 	profiles runner.Group[string, *profileData]
-
-	// freeSims holds, per machine, up to maxFreeSims reset replay
-	// simulators (see getSim and putSims).
-	simMu    sync.Mutex
-	freeSims map[cpu.Machine][]*cpu.Sim
 }
-
-// maxFreeSims bounds each machine's free list of replay simulators. A
-// kept sim stays live: one set of the five paper machines' sims holds
-// about 0.35 MB of predictor and I-cache tables plus its grown
-// buffers, which raised serve-replay's live heap by about 3% at one
-// per machine and 5% at two. A plain bounded list rather than a
-// sync.Pool, which under -race drops items at random.
-const maxFreeSims = 1
 
 type resultKey struct {
 	bench   string
@@ -431,9 +417,8 @@ func (s *Suite) Compute(ctx context.Context, w *workload.Workload, v Variant, ma
 	}
 	sims := make([]*cpu.Sim, len(replay))
 	for k, m := range replay {
-		sims[k] = s.getSim(m)
+		sims[k] = cpu.NewSim(m)
 	}
-	defer s.putSims(sims)
 	// One resident trace feeds every machine's simulator.
 	if err := disptrace.ReplayEachCtx(ctx, tr, sims); err != nil {
 		return nil, fmt.Errorf("%s/%s: replaying trace: %w", w.Name, v.Name, err)
@@ -443,38 +428,6 @@ func (s *Suite) Compute(ctx context.Context, w *workload.Workload, v Variant, ma
 		out[off+k] = sim.C
 	}
 	return out, nil
-}
-
-// getSim returns a reset replay simulator for m: one from the suite's
-// free list, whose lowering and I-cache scratch buffers are already
-// grown, or a new one.
-func (s *Suite) getSim(m cpu.Machine) *cpu.Sim {
-	s.simMu.Lock()
-	defer s.simMu.Unlock()
-	free := s.freeSims[m]
-	if n := len(free); n > 0 {
-		s.freeSims[m] = free[:n-1]
-		return free[n-1]
-	}
-	return cpu.NewSim(m)
-}
-
-// putSims resets sims and returns them to their machines' free lists,
-// dropping any that would pass maxFreeSims.
-func (s *Suite) putSims(sims []*cpu.Sim) {
-	for _, sim := range sims {
-		sim.Reset()
-	}
-	s.simMu.Lock()
-	defer s.simMu.Unlock()
-	if s.freeSims == nil {
-		s.freeSims = make(map[cpu.Machine][]*cpu.Sim)
-	}
-	for _, sim := range sims {
-		if free := s.freeSims[sim.Machine]; len(free) < maxFreeSims {
-			s.freeSims[sim.Machine] = append(free, sim)
-		}
-	}
 }
 
 // simulate runs one cell by direct simulation, optionally recording

@@ -309,51 +309,3 @@ func TestCompute(t *testing.T) {
 		t.Errorf("%d sim spans for %d memoized cells, want 2 each", n, cells)
 	}
 }
-
-// TestComputeReusesSims: replayed cells take their simulators from the
-// suite's per-machine free list and return them reset, so repeated
-// Compute calls of one pair replay into the same simulators, with
-// counters unchanged bit for bit. The first call records on the first
-// machine, which therefore gets its replay simulator only on the
-// second.
-func TestComputeReusesSims(t *testing.T) {
-	w := workload.Gray()
-	v := Variant{Name: "dynamic super", Technique: core.TDynamicSuper}
-	machines := cpu.Machines()
-	s := NewTestSuite()
-	s.Traces = disptrace.NewCache(t.TempDir())
-	var want []metrics.Counters
-	kept := map[cpu.Machine]*cpu.Sim{}
-	for call := range 3 {
-		got, err := s.Compute(context.Background(), w, v, machines)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if call == 0 {
-			want = got
-		}
-		for i, m := range machines {
-			if !sameBits(got[i], want[i]) {
-				t.Errorf("call %d, %s: counters %+v, first call %+v", call, m.Name, got[i], want[i])
-			}
-			free := s.freeSims[m]
-			if call == 0 && i == 0 {
-				if len(free) != 0 {
-					t.Errorf("call 0: %d free simulators for the recording machine, want 0", len(free))
-				}
-				continue
-			}
-			if len(free) != 1 {
-				t.Fatalf("call %d, %s: %d free simulators, want 1", call, m.Name, len(free))
-			}
-			sim := free[0]
-			if prev, ok := kept[m]; ok && sim != prev {
-				t.Errorf("call %d, %s: replayed into a new simulator, want the free one", call, m.Name)
-			}
-			if sim.C != (metrics.Counters{}) {
-				t.Errorf("call %d, %s: a free simulator holds counters %+v", call, m.Name, sim.C)
-			}
-			kept[m] = sim
-		}
-	}
-}
