@@ -134,6 +134,45 @@ func (b *SetAssoc) accessSlow(base int, key, target uint64) bool {
 	return false
 }
 
+// Key names the table entry branch maps to: two branches share an
+// entry, and so a prediction, exactly when their keys are equal.
+func (b *SetAssoc) Key(branch uint64) uint64 {
+	key, _ := tagOf(branch, b.mask, b.ways)
+	return key
+}
+
+// Fits reports whether accessing branch evicts no entry: the table
+// holds it, or its set has an empty way. Slots fill from the front of
+// a set, so a set has an empty way while its last one is empty.
+func (b *SetAssoc) Fits(branch uint64) bool {
+	key, base := tagOf(branch, b.mask, b.ways)
+	set := b.slots[base : base+b.ways]
+	if set[len(set)-1].key == 0 {
+		return true
+	}
+	for _, e := range set {
+		if e.key == key {
+			return true
+		}
+	}
+	return false
+}
+
+// Promote makes branch's entry, if the table holds it, the most
+// recently used of its set and target its prediction, as an access of
+// branch jumping to target does.
+func (b *SetAssoc) Promote(branch, target uint64) {
+	key, base := tagOf(branch, b.mask, b.ways)
+	set := b.slots[base : base+b.ways]
+	for i := range set {
+		if set[i].key == key {
+			copy(set[1:i+1], set[:i])
+			set[0] = slot{key: key, target: target}
+			return
+		}
+	}
+}
+
 // Reset implements Predictor. It reuses the table's storage so a
 // pooled or arena-replayed simulator resets without allocating.
 func (b *SetAssoc) Reset() { clear(b.slots) }

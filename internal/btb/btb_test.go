@@ -1,6 +1,7 @@
 package btb
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -152,6 +153,35 @@ func TestSetAssocLRU(t *testing.T) {
 	}
 	if b.Access(0x20, 0, 0xB) {
 		t.Error("LRU-evicted branch should miss")
+	}
+}
+
+// TestSetAssocFitsAndPromote: Fits is true while an access evicts
+// nothing, and Promote reorders a set and sets a target exactly as a
+// hitting access does, without installing a branch it lacks. Branches
+// that differ in their low two bits share one entry and one Key.
+func TestSetAssocFitsAndPromote(t *testing.T) {
+	b, ref := NewSetAssoc(2, 2), NewSetAssoc(2, 2) // 1 set, 2 ways
+	for _, p := range []*SetAssoc{b, ref} {
+		p.Access(0x10, 0, 0xA)
+	}
+	if !b.Fits(0x20) || !b.Fits(0x10) {
+		t.Fatal("a set with a free way does not fit")
+	}
+	for _, p := range []*SetAssoc{b, ref} {
+		p.Access(0x20, 0, 0xB)
+	}
+	if b.Fits(0x30) || !b.Fits(0x10) || !b.Fits(0x13) {
+		t.Fatal("a full set fits a new branch, or not one it holds")
+	}
+	if b.Key(0x10) != b.Key(0x13) || b.Key(0x10) == b.Key(0x14) {
+		t.Fatal("Key does not name the entry a branch maps to")
+	}
+	b.Promote(0x10, 0xC)
+	b.Promote(0x30, 0xD)
+	ref.Access(0x10, 0, 0xC)
+	if !slices.Equal(b.slots, ref.slots) {
+		t.Errorf("Promote left slots %v, an access leaves %v", b.slots, ref.slots)
 	}
 }
 

@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
 	"vmopt/internal/core"
 	"vmopt/internal/cpu"
 	"vmopt/internal/disptrace"
+	"vmopt/internal/superinst"
 )
 
 // genWord emits a random unary word body ( n -- m ): a chain of
@@ -98,43 +100,205 @@ func TestDifferentialTechniques(t *testing.T) {
 	}
 }
 
-// TestDifferentialRecording: for the same random programs under every
-// technique, recording lowered (a disptrace.Writer as the sink, so
-// core.Run records one step ID per instruction) must encode to the
-// same bytes as recording per event (the same Writer behind a plain
-// cpu.Sink). Decoding the recording must give back those bytes, and
-// replaying it on every machine the counters of direct simulation.
+// genQuickProgram builds a random program of the quick ISA: one to
+// three countdown loops whose bodies hold qget instances, each of which
+// quickens on the loop's first iteration. Each loop counts down from
+// its qlit; its body starts with qlit/qadd, so a superinstruction over
+// the counter's qlit and the body's first pair enters the loop through
+// a side entry.
+func genQuickProgram(seed int64) []core.Inst {
+	r := rand.New(rand.NewSource(seed))
+	var code []core.Inst
+	for range 1 + r.Intn(3) {
+		code = append(code, core.Inst{Op: qLit, Arg: int64(5 + r.Intn(30))})
+		start := len(code)
+		code = append(code, core.Inst{Op: qLit, Arg: 1}, core.Inst{Op: qAdd})
+		inc := int64(1)
+		for range 2 + r.Intn(8) {
+			k := int64(r.Intn(9))
+			switch r.Intn(3) {
+			case 0:
+				code = append(code, core.Inst{Op: qGet}, core.Inst{Op: qAdd})
+				inc += 7
+			case 1:
+				code = append(code, core.Inst{Op: qLit, Arg: k}, core.Inst{Op: qAdd})
+				inc += k
+			default:
+				code = append(code, core.Inst{Op: qLit, Arg: k}, core.Inst{Op: qNoRel})
+				inc += k
+			}
+		}
+		code = append(code, core.Inst{Op: qLit, Arg: -inc - 1}, core.Inst{Op: qAdd},
+			core.Inst{Op: qZBr, Arg: int64(start)})
+	}
+	return append(code, core.Inst{Op: qHalt})
+}
+
+// quickConfigs builds a config per technique for quick-ISA programs.
+func quickConfigs() []core.Config {
+	table := superinst.MustNewTable([][]uint32{{qLit, qLit, qAdd}, {qGetQ, qAdd}, {qLit, qAdd}})
+	extra := make([]int, qNumOps)
+	for op := range extra {
+		extra[op] = 2
+	}
+	return []core.Config{
+		{Technique: core.TSwitch},
+		{Technique: core.TPlain},
+		{Technique: core.TStaticRepl, ReplicaExtra: extra},
+		{Technique: core.TStaticSuper, Supers: table},
+		{Technique: core.TDynamicRepl},
+		{Technique: core.TDynamicSuper},
+		{Technique: core.TDynamicBoth},
+		{Technique: core.TAcrossBB},
+		{Technique: core.TWithStaticSuperAcross, Supers: table},
+	}
+}
+
+// tinyMachines have an I-cache and a BTB small enough that generated
+// programs overflow both mid-run, so the resident mode (see
+// cpu.Sim.RunStep) stops each half after some steps have run warm.
+var tinyMachines = []cpu.Machine{
+	{
+		Name:      "test-tiny",
+		Predictor: cpu.PredictBTB, BTBEntries: 8, BTBWays: 2,
+		ICacheBytes: 512, ICacheLine: 32, ICacheWays: 2,
+		MispredictPenalty: 10, ICacheMissPenalty: 10,
+		CPI: 1, ClockMHz: 1000,
+	},
+	{
+		Name:      "test-small",
+		Predictor: cpu.PredictBTB, BTBEntries: 32, BTBWays: 2,
+		ICacheBytes: 2048, ICacheLine: 64, ICacheWays: 2,
+		MispredictPenalty: 20, ICacheMissPenalty: 12,
+		CPI: 0.7, ClockMHz: 1000,
+	},
+}
+
+// program runs one fresh instance of a generated program on sim.
+type program func(t *testing.T, sim *cpu.Sim)
+
+// reach tallies what the runs of TestDifferentialRecording reached:
+// resident-mode exits of each half, quickenings, and the steps core.Run
+// drove one event at a time other than halts and quickenings, which in
+// these programs are the steps run in shadow mode.
+type reach struct {
+	icache, btb, quickened, shadow uint64
+}
+
+// perEventSteps is a Writer that counts the VM instructions core.Run
+// records one event at a time.
+type perEventSteps struct {
+	*disptrace.Writer
+	n uint64
+}
+
+func (p *perEventSteps) RecordVMInst() {
+	p.n++
+	p.Writer.RecordVMInst()
+}
+
+// checkRecording checks one generated program under one technique.
+// Recording it lowered (a disptrace.Writer as the sink, so core.Run
+// records one step ID per instruction) must encode to the same bytes as
+// recording it per event (the same Writer behind a plain cpu.Sink).
+// Decoding the recording must give back those bytes, and replaying it
+// on every machine the counters of direct simulation. On the tiny
+// machines, lowered direct simulation, with and without a recording,
+// must leave the counters, the I-cache (LRU order included) and the
+// predictor exactly as the per-event path does. quickenings is how
+// many quickenings one run performs.
+func checkRecording(t *testing.T, name string, run program, quickenings uint64, tally *reach) {
+	t.Helper()
+	record := func(m cpu.Machine, sink cpu.Sink) *cpu.Sim {
+		sim := cpu.NewSim(m)
+		sim.Sink = sink
+		run(t, sim)
+		return sim
+	}
+	lowered, ref := disptrace.NewWriter(disptrace.Header{}), disptrace.NewWriter(disptrace.Header{})
+	record(bigBTB, lowered)
+	record(bigBTB, struct{ cpu.Sink }{ref})
+	enc := lowered.Trace().Encode()
+	if !bytes.Equal(enc, ref.Trace().Encode()) {
+		t.Errorf("%s: lowered recording encodes differently from the per-event one", name)
+	}
+	tr, err := disptrace.Decode(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(tr.Encode(), enc) {
+		t.Errorf("%s: re-encoding the decoded recording changed its bytes", name)
+	}
+	for _, m := range append(cpu.Machines(), tinyMachines...) {
+		want := record(m, nil).C
+		got, err := disptrace.ReplayMachine(tr, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Errorf("%s on %s: replay differs from direct simulation:\n  got  %+v\n  want %+v", name, m.Name, got, want)
+		}
+	}
+	for _, m := range tinyMachines {
+		want := record(m, struct{ cpu.Sink }{disptrace.NewWriter(disptrace.Header{})})
+		steps := &perEventSteps{Writer: disptrace.NewWriter(disptrace.Header{})}
+		for _, got := range []*cpu.Sim{record(m, nil), record(m, steps)} {
+			if !got.SameState(want) {
+				t.Errorf("%s on %s (recording %v): lowered direct simulation leaves another state than the per-event path:\n  got  %+v\n  want %+v",
+					name, m.Name, got.Sink != nil, got.C, want.C)
+			}
+			e := got.ResidentExits()
+			tally.icache += e.ICache
+			tally.btb += e.BTB
+		}
+		// One halt per run, and one step per quickening.
+		if steps.n < 1+quickenings {
+			t.Fatalf("%s on %s: %d steps recorded per event, fewer than the halt and %d quickenings", name, m.Name, steps.n, quickenings)
+		}
+		tally.quickened += quickenings
+		tally.shadow += steps.n - 1 - quickenings
+	}
+}
+
+// TestDifferentialRecording checks, with checkRecording, the random
+// Forth programs under every technique and random quick-ISA programs,
+// which quicken, under every technique that runs them. Across all of
+// them the runs on the tiny machines must stop each half of the
+// resident mode mid-run, quicken, and run steps in shadow mode.
 func TestDifferentialRecording(t *testing.T) {
+	var tally reach
 	for seed := int64(1); seed <= 12; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			src := genProgram(seed)
 			for _, cfg := range allConfigs(t, src) {
-				lowered, ref := disptrace.NewWriter(disptrace.Header{}), disptrace.NewWriter(disptrace.Header{})
-				runSink(t, src, cfg, bigBTB, lowered)
-				runSink(t, src, cfg, bigBTB, struct{ cpu.Sink }{ref})
-				enc := lowered.Trace().Encode()
-				if !bytes.Equal(enc, ref.Trace().Encode()) {
-					t.Errorf("%v: lowered recording encodes differently from the per-event one\nprogram:\n%s", cfg.Technique, src)
-				}
-				tr, err := disptrace.Decode(enc)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(tr.Encode(), enc) {
-					t.Errorf("%v: re-encoding the decoded recording changed its bytes", cfg.Technique)
-				}
-				for _, m := range cpu.Machines() {
-					want, _ := runTech(t, src, cfg, m)
-					got, err := disptrace.ReplayMachine(tr, m)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if got != want {
-						t.Errorf("%v on %s: replay differs from direct simulation:\n  got  %+v\n  want %+v", cfg.Technique, m.Name, got, want)
-					}
+				run := func(t *testing.T, sim *cpu.Sim) { runOn(t, src, cfg, sim) }
+				checkRecording(t, fmt.Sprintf("%v\nprogram:\n%s", cfg.Technique, src), run, 0, &tally)
+			}
+			code := genQuickProgram(seed)
+			var quickenings uint64
+			for _, in := range code {
+				if in.Op == qGet {
+					quickenings++
 				}
 			}
+			for _, cfg := range quickConfigs() {
+				run := func(t *testing.T, sim *cpu.Sim) {
+					vm := &quickVM{code: slices.Clone(code)}
+					plan, err := core.BuildPlan(vm.Code(), quickISA{}, cfg)
+					if err != nil {
+						t.Fatalf("BuildPlan(%v): %v", cfg.Technique, err)
+					}
+					if _, err := core.Run(vm, plan, sim, 1_000_000); err != nil {
+						t.Fatalf("Run(%v): %v", cfg.Technique, err)
+					}
+				}
+				checkRecording(t, fmt.Sprintf("%v on quick program %v", cfg.Technique, code), run, quickenings, &tally)
+			}
 		})
+	}
+	t.Logf("runs on the tiny machines reached %+v", tally)
+	if tally.icache == 0 || tally.btb == 0 || tally.quickened == 0 || tally.shadow == 0 {
+		t.Errorf("runs on the tiny machines reached %+v; want I-cache and BTB exits, quickenings and shadow-mode steps", tally)
 	}
 }
 

@@ -21,12 +21,18 @@ var ErrStepLimit = errors.New("core: VM step limit exceeded")
 // quickening stays coherent between the two.
 //
 // Run applies the paper's remedy to itself: it lowers the events of
-// each (position, fall-through or transfer) to sim's machine once (see
-// cpu.Sim.LowerStep) and then applies one lowered step per executed VM
-// instruction, with only the dispatch's hint and target read per
-// instruction. The counters are bit-identical to driving the events one
-// at a time, which Run still does for steps that quicken, run in shadow
-// mode, halt or lower to no fixed shape.
+// each (position, fall-through or transfer) to sim's machine once, into
+// sim's table of steps (see cpu.Sim.AddStep), and then runs one lowered
+// step per executed VM instruction, with only the dispatch's hint and
+// target read per instruction. The steps run in sim's resident mode: a
+// step that has run since the last sync (see cpu.Sim.Sync) and fetches
+// no line and dispatches through no branch that could evict is warm,
+// and Run applies it inline (cpu.Sim.Warm), skipping the I-cache model
+// and predicting its dispatch from its branch's last target; any other
+// goes through cpu.Sim.RunStep. The counters are bit-identical to
+// driving the events one at a time, which Run still does, after a sync,
+// for steps that quicken, run in shadow mode, halt or lower to no fixed
+// shape, and the I-cache and predictor state is too when Run returns.
 //
 // Recording lowers too when sim.Sink is a cpu.StepSink: each lowered
 // step remembers the destination it last ran to and the step ID its
@@ -41,11 +47,10 @@ func Run(proc Process, plan *Plan, sim *cpu.Sim, maxSteps uint64) (metrics.Count
 
 	// Steps are lowered on first use: at[2*pos] locates pos's step on
 	// a fall-through and at[2*pos+1] on a transfer, as an index into
-	// lowered plus one, or 0 when not lowered yet. A Sink that records
-	// events only one at a time needs them all, so then Run lowers
-	// nothing; a cpu.StepSink gets a recorder.
+	// sim's table of steps plus one, or 0 when not lowered yet. A Sink
+	// that records events only one at a time needs them all, so then
+	// Run lowers nothing; a cpu.StepSink gets a recorder.
 	var at []uint32
-	var lowered []cpu.Step
 	var rec *recorder
 	if ss, ok := sim.Sink.(cpu.StepSink); ok {
 		rec = &recorder{sink: ss, seen: make(map[uint64]uint32)}
@@ -53,7 +58,8 @@ func Run(proc Process, plan *Plan, sim *cpu.Sim, maxSteps uint64) (metrics.Count
 	}
 	if sim.Sink == nil || rec != nil {
 		at = make([]uint32, 2*len(code))
-		lowered = make([]cpu.Step, 0, len(code))
+		sim.BeginSteps(len(code))
+		defer sim.Sync()
 	}
 	var buf [maxStepEvents]cpu.Op
 
@@ -98,15 +104,19 @@ func Run(proc Process, plan *Plan, sim *cpu.Sim, maxSteps uint64) (metrics.Count
 				k++
 			}
 			if at[k] == 0 {
-				st, _ := sim.LowerStep(plan.stepEvents(&buf, pos, dispatch, branch, 0, 0))
-				lowered = append(lowered, st)
+				at[k] = sim.AddStep(plan.stepEvents(&buf, pos, dispatch, branch, 0, 0)) + 1
 				if rec != nil {
 					rec.memo = append(rec.memo, stepMemo{})
 				}
-				at[k] = uint32(len(lowered))
 			}
 			i := at[k] - 1
-			if applied = sim.ApplyStep(&lowered[i], hint, target); applied {
+			if st := sim.Warm(i); st != nil {
+				sim.Predict(st, target)
+				applied = true
+			} else {
+				applied = sim.RunStep(i, hint, target)
+			}
+			if applied {
 				sim.C.VMInstructions++
 				if rec != nil {
 					if m := rec.memo[i]; m.to == uint32(to)+1 && rec.n < len(rec.ids) {
@@ -121,6 +131,9 @@ func Run(proc Process, plan *Plan, sim *cpu.Sim, maxSteps uint64) (metrics.Count
 		if !applied {
 			if rec != nil {
 				rec.flush()
+			}
+			if at != nil {
+				sim.Sync()
 			}
 			sim.VMInst()
 			if ev.Quickened {
@@ -162,7 +175,7 @@ func Run(proc Process, plan *Plan, sim *cpu.Sim, maxSteps uint64) (metrics.Count
 			// stale.
 			plan.Quicken(pos, ev.NewOp)
 			clear(at)
-			lowered = lowered[:0]
+			sim.BeginSteps(len(code))
 			if rec != nil {
 				rec.reset()
 			}

@@ -45,6 +45,16 @@ func runTech(t *testing.T, src string, cfg core.Config, m cpu.Machine) (metrics.
 // runSink is runTech with sink, when not nil, recording the run.
 func runSink(t *testing.T, src string, cfg core.Config, m cpu.Machine, sink cpu.Sink) (metrics.Counters, string) {
 	t.Helper()
+	sim := cpu.NewSim(m)
+	sim.Sink = sink
+	out := runOn(t, src, cfg, sim)
+	return sim.C, out
+}
+
+// runOn compiles src, runs it under the technique on sim, and returns
+// the program output.
+func runOn(t *testing.T, src string, cfg core.Config, sim *cpu.Sim) string {
+	t.Helper()
 	p, err := forth.Compile(src)
 	if err != nil {
 		t.Fatalf("compile: %v", err)
@@ -59,13 +69,10 @@ func runSink(t *testing.T, src string, cfg core.Config, m cpu.Machine, sink cpu.
 	if err != nil {
 		t.Fatalf("BuildPlan(%v): %v", cfg.Technique, err)
 	}
-	sim := cpu.NewSim(m)
-	sim.Sink = sink
-	c, err := core.Run(vm, plan, sim, 50_000_000)
-	if err != nil {
+	if _, err := core.Run(vm, plan, sim, 50_000_000); err != nil {
 		t.Fatalf("Run(%v): %v", cfg.Technique, err)
 	}
-	return c, string(vm.Out)
+	return string(vm.Out)
 }
 
 // forthTable returns a small superinstruction table of sequences that

@@ -1,10 +1,6 @@
 package cpu
 
-import (
-	"cmp"
-	"math"
-	"slices"
-)
+import "math"
 
 // Driving the simulator is itself an interpreter: trace replay runs a
 // step dictionary of event lists over a long stream of step IDs, and
@@ -62,7 +58,7 @@ const maxHitLines = 8
 //
 // The dispatch's hint and target are not part of a Step: the engine
 // lowers one Step per (position, fall-through or transfer) and supplies
-// the destination on each apply (see ApplyStep).
+// the destination on each apply (see ApplyStep and RunStep).
 type Step struct {
 	// instructions is the step's Instructions delta, summed once.
 	instructions uint32
@@ -72,6 +68,16 @@ type Step struct {
 	// one I-cache access. A step whose counts overflow these fields
 	// has no fixed shape.
 	span0, span1, hitLines uint8
+	// lines counts the step's I-cache accesses, span0+1, plus span1+1
+	// for shapeWFWFD, plus hitLines: all that fetching its lines
+	// changes once they are cached but their LRU order.
+	lines uint16
+	// bi is the index of the step's branch among the branches of the
+	// sim's table of steps on a set-associative BTB (see AddStep).
+	bi uint32
+	// use stamps the step's latest run in the resident mode (see
+	// RunStep).
+	use uint64
 	// w0, f0, w1, f1 and branch are the events of the fixed shapes, in
 	// order: cycle addends, first lines of the fetches and the
 	// dispatch branch.
@@ -79,172 +85,57 @@ type Step struct {
 	f0, f1, branch uint64
 }
 
-// replayStep is one dictionary entry lowered for ApplySteps: a
-// recorded dispatch carries its own hint and target.
-type replayStep struct {
-	Step
-	hint, target uint64
-	// lines counts the entry's I-cache accesses, span0+1, plus span1+1
-	// for shapeWFWFD, plus hitLines: all that fetching its lines
-	// changes once they are resident. It is 0 for an entry of no fixed
-	// shape.
-	lines uint16
-	// lastUse is 1 + the index in ids of the entry's latest use in this
-	// call of ApplySteps, 0 before its first (see applyResident).
-	lastUse uint64
-}
+// dest is the hint and target of a dictionary entry's recorded
+// dispatch.
+type dest struct{ hint, target uint64 }
 
 // ApplySteps is Apply over the stream dict[ids[0]], dict[ids[1]], …
 // without materializing it: trace replay keeps each distinct step's
 // events once and the run as step IDs.
 //
-// It first lowers dict for the sim's machine (see lower). When no
-// fetch of dict can evict a line from the sim's I-cache (see Resident),
-// each entry runs in full on its first use and later uses skip the
-// I-cache simulation (see applyResident); otherwise it applies one
-// lowered entry per ID through ApplyStep. Either way an entry of no
-// fixed shape goes through Apply. The counters, float cycle counters
-// included, and the predictor and I-cache state, LRU order included,
-// end bit-identical to Apply over the expanded stream: every float
-// addition happens in the same order with the same operands, integer
-// deltas commute, and a dropped fetch is one whose every line is its
-// set's most recently used, which a fetch leaves unchanged but for the
-// access count. The lowered entries and the resident path's scratch
-// live in buffers the sim reuses, so only a sim's first call (or a
-// larger dictionary or cache) allocates.
+// It lowers dict for the sim's machine into the sim's table of steps,
+// one entry per step, and runs one lowered entry per ID in the
+// resident mode (see RunStep): an entry's first run goes through the
+// I-cache model, and later runs skip it and predict from their
+// branch's last target until a fetch or a dispatch would evict. An
+// entry of no fixed shape goes through Apply after a Sync. The
+// counters, float cycle counters included, and the predictor and
+// I-cache state, LRU order included, end bit-identical to Apply over
+// the expanded stream: every float addition happens in the same order
+// with the same operands, integer deltas commute, and a dropped fetch
+// is one whose every line is its set's most recently used, which a
+// fetch leaves unchanged but for the access count. The table, the
+// entries' hints and targets and the mode's scratch live in buffers the
+// sim reuses, so only a sim's first call (or a larger dictionary, or
+// one with more branches) allocates.
 func (s *Sim) ApplySteps(dict [][]Op, ids []uint32) {
-	steps := s.lower(dict)
-	if s.Resident(dict) {
-		s.applyResident(dict, steps, ids)
-		return
+	s.BeginSteps(len(dict))
+	if cap(s.dests) < len(dict) {
+		s.dests = make([]dest, len(dict))
 	}
-	for _, id := range ids {
-		st := &steps[id]
-		if !s.ApplyStep(&st.Step, st.hint, st.target) {
-			s.Apply(dict[id])
-		}
-	}
-}
-
-// Resident reports whether no fetch of any entry of dict can evict a
-// line from the sim's I-cache as it is now: in every set, the distinct
-// lines it holds and those the entries fetch fit its ways. Then a line
-// misses only on its first fetch, and LRU order decides no hit or
-// miss. The check costs O(dictionary ops + cache lines): a fetch that
-// spans more lines than a Step's span holds fails it at once, and it
-// stops at the first set that overflows.
-func (s *Sim) Resident(dict [][]Op) bool {
-	r := &s.res
-	r.Reset(s.ic)
-	for _, e := range dict {
-		for i := range e {
-			op := &e[i]
-			if op.Kind != OpFetch {
-				continue
-			}
-			first, last, ok := s.ic.Lines(op.A, int(op.B))
-			if ok && (last-first > math.MaxUint8 || !r.Add(first, last)) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// applyResident is ApplySteps' loop when dict is resident (see
-// Resident). An entry's first use in the call is cold: it runs in full
-// through ApplyStep or Apply, which leaves every line it fetches in
-// the cache for good. A later use of a fixed-shape entry is warm: its
-// fetches all hit and change only the access count and the LRU order,
-// so it applies the step's counter deltas and its dispatch and adds
-// its line count to the accesses, with the float additions in
-// ApplyStep's order. Each step stores its index as its entry's last
-// use, which marks the entries already run; restoreLRU then leaves the
-// LRU order the skipped fetches would have.
-func (s *Sim) applyResident(dict [][]Op, steps []replayStep, ids []uint32) {
-	c := &s.C
-	ic := s.ic
-	for i, id := range ids {
-		st := &steps[id]
-		if st.lastUse != 0 && st.shape != shapeGeneric {
-			c.Instructions += uint64(st.instructions)
-			// ApplyStep's two additions in its order, c.Cycles += w0
-			// then c.Cycles += w1, with one store.
-			c.Cycles = c.Cycles + st.w0 + st.w1
-			ic.Accesses += uint64(st.lines)
-			if st.shape != shapeWFW {
-				c.Dispatches++
-				s.Indirect(st.branch, st.hint, st.target)
-			}
-		} else if !s.ApplyStep(&st.Step, st.hint, st.target) {
-			s.Apply(dict[id])
-		}
-		st.lastUse = uint64(i) + 1
-	}
-	s.restoreLRU(dict, steps)
-}
-
-// restoreLRU gives each I-cache set the order the fetches of every
-// step of the call would have left, given each entry's last use. With
-// nothing evicted, a set holds its lines by their last fetch, most
-// recent first, then the lines not fetched in the call in their
-// earlier order. A line's last fetch lies in the last use of the
-// latest-used entry that fetches it, so fetching each used entry's
-// lines once more, in the order of the entries' last uses, gives every
-// line the same rank.
-func (s *Sim) restoreLRU(dict [][]Op, steps []replayStep) {
-	if cap(s.used) < len(steps) {
-		s.used = make([]uint32, 0, len(steps))
-	}
-	used := s.used[:0]
-	for k := range steps {
-		if steps[k].lastUse != 0 {
-			used = append(used, uint32(k))
-		}
-	}
-	slices.SortFunc(used, func(a, b uint32) int { return cmp.Compare(steps[a].lastUse, steps[b].lastUse) })
-	for _, k := range used {
-		for i := range dict[k] {
-			op := &dict[k][i]
-			if op.Kind != OpFetch {
-				continue
-			}
-			if first, last, ok := s.ic.Lines(op.A, int(op.B)); ok {
-				s.ic.Promote(first, last)
-			}
-		}
-	}
-}
-
-// lower specializes every dictionary entry to the sim's machine, into
-// s.steps, and returns the lowered entries; an entry of no fixed shape
-// lowers to the zero Step.
-func (s *Sim) lower(dict [][]Op) []replayStep {
-	if cap(s.steps) < len(dict) {
-		s.steps = make([]replayStep, len(dict))
-	}
-	s.steps = s.steps[:len(dict)]
+	dests := s.dests[:len(dict)]
 	for i, e := range dict {
-		st := &s.steps[i]
-		st.Step, _ = s.LowerStep(e)
-		st.lines, st.lastUse = 0, 0
-		if st.shape != shapeGeneric {
-			st.lines = uint16(st.span0) + 1 + uint16(st.hitLines)
-			if st.shape == shapeWFWFD {
-				st.lines += uint16(st.span1) + 1
-			}
-		}
+		s.AddStep(e)
 		// A fixed shape holds one dispatch; fetches dropped after it
 		// may follow it in the entry.
-		st.hint, st.target = 0, 0
+		dests[i] = dest{}
 		for k := len(e) - 1; k >= 0; k-- {
 			if e[k].Kind == OpDispatch {
-				st.hint, st.target = e[k].B, e[k].C
+				dests[i] = dest{e[k].B, e[k].C}
 				break
 			}
 		}
 	}
-	return s.steps
+	for _, id := range ids {
+		d := &dests[id]
+		if st := s.Warm(id); st != nil {
+			s.Predict(st, d.target)
+		} else if !s.RunStep(id, d.hint, d.target) {
+			s.Sync()
+			s.Apply(dict[id])
+		}
+	}
+	s.Sync()
 }
 
 // LowerStep lowers one VM instruction's events for the sim's machine.
@@ -295,6 +186,10 @@ func (s *Sim) LowerStep(ops []Op) (st Step, ok bool) {
 	st.instructions, st.hitLines = uint32(instructions), uint8(hitLines)
 	if !st.classify(low) {
 		return Step{}, false
+	}
+	st.lines = uint16(st.span0) + 1 + uint16(st.hitLines)
+	if st.shape == shapeWFWFD {
+		st.lines += uint16(st.span1) + 1
 	}
 	return st, true
 }

@@ -3,11 +3,8 @@ package cpu
 import (
 	"math"
 	"math/rand"
-	"reflect"
 	"slices"
 	"testing"
-
-	"vmopt/internal/metrics"
 )
 
 // applyStepsRef is the per-op replay loop lowering replaced: each
@@ -18,23 +15,6 @@ func (s *Sim) applyStepsRef(dict [][]Op, ids []uint32) {
 	for _, id := range ids {
 		s.Apply(dict[id])
 	}
-}
-
-// sameCounters compares counters bitwise, the float cycle counters by
-// their bit patterns.
-func sameCounters(a, b metrics.Counters) bool {
-	if math.Float64bits(a.Cycles) != math.Float64bits(b.Cycles) ||
-		math.Float64bits(a.MissCycles) != math.Float64bits(b.MissCycles) {
-		return false
-	}
-	a.Cycles, a.MissCycles, b.Cycles, b.MissCycles = 0, 0, 0, 0
-	return a == b
-}
-
-// sameState reports whether two sims hold the same counters, I-cache
-// (keys in LRU order, accesses and misses) and predictor tables.
-func sameState(a, b *Sim) bool {
-	return sameCounters(a.C, b.C) && reflect.DeepEqual(a.ic, b.ic) && reflect.DeepEqual(a.pred, b.pred)
 }
 
 // tinyICache has 4 sets of 2 ways with 32-byte lines, so a fetch of
@@ -164,7 +144,7 @@ func TestApplyStepsMatchesReference(t *testing.T) {
 				ids := randomIDs(r, len(dict), 2000)
 				got.ApplySteps(dict, ids)
 				want.applyStepsRef(dict, ids)
-				if !sameState(got, want) {
+				if !got.SameState(want) {
 					t.Fatalf("%s seed %d call %d: lowered replay diverged:\n  got  %+v (I-cache %d/%d)\n  want %+v (I-cache %d/%d)",
 						m.Name, seed, call, got.C, got.ic.Accesses, got.ic.Misses, want.C, want.ic.Accesses, want.ic.Misses)
 				}
@@ -176,7 +156,9 @@ func TestApplyStepsMatchesReference(t *testing.T) {
 // fitICache has 8 sets of 4 ways with 32-byte lines. randomDict keeps
 // its addresses within four set periods, one line per way, so a small
 // dictionary often fits it and a larger one, or one with a fetch
-// wider than a set period, often does not.
+// wider than a set period, often does not. Its BTB has 32 sets of 2
+// ways, which randomDict's dispatches, spread over 4 KiB, overflow now
+// and then.
 var fitICache = Machine{
 	Name:      "fit-icache",
 	Predictor: PredictBTB, BTBEntries: 64, BTBWays: 2,
@@ -185,12 +167,15 @@ var fitICache = Machine{
 	CPI: 0.7, ClockMHz: 800,
 }
 
-// TestApplyStepsResidentPath checks ApplySteps' resident path against
-// the per-op loop, LRU order included, over runs of calls on one sim
-// so that lines stay resident from one call to the next. Each run ends
-// with a dictionary that cannot fit: one naming more lines of a set
-// than it has ways, and one with a fetch wider than the cache. Both
-// paths must be taken many times.
+// TestApplyStepsResidentPath checks ApplySteps' resident mode against
+// the per-op loop, LRU order and BTB state included, over runs of
+// calls on one sim so that lines and branches stay resident from one
+// call to the next. Each run ends with three dictionaries that cannot
+// stay resident: one naming more lines of an I-cache set than it has
+// ways, one with a fetch wider than the I-cache, and one dispatching
+// through more branches of a BTB set than it has ways. Calls that keep
+// both halves of the mode to the end and calls that stop each half
+// must all be taken many times.
 func TestApplyStepsResidentPath(t *testing.T) {
 	m := fitICache
 	line := uint64(m.ICacheLine)
@@ -206,38 +191,163 @@ func TestApplyStepsResidentPath(t *testing.T) {
 		{w, f(0x10000, 8), w, f(0x10000, 4), d(0x10000)},
 		{w, f(0x10000, uint64(m.ICacheBytes)+line), w, f(0x10000, 4), d(0x10000)},
 	}
-	resident, full := 0, 0
+	// Branches 128 bytes apart share a set of the 32-set BTB.
+	btbSet := uint64(4 * m.BTBEntries / m.BTBWays)
+	var branches [][]Op
+	for k := range uint64(m.BTBWays) + 1 {
+		br := 0x10000 + k*btbSet
+		branches = append(branches, []Op{w, f(0x10000, 4), w, f(br, 4), d(br)})
+	}
+	var kept, icacheExits, btbExits int
 	for seed := int64(1); seed <= 40; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		got, want := NewSim(m), NewSim(m)
-		for call := range 6 {
+		for call := range 7 {
 			dict := randomDict(r, m, 1+r.Intn(12))
 			switch call {
 			case 4:
 				dict = overflow
 			case 5:
 				dict = wide
+			case 6:
+				dict = branches
 			}
 			ids := randomIDs(r, len(dict), 1000)
-			fits := got.Resident(dict)
-			if fits && call >= 4 {
-				t.Fatalf("seed %d call %d: a dictionary that cannot fit is resident", seed, call)
-			}
-			if fits {
-				resident++
-			} else {
-				full++
-			}
+			before := got.ResidentExits()
 			got.ApplySteps(dict, ids)
 			want.applyStepsRef(dict, ids)
-			if !sameState(got, want) {
-				t.Fatalf("seed %d call %d (resident %v): replay diverged:\n  got  %+v (I-cache %d/%d)\n  want %+v (I-cache %d/%d)",
-					seed, call, fits, got.C, got.ic.Accesses, got.ic.Misses, want.C, want.ic.Accesses, want.ic.Misses)
+			exits := got.ResidentExits()
+			leftICache, leftBTB := exits.ICache > before.ICache, exits.BTB > before.BTB
+			if (call == 4 || call == 5) && !leftICache || call == 6 && !leftBTB {
+				t.Fatalf("seed %d call %d: a dictionary that cannot stay resident did (exits %+v, before %+v)", seed, call, exits, before)
+			}
+			if leftICache {
+				icacheExits++
+			}
+			if leftBTB {
+				btbExits++
+			}
+			if !leftICache && !leftBTB {
+				kept++
+			}
+			if !got.SameState(want) {
+				t.Fatalf("seed %d call %d (exits %+v, before %+v): replay diverged:\n  got  %+v (I-cache %d/%d)\n  want %+v (I-cache %d/%d)",
+					seed, call, exits, before, got.C, got.ic.Accesses, got.ic.Misses, want.C, want.ic.Accesses, want.ic.Misses)
 			}
 		}
 	}
-	if resident < 40 || full < 120 {
-		t.Errorf("%d resident calls and %d full ones, want at least 40 and 120", resident, full)
+	if kept < 40 || icacheExits < 120 || btbExits < 60 {
+		t.Errorf("%d calls stayed resident, %d left the I-cache half and %d the BTB half; want at least 40, 120 and 60",
+			kept, icacheExits, btbExits)
+	}
+}
+
+// TestResidentExitAtSecondFetch stops the I-cache half at a step's
+// second fetch, after its first has hit a line whose set the span's
+// warm steps have reordered: restoring the span's order must leave
+// that line most recent, so the second fetch evicts the line the full
+// model evicts. Set 0 of the tiny I-cache holds lines 0 and 4 (2
+// ways); line 8 is a third.
+func TestResidentExitAtSecondFetch(t *testing.T) {
+	w := Op{Kind: OpWork, A: 2}
+	f := func(a uint64) Op { return Op{Kind: OpFetch, A: a, B: 4} }
+	dict := [][]Op{
+		{w, f(0x000), w},
+		{w, f(0x080), w},
+		{w, f(0x000), w, f(0x100), {Kind: OpDispatch, A: 0x100, B: 1, C: 0x40}},
+	}
+	ids := []uint32{0, 1, 0, 1, 2, 0, 1}
+	got, want := NewSim(tinyICache), NewSim(tinyICache)
+	got.ApplySteps(dict, ids)
+	want.applyStepsRef(dict, ids)
+	if got.ResidentExits().ICache != 1 {
+		t.Fatalf("resident exits %+v, want one of the I-cache half", got.ResidentExits())
+	}
+	if !got.SameState(want) {
+		t.Fatalf("replay diverged:\n  got  %+v (I-cache %d/%d)\n  want %+v (I-cache %d/%d)",
+			got.C, got.ic.Accesses, got.ic.Misses, want.C, want.ic.Accesses, want.ic.Misses)
+	}
+}
+
+// tinyBTB has a 4-set, 2-way BTB and the tiny I-cache: randomDict's
+// dispatches overflow both, so the resident mode stops mid-call.
+var tinyBTB = Machine{
+	Name:      "tiny-btb",
+	Predictor: PredictBTB, BTBEntries: 8, BTBWays: 2,
+	ICacheBytes: 256, ICacheLine: 32, ICacheWays: 2,
+	MispredictPenalty: 10, ICacheMissPenalty: 10,
+	CPI: 0.7, ClockMHz: 800,
+}
+
+// TestRunStepMatchesReference drives the sim's table of steps as
+// core.Run does: steps lowered with their dispatch's hint and target
+// blank, each run through Warm and Predict or else RunStep with a
+// fresh destination, an entry of no fixed shape or now and then any
+// entry through Apply after a Sync (core.Run's per-event steps), and
+// now and then the table begun anew (a quickening). Counters, I-cache
+// and predictor state must match Apply over the entries with the
+// destinations filled in, on every machine, and the resident mode
+// must stop both halves on the tiny ones.
+func TestRunStepMatchesReference(t *testing.T) {
+	var exits Exits
+	for _, m := range append(lowerMachines(), fitICache, tinyBTB) {
+		for seed := int64(1); seed <= 10; seed++ {
+			r := rand.New(rand.NewSource(seed))
+			dict := randomDict(r, m, 1+r.Intn(40))
+			got, want := NewSim(m), NewSim(m)
+			ks := make([]uint32, len(dict))
+			begin := func() {
+				got.BeginSteps(len(dict))
+				for k, e := range dict {
+					blank := append([]Op(nil), e...)
+					for i := range blank {
+						if blank[i].Kind == OpDispatch {
+							blank[i].B, blank[i].C = 0, 0
+						}
+					}
+					ks[k] = got.AddStep(blank)
+				}
+			}
+			begin()
+			for n, id := range randomIDs(r, len(dict), 3000) {
+				e := append([]Op(nil), dict[id]...)
+				hint, target := uint64(r.Intn(8)), uint64(r.Intn(1<<8))&^3
+				for i := range e {
+					if e[i].Kind == OpDispatch {
+						e[i].B, e[i].C = hint, target
+					}
+				}
+				switch {
+				case n%500 == 499:
+					got.Sync()
+					begin()
+					fallthrough
+				case r.Intn(100) == 0:
+					got.Sync()
+					got.Apply(e)
+				default:
+					if st := got.Warm(ks[id]); st != nil {
+						got.Predict(st, target)
+					} else if !got.RunStep(ks[id], hint, target) {
+						got.Sync()
+						got.Apply(e)
+					}
+				}
+				want.Apply(e)
+			}
+			got.Sync()
+			if !got.SameState(want) {
+				t.Fatalf("%s seed %d: steps diverged:\n  got  %+v\n  want %+v", m.Name, seed, got.C, want.C)
+			}
+			if m == tinyBTB {
+				exits.ICache += got.ResidentExits().ICache
+				exits.BTB += got.ResidentExits().BTB
+			}
+		}
+	}
+	if exits.ICache == 0 || exits.BTB == 0 {
+		t.Errorf("on %s the resident mode left the I-cache half %d times and the BTB half %d times, want both above 0",
+			tinyBTB.Name, exits.ICache, exits.BTB)
 	}
 }
 
@@ -275,7 +385,7 @@ func TestApplyStepTakesDestination(t *testing.T) {
 				}
 				want.Apply(e)
 			}
-			if !sameState(got, want) {
+			if !got.SameState(want) {
 				t.Fatalf("%s seed %d: lowered steps diverged:\n  got  %+v\n  want %+v", m.Name, seed, got.C, want.C)
 			}
 		}
@@ -312,29 +422,36 @@ func TestLowerDropsGuaranteedHits(t *testing.T) {
 		{"too wide", []Op{w, f(0x1000, 256*32+1), w, f(0x1000, 4), d}, shapeGeneric, 0},
 	} {
 		s := NewSim(Celeron800)
-		st := s.lower([][]Op{c.entry})[0]
+		s.BeginSteps(1)
+		st := s.steps[s.AddStep(c.entry)]
 		if st.shape != c.shape || st.hitLines != c.hits {
 			t.Errorf("%s: shape %d with %d hit lines, want %d with %d", c.name, st.shape, st.hitLines, c.shape, c.hits)
 		}
 	}
 }
 
-// TestApplyStepsReusesBuffers: lowering and the resident path write
-// into the sim's own buffers, so only the first call on a sim
-// allocates, on either path, and a Reset keeps the buffers.
+// TestApplyStepsReusesBuffers: lowering and the resident mode write
+// into the sim's own buffers, the BTB half's table of last targets and
+// branch index included, so only the first call on a sim allocates,
+// whichever halves of the mode stay on, and a Reset keeps the buffers.
 func TestApplyStepsReusesBuffers(t *testing.T) {
 	for _, c := range []struct {
-		m        Machine
-		resident bool
-	}{{Celeron800, false}, {PentiumM, true}} {
+		m                   Machine
+		leftICache, leftBTB bool
+	}{
+		{Celeron800, true, false},
+		{PentiumM, false, false},
+		{Pentium4Northwood, false, false},
+		{tinyBTB, true, true},
+	} {
 		r := rand.New(rand.NewSource(7))
 		dict := randomDict(r, c.m, 64)
 		ids := randomIDs(r, len(dict), 500)
 		s := NewSim(c.m)
-		if got := s.Resident(dict); got != c.resident {
-			t.Fatalf("%s: Resident = %v, want %v", c.m.Name, got, c.resident)
-		}
 		s.ApplySteps(dict, ids)
+		if e := s.ResidentExits(); e.ICache > 0 != c.leftICache || e.BTB > 0 != c.leftBTB {
+			t.Fatalf("%s: resident exits %+v, want the I-cache half left %v and the BTB half %v", c.m.Name, e, c.leftICache, c.leftBTB)
+		}
 		if n := testing.AllocsPerRun(10, func() { s.ApplySteps(dict, ids) }); n != 0 {
 			t.Errorf("%s: ApplySteps allocates %v times per call on a warm sim, want 0", c.m.Name, n)
 		}

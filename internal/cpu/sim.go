@@ -1,6 +1,9 @@
 package cpu
 
 import (
+	"math"
+	"reflect"
+
 	"vmopt/internal/btb"
 	"vmopt/internal/icache"
 	"vmopt/internal/metrics"
@@ -65,18 +68,19 @@ type Sim struct {
 	pred btb.Predictor
 	ic   *icache.Cache
 
-	// steps holds the dictionary ApplySteps last lowered; each call
-	// rebuilds it in place (see lower).
-	steps []replayStep
-	// res and used are ApplySteps' scratch for its resident path (see
-	// Resident and restoreLRU), reused like steps.
-	res  icache.Residency
-	used []uint32
+	// steps is the table of lowered steps the resident mode runs (see
+	// BeginSteps), and dests holds the recorded hint and target of each
+	// step ApplySteps lowered; both are rebuilt in place.
+	steps []Step
+	dests []dest
+	res   resident
 }
 
 // NewSim builds a simulator for the machine.
 func NewSim(m Machine) *Sim {
-	return &Sim{Machine: m, pred: m.NewPredictor(), ic: m.NewICache()}
+	s := &Sim{Machine: m, pred: m.NewPredictor(), ic: m.NewICache()}
+	s.res.sa, _ = s.pred.(*btb.SetAssoc)
+	return s
 }
 
 // Work retires n straight-line native instructions.
@@ -206,13 +210,27 @@ func (s *Sim) Apply(ops []Op) {
 	}
 }
 
-// Reset clears counters, predictor and cache state. It keeps the
-// buffers ApplySteps reuses, so a reset sim replays without
-// allocating.
+// Reset clears counters, predictor and cache state, and the resident
+// mode's span and exit counts. It keeps the buffers ApplySteps reuses,
+// so a reset sim replays without allocating.
 func (s *Sim) Reset() {
 	s.C = metrics.Counters{}
 	s.pred.Reset()
 	s.ic.Reset()
+	s.res.reset()
+}
+
+// SameState reports whether s and o hold the same counters, the float
+// ones bit for bit, the same I-cache lines in the same LRU order with
+// the same access and miss counts, and the same predictor state.
+func (s *Sim) SameState(o *Sim) bool {
+	a, b := s.C, o.C
+	if math.Float64bits(a.Cycles) != math.Float64bits(b.Cycles) ||
+		math.Float64bits(a.MissCycles) != math.Float64bits(b.MissCycles) {
+		return false
+	}
+	a.Cycles, a.MissCycles, b.Cycles, b.MissCycles = 0, 0, 0, 0
+	return a == b && reflect.DeepEqual(s.ic, o.ic) && reflect.DeepEqual(s.pred, o.pred)
 }
 
 // Seconds converts the accumulated cycles to seconds at the machine's

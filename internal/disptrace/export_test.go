@@ -1,7 +1,5 @@
 package disptrace
 
-import "vmopt/internal/cpu"
-
 // SetMemoryBudget replaces c's memory of decoded traces with an empty
 // one bounded at budget bytes.
 func SetMemoryBudget(c *Cache, budget int64) { c.mem = newMemory(budget) }
@@ -11,13 +9,6 @@ func SetMemoryBudget(c *Cache, budget int64) { c.mem = newMemory(budget) }
 func InMemory(c *Cache, id string) bool {
 	_, ok := c.mem.Peek(id)
 	return ok
-}
-
-// ResidentOn drives t's prelude through sim and reports whether
-// replaying t's steps into it then takes ApplySteps' resident path.
-func ResidentOn(t *Trace, sim *cpu.Sim) bool {
-	sim.Apply(t.arena.prelude)
-	return sim.Resident(t.arena.dict)
 }
 
 // ParseIDs is parseIDs, the decoder of a trace's raw step-ID stream.

@@ -178,19 +178,35 @@ var oneSet = cpu.Machine{
 	CPI: 0.7, ClockMHz: 1000,
 }
 
+// tinyBoth has a 1 KiB I-cache and a 16-entry BTB: the workloads'
+// steps overflow both mid-run, after many have run warm, so core.Run's
+// resident mode stops each half.
+var tinyBoth = cpu.Machine{
+	Name:      "tiny-icache-btb",
+	Predictor: cpu.PredictBTB, BTBEntries: 16, BTBWays: 2,
+	ICacheBytes: 1024, ICacheLine: 32, ICacheWays: 2,
+	MispredictPenalty: 10, ICacheMissPenalty: 10,
+	CPI: 1, ClockMHz: 800,
+}
+
 // TestLoweredRunMatchesEventStream is the oracle of core.Run's lowered
 // path: with no sink, Run applies one machine-lowered step per VM
-// instruction; with a plain cpu.Sink (a Writer behind perEvent), it
-// drives every event one call at a time. Driving that per-event
-// stream, expanded by a Cursor, through Sim.Apply must give
-// bit-identical counters on every machine. The pairs cover every
+// instruction in the resident mode; with a plain cpu.Sink (a Writer
+// behind perEvent), it drives every event one call at a time. Driving
+// that per-event stream, expanded by a Cursor, through Sim.Apply must
+// give bit-identical counters on every machine, and the lowered run
+// must leave the counters, the I-cache (LRU order included) and the
+// predictor exactly as the per-event run does. The pairs cover every
 // technique, the switch baseline included: shadow mode (w/static super
 // across), JVM quickening, which re-parses the plan around the
-// quickened position mid-run, and the halt every program ends in.
+// quickened position mid-run, and the halt every program ends in; the
+// tiny machine stops each half of the resident mode mid-run.
 func TestLoweredRunMatchesEventStream(t *testing.T) {
 	s := NewSuite()
 	s.ScaleDiv = 200
-	machines := append(cpu.Machines(), oneSet)
+	machines := append(cpu.Machines(), oneSet, tinyBoth)
+	var exits cpu.Exits
+	var quickened, shadow int
 	for _, name := range []string{"gray", "brainless", "javac", "jess"} {
 		w, err := workload.ByName(name)
 		if err != nil {
@@ -210,9 +226,21 @@ func TestLoweredRunMatchesEventStream(t *testing.T) {
 				t.Fatal(err)
 			}
 			tr := tw.Trace()
-			for _, m := range machines {
-				got, err := s.simulate(w, v, m, nil)
+			for k, m := range machines {
+				lowered, ref := cpu.NewSim(m), cpu.NewSim(m)
+				var paths *stepPaths
+				if k == 0 {
+					// A lowered recording counts the steps Run drives
+					// one event at a time.
+					paths = &stepPaths{Writer: disptrace.NewWriter(s.TraceKey(w, v).Header())}
+					lowered.Sink = paths
+				}
+				ref.Sink = perEvent{disptrace.NewWriter(s.TraceKey(w, v).Header())}
+				got, err := s.Simulate(w, v, lowered)
 				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := s.Simulate(w, v, ref); err != nil {
 					t.Fatal(err)
 				}
 				want := applyEvents(tr, m)
@@ -220,8 +248,25 @@ func TestLoweredRunMatchesEventStream(t *testing.T) {
 					t.Errorf("%s/%s on %s: lowered run differs from the event stream in %v:\n  got  %+v\n  want %+v",
 						w.Name, v.Name, m.Name, d, got, want)
 				}
+				if !lowered.SameState(ref) {
+					t.Errorf("%s/%s on %s: lowered run leaves another I-cache or predictor state than the per-event run",
+						w.Name, v.Name, m.Name)
+				}
+				if m == tinyBoth {
+					exits.ICache += lowered.ResidentExits().ICache
+					exits.BTB += lowered.ResidentExits().BTB
+				}
+				if paths != nil {
+					paths.count()
+					quickened += paths.quickened
+					shadow += paths.shadow
+				}
 			}
 		}
+	}
+	if exits.ICache == 0 || exits.BTB == 0 || quickened == 0 || shadow == 0 {
+		t.Errorf("resident exits on %s %+v, %d quickened and %d shadow-mode steps; want each above 0",
+			tinyBoth.Name, exits, quickened, shadow)
 	}
 }
 

@@ -433,6 +433,16 @@ func (s *Suite) Compute(ctx context.Context, w *workload.Workload, v Variant, ma
 // simulate runs one cell by direct simulation, optionally recording
 // the event stream into sink.
 func (s *Suite) simulate(w *workload.Workload, v Variant, m cpu.Machine, sink cpu.Sink) (metrics.Counters, error) {
+	sim := cpu.NewSim(m)
+	sim.Sink = sink
+	return s.Simulate(w, v, sim)
+}
+
+// Simulate runs one (benchmark, variant) pair by direct simulation on
+// sim, recording its event stream into sim.Sink when that is set, and
+// returns the counters. sim's I-cache, predictor and resident-mode exit
+// counts are left for the caller to inspect.
+func (s *Suite) Simulate(w *workload.Workload, v Variant, sim *cpu.Sim) (metrics.Counters, error) {
 	cfg, err := s.configFor(w, v)
 	if err != nil {
 		return metrics.Counters{}, err
@@ -446,11 +456,9 @@ func (s *Suite) simulate(w *workload.Workload, v Variant, m cpu.Machine, sink cp
 	if err != nil {
 		return metrics.Counters{}, fmt.Errorf("%s/%s: %w", w.Name, v.Name, err)
 	}
-	sim := cpu.NewSim(m)
-	sim.Sink = sink
 	c, err := core.Run(proc, plan, sim, s.MaxSteps)
 	if err != nil {
-		return metrics.Counters{}, fmt.Errorf("%s/%s on %s: %w", w.Name, v.Name, m.Name, err)
+		return metrics.Counters{}, fmt.Errorf("%s/%s on %s: %w", w.Name, v.Name, sim.Machine.Name, err)
 	}
 	return c, nil
 }

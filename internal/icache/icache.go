@@ -164,45 +164,28 @@ func (c *Cache) Promote(first, last uint64) {
 	}
 }
 
-// Residency checks whether a set of lines fits a cache with nothing
-// evicted. It lists each set's distinct lines, those the cache held
-// when the check began and those added since, in a scratch copy of the
-// cache's ways, which later checks reuse.
-type Residency struct {
-	keys []uint64
-	mask uint64
-	ways int
-}
-
-// Reset begins a check on c: the lines c holds now are listed.
-func (r *Residency) Reset(c *Cache) {
-	r.keys = append(r.keys[:0], c.keys...)
-	r.mask, r.ways = c.mask, c.ways
-}
-
-// Add lists the lines first..last and reports whether each of their
-// sets still holds no more distinct lines than it has ways. Once it
-// reports false the lines do not fit and the check is over.
-func (r *Residency) Add(first, last uint64) bool {
+// TouchNoEvict fetches the lines first..last in order, as TouchLines
+// does, until one would evict another: a line its set does not hold
+// while every way is full. It returns the misses and the line it
+// stopped before, last+1 when it fetched them all. Ways fill from the
+// front of a set, so a set has a free way while its last one is empty.
+func (c *Cache) TouchNoEvict(first, last uint64) (misses int, next uint64) {
 	for l := first; l <= last; l++ {
-		base := int(l&r.mask) * r.ways
-		if !list(r.keys[base:base+r.ways], l+1) {
-			return false
+		base := int(l&c.mask) * c.ways
+		if c.keys[base+c.ways-1] != 0 && !c.holds(base, l) {
+			return misses, l
+		}
+		if !c.touchLine(l) {
+			misses++
 		}
 	}
-	return true
+	return misses, last + 1
 }
 
-// list adds key to set unless it is there and reports whether it is
-// there now. Keys fill a set from the front, as a cache's do, so the
-// first empty way ends the set's keys.
-func list(set []uint64, key uint64) bool {
-	for i, k := range set {
-		if k == key {
-			return true
-		}
-		if k == 0 {
-			set[i] = key
+// holds reports whether the set starting at keys[base] holds line.
+func (c *Cache) holds(base int, line uint64) bool {
+	for _, k := range c.keys[base : base+c.ways] {
+		if k == line+1 {
 			return true
 		}
 	}
@@ -213,13 +196,7 @@ func list(set []uint64, key uint64) bool {
 // without updating LRU state.
 func (c *Cache) Contains(addr uint64) bool {
 	lineNum := addr >> c.lineShift
-	base := int(lineNum&c.mask) * c.ways
-	for _, k := range c.keys[base : base+c.ways] {
-		if k == lineNum+1 {
-			return true
-		}
-	}
-	return false
+	return c.holds(int(lineNum&c.mask)*c.ways, lineNum)
 }
 
 // MissRate returns Misses/Accesses in [0,1].

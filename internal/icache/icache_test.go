@@ -169,28 +169,27 @@ func TestMissesBounded(t *testing.T) {
 	}
 }
 
-// TestResidency: a set's distinct lines fit while they number at most
-// its ways, counting the lines the cache holds and repeats once.
-func TestResidency(t *testing.T) {
-	c := New(256, 32, 2) // 4 sets of 2 ways
-	c.Touch(0, 1)        // line 0, set 0
-	var r Residency
-	r.Reset(c)
-	if !r.Add(0, 3) || !r.Add(2, 2) { // lines 0..3, one per set, and 2 again
-		t.Fatal("one line per set does not fit")
+// TestTouchNoEvict: fetching stops before the first line that would
+// evict another, and every line before it is fetched exactly as
+// TouchLines fetches it.
+func TestTouchNoEvict(t *testing.T) {
+	c, ref := New(256, 32, 2), New(256, 32, 2) // 4 sets of 2 ways
+	for _, l := range []uint64{0, 4, 1} {      // set 0 full, set 1 half
+		c.TouchLines(l, l)
+		ref.TouchLines(l, l)
 	}
-	if !r.Add(4, 4) { // line 4: set 0's second way
-		t.Fatal("a second line of a 2-way set does not fit")
+	// Lines 0, 1 and 4 are cached; 2, 3 and 5 take free ways.
+	misses, next := c.TouchNoEvict(0, 5)
+	ref.TouchLines(0, 5)
+	if misses != 3 || next != 6 || !slices.Equal(c.keys, ref.keys) || c.Accesses != ref.Accesses {
+		t.Fatalf("TouchNoEvict(0, 5) = %d, %d with keys %v; want 3, 6 and TouchLines' keys %v", misses, next, c.keys, ref.keys)
 	}
-	if r.Add(8, 8) { // line 8: a third line of set 0
-		t.Fatal("a third line of a 2-way set fits")
-	}
-	r.Reset(c)
-	if r.Add(0, 8) { // nine lines in four 2-way sets
-		t.Fatal("a range wider than the cache fits")
-	}
-	if c.Accesses != 1 || c.Misses != 1 || !c.Contains(0) || c.Contains(4*32) {
-		t.Fatal("the check changed the cache")
+	// Lines 6 and 7 take the last free ways of sets 2 and 3; line 8,
+	// a third line of set 0, would evict.
+	misses, next = c.TouchNoEvict(6, 9)
+	ref.TouchLines(6, 7)
+	if misses != 2 || next != 8 || !slices.Equal(c.keys, ref.keys) || c.Accesses != ref.Accesses || c.Misses != ref.Misses {
+		t.Fatalf("TouchNoEvict(6, 9) = %d, %d with keys %v; want 2, 8 and keys %v", misses, next, c.keys, ref.keys)
 	}
 }
 
