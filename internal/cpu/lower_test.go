@@ -3,7 +3,6 @@ package cpu
 import (
 	"math"
 	"math/rand"
-	"slices"
 	"testing"
 )
 
@@ -43,11 +42,11 @@ func lowerMachines() []Machine {
 }
 
 // randomDict builds a seeded step dictionary for machine m's I-cache
-// geometry. Besides the shapes core.Run emits, its entries hold
-// re-fetches that are and are not guaranteed hits: multi-line fetches
-// and their sub-ranges, two different lines of one set, fetches wider
-// than the set count, size-0, negative-size and wrapping fetches, and
-// random op soups.
+// geometry. Besides the shapes core.Run emits, with dispatch fetches
+// inside and outside the step's fetched lines, its entries hold
+// re-fetches: multi-line fetches and their sub-ranges, two different
+// lines of one set, fetches wider than the set count, size-0,
+// negative-size and wrapping fetches, and random op soups.
 func randomDict(r *rand.Rand, m Machine, entries int) [][]Op {
 	line := uint64(m.ICacheLine)
 	stride := uint64(m.ICacheBytes / m.ICacheWays) // one set's period
@@ -62,8 +61,8 @@ func randomDict(r *rand.Rand, m Machine, entries int) [][]Op {
 	for k := range dict {
 		a := addr()
 		size := 1 + r.Intn(int(3*line))
-		// A dispatch branch inside the fetched range: its fetch is a
-		// guaranteed hit unless it runs past the range.
+		// A dispatch branch inside the fetched range: its fetch hits
+		// unless it runs past the range.
 		br := a + uint64(r.Intn(size))
 		var e []Op
 		switch r.Intn(14) {
@@ -281,14 +280,27 @@ var tinyBTB = Machine{
 
 // TestRunStepMatchesReference drives the sim's table of steps as
 // core.Run does: steps lowered with their dispatch's hint and target
-// blank, each run through Warm and Predict or else RunStep with a
-// fresh destination, an entry of no fixed shape or now and then any
-// entry through Apply after a Sync (core.Run's per-event steps), and
-// now and then the table begun anew (a quickening). Counters, I-cache
-// and predictor state must match Apply over the entries with the
-// destinations filled in, on every machine, and the resident mode
-// must stop both halves on the tiny ones.
+// blank, each run through Warm and Predict or else RunStep, taking a
+// fresh destination on each run, an entry of no fixed shape or now and
+// then any entry through Apply after a Sync (core.Run's per-event
+// steps), and now and then the table begun anew (a quickening).
+// Counters, I-cache and predictor state must match Apply over the
+// entries with the destinations filled in, on every machine, and the
+// resident mode must stop both halves on the tiny ones. The same must
+// hold with both halves of the mode turned off before the first step,
+// where RunStep runs every step through the I-cache model and the
+// predictor.
 func TestRunStepMatchesReference(t *testing.T) {
+	for _, off := range []bool{false, true} {
+		name := "resident"
+		if off {
+			name = "halves off"
+		}
+		t.Run(name, func(t *testing.T) { testRunStep(t, off) })
+	}
+}
+
+func testRunStep(t *testing.T, off bool) {
 	var exits Exits
 	for _, m := range append(lowerMachines(), fitICache, tinyBTB) {
 		for seed := int64(1); seed <= 10; seed++ {
@@ -298,6 +310,9 @@ func TestRunStepMatchesReference(t *testing.T) {
 			ks := make([]uint32, len(dict))
 			begin := func() {
 				got.BeginSteps(len(dict))
+				if off {
+					got.leave(true, true)
+				}
 				for k, e := range dict {
 					blank := append([]Op(nil), e...)
 					for i := range blank {
@@ -327,6 +342,9 @@ func TestRunStepMatchesReference(t *testing.T) {
 					got.Apply(e)
 				default:
 					if st := got.Warm(ks[id]); st != nil {
+						if off {
+							t.Fatalf("%s seed %d: step %d warm with both halves off", m.Name, seed, id)
+						}
 						got.Predict(st, target)
 					} else if !got.RunStep(ks[id], hint, target) {
 						got.Sync()
@@ -345,60 +363,19 @@ func TestRunStepMatchesReference(t *testing.T) {
 			}
 		}
 	}
-	if exits.ICache == 0 || exits.BTB == 0 {
+	if !off && (exits.ICache == 0 || exits.BTB == 0) {
 		t.Errorf("on %s the resident mode left the I-cache half %d times and the BTB half %d times, want both above 0",
 			tinyBTB.Name, exits.ICache, exits.BTB)
 	}
 }
 
-// TestApplyStepTakesDestination: the engine lowers a step once and
-// supplies each executed dispatch's hint and target on apply. Lowering
-// random entries with their dispatch hint and target zeroed, then
-// applying each with a fresh destination, must match Apply over the
-// entry with that destination filled in.
-func TestApplyStepTakesDestination(t *testing.T) {
-	for _, m := range lowerMachines() {
-		for seed := int64(1); seed <= 10; seed++ {
-			r := rand.New(rand.NewSource(seed))
-			dict := randomDict(r, m, 1+r.Intn(40))
-			got, want := NewSim(m), NewSim(m)
-			steps := make([]Step, len(dict))
-			for k, e := range dict {
-				blank := append([]Op(nil), e...)
-				for i := range blank {
-					if blank[i].Kind == OpDispatch {
-						blank[i].B, blank[i].C = 0, 0
-					}
-				}
-				steps[k], _ = got.LowerStep(blank)
-			}
-			for _, id := range randomIDs(r, len(dict), 2000) {
-				e := append([]Op(nil), dict[id]...)
-				hint, target := uint64(r.Intn(8)), uint64(r.Intn(1<<12))&^3
-				for i := range e {
-					if e[i].Kind == OpDispatch {
-						e[i].B, e[i].C = hint, target
-					}
-				}
-				if !got.ApplyStep(&steps[id], hint, target) {
-					got.Apply(e)
-				}
-				want.Apply(e)
-			}
-			if !got.SameState(want) {
-				t.Fatalf("%s seed %d: lowered steps diverged:\n  got  %+v\n  want %+v", m.Name, seed, got.C, want.C)
-			}
-		}
-	}
-}
-
-// TestLowerDropsGuaranteedHits pins the lowering of the shapes
-// core.Run emits on a Celeron (32-byte lines, 128 sets): a dispatch
-// fetch inside the step's fetched lines is dropped, one outside them
-// is kept, and so is one whose line a later line of its set displaced
-// as the set's most recently used; an entry of no fixed shape lowers to
-// the generic zero entry.
-func TestLowerDropsGuaranteedHits(t *testing.T) {
+// TestLowerStepShapes pins the lowering of the shapes core.Run emits
+// on a Celeron (32-byte lines, 128 sets): each step's shape and the
+// I-cache accesses a warm run charges. A dispatch fetch inside the
+// step's fetched lines is fetched again, so a step charges as many
+// accesses as it fetches lines; any other entry, or one whose counts
+// overflow a Step's fields, lowers to the generic zero Step.
+func TestLowerStepShapes(t *testing.T) {
 	w := Op{Kind: OpWork, A: 3}
 	f := func(a, size uint64) Op { return Op{Kind: OpFetch, A: a, B: size} }
 	d := Op{Kind: OpDispatch, A: 0x1010, C: 0x2000}
@@ -407,25 +384,35 @@ func TestLowerDropsGuaranteedHits(t *testing.T) {
 		name  string
 		entry []Op
 		shape shape
-		hits  uint8
+		lines uint16
 	}{
-		{"inside", []Op{w, f(0x1000, 40), w, f(0x1010, 4), d}, shapeWFWD, 1},
-		{"second line", []Op{w, f(0x1000, 40), w, f(0x1020, 4), d}, shapeWFWD, 1},
-		{"outside", []Op{w, f(0x1000, 40), w, f(0x1040, 4), d}, shapeWFWFD, 0},
-		{"fall-through", []Op{w, f(0x1000, 40), w}, shapeWFW, 0},
-		{"same set", []Op{w, f(0x1000, 8), f(0x1000+stride, 8), w, f(0x1000, 4), d}, shapeGeneric, 0},
-		{"wide, evicted line", []Op{w, f(0x1000, stride+32), w, f(0x1000, 4), d}, shapeWFWFD, 0},
-		{"wide, latest line", []Op{w, f(0x1000, stride+32), w, f(0x1000+stride, 4), d}, shapeWFWD, 1},
-		{"zero size", []Op{w, f(0x1000, 8), w, f(0x1000, 0), d}, shapeWFWD, 0},
-		{"too many hit lines", append([]Op{w, f(0x1000, 256), w}, append(slices.Repeat([]Op{f(0x1000, 256)}, 40), d)...), shapeGeneric, 0},
+		{"inside", []Op{w, f(0x1000, 40), w, f(0x1010, 4), d}, shapeWFWFD, 3},
+		{"second line", []Op{w, f(0x1000, 40), w, f(0x1020, 4), d}, shapeWFWFD, 3},
+		{"outside", []Op{w, f(0x1000, 40), w, f(0x1040, 4), d}, shapeWFWFD, 3},
+		{"two-line dispatch fetch", []Op{w, f(0x1000, 8), w, f(0x101e, 4), d}, shapeWFWFD, 3},
+		{"fall-through", []Op{w, f(0x1000, 40), w}, shapeWFW, 2},
+		{"256 lines", []Op{w, f(0x1000, 256*32), w}, shapeWFW, 256},
+		{"max work", []Op{{Kind: OpWork, A: math.MaxUint32 - 3}, f(0x1000, 40), w}, shapeWFW, 2},
+		{"empty", nil, shapeGeneric, 0},
+		{"zero size", []Op{w, f(0x1000, 8), w, f(0x1000, 0), d}, shapeGeneric, 0},
+		{"negative size", []Op{w, f(0x1000, 1<<63), w}, shapeGeneric, 0},
+		{"wrapping", []Op{w, f(math.MaxUint64-8, 64), w, f(0x1000, 4), d}, shapeGeneric, 0},
 		{"too much work", []Op{{Kind: OpWork, A: 1 << 33}, f(0x1000, 40), w, f(0x1040, 4), d}, shapeGeneric, 0},
+		{"work sum too large", []Op{{Kind: OpWork, A: math.MaxUint32}, f(0x1000, 40), w}, shapeGeneric, 0},
 		{"too wide", []Op{w, f(0x1000, 256*32+1), w, f(0x1000, 4), d}, shapeGeneric, 0},
+		{"dispatch fetch too wide", []Op{w, f(0x1000, 8), w, f(0x1000, 256*32+1), d}, shapeGeneric, 0},
+		{"extra re-fetch", []Op{w, f(0x1000, 40), w, f(0x1010, 4), d, f(0x1000, 1)}, shapeGeneric, 0},
+		{"same set", []Op{w, f(0x1000, 8), f(0x1000+stride, 8), w, f(0x1000, 4), d}, shapeGeneric, 0},
+		{"dispatch without fetch", []Op{w, f(0x1000, 8), w, d}, shapeGeneric, 0},
+		{"work first missing", []Op{f(0x1000, 8), w, w, f(0x1000, 4), d}, shapeGeneric, 0},
 	} {
 		s := NewSim(Celeron800)
-		s.BeginSteps(1)
-		st := s.steps[s.AddStep(c.entry)]
-		if st.shape != c.shape || st.hitLines != c.hits {
-			t.Errorf("%s: shape %d with %d hit lines, want %d with %d", c.name, st.shape, st.hitLines, c.shape, c.hits)
+		st, ok := s.lowerStep(c.entry)
+		if st.shape != c.shape || st.lines != c.lines || ok != (c.shape != shapeGeneric) {
+			t.Errorf("%s: shape %d with %d lines (ok %v), want %d with %d", c.name, st.shape, st.lines, ok, c.shape, c.lines)
+		}
+		if c.shape == shapeGeneric && st != (Step{}) {
+			t.Errorf("%s: generic step %+v, want the zero Step", c.name, st)
 		}
 	}
 }

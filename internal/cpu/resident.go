@@ -108,13 +108,26 @@ func (s *Sim) BeginSteps(n int) {
 	r.targets, r.seen = r.targets[:0], r.seen[:0]
 }
 
+// presize makes room in the mode's scratch for a table of n steps, so
+// that a fresh sim appends to it without growing it. ApplySteps, which
+// knows its table's size, calls it before BeginSteps.
+func (r *resident) presize(n int) {
+	r.used = slices.Grow(r.used, n)
+	if r.sa != nil {
+		if r.index == nil {
+			r.index = make(map[uint64]uint32, n)
+		}
+		r.targets, r.seen = slices.Grow(r.targets, n), slices.Grow(r.seen, n)
+	}
+}
+
 // AddStep lowers one VM instruction's events for the sim's machine
-// into its table of steps (see LowerStep) and returns the step's index
+// into its table of steps (see lowerStep) and returns the step's index
 // there. A dispatching step on a set-associative BTB gets the index of
 // its branch's BTB entry among the table's branches.
 func (s *Sim) AddStep(ops []Op) uint32 {
-	st, _ := s.LowerStep(ops)
-	if r := &s.res; r.sa != nil && st.shape != shapeGeneric && st.shape != shapeWFW {
+	st, _ := s.lowerStep(ops)
+	if r := &s.res; r.sa != nil && st.shape == shapeWFWFD {
 		key := r.sa.Key(st.branch)
 		bi, ok := r.index[key]
 		if !ok {
@@ -131,7 +144,7 @@ func (s *Sim) AddStep(ops []Op) uint32 {
 
 // Warm runs step k of the table when it is warm: both halves of the
 // resident mode are on and the step has run in the current span. It
-// applies the step's counter deltas, its cycle addends in ApplyStep's
+// applies the step's counter deltas, its cycle addends in RunStep's
 // order and its I-cache accesses, and returns the step, whose dispatch
 // the caller must then predict with Predict before it runs another.
 // For a step that is not warm it changes nothing and returns nil; such
@@ -146,7 +159,7 @@ func (s *Sim) Warm(k uint32) *Step {
 	st.use = s.res.clock
 	c := &s.C
 	c.Instructions += uint64(st.instructions)
-	// ApplyStep's two additions in its order, with one store.
+	// RunStep's two additions in its order, with one store.
 	c.Cycles = c.Cycles + st.w0 + st.w1
 	s.ic.Accesses += uint64(st.lines)
 	return st
@@ -180,15 +193,13 @@ func (s *Sim) Predict(st *Step, target uint64) {
 // accesses. While the BTB half is on, a branch's first dispatch in the
 // span accesses the BTB, unless that would evict, where the BTB half
 // stops, and later ones are predicted from its last target. With both
-// halves off RunStep is ApplyStep. The counters end bit-identical to
-// ApplyStep's, and the I-cache and predictor state too once synced;
-// per-event calls, Apply and ApplyStep on the sim must wait for a Sync.
+// halves off every run goes through the I-cache model and the
+// predictor. The counters end bit-identical to the per-event calls the
+// step was lowered from, and the I-cache and predictor state too once
+// synced; per-event calls and Apply on the sim must wait for a Sync.
 func (s *Sim) RunStep(k uint32, hint, target uint64) bool {
 	st := &s.steps[k]
 	r := &s.res
-	if !r.icache && !r.btb {
-		return s.ApplyStep(st, hint, target)
-	}
 	if st.shape == shapeGeneric {
 		return false
 	}
@@ -203,11 +214,8 @@ func (s *Sim) RunStep(k uint32, hint, target uint64) bool {
 	} else {
 		s.fetch(st, st.f0, st.span0, false)
 		c.Cycles += st.w1
-		switch st.shape {
-		case shapeWFWFD:
+		if st.shape == shapeWFWFD {
 			s.fetch(st, st.f1, st.span1, true)
-		case shapeWFWD:
-			s.ic.Accesses += uint64(st.hitLines)
 		}
 	}
 	if st.shape != shapeWFW {
@@ -226,11 +234,11 @@ func (s *Sim) RunStep(k uint32, hint, target uint64) bool {
 }
 
 // fetch fetches lines first..first+span of step st and charges their
-// misses, as ApplyStep does. While the I-cache half is on it fetches
-// only up to a line that would evict, and there stops the half: it
-// restores the LRU order the span's steps would have left (see
-// restore), promotes the lines st has fetched so far, f0's before f1's
-// (second), and fetches the rest in full.
+// misses. While the I-cache half is on it fetches only up to a line
+// that would evict, and there stops the half: it restores the LRU
+// order the span's steps would have left (see restore), promotes the
+// lines st has fetched so far, f0's before f1's (second), and fetches
+// the rest in full.
 func (s *Sim) fetch(st *Step, first uint64, span uint8, second bool) {
 	last := first + uint64(span)
 	if !s.res.icache {
@@ -298,8 +306,8 @@ func (s *Sim) leave(icache, btb bool) {
 
 // Sync brings the I-cache and the predictor up to date with every step
 // run in the current span of the resident mode, and begins a new span,
-// in which each step's first run is cold again. Per-event calls, Apply
-// and ApplyStep may follow.
+// in which each step's first run is cold again. Per-event calls and
+// Apply may follow.
 func (s *Sim) Sync() {
 	r := &s.res
 	if len(r.used) > 0 {

@@ -1,6 +1,7 @@
 package disptrace_test
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -160,7 +161,7 @@ func BenchmarkReplay(b *testing.B) {
 	b.ReportAllocs()
 	for b.Loop() {
 		sims[0].Reset()
-		if err := disptrace.ReplayEach(benchState.wire, sims); err != nil {
+		if err := disptrace.ReplayEach(context.Background(), benchState.wire, sims); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -188,7 +189,7 @@ func BenchmarkReplayEach5(b *testing.B) {
 		for _, m := range benchMachines() {
 			sims = append(sims, cpu.NewSim(m))
 		}
-		if err := disptrace.ReplayEach(benchState.wire, sims); err != nil {
+		if err := disptrace.ReplayEach(context.Background(), benchState.wire, sims); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -2,6 +2,7 @@ package disptrace_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -495,7 +496,7 @@ func TestReplayEachMatchesSolo(t *testing.T) {
 		for i, m := range machines {
 			sims[i] = cpu.NewSim(m)
 		}
-		if err := disptrace.ReplayEach(src, sims); err != nil {
+		if err := disptrace.ReplayEach(context.Background(), src, sims); err != nil {
 			t.Fatalf("%s: ReplayEach: %v", name, err)
 		}
 		for i, m := range machines {

@@ -1,6 +1,7 @@
 package disptrace_test
 
 import (
+	"context"
 	"errors"
 	"os"
 	"testing"
@@ -262,11 +263,11 @@ func TestMemoryHitReplayAllocs(t *testing.T) {
 	}
 
 	sims := []*cpu.Sim{cpu.NewSim(cpu.Celeron800)}
-	if err := disptrace.ReplayEach(hit, sims); err != nil {
+	if err := disptrace.ReplayEach(context.Background(), hit, sims); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(10, func() {
-		if err := disptrace.ReplayEach(hit, sims); err != nil {
+		if err := disptrace.ReplayEach(context.Background(), hit, sims); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -282,7 +283,7 @@ func TestMemoryHitReplayAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	sims[0].Reset()
-	if err := disptrace.ReplayEach(hit, sims); err != nil {
+	if err := disptrace.ReplayEach(context.Background(), hit, sims); err != nil {
 		t.Fatal(err)
 	}
 	if sims[0].C != want {

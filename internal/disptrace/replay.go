@@ -28,7 +28,7 @@ import (
 // use a fresh sim for a fresh result. sim.Sink is ignored during
 // replay (replaying must not re-record).
 func Replay(t *Trace, sim *cpu.Sim, jobs int) error {
-	return ReplayEachCtx(context.Background(), t, []*cpu.Sim{sim})
+	return ReplayEach(context.Background(), t, []*cpu.Sim{sim})
 }
 
 // ReplayEach replays the trace into several simulators at once, one
@@ -37,15 +37,9 @@ func Replay(t *Trace, sim *cpu.Sim, jobs int) error {
 // machine uses the cores the sequential predictor/I-cache state
 // machines would otherwise leave idle. Each sim sees the exact event
 // sequence a solo Replay delivers, so the per-sim counters stay
-// byte-identical to direct simulation.
-func ReplayEach(t *Trace, sims []*cpu.Sim) error {
-	return ReplayEachCtx(context.Background(), t, sims)
-}
-
-// ReplayEachCtx is ReplayEach under a request context: when ctx
-// carries an obs trace, the replay's wall time is attributed to its
-// "apply" stage.
-func ReplayEachCtx(ctx context.Context, t *Trace, sims []*cpu.Sim) error {
+// byte-identical to direct simulation. When ctx carries an obs trace,
+// the replay's wall time is attributed to its "apply" stage.
+func ReplayEach(ctx context.Context, t *Trace, sims []*cpu.Sim) error {
 	start := time.Now()
 	switch len(sims) {
 	case 0:

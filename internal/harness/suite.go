@@ -420,7 +420,7 @@ func (s *Suite) Compute(ctx context.Context, w *workload.Workload, v Variant, ma
 		sims[k] = cpu.NewSim(m)
 	}
 	// One resident trace feeds every machine's simulator.
-	if err := disptrace.ReplayEachCtx(ctx, tr, sims); err != nil {
+	if err := disptrace.ReplayEach(ctx, tr, sims); err != nil {
 		return nil, fmt.Errorf("%s/%s: replaying trace: %w", w.Name, v.Name, err)
 	}
 	off := len(machines) - len(sims)
