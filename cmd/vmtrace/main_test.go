@@ -182,13 +182,15 @@ func TestInfoRejectsOldFormat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	binary.LittleEndian.PutUint16(b[4:6], 2) // the version field
-	if err := os.WriteFile(path, b, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	err = run(io.Discard, []string{"info", path})
-	if err == nil || !strings.Contains(err.Error(), "re-record") {
-		t.Fatalf("info on a v2 file: err = %v; want a re-record error", err)
+	for _, v := range []uint16{2, 4} { // v4 held a prelude
+		binary.LittleEndian.PutUint16(b[4:6], v) // the version field
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		err = run(io.Discard, []string{"info", path})
+		if err == nil || !strings.Contains(err.Error(), "re-record") {
+			t.Fatalf("info on a v%d file: err = %v; want a re-record error", v, err)
+		}
 	}
 }
 

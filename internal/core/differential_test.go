@@ -179,28 +179,28 @@ type program func(t *testing.T, sim *cpu.Sim)
 
 // reach tallies what the runs of TestDifferentialRecording reached:
 // resident-mode exits of each half, quickenings, and the steps core.Run
-// drove one event at a time other than halts and quickenings, which in
-// these programs are the steps run in shadow mode.
+// did not lower other than halts and quickenings, which in these
+// programs are the steps run in shadow mode.
 type reach struct {
 	icache, btb, quickened, shadow uint64
 }
 
 // perEventSteps is a Writer that counts the VM instructions core.Run
-// records one event at a time.
+// records whole (RecordStep), not by ID.
 type perEventSteps struct {
 	*disptrace.Writer
 	n uint64
 }
 
-func (p *perEventSteps) RecordVMInst() {
+func (p *perEventSteps) RecordStep(ops []cpu.Op) {
 	p.n++
-	p.Writer.RecordVMInst()
+	p.Writer.RecordStep(ops)
 }
 
 // checkRecording checks one generated program under one technique.
 // Recording it lowered (a disptrace.Writer as the sink, so core.Run
 // records one step ID per instruction) must encode to the same bytes as
-// recording it per event (the same Writer behind a plain cpu.Sink).
+// recording every step whole (the same Writer behind a plain cpu.Sink).
 // Decoding the recording must give back those bytes, and replaying it
 // on every machine the counters of direct simulation. On the tiny
 // machines, lowered direct simulation, with and without a recording,
@@ -253,7 +253,7 @@ func checkRecording(t *testing.T, name string, run program, quickenings uint64, 
 		}
 		// One halt per run, and one step per quickening.
 		if steps.n < 1+quickenings {
-			t.Fatalf("%s on %s: %d steps recorded per event, fewer than the halt and %d quickenings", name, m.Name, steps.n, quickenings)
+			t.Fatalf("%s on %s: %d steps recorded whole, fewer than the halt and %d quickenings", name, m.Name, steps.n, quickenings)
 		}
 		tally.quickened += quickenings
 		tally.shadow += steps.n - 1 - quickenings

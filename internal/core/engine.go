@@ -30,17 +30,18 @@ var ErrStepLimit = errors.New("core: VM step limit exceeded")
 // and Run applies it inline (cpu.Sim.Warm), skipping the I-cache model
 // and predicting its dispatch from its branch's last target; any other
 // goes through cpu.Sim.RunStep. The counters are bit-identical to
-// driving the events one at a time, which Run still does, after a sync,
-// for steps that quicken, run in shadow mode, halt or lower to no fixed
-// shape, and the I-cache and predictor state is too when Run returns.
+// driving the events one at a time, which Run still does, after a sync
+// and with cpu.Sim.Apply, for steps that quicken, run in shadow mode,
+// halt or lower to no fixed shape, and the I-cache and predictor state
+// is too when Run returns.
 //
 // Recording lowers too when sim.Sink is a cpu.StepSink: each lowered
 // step remembers the destination it last ran to and the step ID its
 // events were interned under, so a repeat records just that ID, and a
 // destination seen before is looked up instead of interned again. The
-// IDs reach the Sink in batches. The steps Run drives one event at a
-// time reach it per event, as every step does for a Sink that is not a
-// cpu.StepSink.
+// IDs reach the Sink in batches. The steps Run does not lower reach it
+// whole (cpu.Sink.RecordStep), as every step does for a Sink that is
+// not a cpu.StepSink.
 func Run(proc Process, plan *Plan, sim *cpu.Sim, maxSteps uint64) (metrics.Counters, error) {
 	code := proc.Code()
 	sim.AddCodeBytes(plan.dynBytes)
@@ -48,15 +49,16 @@ func Run(proc Process, plan *Plan, sim *cpu.Sim, maxSteps uint64) (metrics.Count
 	// Steps are lowered on first use: at[2*pos] locates pos's step on
 	// a fall-through and at[2*pos+1] on a transfer, as an index into
 	// sim's table of steps plus one, or 0 when not lowered yet. A Sink
-	// that records events only one at a time needs them all, so then
-	// Run lowers nothing; a cpu.StepSink gets a recorder.
+	// that is not a cpu.StepSink records every step whole, so then Run
+	// lowers nothing.
 	var at []uint32
 	var rec *recorder
-	if ss, ok := sim.Sink.(cpu.StepSink); ok {
-		rec = &recorder{sink: ss, seen: make(map[uint64]uint32)}
+	if sim.Sink != nil {
+		rec = &recorder{sink: sim.Sink, seen: make(map[uint64]uint32)}
+		rec.steps, _ = sim.Sink.(cpu.StepSink)
 		defer rec.flush()
 	}
-	if sim.Sink == nil || rec != nil {
+	if rec == nil || rec.steps != nil {
 		at = make([]uint32, 2*len(code))
 		sim.BeginSteps(len(code))
 		defer sim.Sync()
@@ -82,7 +84,7 @@ func Run(proc Process, plan *Plan, sim *cpu.Sim, maxSteps uint64) (metrics.Count
 
 		to := ev.To
 		inShadow := shadowEnd >= 0 && pos < shadowEnd
-		dispatch, branch := plan.boundary(pos, ev.Kind, inShadow)
+		dispatch, _ := plan.boundary(pos, ev.Kind, inShadow)
 		// The dispatch's destination: entering the middle of a static
 		// superinstruction that crosses a basic-block boundary falls
 		// back to shared code until the superinstruction ends
@@ -104,7 +106,7 @@ func Run(proc Process, plan *Plan, sim *cpu.Sim, maxSteps uint64) (metrics.Count
 				k++
 			}
 			if at[k] == 0 {
-				at[k] = sim.AddStep(plan.stepEvents(&buf, pos, dispatch, branch, 0, 0)) + 1
+				at[k] = sim.AddStep(plan.stepEvents(&buf, pos, ev, false, 0, 0, 0)) + 1
 				if rec != nil {
 					rec.memo = append(rec.memo, stepMemo{})
 				}
@@ -123,41 +125,20 @@ func Run(proc Process, plan *Plan, sim *cpu.Sim, maxSteps uint64) (metrics.Count
 						rec.ids[rec.n] = m.id
 						rec.n++
 					} else {
-						rec.step(plan, i, pos, to, dispatch, branch, hint, target)
+						rec.step(plan, i, pos, ev, hint, target)
 					}
 				}
 			}
 		}
 		if !applied {
-			if rec != nil {
-				rec.flush()
-			}
 			if at != nil {
 				sim.Sync()
 			}
-			sim.VMInst()
-			if ev.Quickened {
-				// The quickening execution runs the original (slow)
-				// routine plus the one-time resolution work; the plan
-				// is repointed at the quick code only after this
-				// step's accounting, below.
-				sim.Work(plan.QuickWorkAt(pos))
-			}
-			if inShadow {
-				m := plan.isa.Meta(code[pos].Op)
-				sim.Work(m.Work)
-				sim.Fetch(plan.sharedAddr[pos], m.Bytes)
-			} else {
-				sim.Work(int(plan.workInstrs[pos]))
-				sim.Fetch(plan.addr[pos], int(plan.workBytes[pos]))
-			}
-			switch {
-			case dispatch:
-				sim.Work(plan.dispatchWork)
-				sim.Fetch(branch, plan.dispatchBytes)
-				sim.Dispatch(branch, hint, target)
-			case ev.Kind != EvHalt: // no dispatch after halting
-				sim.Work(int(plan.seqWork[pos]))
+			ops := plan.stepEvents(&buf, pos, ev, inShadow, code[pos].Op, hint, target)
+			sim.Apply(ops)
+			sim.C.VMInstructions++
+			if rec != nil {
+				rec.record(ops)
 			}
 		}
 
@@ -170,7 +151,8 @@ func Run(proc Process, plan *Plan, sim *cpu.Sim, maxSteps uint64) (metrics.Count
 			shadowEnd = -1
 		}
 		if ev.Quickened {
-			// Quickening repoints this position and may re-parse the
+			// Quickening repoints this position, only after this
+			// step's accounting, and may re-parse the
 			// superinstructions around it, so every lowered step is
 			// stale.
 			plan.Quicken(pos, ev.NewOp)
@@ -184,37 +166,39 @@ func Run(proc Process, plan *Plan, sim *cpu.Sim, maxSteps uint64) (metrics.Count
 	return sim.C, nil
 }
 
-// recorder records the lowered steps of a run into a cpu.StepSink.
-// memo[i] is lowered step i's ID for the destination it last ran to,
-// and seen holds the ID of every (lowered step, destination) pair run
-// so far: a return moves between its callers, and seen spares it a
-// re-intern on each move. ids[:n] are IDs not yet handed to sink.
+// recorder records the steps of a run into sim.Sink, and the lowered
+// ones by ID when the Sink is also a cpu.StepSink (steps). memo[i] is
+// lowered step i's ID for the destination it last ran to, and seen
+// holds the ID of every (lowered step, destination) pair run so far: a
+// return moves between its callers, and seen spares it a re-intern on
+// each move. ids[:n] are IDs not yet handed to steps.
 type recorder struct {
-	sink cpu.StepSink
-	memo []stepMemo
-	seen map[uint64]uint32
-	ids  [256]uint32
-	n    int
-	buf  [maxStepEvents]cpu.Op
+	sink  cpu.Sink
+	steps cpu.StepSink
+	memo  []stepMemo
+	seen  map[uint64]uint32
+	ids   [256]uint32
+	n     int
+	buf   [maxStepEvents]cpu.Op
 }
 
 // stepMemo is a lowered step's last destination plus one (0 before
 // its first run) and the ID its events were interned under for it.
 type stepMemo struct{ to, id uint32 }
 
-// step records one run of lowered step i, at pos, to to, when the
-// run's inline fast path cannot: the step's memo is for another
+// step records one run of lowered step i, at pos, ending in ev, when
+// the run's inline fast path cannot: the step's memo is for another
 // destination, or the batch is full. The slot and its destination fix
 // the step's events, the dispatch's hint and target included.
-func (r *recorder) step(plan *Plan, i uint32, pos, to int, dispatch bool, branch, hint, target uint64) {
-	if m := &r.memo[i]; m.to != uint32(to)+1 {
-		key := uint64(i)<<32 | uint64(to)
+func (r *recorder) step(plan *Plan, i uint32, pos int, ev Event, hint, target uint64) {
+	if m := &r.memo[i]; m.to != uint32(ev.To)+1 {
+		key := uint64(i)<<32 | uint64(ev.To)
 		id, ok := r.seen[key]
 		if !ok {
-			id = r.sink.InternStep(plan.stepEvents(&r.buf, pos, dispatch, branch, hint, target))
+			id = r.steps.InternStep(plan.stepEvents(&r.buf, pos, ev, false, 0, hint, target))
 			r.seen[key] = id
 		}
-		*m = stepMemo{to: uint32(to) + 1, id: id}
+		*m = stepMemo{to: uint32(ev.To) + 1, id: id}
 	}
 	if r.n == len(r.ids) {
 		r.flush()
@@ -226,9 +210,16 @@ func (r *recorder) step(plan *Plan, i uint32, pos, to int, dispatch bool, branch
 // flush hands the pending IDs to the sink.
 func (r *recorder) flush() {
 	if r.n > 0 {
-		r.sink.RecordSteps(r.ids[:r.n])
+		r.steps.RecordSteps(r.ids[:r.n])
 		r.n = 0
 	}
+}
+
+// record hands the sink a step Run did not lower, after the pending
+// IDs. The events go through r's buffer, so Run's stays on the stack.
+func (r *recorder) record(ops []cpu.Op) {
+	r.flush()
+	r.sink.RecordStep(append(r.buf[:0], ops...))
 }
 
 // reset forgets every memoised ID: the lowered steps they belong to
@@ -239,7 +230,7 @@ func (r *recorder) reset() {
 }
 
 // maxStepEvents is the most events stepEvents writes.
-const maxStepEvents = 5
+const maxStepEvents = 6
 
 // boundary reports whether the boundary after the instruction at pos,
 // which ended in kind, dispatches, and through which branch.
@@ -258,19 +249,33 @@ func (p *Plan) boundary(pos int, kind EventKind, inShadow bool) (dispatch bool, 
 	return false, 0
 }
 
-// stepEvents writes into buf, and returns, the events Run's per-event
-// path drives for an instruction at pos outside shadow mode that
-// neither quickened nor halted: its work and fetch, then the dispatch
-// sequence through branch, predicting hint and jumping to target, or
-// the kept ip increment when the boundary does not dispatch.
-func (p *Plan) stepEvents(buf *[maxStepEvents]cpu.Op, pos int, dispatch bool, branch, hint, target uint64) []cpu.Op {
+// stepEvents writes into buf, and returns, the events of the
+// instruction at pos, which ran op and ended in ev: the one-time
+// quickening work when it quickened (it runs the original, slow
+// routine); its work and fetch, or in shadow mode those of op's
+// non-replicated routine; then the dispatch sequence, predicting hint
+// and jumping to target, the kept ip increment when the boundary does
+// not dispatch, or nothing after a halt.
+func (p *Plan) stepEvents(buf *[maxStepEvents]cpu.Op, pos int, ev Event, inShadow bool, op uint32, hint, target uint64) []cpu.Op {
 	work := func(n int) cpu.Op { return cpu.Op{Kind: cpu.OpWork, A: uint64(n)} }
-	ops := append(buf[:0], work(int(p.workInstrs[pos])),
-		cpu.Op{Kind: cpu.OpFetch, A: p.addr[pos], B: uint64(p.workBytes[pos])})
-	if !dispatch {
+	ops := buf[:0]
+	if ev.Quickened {
+		ops = append(ops, work(p.QuickWorkAt(pos)))
+	}
+	if inShadow {
+		m := p.isa.Meta(op)
+		ops = append(ops, work(m.Work), cpu.Op{Kind: cpu.OpFetch, A: p.sharedAddr[pos], B: uint64(m.Bytes)})
+	} else {
+		ops = append(ops, work(int(p.workInstrs[pos])),
+			cpu.Op{Kind: cpu.OpFetch, A: p.addr[pos], B: uint64(p.workBytes[pos])})
+	}
+	switch dispatch, branch := p.boundary(pos, ev.Kind, inShadow); {
+	case dispatch:
+		return append(ops, work(p.dispatchWork),
+			cpu.Op{Kind: cpu.OpFetch, A: branch, B: uint64(p.dispatchBytes)},
+			cpu.Op{Kind: cpu.OpDispatch, A: branch, B: hint, C: target})
+	case ev.Kind != EvHalt:
 		return append(ops, work(int(p.seqWork[pos])))
 	}
-	return append(ops, work(p.dispatchWork),
-		cpu.Op{Kind: cpu.OpFetch, A: branch, B: uint64(p.dispatchBytes)},
-		cpu.Op{Kind: cpu.OpDispatch, A: branch, B: hint, C: target})
+	return ops
 }

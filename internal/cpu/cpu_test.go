@@ -103,13 +103,15 @@ func TestFetchMissPenalty(t *testing.T) {
 	}
 }
 
-func TestVMInstAndCodeBytes(t *testing.T) {
+// TestAddCodeBytes: run-time generated code is counted and reaches
+// the Sink.
+func TestAddCodeBytes(t *testing.T) {
 	s := NewSim(Celeron800)
-	s.VMInst()
-	s.VMInst()
+	n := 0
+	s.Sink = countingSink{&n}
 	s.AddCodeBytes(190 * 1024)
-	if s.C.VMInstructions != 2 || s.C.CodeBytes != 190*1024 {
-		t.Errorf("counters = %+v", s.C)
+	if s.C.CodeBytes != 190*1024 || n != 1 {
+		t.Errorf("counters = %+v, %d Sink calls; want 1", s.C, n)
 	}
 }
 
@@ -201,7 +203,7 @@ func TestApplyMatchesPerEventCalls(t *testing.T) {
 		}
 		batched := NewSim(m)
 		// Split the batch to prove Apply composes like the call stream
-		// does (replay applies the prelude, then the steps, on one sim).
+		// does (replay applies one step after another on one sim).
 		batched.Apply(ops[:len(ops)/3])
 		batched.Apply(ops[len(ops)/3:])
 		if batched.C != perCall.C {
@@ -230,11 +232,8 @@ func TestApplyIgnoresSink(t *testing.T) {
 	}
 }
 
-// countingSink counts observed events.
+// countingSink counts observed calls.
 type countingSink struct{ n *int }
 
-func (c countingSink) RecordWork(int)                        { *c.n++ }
-func (c countingSink) RecordFetch(uint64, int)               { *c.n++ }
-func (c countingSink) RecordDispatch(uint64, uint64, uint64) { *c.n++ }
-func (c countingSink) RecordVMInst()                         { *c.n++ }
-func (c countingSink) RecordCodeBytes(uint64)                { *c.n++ }
+func (c countingSink) RecordStep([]Op)        { *c.n++ }
+func (c countingSink) RecordCodeBytes(uint64) { *c.n++ }

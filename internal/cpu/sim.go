@@ -9,7 +9,8 @@ import (
 	"vmopt/internal/metrics"
 )
 
-// Sink observes the event stream an interpreter run feeds into a Sim.
+// Sink observes the event stream an interpreter run feeds into a Sim,
+// one VM instruction (a step) at a time.
 //
 // The stream is machine-independent: the interpreter core decides
 // every argument from the VM program and the code-layout plan alone,
@@ -17,37 +18,26 @@ import (
 // once therefore suffices to reproduce the counters of the same run
 // on any Machine (any predictor, BTB geometry, I-cache or penalty) by
 // replaying it — see internal/disptrace.
-//
-// RecordDispatch observes Dispatch calls only; the engine issues
-// every indirect branch as a dispatch, so the two counters coincide
-// on recorded streams.
 type Sink interface {
-	// RecordWork observes Work(n).
-	RecordWork(n int)
-	// RecordFetch observes Fetch(addr, size).
-	RecordFetch(addr uint64, size int)
-	// RecordDispatch observes Dispatch(branch, hint, target).
-	RecordDispatch(branch, hint, target uint64)
-	// RecordVMInst observes VMInst.
-	RecordVMInst()
+	// RecordStep observes one VM instruction whose events are ops, in
+	// the order Apply applies them. ops is not retained.
+	RecordStep(ops []Op)
 	// RecordCodeBytes observes AddCodeBytes(n).
 	RecordCodeBytes(n uint64)
 }
 
-// StepSink is what a Sink may also implement to observe VM
-// instructions' events as whole steps. core.Run, given a Sink that
-// implements it, interns the events of each distinct step once and
-// then records one step ID per executed instruction, in batches and
-// with no per-event call; steps it cannot resolve ahead still go
-// through the Sink's per-event calls.
+// StepSink is what a Sink may also implement to have steps recorded
+// by ID. core.Run, given a Sink that implements it, interns the events
+// of each distinct step once and then records one step ID per executed
+// instruction, in batches; steps it does not lower still go through
+// RecordStep.
 type StepSink interface {
-	// InternStep returns the ID of the step whose events are ops,
-	// exactly as the per-event calls would record them. ops is not
-	// retained.
+	// InternStep returns the ID of the step whose events are ops. ops
+	// is not retained.
 	InternStep(ops []Op) uint32
-	// RecordSteps observes one VM instruction per ID, whose events are
-	// those of that step: each ID stands for RecordVMInst followed by
-	// the step's per-event calls. ids is not retained.
+	// RecordSteps observes one VM instruction per ID: each ID stands
+	// for RecordStep of the ops it was interned for. ids is not
+	// retained.
 	RecordSteps(ids []uint32)
 }
 
@@ -59,8 +49,9 @@ type Sim struct {
 	Machine Machine
 	C       metrics.Counters
 
-	// Sink, when non-nil, receives a copy of every event driven into
-	// the simulator (trace recording). It does not alter accounting.
+	// Sink, when non-nil, receives the events of every VM instruction
+	// core.Run drives into the simulator (trace recording). It does
+	// not alter accounting.
 	Sink Sink
 
 	// pred comes from Machine.NewPredictor and is never replaced, so
@@ -85,9 +76,6 @@ func NewSim(m Machine) *Sim {
 
 // Work retires n straight-line native instructions.
 func (s *Sim) Work(n int) {
-	if s.Sink != nil {
-		s.Sink.RecordWork(n)
-	}
 	s.C.Instructions += uint64(n)
 	s.C.Cycles += float64(float64(n) * s.Machine.CPI)
 }
@@ -95,9 +83,6 @@ func (s *Sim) Work(n int) {
 // Fetch runs the byte range [addr, addr+size) through the I-cache and
 // charges miss penalties.
 func (s *Sim) Fetch(addr uint64, size int) {
-	if s.Sink != nil {
-		s.Sink.RecordFetch(addr, size)
-	}
 	s.chargeMisses(s.ic.Touch(addr, size))
 }
 
@@ -141,19 +126,8 @@ func (s *Sim) Indirect(branch, hint, target uint64) bool {
 // Dispatch is Indirect plus the dispatch counter (VM instruction
 // dispatches are the indirect branches the paper's techniques target).
 func (s *Sim) Dispatch(branch, hint, target uint64) bool {
-	if s.Sink != nil {
-		s.Sink.RecordDispatch(branch, hint, target)
-	}
 	s.C.Dispatches++
 	return s.Indirect(branch, hint, target)
-}
-
-// VMInst counts one executed VM instruction.
-func (s *Sim) VMInst() {
-	if s.Sink != nil {
-		s.Sink.RecordVMInst()
-	}
-	s.C.VMInstructions++
 }
 
 // AddCodeBytes records run-time generated code (dynamic techniques).
@@ -188,10 +162,8 @@ type Op struct {
 // Apply drives a batch of events through the simulator with exactly
 // the accounting of per-event Work/Fetch/Dispatch calls — the same
 // float additions in the same order, so replayed counters stay
-// byte-identical to a direct run — while amortizing the per-event
-// overhead (one call, no per-event Sink checks) that dominates
-// replay's apply side. The Sink is NOT observed: Apply exists for
-// replay, and replaying must not re-record.
+// byte-identical to a direct run — in one call. The Sink is NOT
+// observed: recording is core.Run's, and replaying must not re-record.
 func (s *Sim) Apply(ops []Op) {
 	c := &s.C
 	cpi := s.Machine.CPI

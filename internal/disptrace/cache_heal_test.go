@@ -22,9 +22,7 @@ func healRecorder(k disptrace.Key, calls *int) func() (*disptrace.Trace, error) 
 	return func() (*disptrace.Trace, error) {
 		*calls++
 		w := disptrace.NewWriter(k.Header())
-		w.RecordVMInst()
-		w.RecordDispatch(0x40, 1, 0x80)
-		w.RecordWork(3)
+		recordSteps(w, []cpu.Op{{Kind: cpu.OpDispatch, A: 0x40, B: 1, C: 0x80}, {Kind: cpu.OpWork, A: 3}})
 		return w.Trace(), nil
 	}
 }

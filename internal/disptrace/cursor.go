@@ -59,10 +59,8 @@ func (s Step) Dispatch() (branch, target uint64, ok bool) {
 // each take their own.
 type Cursor struct {
 	a *Arena
-	// next is the index of the step Next returns; prelude marks the
-	// prelude as not yet delivered to NextBatch.
-	next    uint64
-	prelude bool
+	// next is the index of the step Next (or NextBatch) returns.
+	next uint64
 }
 
 // batchSteps is how many steps one NextBatch call expands.
@@ -70,7 +68,7 @@ const batchSteps = 1 << 12
 
 // NewCursor positions a cursor at the start of the trace.
 func NewCursor(t *Trace) *Cursor {
-	return &Cursor{a: t.arena, prelude: true}
+	return &Cursor{a: t.arena}
 }
 
 // Err returns the first error the cursor hit. Decode validates every
@@ -79,10 +77,8 @@ func NewCursor(t *Trace) *Cursor {
 func (c *Cursor) Err() error { return nil }
 
 // Next returns the next step and advances. It returns false at the
-// end of the trace. The prelude — the ops before the first VM
-// instruction — belongs to no step and is skipped.
+// end of the trace.
 func (c *Cursor) Next() (Step, bool) {
-	c.prelude = false
 	if c.next >= uint64(len(c.a.ids)) {
 		return Step{}, false
 	}
@@ -94,28 +90,21 @@ func (c *Cursor) Next() (Step, bool) {
 // Seek positions the cursor so the next Next returns the step with
 // the given global VM-instruction index; seeking at or past the end
 // makes Next return false. NextBatch after a Seek starts at that
-// step, without the prelude.
+// step.
 func (c *Cursor) Seek(inst uint64) error {
 	c.next = inst
-	c.prelude = false
 	return nil
 }
 
-// NextBatch appends the ops of the next steps onto dst — the prelude
-// first, on a cursor that has not moved yet — and advances past them,
-// returning false at the end of the trace. Applying every batch in
-// order reproduces the full op stream, dispatches and fetches
+// NextBatch appends the ops of the next steps onto dst and advances
+// past them, returning false at the end of the trace. Applying every
+// batch in order reproduces the full op stream, dispatches and fetches
 // included.
 func (c *Cursor) NextBatch(dst []cpu.Op) ([]cpu.Op, bool) {
 	n := uint64(len(c.a.ids))
-	if !c.prelude && c.next >= n {
+	if c.next >= n {
 		return dst, false
 	}
-	if c.prelude {
-		dst = append(dst, c.a.prelude...)
-		c.prelude = false
-	}
-	// A pending prelude means the cursor has not moved, so next is 0.
 	end := min(c.next+batchSteps, n)
 	for _, id := range c.a.ids[c.next:end] {
 		dst = append(dst, c.a.dict[id]...)

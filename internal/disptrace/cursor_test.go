@@ -2,6 +2,7 @@ package disptrace_test
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"vmopt/internal/cpu"
@@ -9,52 +10,37 @@ import (
 	"vmopt/internal/harness"
 )
 
-// event is one sink call for driving a Writer in tests.
+// event is one simulator event, or a step boundary, for building
+// steps in tests.
 type event struct {
-	kind    byte // 0 work, 1 fetch, 2 dispatch, 3 vminst
+	kind    byte // 0 work, 1 fetch, 2 dispatch, 3 step boundary
 	a, b, c uint64
 }
 
-func feedEvents(w *disptrace.Writer, evs []event) {
-	for _, e := range evs {
-		switch e.kind {
-		case 0:
-			w.RecordWork(int(e.a))
-		case 1:
-			w.RecordFetch(e.a, int(e.b))
-		case 2:
-			w.RecordDispatch(e.a, e.b, e.c)
-		case 3:
-			w.RecordVMInst()
-		}
-	}
-}
-
-// groundTruthSteps groups an event stream into the per-instruction op
-// slices a cursor must reproduce exactly: events
-// after the k-th RecordVMInst and before the k+1-th belong to step k;
-// events before the first RecordVMInst belong to no step.
-func groundTruthSteps(evs []event) [][]cpu.Op {
+// splitSteps groups an event stream into the per-instruction op
+// slices a cursor must reproduce exactly: each boundary starts a step,
+// and events before the first boundary join the first step.
+func splitSteps(evs []event) [][]cpu.Op {
 	var steps [][]cpu.Op
+	var cur []cpu.Op
 	started := false
 	for _, e := range evs {
 		switch e.kind {
-		case 3:
-			steps = append(steps, []cpu.Op{})
-			started = true
 		case 0:
-			if started {
-				steps[len(steps)-1] = append(steps[len(steps)-1], cpu.Op{Kind: cpu.OpWork, A: e.a})
-			}
+			cur = append(cur, cpu.Op{Kind: cpu.OpWork, A: e.a})
 		case 1:
-			if started {
-				steps[len(steps)-1] = append(steps[len(steps)-1], cpu.Op{Kind: cpu.OpFetch, A: e.a, B: e.b})
-			}
+			cur = append(cur, cpu.Op{Kind: cpu.OpFetch, A: e.a, B: e.b})
 		case 2:
+			cur = append(cur, cpu.Op{Kind: cpu.OpDispatch, A: e.a, B: e.b, C: e.c})
+		case 3:
 			if started {
-				steps[len(steps)-1] = append(steps[len(steps)-1], cpu.Op{Kind: cpu.OpDispatch, A: e.a, B: e.b, C: e.c})
+				steps, cur = append(steps, cur), nil
 			}
+			started = true
 		}
+	}
+	if started {
+		steps = append(steps, cur)
 	}
 	return steps
 }
@@ -90,7 +76,7 @@ func opsEqual(a, b []cpu.Op) bool {
 }
 
 // stepEvents builds a deterministic pseudo-interpreter stream: nInsts
-// instructions in engine shape (VMInst first, then work/fetch, then
+// instructions in engine shape (a boundary first, then work/fetch, then
 // either a dispatch pair or trailing work), with occasional quickening
 // work and empty instructions thrown in.
 func stepEvents(nInsts int, seed int64) []event {
@@ -133,15 +119,14 @@ func cursorTraceForms(t *testing.T, tr *disptrace.Trace) map[string]*disptrace.T
 }
 
 // TestCursorStepsMatchStream: on a writer-produced stream in engine
-// shape, every trace form yields the ground-truth steps exactly,
-// NextBatch reproduces the full stream — prelude included — and Seek
-// agrees with a full walk from every sampled seek point.
+// shape, every trace form yields the recorded steps exactly,
+// NextBatch reproduces the full stream, and Seek agrees with a full
+// walk from every sampled seek point.
 func TestCursorStepsMatchStream(t *testing.T) {
-	evs := append([]event{{kind: 0, a: 3}, {kind: 1, a: 0x100, b: 8}}, stepEvents(10000, 7)...)
+	want := splitSteps(stepEvents(10000, 7))
 	w := disptrace.NewWriter(testHeader())
-	feedEvents(w, evs)
+	recordSteps(w, want...)
 	tr := w.Trace()
-	want := groundTruthSteps(evs)
 	if uint64(len(want)) != tr.Header.VMInstructions {
 		t.Fatalf("ground truth has %d steps, header says %d", len(want), tr.Header.VMInstructions)
 	}
@@ -173,7 +158,7 @@ func TestCursorStepsMatchStream(t *testing.T) {
 			all = append(all, batch...)
 			batches++
 		}
-		if !opsEqual(all, groundTruthOps(evs)) {
+		if !opsEqual(all, slices.Concat(want...)) {
 			t.Fatalf("%s: NextBatch stream diverged from the recorded events", name)
 		}
 		if batches < 2 {
@@ -203,8 +188,8 @@ func TestCursorStepsMatchStream(t *testing.T) {
 			}
 		}
 
-		// NextBatch after a Seek starts at the sought step, without
-		// the prelude; mixing steps and batches loses nothing.
+		// NextBatch after a Seek starts at the sought step; mixing
+		// steps and batches loses nothing.
 		c = disptrace.NewCursor(form)
 		if err := c.Seek(3); err != nil {
 			t.Fatal(err)
@@ -231,10 +216,10 @@ func TestCursorSpanningStep(t *testing.T) {
 	for i := range 700 {
 		evs = append(evs, event{kind: 2, a: uint64(0x3000 + i*8), b: uint64(i), c: uint64(0x4000 + i*16)})
 	}
+	want := splitSteps(evs)
 	w := disptrace.NewWriter(testHeader())
-	feedEvents(w, evs)
+	recordSteps(w, want...)
 	tr := w.Trace()
-	want := groundTruthSteps(evs)
 
 	for name, form := range cursorTraceForms(t, tr) {
 		got := drainSteps(t, disptrace.NewCursor(form))
@@ -260,12 +245,12 @@ func TestCursorEmptySteps(t *testing.T) {
 		{kind: 3}, // trailing, no events follow
 		{kind: 3},
 	}
+	want := splitSteps(evs)
 	w := disptrace.NewWriter(testHeader())
-	feedEvents(w, evs)
+	recordSteps(w, want...)
 	tr := w.Trace()
 	for name, form := range cursorTraceForms(t, tr) {
 		got := drainSteps(t, disptrace.NewCursor(form))
-		want := groundTruthSteps(evs)
 		if len(got) != len(want) {
 			t.Fatalf("%s: %d steps, want %d", name, len(got), len(want))
 		}

@@ -135,9 +135,9 @@ func TestDiffLengthMismatch(t *testing.T) {
 	evsA := stepEvents(100, 11)
 	evsB := stepEvents(100, 11)[:len(stepEvents(60, 11))] // same prefix, shorter
 	wa := disptrace.NewWriter(testHeader())
-	feedEvents(wa, evsA)
+	recordSteps(wa, splitSteps(evsA)...)
 	wb := disptrace.NewWriter(testHeader())
-	feedEvents(wb, evsB)
+	recordSteps(wb, splitSteps(evsB)...)
 	a, b := wa.Trace(), wb.Trace()
 	r, err := disptrace.DiffTraces(a, b, 2)
 	if err != nil {
@@ -221,20 +221,21 @@ func referenceDiff(a, b *disptrace.Trace, maxDetail int) disptrace.DiffReport {
 // an empty step. Several share summaries while differing in ops (a
 // second fetch, split work), so equal summaries under different IDs
 // occur.
-func diffTemplates(rng *rand.Rand, n int) [][]event {
-	tpl := [][]event{{}}
+func diffTemplates(rng *rand.Rand, n int) [][]cpu.Op {
+	work := func(n int) cpu.Op { return cpu.Op{Kind: cpu.OpWork, A: uint64(n)} }
+	tpl := [][]cpu.Op{{}}
 	for len(tpl) < n {
 		code := uint64(0x1000 + rng.Intn(64)*32)
-		st := []event{{kind: 0, a: uint64(rng.Intn(4))}, {kind: 1, a: code, b: 8}}
+		st := []cpu.Op{work(rng.Intn(4)), {Kind: cpu.OpFetch, A: code, B: 8}}
 		switch rng.Intn(4) {
 		case 0:
-			st = append(st, event{kind: 0, a: uint64(rng.Intn(3))})
+			st = append(st, work(rng.Intn(3)))
 		case 1:
-			st = append(st, event{kind: 0, a: 1}, event{kind: 0, a: 1}) // split work
+			st = append(st, work(1), work(1)) // split work
 		default:
 			branch := code + uint64(8+rng.Intn(3)*8)
-			st = append(st, event{kind: 0, a: 1}, event{kind: 1, a: branch, b: 4},
-				event{kind: 2, a: branch, b: uint64(rng.Intn(4)), c: uint64(0x1000 + rng.Intn(64)*32)})
+			st = append(st, work(1), cpu.Op{Kind: cpu.OpFetch, A: branch, B: 4},
+				cpu.Op{Kind: cpu.OpDispatch, A: branch, B: uint64(rng.Intn(4)), C: uint64(0x1000 + rng.Intn(64)*32)})
 		}
 		tpl = append(tpl, st)
 	}
@@ -280,8 +281,7 @@ func TestDiffMatchesReference(t *testing.T) {
 			h.Variant = variant
 			w := disptrace.NewWriter(h)
 			for _, k := range seq {
-				w.RecordVMInst()
-				feedEvents(w, tpl[k])
+				w.RecordStep(tpl[k])
 			}
 			return w.Trace()
 		}

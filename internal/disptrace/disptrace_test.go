@@ -32,17 +32,11 @@ func testHeader() disptrace.Header {
 	}
 }
 
-// feed drives ops into a writer.
-func feed(w *disptrace.Writer, ops []cpu.Op) {
-	for _, op := range ops {
-		switch op.Kind {
-		case cpu.OpWork:
-			w.RecordWork(int(op.A))
-		case cpu.OpFetch:
-			w.RecordFetch(op.A, int(op.B))
-		case cpu.OpDispatch:
-			w.RecordDispatch(op.A, op.B, op.C)
-		}
+// recordSteps records each step's ops into w whole, as core.Run
+// records a step it does not lower.
+func recordSteps(w *disptrace.Writer, steps ...[]cpu.Op) {
+	for _, ops := range steps {
+		w.RecordStep(ops)
 	}
 }
 
@@ -71,10 +65,7 @@ func TestRoundTrip(t *testing.T) {
 	}
 	w := disptrace.NewWriter(testHeader())
 	w.RecordCodeBytes(4096)
-	feed(w, ops[:2]) // prelude: before the first VM instruction
-	w.RecordVMInst()
-	w.RecordVMInst() // an empty step
-	feed(w, ops[2:])
+	recordSteps(w, nil, ops) // an empty step, then the rest
 	tr := w.Trace()
 
 	if tr.Header.Dispatches != 3 || tr.Header.Fetches != 3 || tr.Header.VMInstructions != 2 ||
@@ -140,8 +131,7 @@ func TestDictionaryDedup(t *testing.T) {
 	var want []cpu.Op
 	for range 3 {
 		for _, v := range variants {
-			w.RecordVMInst()
-			feed(w, v)
+			recordSteps(w, v)
 			want = append(want, v...)
 		}
 	}
@@ -161,12 +151,12 @@ func TestDictionaryDedup(t *testing.T) {
 	}
 }
 
-// TestWriterStepsMatchEvents: a writer fed whole steps (InternStep,
-// then RecordSteps in batches of any size) mixed with steps fed one
-// event at a time, after a prelude, produces the trace of a writer fed
-// every step event by event: the same bytes, header totals and
-// resident weight. The stream runs past several of the writer's ID
-// chunks, and some batches span a chunk boundary.
+// TestWriterStepsMatchEvents: a writer fed steps by ID (InternStep,
+// then RecordSteps in batches of any size) mixed with whole steps
+// (RecordStep) produces the trace of a writer fed every step whole:
+// the same bytes, header totals and resident weight. The stream runs
+// past several of the writer's ID chunks, and some batches span a
+// chunk boundary.
 func TestWriterStepsMatchEvents(t *testing.T) {
 	steps := [][]cpu.Op{
 		{{Kind: cpu.OpWork, A: 2}, {Kind: cpu.OpFetch, A: 0x1000, B: 8}, {Kind: cpu.OpWork, A: 1},
@@ -175,23 +165,19 @@ func TestWriterStepsMatchEvents(t *testing.T) {
 		{{Kind: cpu.OpWork, A: 5}, {Kind: cpu.OpWork, A: 3}, {Kind: cpu.OpFetch, A: 0x2008, B: 12}},
 		nil,
 	}
-	prelude := []cpu.Op{{Kind: cpu.OpFetch, A: 0x40, B: 16}, {Kind: cpu.OpWork, A: 7}}
 	want, got := disptrace.NewWriter(testHeader()), disptrace.NewWriter(testHeader())
 	for _, w := range []*disptrace.Writer{want, got} {
 		w.RecordCodeBytes(64)
-		feed(w, prelude)
 	}
 	r := rand.New(rand.NewSource(1))
 	var batch []uint32
 	for range 50_000 {
 		ops := steps[r.Intn(len(steps))]
-		want.RecordVMInst()
-		feed(want, ops)
+		want.RecordStep(ops)
 		if r.Intn(500) == 0 {
 			got.RecordSteps(batch)
 			batch = batch[:0]
-			got.RecordVMInst()
-			feed(got, ops)
+			got.RecordStep(ops)
 		} else {
 			batch = append(batch, got.InternStep(ops))
 		}
@@ -202,10 +188,10 @@ func TestWriterStepsMatchEvents(t *testing.T) {
 		t.Fatal(err)
 	}
 	if a.Header != b.Header || !bytes.Equal(a.Encode(), b.Encode()) {
-		t.Fatalf("whole-step recording differs:\n  got  %+v\n  want %+v", a.Header, b.Header)
+		t.Fatalf("recording by ID differs:\n  got  %+v\n  want %+v", a.Header, b.Header)
 	}
 	if g, w := a.Arena().Bytes(), b.Arena().Bytes(); g != w {
-		t.Fatalf("whole-step recording weighs %d bytes, the per-event one %d", g, w)
+		t.Fatalf("recording by ID weighs %d bytes, the whole-step one %d", g, w)
 	}
 }
 
@@ -238,8 +224,7 @@ func TestRecordingWeighsItsDecodedForm(t *testing.T) {
 
 func TestDecodeCorrupt(t *testing.T) {
 	w := disptrace.NewWriter(testHeader())
-	w.RecordVMInst()
-	feed(w, []cpu.Op{
+	recordSteps(w, []cpu.Op{
 		{Kind: cpu.OpDispatch, A: 0x40, B: 1, C: 0x80},
 		{Kind: cpu.OpWork, A: 12},
 	})
@@ -270,19 +255,19 @@ func TestDecodeCorrupt(t *testing.T) {
 }
 
 // TestDecodeRejectsOldVersions: a file whose version bytes name any
-// format but the current one — v3's segments included — is refused by
-// both readers with an error that names the version and asks to
-// re-record, before the checksum (which still matches) is even read.
+// format but the current one — v3's segments and v4's prelude
+// included — is refused by both readers with an error that names the
+// version and asks to re-record, before the checksum (which still
+// matches) is even read.
 func TestDecodeRejectsOldVersions(t *testing.T) {
 	w := disptrace.NewWriter(testHeader())
-	w.RecordVMInst()
-	feed(w, []cpu.Op{
+	recordSteps(w, []cpu.Op{
 		{Kind: cpu.OpWork, A: 7},
 		{Kind: cpu.OpFetch, A: 0x2000, B: 24},
 		{Kind: cpu.OpDispatch, A: 0x2040, B: 3, C: 0x2100},
 	})
 	enc := w.Trace().Encode()
-	for _, v := range []uint16{0, 1, 2, 3, 5} {
+	for _, v := range []uint16{0, 1, 2, 3, 4, 6} {
 		old := append([]byte(nil), enc...)
 		binary.LittleEndian.PutUint16(old[4:6], v)
 		want := fmt.Sprintf("v%d", v)
@@ -538,8 +523,7 @@ func TestReplayParallelMatchesSequential(t *testing.T) {
 
 func TestSaveLoad(t *testing.T) {
 	w := disptrace.NewWriter(testHeader())
-	w.RecordVMInst()
-	feed(w, []cpu.Op{
+	recordSteps(w, []cpu.Op{
 		{Kind: cpu.OpDispatch, A: 0x40, B: 1, C: 0x80},
 		{Kind: cpu.OpWork, A: 9},
 		{Kind: cpu.OpFetch, A: 0x100, B: 16},
@@ -566,7 +550,7 @@ func TestCacheGetOrRecord(t *testing.T) {
 	record := func() (*disptrace.Trace, error) {
 		calls++
 		w := disptrace.NewWriter(k.Header())
-		w.RecordDispatch(0x40, 1, 0x80)
+		recordSteps(w, []cpu.Op{{Kind: cpu.OpDispatch, A: 0x40, B: 1, C: 0x80}})
 		return w.Trace(), nil
 	}
 
@@ -630,7 +614,7 @@ func TestCacheConcurrent(t *testing.T) {
 		mu.Unlock()
 		<-gate // hold every concurrent caller in the same flight
 		w := disptrace.NewWriter(k.Header())
-		w.RecordWork(1)
+		recordSteps(w, []cpu.Op{{Kind: cpu.OpWork, A: 1}})
 		return w.Trace(), nil
 	}
 	const n = 8

@@ -25,23 +25,22 @@
 //	index          (uvarint dictionary steps, ID-stream raw bytes,
 //	                ID-stream stored bytes)
 //	dictionary     (per step: uvarint op count, then its ops)
-//	prelude        (uvarint op count, then the ops recorded before
-//	                the first VM instruction)
 //	ID stream      (one uvarint step ID per VM instruction, flate)
 //
-// Ops are varint-encoded with delta bases that reset at the start of
-// every dictionary entry and of the prelude. Decoding yields the
-// resident form directly (see Arena): the dictionary's ops and a
-// []uint32 of step IDs, every ID checked against the dictionary
+// Every event belongs to a step. Ops are varint-encoded with delta
+// bases that reset at the start of every dictionary entry. Decoding
+// yields the resident form directly (see Arena): the dictionary's ops
+// and a []uint32 of step IDs, every ID checked against the dictionary
 // size. The writer builds the same form, so a trace is one
 // representation on disk, in memory and in replay. A Cursor seeks by
 // VM instruction with an index lookup, and replay applies the
 // dictionary entry of each ID in turn.
 //
-// The format is v4, and it is the only version this package reads:
-// files written by older versions (v1–v3, with record segments) are
-// rejected with an error asking to re-record them. The trace cache
-// never serves them anyway, since every cache key hashes Version.
+// The format is v5, and it is the only version this package reads:
+// files written by older versions (v1–v3 with record segments, v4 with
+// a prelude of events before the first step) are rejected with an
+// error asking to re-record them. The trace cache never serves them
+// anyway, since every cache key hashes Version.
 package disptrace
 
 import (
@@ -57,7 +56,7 @@ import (
 
 // Version is the trace format version this package writes, and the
 // only one it reads.
-const Version = 4
+const Version = 5
 
 // magic identifies a dispatch trace file.
 var magic = [4]byte{'V', 'M', 'D', 'T'}
@@ -120,9 +119,6 @@ type Arena struct {
 	// dict holds each distinct step's exact op list; entries with no
 	// ops are nil.
 	dict [][]cpu.Op
-	// prelude holds the ops recorded before the first VM instruction
-	// (nil when there are none). They belong to no step.
-	prelude []cpu.Op
 	// ids holds one dictionary index per executed VM instruction,
 	// each below len(dict).
 	ids []uint32
@@ -135,14 +131,14 @@ func (a *Arena) Insts() int { return len(a.ids) }
 func (a *Arena) DictSteps() int { return len(a.dict) }
 
 // Bytes reports the arena's resident memory footprint: the
-// dictionary's ops and slice headers, the prelude and the ID stream.
-// The prelude and the ID stream count by capacity, which is what they
-// hold; the Writer and Decode both size them exactly, so a recording
-// weighs what its decoded form does.
+// dictionary's ops and slice headers and the ID stream. The ID stream
+// counts by capacity, which is what it holds; the Writer and Decode
+// both size it exactly, so a recording weighs what its decoded form
+// does.
 func (a *Arena) Bytes() int64 {
 	const opBytes = int64(unsafe.Sizeof(cpu.Op{}))
 	const entryBytes = int64(unsafe.Sizeof([]cpu.Op(nil)))
-	ops := int64(cap(a.prelude))
+	var ops int64
 	for _, e := range a.dict {
 		ops += int64(len(e))
 	}
@@ -431,8 +427,6 @@ func (t *Trace) Encode() []byte {
 		body = binary.AppendUvarint(body, uint64(len(e)))
 		body = appendOps(body, e)
 	}
-	body = binary.AppendUvarint(body, uint64(len(a.prelude)))
-	body = appendOps(body, a.prelude)
 	body = append(body, stream...)
 
 	out := make([]byte, 0, prefixLen+len(body))
@@ -557,9 +551,6 @@ func Decode(b []byte) (*Trace, error) {
 		ends[k] = len(ops)
 	}
 	a := &Arena{dict: sliceEntries(ops, ends)}
-	if n := r.count("prelude op", 1); n > 0 {
-		a.prelude = r.readOps(make([]cpu.Op, 0, n), n)
-	}
 	stream := r.bytes(uint64(m.StreamStoredBytes))
 	if r.err != nil {
 		return nil, r.err

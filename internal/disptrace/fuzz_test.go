@@ -14,8 +14,8 @@ import (
 
 // eventsFromBytes derives a bounded event stream from raw fuzz input:
 // each event consumes a kind byte plus up to three 8-byte values, so
-// the fuzzer steers kinds, magnitudes, deltas and instruction
-// boundaries freely.
+// the fuzzer steers kinds, magnitudes, deltas and step boundaries
+// (kind 3, see splitSteps) freely.
 func eventsFromBytes(data []byte) []event {
 	const maxEvents = 1 << 12
 	var evs []event
@@ -33,10 +33,7 @@ func eventsFromBytes(data []byte) []event {
 		data = data[1:]
 		switch kind {
 		case 0:
-			// RecordWork takes an int and clamps negatives to 0; stay
-			// in the non-negative int range so the round trip is
-			// exact.
-			evs = append(evs, event{kind: 0, a: u64() >> 1})
+			evs = append(evs, event{kind: 0, a: u64()})
 		case 1:
 			// Sizes fall about half under MaxFetchBytes, which
 			// round-trip, and half over it, which Decode refuses.
@@ -50,32 +47,17 @@ func eventsFromBytes(data []byte) []event {
 	return evs
 }
 
-// oversized reports whether evs hold a fetch above
+// oversized reports whether steps hold a fetch above
 // disptrace.MaxFetchBytes, which Decode refuses.
-func oversized(evs []event) bool {
-	for _, e := range evs {
-		if e.kind == 1 && e.b > disptrace.MaxFetchBytes {
-			return true
+func oversized(steps [][]cpu.Op) bool {
+	for _, ops := range steps {
+		for _, op := range ops {
+			if op.Kind == cpu.OpFetch && op.B > disptrace.MaxFetchBytes {
+				return true
+			}
 		}
 	}
 	return false
-}
-
-// groundTruthOps is the whole op stream an event stream records, in
-// order, prelude included.
-func groundTruthOps(evs []event) []cpu.Op {
-	var ops []cpu.Op
-	for _, e := range evs {
-		switch e.kind {
-		case 0:
-			ops = append(ops, cpu.Op{Kind: cpu.OpWork, A: e.a})
-		case 1:
-			ops = append(ops, cpu.Op{Kind: cpu.OpFetch, A: e.a, B: e.b})
-		case 2:
-			ops = append(ops, cpu.Op{Kind: cpu.OpDispatch, A: e.a, B: e.b, C: e.c})
-		}
-	}
-	return ops
 }
 
 // walkSteps advances a cursor to the end without copying its steps:
@@ -102,24 +84,22 @@ func FuzzTraceRoundTrip(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
 	f.Add(bytes.Repeat([]byte{2, 0xff}, 64)) // dispatch-heavy
 	// Valid encoded traces as seeds for the raw-decode arm: one step,
-	// and a prelude plus repeating steps.
+	// and repeating steps.
 	{
 		w := disptrace.NewWriter(disptrace.Header{Workload: "seed", Lang: "forth"})
-		w.RecordVMInst()
-		w.RecordWork(7)
-		w.RecordFetch(0x2000, 16)
-		w.RecordDispatch(0x2040, 3, 0x2100)
+		recordSteps(w, []cpu.Op{{Kind: cpu.OpWork, A: 7}, {Kind: cpu.OpFetch, A: 0x2000, B: 16},
+			{Kind: cpu.OpDispatch, A: 0x2040, B: 3, C: 0x2100}})
 		f.Add(w.Trace().Encode())
 	}
 	{
 		w := disptrace.NewWriter(disptrace.Header{Workload: "seed", Lang: "forth"})
-		feedEvents(w, stepEvents(64, 1))
+		recordSteps(w, splitSteps(stepEvents(64, 1))...)
 		f.Add(w.Trace().Encode())
 	}
 
 	base := func() []byte {
 		w := disptrace.NewWriter(disptrace.Header{Workload: "base", Lang: "forth"})
-		feedEvents(w, stepEvents(16, 2))
+		recordSteps(w, splitSteps(stepEvents(16, 2))...)
 		return w.Trace().Encode()
 	}()
 
@@ -141,7 +121,7 @@ func FuzzTraceRoundTrip(f *testing.F) {
 		// under several declared raw lengths — garbled or truncated
 		// DEFLATE, lying lengths and out-of-range IDs must error, not
 		// panic.
-		p := splitV4(t, base)
+		p := splitTrace(t, base)
 		for _, raw := range []uint64{0, 1, 16, 64, 1 << 16} {
 			p.rawLen, p.stream = raw, data
 			if tr, err := disptrace.Decode(p.join()); err == nil {
@@ -150,16 +130,16 @@ func FuzzTraceRoundTrip(f *testing.F) {
 		}
 
 		// Arm 3: structured round trip — bit-exact.
-		evs := eventsFromBytes(data)
+		steps := splitSteps(eventsFromBytes(data))
 		w := disptrace.NewWriter(disptrace.Header{Workload: "fuzz", Lang: "forth", Scale: 1})
-		feedEvents(w, evs)
+		recordSteps(w, steps...)
 		tr := w.Trace()
 		if err := tr.Verify(); err != nil {
 			t.Fatalf("writer produced inconsistent totals: %v", err)
 		}
 		enc := tr.Encode()
 		back, err := disptrace.Decode(enc)
-		if oversized(evs) {
+		if oversized(steps) {
 			if !errors.Is(err, disptrace.ErrFetchTooLarge) {
 				t.Fatalf("decoding a fetch above MaxFetchBytes: err %v, want ErrFetchTooLarge", err)
 			}
@@ -174,7 +154,7 @@ func FuzzTraceRoundTrip(f *testing.F) {
 		if !bytes.Equal(back.Encode(), enc) {
 			t.Fatal("re-encoding the decoded trace changed its bytes")
 		}
-		if got, want := streamOps(back), groundTruthOps(evs); !slices.Equal(got, want) {
+		if got, want := streamOps(back), slices.Concat(steps...); !slices.Equal(got, want) {
 			t.Fatalf("stream round trip: got %d ops, want %d", len(got), len(want))
 		}
 	})
@@ -193,17 +173,16 @@ func FuzzCursor(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{3, 2, 0xff}, 50), uint16(25), byte(0))
 
 	f.Fuzz(func(t *testing.T, data []byte, seekAt uint16, mutByte byte) {
-		evs := eventsFromBytes(data)
+		want := splitSteps(eventsFromBytes(data))
 		w := disptrace.NewWriter(disptrace.Header{Workload: "fuzz", Lang: "forth"})
-		feedEvents(w, evs)
+		recordSteps(w, want...)
 		tr := w.Trace()
 
-		want := groundTruthSteps(evs)
 		enc := tr.Encode()
 		forms := map[string]*disptrace.Trace{"mem": tr}
 		dec, err := disptrace.Decode(enc)
 		switch {
-		case oversized(evs):
+		case oversized(want):
 			if !errors.Is(err, disptrace.ErrFetchTooLarge) {
 				t.Fatalf("decoding a fetch above MaxFetchBytes: err %v, want ErrFetchTooLarge", err)
 			}

@@ -10,14 +10,15 @@ import (
 	"slices"
 	"testing"
 
+	"vmopt/internal/cpu"
 	"vmopt/internal/disptrace"
 )
 
-// v4Parts is an encoded trace split at the boundaries a crafted file
-// needs to vary: everything before the index, the index's dictionary
-// size and declared raw ID-stream length, the dictionary and prelude
+// traceParts is an encoded trace split at the boundaries a crafted
+// file needs to vary: everything before the index, the index's
+// dictionary size and declared raw ID-stream length, the dictionary
 // bytes, and the stored ID stream.
-type v4Parts struct {
+type traceParts struct {
 	head      []byte
 	dictSteps uint64
 	rawLen    uint64
@@ -25,8 +26,8 @@ type v4Parts struct {
 	stream    []byte
 }
 
-// splitV4 parses the layout of a valid encoding.
-func splitV4(t testing.TB, enc []byte) v4Parts {
+// splitTrace parses the layout of a valid encoding.
+func splitTrace(t testing.TB, enc []byte) traceParts {
 	t.Helper()
 	off := 10
 	next := func() uint64 {
@@ -40,7 +41,7 @@ func splitV4(t testing.TB, enc []byte) v4Parts {
 	hdrLen := next()
 	off += int(hdrLen)
 	head := off
-	var p v4Parts
+	var p traceParts
 	p.head = enc[:head]
 	p.dictSteps, p.rawLen = next(), next()
 	stored := int(next())
@@ -52,7 +53,7 @@ func splitV4(t testing.TB, enc []byte) v4Parts {
 // join re-encodes the parts with the stored length and checksum made
 // consistent, so a decoder's structural checks are what must catch
 // the crafted field.
-func (p v4Parts) join() []byte {
+func (p traceParts) join() []byte {
 	b := append([]byte(nil), p.head...)
 	b = binary.AppendUvarint(b, p.dictSteps)
 	b = binary.AppendUvarint(b, p.rawLen)
@@ -94,12 +95,12 @@ func inflateIDs(t testing.TB, stream []byte) []uint64 {
 	return ids
 }
 
-// hardenTrace is a small trace with a prelude, several distinct steps
-// and a long enough ID stream for flate to matter.
+// hardenTrace is a small trace with several distinct steps and a long
+// enough ID stream for flate to matter.
 func hardenTrace(t testing.TB) []byte {
 	t.Helper()
 	w := disptrace.NewWriter(testHeader())
-	feedEvents(w, append([]event{{kind: 0, a: 4}}, stepEvents(2000, 11)...))
+	recordSteps(w, splitSteps(stepEvents(2000, 11))...)
 	enc := w.Trace().Encode()
 	if _, err := disptrace.Decode(enc); err != nil {
 		t.Fatal(err)
@@ -113,9 +114,9 @@ func hardenTrace(t testing.TB) []byte {
 // has been fixed up to pass.
 func TestCorruptCompressedStream(t *testing.T) {
 	enc := hardenTrace(t)
-	p := splitV4(t, enc)
+	p := splitTrace(t, enc)
 	if !bytes.Equal(p.join(), enc) {
-		t.Fatal("splitV4/join does not round-trip the encoding")
+		t.Fatal("splitTrace/join does not round-trip the encoding")
 	}
 	if uint64(len(p.stream)) >= p.rawLen {
 		t.Fatalf("ID stream did not compress (%d stored, %d raw)", len(p.stream), p.rawLen)
@@ -124,17 +125,17 @@ func TestCorruptCompressedStream(t *testing.T) {
 	for i := range garbled {
 		garbled[i] ^= 0xa5
 	}
-	for name, mut := range map[string]func(*v4Parts){
-		"garbled":   func(q *v4Parts) { q.stream = garbled },
-		"truncated": func(q *v4Parts) { q.stream = q.stream[:len(q.stream)/2] },
-		"empty":     func(q *v4Parts) { q.stream = nil },
-		"raw-short": func(q *v4Parts) { q.rawLen-- },
-		"raw-long":  func(q *v4Parts) { q.rawLen++ },
-		"raw-huge":  func(q *v4Parts) { q.rawLen = 1 << 40 },
+	for name, mut := range map[string]func(*traceParts){
+		"garbled":   func(q *traceParts) { q.stream = garbled },
+		"truncated": func(q *traceParts) { q.stream = q.stream[:len(q.stream)/2] },
+		"empty":     func(q *traceParts) { q.stream = nil },
+		"raw-short": func(q *traceParts) { q.rawLen-- },
+		"raw-long":  func(q *traceParts) { q.rawLen++ },
+		"raw-huge":  func(q *traceParts) { q.rawLen = 1 << 40 },
 		// The header declares 2000 VM instructions: a raw length below
 		// one byte per ID, or above five, cannot hold them.
-		"raw-below-ids": func(q *v4Parts) { q.rawLen = 1999 },
-		"raw-above-ids": func(q *v4Parts) { q.rawLen = 5*2000 + 1 },
+		"raw-below-ids": func(q *traceParts) { q.rawLen = 1999 },
+		"raw-above-ids": func(q *traceParts) { q.rawLen = 5*2000 + 1 },
 	} {
 		q := p
 		mut(&q)
@@ -151,7 +152,7 @@ func TestCorruptCompressedStream(t *testing.T) {
 // indexes out of the dictionary.
 func TestCursorCorruptStepTable(t *testing.T) {
 	enc := hardenTrace(t)
-	p := splitV4(t, enc)
+	p := splitTrace(t, enc)
 	orig := inflateIDs(t, p.stream)
 	if len(orig) != 2000 {
 		t.Fatalf("hardenTrace holds %d steps, want 2000", len(orig))
@@ -203,14 +204,14 @@ func TestCursorCorruptStepTable(t *testing.T) {
 		t.Error("no in-range ID substitution was caught by the header totals")
 	}
 
-	for name, mut := range map[string]func(*v4Parts){
-		"dict-huge":    func(q *v4Parts) { q.dictSteps = 1 << 40 },
-		"dict-beyond":  func(q *v4Parts) { q.dictSteps = uint64(len(q.body)) + 1 },
-		"dict-short":   func(q *v4Parts) { q.dictSteps-- },
-		"dict-long":    func(q *v4Parts) { q.dictSteps++ },
-		"op-count":     func(q *v4Parts) { q.body = binary.AppendUvarint(nil, 1<<40) },
-		"body-chopped": func(q *v4Parts) { q.body = q.body[:len(q.body)-1] },
-		"body-extra":   func(q *v4Parts) { q.body = append(append([]byte(nil), q.body...), 3) },
+	for name, mut := range map[string]func(*traceParts){
+		"dict-huge":    func(q *traceParts) { q.dictSteps = 1 << 40 },
+		"dict-beyond":  func(q *traceParts) { q.dictSteps = uint64(len(q.body)) + 1 },
+		"dict-short":   func(q *traceParts) { q.dictSteps-- },
+		"dict-long":    func(q *traceParts) { q.dictSteps++ },
+		"op-count":     func(q *traceParts) { q.body = binary.AppendUvarint(nil, 1<<40) },
+		"body-chopped": func(q *traceParts) { q.body = q.body[:len(q.body)-1] },
+		"body-extra":   func(q *traceParts) { q.body = append(append([]byte(nil), q.body...), 3) },
 	} {
 		q := p
 		mut(&q)
@@ -227,12 +228,13 @@ func TestCursorCorruptStepTable(t *testing.T) {
 func TestDecodeBoundsReplayWork(t *testing.T) {
 	build := func(entryOps, uses int) *disptrace.Trace {
 		w := disptrace.NewWriter(testHeader())
+		var ops []cpu.Op
+		for i := range entryOps {
+			ops = append(ops, cpu.Op{Kind: cpu.OpFetch, A: uint64(0x1000 + 8*i), B: 8})
+		}
+		ops = append(ops, cpu.Op{Kind: cpu.OpWork})
 		for range uses {
-			w.RecordVMInst()
-			for i := range entryOps {
-				w.RecordFetch(uint64(0x1000+8*i), 8)
-			}
-			w.RecordWork(0)
+			w.RecordStep(ops)
 		}
 		return w.Trace()
 	}
@@ -266,10 +268,8 @@ func TestDecodeRejectsHugeFetch(t *testing.T) {
 	k := healKey()
 	craft := func(size int) []byte {
 		w := disptrace.NewWriter(k.Header())
-		w.RecordVMInst()
-		for range 3 {
-			w.RecordFetch(0x1000, size)
-		}
+		fetch := cpu.Op{Kind: cpu.OpFetch, A: 0x1000, B: uint64(size)}
+		recordSteps(w, []cpu.Op{fetch, fetch, fetch})
 		return w.Trace().Encode()
 	}
 	huge := craft(1 << 34)

@@ -71,13 +71,9 @@ func ReplayEach(ctx context.Context, t *Trace, sims []*cpu.Sim) error {
 	return nil
 }
 
-// apply drives the prelude and then each step's dictionary entry
-// through sim. Apply never consults the sim's Sink and allocates
-// nothing.
-func (a *Arena) apply(sim *cpu.Sim) {
-	sim.Apply(a.prelude)
-	sim.ApplySteps(a.dict, a.ids)
-}
+// apply drives each step's dictionary entry through sim. It never
+// consults the sim's Sink and allocates nothing.
+func (a *Arena) apply(sim *cpu.Sim) { sim.ApplySteps(a.dict, a.ids) }
 
 // ReplayMachine replays the trace on a fresh simulator for machine m
 // and returns the counters.
@@ -102,8 +98,7 @@ func (t *Trace) Verify() error {
 }
 
 // A trace's expanded op count — its replay work — may not exceed
-// freeOps plus its dictionary and prelude ops plus maxStepOps per
-// step. Recorded engines average at most 5 ops per step (work,
+// freeOps plus its dictionary ops plus maxStepOps per step. Recorded engines average at most 5 ops per step (work,
 // fetches and one dispatch), so only a crafted trace reaches the
 // bound: one long entry named by many IDs, which would make replay
 // cost quadratic in the file size. Since a file holds at most
@@ -119,11 +114,11 @@ const (
 // op count stays within its bound (see freeOps). It costs
 // O(dictionary ops), not O(expanded ops).
 func (a *Arena) checkTotals(h Header, uses []uint64) error {
-	limit := freeOps + uint64(len(a.prelude)) + maxStepOps*uint64(len(a.ids))
+	limit := freeOps + maxStepOps*uint64(len(a.ids))
 	for _, e := range a.dict {
 		limit += uint64(len(e))
 	}
-	ops := uint64(len(a.prelude))
+	var ops uint64
 	for k, e := range a.dict {
 		n := uint64(len(e))
 		if n > 0 && uses[k] > (limit-ops)/n {
@@ -141,10 +136,11 @@ func (a *Arena) checkTotals(h Header, uses []uint64) error {
 }
 
 // totals returns the stream's dispatch and fetch events and its summed
-// work amounts: the prelude's plus each entry's times its use count.
+// work amounts: each entry's times its use count.
 func (a *Arena) totals(uses []uint64) (dispatches, fetches, work uint64) {
-	count := func(ops []cpu.Op, n uint64) {
-		for _, op := range ops {
+	for k, e := range a.dict {
+		n := uses[k]
+		for _, op := range e {
 			switch op.Kind {
 			case cpu.OpWork:
 				work += n * op.A
@@ -154,10 +150,6 @@ func (a *Arena) totals(uses []uint64) (dispatches, fetches, work uint64) {
 				dispatches += n
 			}
 		}
-	}
-	count(a.prelude, 1)
-	for k, e := range a.dict {
-		count(e, uses[k])
 	}
 	return dispatches, fetches, work
 }

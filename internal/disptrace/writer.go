@@ -16,23 +16,14 @@ import (
 // to a cpu.Sim and run the engine, then call Trace to finalize.
 //
 // A step — one VM instruction's events — reaches the writer one of two
-// ways. core.Run interns the events of each step it can resolve ahead
-// once (InternStep) and then records the step's ID per executed
-// instruction (RecordSteps, in batches). Any other step, and every
-// step a plain Sink user drives, arrives one event at a time:
-// RecordVMInst opens it, and the next RecordVMInst, InternStep,
-// RecordSteps or Trace closes and interns it. Either way two steps
-// share an ID only when their op lists are identical, op for op — a
-// hash only picks the candidates to compare. Events before the first
-// instruction form the prelude, which belongs to no step.
+// ways. core.Run interns the events of each step it lowers once
+// (InternStep) and then records the step's ID per executed instruction
+// (RecordSteps, in batches); any other step it records whole
+// (RecordStep). Either way two steps share an ID only when their op
+// lists are identical, op for op — a hash only picks the candidates to
+// compare.
 type Writer struct {
 	h Header
-	// open marks a step begun by RecordVMInst; cur holds its ops (the
-	// prelude's before the first instruction).
-	open bool
-	cur  []cpu.Op
-	// prelude holds the events recorded before the first instruction.
-	prelude []cpu.Op
 
 	// dictOps holds the dictionary entries back to back, entry k
 	// ending at dictEnds[k].
@@ -55,46 +46,32 @@ func NewWriter(h Header) *Writer {
 	return &Writer{h: h, index: make(map[uint64][]uint32)}
 }
 
-// RecordWork implements cpu.Sink.
-func (w *Writer) RecordWork(n int) {
-	w.cur = append(w.cur, cpu.Op{Kind: cpu.OpWork, A: uint64(max(n, 0))})
-}
-
-// RecordFetch implements cpu.Sink.
-func (w *Writer) RecordFetch(addr uint64, size int) {
-	w.cur = append(w.cur, cpu.Op{Kind: cpu.OpFetch, A: addr, B: uint64(max(size, 0))})
-}
-
-// RecordDispatch implements cpu.Sink.
-func (w *Writer) RecordDispatch(branch, hint, target uint64) {
-	w.cur = append(w.cur, cpu.Op{Kind: cpu.OpDispatch, A: branch, B: hint, C: target})
-}
-
-// RecordVMInst implements cpu.Sink. It closes the open step (or the
-// prelude) and opens the next one.
-func (w *Writer) RecordVMInst() {
-	w.closeStep()
-	w.open = true
-}
+// RecordStep implements cpu.Sink: it appends the ID of ops.
+func (w *Writer) RecordStep(ops []cpu.Op) { w.RecordSteps([]uint32{w.InternStep(ops)}) }
 
 // RecordCodeBytes implements cpu.Sink.
 func (w *Writer) RecordCodeBytes(n uint64) { w.h.CodeBytes += n }
 
-// InternStep implements cpu.StepSink. It closes the open step (or the
-// prelude), so IDs keep the order of first sight, and returns the
-// dictionary ID of ops, adding an entry when it is new.
+// InternStep implements cpu.StepSink. It returns the dictionary ID of
+// ops, adding an entry when no existing one is equal to it op for op,
+// so IDs keep the order of first sight.
 func (w *Writer) InternStep(ops []cpu.Op) uint32 {
-	w.closeStep()
-	return w.intern(ops)
+	h := hashOps(ops)
+	for _, id := range w.index[h] {
+		if slices.Equal(w.entry(id), ops) {
+			return id
+		}
+	}
+	id := uint32(len(w.dictEnds))
+	w.index[h] = append(w.index[h], id)
+	w.dictOps = append(w.dictOps, ops...)
+	w.dictEnds = append(w.dictEnds, len(w.dictOps))
+	return id
 }
 
-// RecordSteps implements cpu.StepSink. It closes the open step and
-// appends ids, which must come from InternStep. Events may follow only
-// after the next RecordVMInst, which opens a step for them.
+// RecordSteps implements cpu.StepSink. It appends ids, which must come
+// from InternStep.
 func (w *Writer) RecordSteps(ids []uint32) {
-	if w.open {
-		w.closeStep()
-	}
 	for len(ids) > 0 {
 		if len(w.tail) == cap(w.tail) {
 			w.grow()
@@ -115,39 +92,6 @@ func (w *Writer) grow() {
 	w.tail = make([]uint32, 0, idChunk)
 }
 
-// closeStep appends the open step's ID to the stream, interning the
-// step on first sight — or, before the first instruction, keeps the
-// collected ops as the prelude.
-func (w *Writer) closeStep() {
-	switch {
-	case w.open:
-		w.open = false
-		w.RecordSteps([]uint32{w.intern(w.cur)})
-	case len(w.cur) == 0: // nothing to close
-	case w.tail == nil: // no instruction yet
-		w.prelude = append(make([]cpu.Op, 0, len(w.cur)), w.cur...)
-	default:
-		panic("disptrace: events recorded after RecordSteps, outside any step")
-	}
-	w.cur = w.cur[:0]
-}
-
-// intern returns the dictionary ID of ops, adding an entry when no
-// existing one is equal to it op for op.
-func (w *Writer) intern(ops []cpu.Op) uint32 {
-	h := hashOps(ops)
-	for _, id := range w.index[h] {
-		if slices.Equal(w.entry(id), ops) {
-			return id
-		}
-	}
-	id := uint32(len(w.dictEnds))
-	w.index[h] = append(w.index[h], id)
-	w.dictOps = append(w.dictOps, ops...)
-	w.dictEnds = append(w.dictEnds, len(w.dictOps))
-	return id
-}
-
 // entry returns dictionary entry id's ops.
 func (w *Writer) entry(id uint32) []cpu.Op {
 	lo := 0
@@ -158,8 +102,8 @@ func (w *Writer) entry(id uint32) []cpu.Op {
 }
 
 // hashOps mixes every field of an op list into 64 bits. Equal lists
-// hash equal; unequal ones rarely collide, and intern compares the
-// ops anyway.
+// hash equal; unequal ones rarely collide, and InternStep compares
+// the ops anyway.
 func hashOps(ops []cpu.Op) uint64 {
 	const m1, m2 = 0x9e3779b97f4a7c15, 0xff51afd7ed558ccd
 	h := uint64(len(ops))
@@ -170,18 +114,13 @@ func hashOps(ops []cpu.Op) uint64 {
 	return h
 }
 
-// Trace closes the last step and returns the finished trace. The
-// writer must not be used afterwards. The dictionary's ops and the ID
-// stream move to backing arrays of their exact size, so the trace
-// holds, and Arena.Bytes weighs, what Decode of its encoding holds.
-// The stream totals in the header come from each entry's events times
-// its use count.
+// Trace returns the finished trace. The writer must not be used
+// afterwards. The dictionary's ops and the ID stream move to backing
+// arrays of their exact size, so the trace holds, and Arena.Bytes
+// weighs, what Decode of its encoding holds. The stream totals in the
+// header come from each entry's events times its use count.
 func (w *Writer) Trace() *Trace {
-	w.closeStep()
-	a := &Arena{
-		dict:    sliceEntries(append(make([]cpu.Op, 0, len(w.dictOps)), w.dictOps...), w.dictEnds),
-		prelude: w.prelude,
-	}
+	a := &Arena{dict: sliceEntries(append(make([]cpu.Op, 0, len(w.dictOps)), w.dictOps...), w.dictEnds)}
 	uses := make([]uint64, len(w.dictEnds))
 	if n := len(w.full)*idChunk + len(w.tail); n > 0 {
 		a.ids = make([]uint32, 0, n)

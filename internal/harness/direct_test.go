@@ -192,11 +192,12 @@ var tinyBoth = cpu.Machine{
 // TestLoweredRunMatchesEventStream is the oracle of core.Run's lowered
 // path: with no sink, Run applies one machine-lowered step per VM
 // instruction in the resident mode; with a plain cpu.Sink (a Writer
-// behind perEvent), it drives every event one call at a time. Driving
-// that per-event stream, expanded by a Cursor, through Sim.Apply must
-// give bit-identical counters on every machine, and the lowered run
-// must leave the counters, the I-cache (LRU order included) and the
-// predictor exactly as the per-event run does. The pairs cover every
+// behind perEvent), it lowers nothing and applies and records every
+// step's events whole. Driving that recorded stream, expanded by a
+// Cursor, through Sim.Apply must give bit-identical counters on every
+// machine, and the lowered run must leave the counters, the I-cache
+// (LRU order included) and the predictor exactly as the per-event run
+// does. The pairs cover every
 // technique, the switch baseline included: shadow mode (w/static super
 // across), JVM quickening, which re-parses the plan around the
 // quickened position mid-run, and the halt every program ends in; the
@@ -230,8 +231,8 @@ func TestLoweredRunMatchesEventStream(t *testing.T) {
 				lowered, ref := cpu.NewSim(m), cpu.NewSim(m)
 				var paths *stepPaths
 				if k == 0 {
-					// A lowered recording counts the steps Run drives
-					// one event at a time.
+					// A lowered recording counts the steps Run does
+					// not lower.
 					paths = &stepPaths{Writer: disptrace.NewWriter(s.TraceKey(w, v).Header())}
 					lowered.Sink = paths
 				}
@@ -257,7 +258,6 @@ func TestLoweredRunMatchesEventStream(t *testing.T) {
 					exits.BTB += lowered.ResidentExits().BTB
 				}
 				if paths != nil {
-					paths.count()
 					quickened += paths.quickened
 					shadow += paths.shadow
 				}
@@ -270,76 +270,39 @@ func TestLoweredRunMatchesEventStream(t *testing.T) {
 	}
 }
 
-// perEvent hides a Writer's cpu.StepSink methods, so core.Run records
-// through it one event at a time: the reference the lowered recording
-// is checked against.
+// perEvent hides a Writer's cpu.StepSink methods, so core.Run lowers
+// nothing and records every step whole: the reference the lowered run
+// and the lowered recording are checked against.
 type perEvent struct{ cpu.Sink }
 
 // stepPaths forwards a recording to its Writer and counts the steps
-// core.Run drives one event at a time, by their events: a quickened
-// step starts with two work events (the one-time quickening work
-// first), a halt is work and fetch alone, and any other is a step in
-// shadow mode.
+// core.Run does not lower, by their events: a quickened step starts
+// with two work events (the one-time quickening work first), a halt is
+// work and fetch alone, and any other is a step in shadow mode.
 type stepPaths struct {
 	*disptrace.Writer
-	open                     bool
-	kinds                    []cpu.OpKind
 	quickened, halts, shadow int
 }
 
-func (p *stepPaths) RecordWork(n int) {
-	p.kinds = append(p.kinds, cpu.OpWork)
-	p.Writer.RecordWork(n)
-}
-
-func (p *stepPaths) RecordFetch(addr uint64, size int) {
-	p.kinds = append(p.kinds, cpu.OpFetch)
-	p.Writer.RecordFetch(addr, size)
-}
-
-func (p *stepPaths) RecordDispatch(branch, hint, target uint64) {
-	p.kinds = append(p.kinds, cpu.OpDispatch)
-	p.Writer.RecordDispatch(branch, hint, target)
-}
-
-func (p *stepPaths) RecordVMInst() {
-	p.count()
-	p.open = true
-	p.Writer.RecordVMInst()
-}
-
-func (p *stepPaths) InternStep(ops []cpu.Op) uint32 {
-	p.count()
-	return p.Writer.InternStep(ops)
-}
-
-func (p *stepPaths) RecordSteps(ids []uint32) {
-	p.count()
-	p.Writer.RecordSteps(ids)
-}
-
-// count classifies the open per-event step, if there is one.
-func (p *stepPaths) count() {
-	if p.open {
-		switch k := p.kinds; {
-		case len(k) >= 2 && k[0] == cpu.OpWork && k[1] == cpu.OpWork:
-			p.quickened++
-		case len(k) == 2:
-			p.halts++
-		default:
-			p.shadow++
-		}
+func (p *stepPaths) RecordStep(ops []cpu.Op) {
+	switch {
+	case len(ops) >= 2 && ops[0].Kind == cpu.OpWork && ops[1].Kind == cpu.OpWork:
+		p.quickened++
+	case len(ops) == 2:
+		p.halts++
+	default:
+		p.shadow++
 	}
-	p.open, p.kinds = false, p.kinds[:0]
+	p.Writer.RecordStep(ops)
 }
 
 // TestLoweredRecordingMatchesPerEvent records every paper-grid pair at
 // the reference scale both ways, lowered (core.Run interns each step
 // once and records its ID) and per event (the same Writer behind
-// perEvent), and requires the same Encode bytes and the same resident
-// weight. The grid reaches every step the lowered recording leaves to
-// the per-event calls: JVM quickening, shadow mode and the halt that
-// ends every run.
+// perEvent, which gets every step whole), and requires the same Encode
+// bytes and the same resident weight. The grid reaches every step the
+// lowered recording records whole: JVM quickening, shadow mode and the
+// halt that ends every run.
 func TestLoweredRecordingMatchesPerEvent(t *testing.T) {
 	specs := gridSpecs(workload.Forth(), ForthVariants(), cpu.Machines()[:1])
 	specs = append(specs, gridSpecs(workload.Java(), JavaVariants(), cpu.Machines()[:1])...)
@@ -357,7 +320,6 @@ func TestLoweredRecordingMatchesPerEvent(t *testing.T) {
 			if _, err := s.simulate(sp.W, sp.V, sp.M, perEvent{ref}); err != nil {
 				return nil, err
 			}
-			lowered.count()
 			got, want := lowered.Trace(), ref.Trace()
 			if !bytes.Equal(got.Encode(), want.Encode()) {
 				t.Errorf("%s/%s: lowered recording encodes differently from the per-event one (%d vs %d steps, %d vs %d dictionary entries)",
@@ -380,7 +342,7 @@ func TestLoweredRecordingMatchesPerEvent(t *testing.T) {
 		}
 	}
 	if quickened == 0 || shadow == 0 || halts != len(specs) {
-		t.Errorf("per-event steps: %d quickened, %d in shadow mode, %d halts; want some of the first two and one halt per pair (%d)",
+		t.Errorf("steps recorded whole: %d quickened, %d in shadow mode, %d halts; want some of the first two and one halt per pair (%d)",
 			quickened, shadow, halts, len(specs))
 	}
 }

@@ -281,8 +281,10 @@ type sweepCursor struct {
 	Done []int  `json:"done"`
 }
 
-// encodeCursor renders a resume token for the groups marked done.
-func encodeCursor(grid string, done []bool) string {
+// EncodeSweepCursor renders a resume token for the groups marked
+// done. It and DecodeSweepCursor are the cursor codec the cluster
+// router shares with the sweep handler.
+func EncodeSweepCursor(grid string, done []bool) string {
 	c := sweepCursor{V: 1, Grid: grid}
 	for i, d := range done {
 		if d {
@@ -293,9 +295,10 @@ func encodeCursor(grid string, done []bool) string {
 	return base64.RawURLEncoding.EncodeToString(b)
 }
 
-// decodeCursor validates a resume token against the grid the request
-// resolved to and returns the done group indices.
-func decodeCursor(token, grid string, n int) ([]int, error) {
+// DecodeSweepCursor validates a resume token against the grid
+// fingerprint the request resolved to and its group count, and
+// returns the done group indices.
+func DecodeSweepCursor(token, grid string, n int) ([]int, error) {
 	b, err := base64.RawURLEncoding.DecodeString(token)
 	if err != nil {
 		return nil, fmt.Errorf("resume cursor is not base64url: %v", err)
@@ -376,19 +379,6 @@ func SweepGridHash(keys []string) string {
 		h.Write([]byte{0})
 	}
 	return hex.EncodeToString(h.Sum(nil)[:8])
-}
-
-// EncodeSweepCursor renders a resume token for the groups marked
-// done, and DecodeSweepCursor validates one against a grid — the
-// exported cursor codec the router shares with the sweep handler.
-func EncodeSweepCursor(grid string, done []bool) string {
-	return encodeCursor(grid, done)
-}
-
-// DecodeSweepCursor validates a resume token against the grid
-// fingerprint and group count, returning the done group indices.
-func DecodeSweepCursor(token, grid string, n int) ([]int, error) {
-	return decodeCursor(token, grid, n)
 }
 
 // groupKey canonicalizes a group for coalescing: identical concurrent

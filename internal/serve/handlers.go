@@ -267,7 +267,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	grid := gridHash(groups)
 	var preDone []int
 	if req.Resume != "" {
-		preDone, err = decodeCursor(req.Resume, grid, len(groups))
+		preDone, err = DecodeSweepCursor(req.Resume, grid, len(groups))
 		if err != nil {
 			s.stats.errors.Add(1)
 			errorBody(w, http.StatusBadRequest, "%v", err)
@@ -347,7 +347,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		emu.Lock()
 		defer emu.Unlock()
 		doneIdx[gi] = true
-		return encodeCursor(grid, doneIdx)
+		return EncodeSweepCursor(grid, doneIdx)
 	}
 	processed := make([]bool, len(todo))
 	_, _ = runner.Map(ctx, len(todo), runner.Options{Jobs: s.cfg.Jobs},
