@@ -222,7 +222,12 @@ func TestClusterByteIdentity(t *testing.T) {
 
 func newSingle(t *testing.T) (*serve.Server, *httptest.Server) {
 	t.Helper()
-	s := serve.New(serve.Config{Traces: disptrace.NewCache(t.TempDir())})
+	return newInstance(t, serve.Config{Traces: disptrace.NewCache(t.TempDir())})
+}
+
+func newInstance(t *testing.T, cfg serve.Config) (*serve.Server, *httptest.Server) {
+	t.Helper()
+	s := serve.New(cfg)
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {
 		ts.Close()
@@ -343,11 +348,41 @@ func TestClusterFailover(t *testing.T) {
 	}
 }
 
+// sweepParts splits a sweep NDJSON body into its sorted cell and
+// error lines, its cursors in stream order and its done line.
+func sweepParts(t *testing.T, body []byte) (cells, cursors []string, done string) {
+	t.Helper()
+	for _, raw := range bytes.Split(body, []byte{'\n'}) {
+		if len(bytes.TrimSpace(raw)) == 0 {
+			continue
+		}
+		var line serve.SweepLine
+		if err := json.Unmarshal(raw, &line); err != nil {
+			t.Fatalf("undecodable sweep line %q: %v", raw, err)
+		}
+		switch {
+		case line.Done:
+			done = string(raw)
+		case line.Cursor != "":
+			cursors = append(cursors, line.Cursor)
+		default:
+			cells = append(cells, string(raw))
+		}
+	}
+	if done == "" {
+		t.Fatalf("sweep has no done line:\n%s", body)
+	}
+	sort.Strings(cells)
+	return cells, cursors, done
+}
+
 // TestClusterSweepResume replays the single-instance resume protocol
 // through the router: a cursor from a completed cluster sweep resumes
 // to an immediate, empty completion, and a cursor minted by a single
 // instance for the same grid is honored too (shared grid fingerprint
-// and token codec).
+// and token codec). Router and instance agree on the done line and the
+// cell lines of a full and a partially resumed sweep, and on the status
+// and body of every rejected one.
 func TestClusterSweepResume(t *testing.T) {
 	_, single := newSingle(t)
 	f := newFleet(t, 3)
@@ -355,36 +390,51 @@ func TestClusterSweepResume(t *testing.T) {
 		Variants: []string{"plain", "dynamic super"},
 		Machines: []string{"celeron-800"}, ScaleDiv: testScaleDiv}
 
+	// sweepBoth posts req to the single instance and to the router and
+	// requires the same cell lines and the same done line from both.
+	sweepBoth := func(name string, req serve.SweepRequest) (singleCursors []string, done serve.SweepLine) {
+		t.Helper()
+		st1, b1, _ := post(t, single.URL+"/v1/sweep", req)
+		st2, b2, _ := post(t, f.front.URL+"/v1/sweep", req)
+		if st1 != http.StatusOK || st2 != http.StatusOK {
+			t.Fatalf("%s: single %d (%s), cluster %d (%s)", name, st1, b1, st2, b2)
+		}
+		c1, cur1, d1 := sweepParts(t, b1)
+		c2, _, d2 := sweepParts(t, b2)
+		if fmt.Sprint(c1) != fmt.Sprint(c2) {
+			t.Fatalf("%s: cell lines differ:\ncluster %v\nsingle  %v", name, c2, c1)
+		}
+		if d1 != d2 {
+			t.Fatalf("%s: done lines differ:\ncluster %s\nsingle  %s", name, d2, d1)
+		}
+		if err := json.Unmarshal([]byte(d1), &done); err != nil {
+			t.Fatal(err)
+		}
+		return cur1, done
+	}
+
+	singleCursors, done := sweepBoth("full sweep", sweep)
+	if done.Errors != 0 || done.Groups != 2 || done.Cells != 2 || done.Skipped != 0 {
+		t.Fatalf("full sweep summary: %+v", done)
+	}
+	// A partial resume from the first cursor of the single instance's
+	// stream: one group skipped, the other streamed by both tiers.
+	partial := sweep
+	partial.Resume = singleCursors[0]
+	if _, done := sweepBoth("partial resume", partial); done.Skipped != 1 || done.Groups != 1 || done.Cells != 1 {
+		t.Fatalf("partial resume summary: %+v", done)
+	}
+
 	st, body, _ := post(t, f.front.URL+"/v1/sweep", sweep)
 	if st != http.StatusOK {
 		t.Fatalf("sweep: %d", st)
 	}
-	var lastCursor string
-	var done serve.SweepLine
-	for _, raw := range bytes.Split(body, []byte{'\n'}) {
-		if len(bytes.TrimSpace(raw)) == 0 {
-			continue
-		}
-		var line serve.SweepLine
-		if err := json.Unmarshal(raw, &line); err != nil {
-			t.Fatal(err)
-		}
-		if line.Cursor != "" {
-			lastCursor = line.Cursor
-		}
-		if line.Done {
-			done = line
-		}
-	}
-	if lastCursor == "" {
+	_, cursors, _ := sweepParts(t, body)
+	if len(cursors) == 0 {
 		t.Fatal("cluster sweep emitted no cursor lines")
 	}
-	if !done.Done || done.Errors != 0 || done.Groups != 2 {
-		t.Fatalf("cluster sweep summary: %+v", done)
-	}
-
 	resume := sweep
-	resume.Resume = lastCursor
+	resume.Resume = cursors[len(cursors)-1]
 	st, body, _ = post(t, f.front.URL+"/v1/sweep", resume)
 	if st != http.StatusOK {
 		t.Fatalf("resumed sweep: %d", st)
@@ -393,25 +443,9 @@ func TestClusterSweepResume(t *testing.T) {
 		t.Fatalf("fully-resumed sweep re-streamed %d cell lines", len(cells))
 	}
 
-	// Interop: a single instance's cursor resumes through the router.
-	st, body, _ = post(t, single.URL+"/v1/sweep", sweep)
-	if st != http.StatusOK {
-		t.Fatalf("single sweep: %d", st)
-	}
-	singleCursor := ""
-	for _, raw := range bytes.Split(body, []byte{'\n'}) {
-		if len(bytes.TrimSpace(raw)) == 0 {
-			continue
-		}
-		var line serve.SweepLine
-		if err := json.Unmarshal(raw, &line); err != nil {
-			t.Fatal(err)
-		}
-		if line.Cursor != "" {
-			singleCursor = line.Cursor
-		}
-	}
-	resume.Resume = singleCursor
+	// Interop: a single instance's last cursor resumes through the
+	// router.
+	resume.Resume = singleCursors[len(singleCursors)-1]
 	st, body, _ = post(t, f.front.URL+"/v1/sweep", resume)
 	if st != http.StatusOK {
 		t.Fatalf("cross-topology resume: %d (%s)", st, body)
@@ -419,6 +453,64 @@ func TestClusterSweepResume(t *testing.T) {
 	if cells := sweepCellLines(t, body); len(cells) != 0 {
 		t.Fatalf("cross-topology resume re-streamed %d cell lines", len(cells))
 	}
+
+	// Rejections: an instance and a router with the same one-cell grid
+	// bound answer each invalid sweep with the same status and body.
+	_, limited := newInstance(t, serve.Config{MaxCells: 1})
+	limitedRouter := httptest.NewServer(NewRouter(RouterConfig{Instances: f.urls, MaxCells: 1}).Handler())
+	defer limitedRouter.Close()
+	foreign := serve.SweepRequest{Workloads: []string{"gray"}, Variants: []string{"plain"},
+		Machines: []string{"celeron-800"}, ScaleDiv: testScaleDiv, Resume: singleCursors[0]}
+	for name, req := range map[string]serve.SweepRequest{
+		"unknown workload": {Workloads: []string{"nope"}, ScaleDiv: testScaleDiv},
+		"over MaxCells":    sweep,
+		"foreign cursor":   foreign,
+	} {
+		st1, b1, _ := post(t, limited.URL+"/v1/sweep", req)
+		st2, b2, _ := post(t, limitedRouter.URL+"/v1/sweep", req)
+		if st1 < 400 || st1 != st2 || !bytes.Equal(b1, b2) {
+			t.Errorf("%s: single %d %s, cluster %d %s", name, st1, b1, st2, b2)
+		}
+	}
+}
+
+// TestMalformedBodiesAgree: an instance and a router read request
+// bodies through one function, so a malformed, truncated, trailing or
+// oversized body gets the same status and error from either tier.
+func TestMalformedBodiesAgree(t *testing.T) {
+	_, single := newSingle(t)
+	front := httptest.NewServer(NewRouter(RouterConfig{Instances: []string{single.URL}}).Handler())
+	defer front.Close()
+	bodies := map[string]string{
+		"empty":     ``,
+		"not json":  `nope`,
+		"truncated": `{"workloads":["gray"`,
+		"trailing":  `{"workloads":["gray"]} xyz`,
+		"oversized": `{"workloads":["` + strings.Repeat("a", 1<<20) + `"]}`,
+	}
+	for _, path := range []string{"/v1/run", "/v1/sweep", "/v1/diff"} {
+		for name, body := range bodies {
+			st1, b1 := postRaw(t, single.URL+path, body)
+			st2, b2 := postRaw(t, front.URL+path, body)
+			if st1 != http.StatusBadRequest || st1 != st2 || !bytes.Equal(b1, b2) {
+				t.Errorf("%s %s: single %d %s, cluster %d %s", path, name, st1, b1, st2, b2)
+			}
+		}
+	}
+}
+
+func postRaw(t *testing.T, url, body string) (int, []byte) {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	b, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, b
 }
 
 // TestClusterDrainRouting flips one replica's readiness and lets the

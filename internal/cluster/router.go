@@ -16,7 +16,6 @@ import (
 	"vmopt/internal/disptrace"
 	"vmopt/internal/metrics"
 	"vmopt/internal/obs"
-	"vmopt/internal/runner"
 	"vmopt/internal/serve"
 )
 
@@ -223,7 +222,8 @@ func (rt *Router) StartProbes(ctx context.Context) {
 
 // Handler returns the router's routing table. The /v1 surface mirrors
 // a single instance's; /metrics, /debug/requests, /healthz and
-// /readyz are the router's own.
+// /readyz are the router's own (the probes are the instances'
+// handlers over the router's readiness).
 func (rt *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/run", rt.instrument("run", rt.handleRun))
@@ -238,20 +238,8 @@ func (rt *Router) Handler() http.Handler {
 		rt.reg.WritePrometheus(w)
 	}))
 	mux.Handle("GET /debug/requests", rt.recorder.Handler())
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		fmt.Fprintln(w, `{"ok":true}`)
-	})
-	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		if rt.notReady.Load() {
-			w.Header().Set("Retry-After", "1")
-			w.WriteHeader(http.StatusServiceUnavailable)
-			fmt.Fprintln(w, `{"ready":false}`)
-			return
-		}
-		fmt.Fprintln(w, `{"ready":true}`)
-	})
+	mux.HandleFunc("GET /healthz", serve.Healthz)
+	mux.HandleFunc("GET /readyz", serve.Readyz(func() bool { return !rt.notReady.Load() }))
 	return mux
 }
 
@@ -439,47 +427,19 @@ func writeUpstream(w http.ResponseWriter, u *upstream) {
 	w.Write(u.body)
 }
 
-// errorBody writes a JSON error document.
-func errorBody(w http.ResponseWriter, status int, format string, args ...any) {
-	w.Header().Set("Content-Type", "application/json")
-	if status == http.StatusServiceUnavailable {
-		w.Header().Set("Retry-After", "1")
-	}
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
-}
-
 // unavailable answers for a request no replica could serve: 503 with
 // Retry-After, the same shape as backpressure, because from the
 // client's side that is what a briefly headless cluster is.
 func unavailable(w http.ResponseWriter, err error) {
-	errorBody(w, http.StatusServiceUnavailable, "cluster unavailable: %v", err)
-}
-
-// maxRequestBytes mirrors the serving tier's request-body bound.
-const maxRequestBytes = 1 << 20
-
-// readBody buffers a request body (the router re-sends it, possibly
-// several times).
-func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	b, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRequestBytes))
-	if err != nil {
-		errorBody(w, http.StatusBadRequest, "reading request: %v", err)
-		return nil, false
-	}
-	return b, true
+	serve.ErrorBody(w, http.StatusServiceUnavailable, "cluster unavailable: %v", err)
 }
 
 func (rt *Router) handleRun(w http.ResponseWriter, r *http.Request) {
-	body, ok := readBody(w, r)
-	if !ok {
-		return
-	}
 	sp := obs.Start(r.Context(), "route")
 	var req serve.RunRequest
-	if err := json.Unmarshal(body, &req); err != nil {
+	body, ok := serve.ReadRequest(w, r, &req)
+	if !ok {
 		sp.End()
-		errorBody(w, http.StatusBadRequest, "parsing request: %v", err)
 		return
 	}
 	scaleDiv := req.ScaleDiv
@@ -497,15 +457,11 @@ func (rt *Router) handleRun(w http.ResponseWriter, r *http.Request) {
 }
 
 func (rt *Router) handleDiff(w http.ResponseWriter, r *http.Request) {
-	body, ok := readBody(w, r)
-	if !ok {
-		return
-	}
 	sp := obs.Start(r.Context(), "route")
 	var req serve.DiffRequest
-	if err := json.Unmarshal(body, &req); err != nil {
+	body, ok := serve.ReadRequest(w, r, &req)
+	if !ok {
 		sp.End()
-		errorBody(w, http.StatusBadRequest, "parsing request: %v", err)
 		return
 	}
 	// Diffs have no cell key — the pair names traces by content
@@ -606,7 +562,7 @@ func (rt *Router) handleTraceList(w http.ResponseWriter, r *http.Request) {
 	list.Count = len(list.Traces)
 	body, err := json.Marshal(list)
 	if err != nil {
-		errorBody(w, http.StatusInternalServerError, "encoding response: %v", err)
+		serve.ErrorBody(w, http.StatusInternalServerError, "encoding response: %v", err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -620,159 +576,42 @@ func (rt *Router) defaultScaleDiv() int {
 	return 1
 }
 
-func (rt *Router) maxCells() int {
-	if rt.cfg.MaxCells > 0 {
-		return rt.cfg.MaxCells
-	}
-	return serve.DefaultMaxCells
-}
-
-// handleSweep decomposes a sweep into its execution groups, forwards
-// each group to the owner of its cell key as a single-group
-// sub-sweep, and stitches the streams back together. Each group's
-// cell lines are relayed verbatim as the group completes (sub-stream
-// cursor and done lines are dropped; the router emits its own
-// cumulative cursor after each group and one final done line), so the
-// line multiset — which is what sweep responses are compared on; line
-// order is explicitly unordered — matches a single instance's. Resume
-// cursors work exactly as on a single instance: same grid
-// fingerprint, same token codec.
+// handleSweep serves a sweep through the instances' sweep driver
+// (serve.Sweep), so grid bounds, resume cursors, per-group failures
+// and the done line are exactly a single instance's. The router's
+// part is the per-group callback: it forwards each group as a
+// single-group sub-sweep to the owner of its cell key and relays the
+// cell lines. All remaining groups run at once; the replicas' own
+// admission control and compute semaphores bound the real work.
 func (rt *Router) handleSweep(w http.ResponseWriter, r *http.Request) {
-	body, ok := readBody(w, r)
-	if !ok {
-		return
-	}
 	sp := obs.Start(r.Context(), "route")
 	var req serve.SweepRequest
-	if err := json.Unmarshal(body, &req); err != nil {
+	if _, ok := serve.ReadRequest(w, r, &req); !ok {
 		sp.End()
-		errorBody(w, http.StatusBadRequest, "parsing request: %v", err)
 		return
 	}
-	groups, err := serve.ResolveSweepGroups(req, rt.defaultScaleDiv())
+	sw, status, err := serve.NewSweep(req, rt.cfg.DefaultScaleDiv, rt.cfg.MaxCells)
 	sp.End()
 	if err != nil {
-		errorBody(w, http.StatusBadRequest, "%v", err)
+		serve.ErrorBody(w, status, "%v", err)
 		return
 	}
-	cells := 0
-	keys := make([]string, len(groups))
-	for i, g := range groups {
-		cells += len(g.Machines)
-		keys[i] = g.Key
-	}
-	if max := rt.maxCells(); cells > max {
-		errorBody(w, http.StatusRequestEntityTooLarge, "sweep resolves to %d cells (limit %d)", cells, max)
-		return
-	}
-	grid := serve.SweepGridHash(keys)
-	var preDone []int
-	if req.Resume != "" {
-		preDone, err = serve.DecodeSweepCursor(req.Resume, grid, len(groups))
-		if err != nil {
-			errorBody(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-	}
-
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	flusher, _ := w.(http.Flusher)
-	var wmu sync.Mutex
-	writeChunk := func(lines [][]byte) {
-		wmu.Lock()
-		defer wmu.Unlock()
-		for _, ln := range lines {
-			w.Write(ln)
-			w.Write([]byte{'\n'})
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-	enc := func(line serve.SweepLine) []byte {
-		b, _ := json.Marshal(line)
-		return b
-	}
-
-	doneIdx := make([]bool, len(groups))
-	skippedCells := 0
-	for _, i := range preDone {
-		doneIdx[i] = true
-		skippedCells += len(groups[i].Machines)
-	}
-	todo := make([]int, 0, len(groups))
-	for i := range groups {
-		if !doneIdx[i] {
-			todo = append(todo, i)
-		}
-	}
-
-	var emu sync.Mutex
-	errCells := 0
-	// markDone admits a group into the cumulative cursor under the
-	// same lock that renders the token, so an emitted cursor is always
-	// a consistent prefix of completion history.
-	markDone := func(gi int) string {
-		emu.Lock()
-		defer emu.Unlock()
-		doneIdx[gi] = true
-		return serve.EncodeSweepCursor(grid, doneIdx)
-	}
-	failGroup := func(g serve.SweepGroup, err error) {
-		emu.Lock()
-		errCells += len(g.Machines)
-		emu.Unlock()
-		lines := make([][]byte, 0, len(g.Machines))
-		for _, m := range g.Machines {
-			lines = append(lines, enc(serve.SweepLine{
-				Workload: g.Workload, Variant: g.Variant, Machine: m,
-				Error: err.Error(),
-			}))
-		}
-		writeChunk(lines)
-	}
-
-	// One forwarded sub-sweep per group, all concurrent: the replicas'
-	// own admission control and compute semaphores bound the real
-	// work, and a group is at most one trace decode plus its machine
-	// models. runner.Map keeps cancellation semantics consistent with
-	// the single-instance sweep path.
-	rt.sweepSplit.Add(uint64(len(todo)))
-	processed := make([]bool, len(todo))
-	_, _ = runner.Map(r.Context(), len(todo), runner.Options{Jobs: len(todo)},
-		func(ctx context.Context, ti int) (struct{}, error) {
-			processed[ti] = true
-			g := groups[todo[ti]]
-			sub := serve.SweepRequest{
-				Workloads: []string{g.Workload},
-				Variants:  []string{g.Variant},
-				Machines:  req.Machines,
-				ScaleDiv:  g.ScaleDiv,
-			}
-			subBody, _ := json.Marshal(sub)
-			// Route by the CELL key, not the full group key (which
-			// includes the machine list): a sweep group and a /v1/run of
-			// the same (workload, variant, scalediv) must land on the
-			// same replica, so they share one dispatch trace and one
-			// in-flight recording instead of racing to simulate it on
-			// two instances.
-			lines, err := rt.forwardSweepGroup(ctx, r,
-				CellKey(g.Workload, g.Variant, g.ScaleDiv), subBody)
-			if err != nil {
-				failGroup(g, err)
-				return struct{}{}, nil
-			}
-			lines = append(lines, enc(serve.SweepLine{Cursor: markDone(todo[ti])}))
-			writeChunk(lines)
-			return struct{}{}, nil
+	rt.sweepSplit.Add(uint64(sw.Remaining()))
+	sw.Stream(r.Context(), w, sw.Remaining(), func(ctx context.Context, g serve.SweepGroup) ([][]byte, error) {
+		sub, _ := json.Marshal(serve.SweepRequest{
+			Workloads: []string{g.Workload},
+			Variants:  []string{g.Variant},
+			Machines:  req.Machines,
+			ScaleDiv:  g.ScaleDiv,
 		})
-	for ti, gi := range todo {
-		if !processed[ti] {
-			failGroup(groups[gi], fmt.Errorf("skipped: %w", context.Cause(r.Context())))
-		}
-	}
-	writeChunk([][]byte{enc(serve.SweepLine{Done: true, Cells: cells - skippedCells,
-		Groups: len(todo), Errors: errCells, Skipped: len(preDone)})})
+		// Route by the CELL key, not the full group key (which
+		// includes the machine list): a sweep group and a /v1/run of
+		// the same (workload, variant, scalediv) must land on the
+		// same replica, so they share one dispatch trace and one
+		// in-flight recording instead of racing to simulate it on
+		// two instances.
+		return rt.forwardSweepGroup(ctx, r, CellKey(g.Workload, g.Variant, g.ScaleDiv), sub)
+	})
 }
 
 // forwardSweepGroup runs one group's sub-sweep against the owner
@@ -879,7 +718,7 @@ func (rt *Router) handleStats(w http.ResponseWriter, _ *http.Request) {
 	}
 	body, err := json.MarshalIndent(st, "", "  ")
 	if err != nil {
-		errorBody(w, http.StatusInternalServerError, "encoding stats: %v", err)
+		serve.ErrorBody(w, http.StatusInternalServerError, "encoding stats: %v", err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")

@@ -433,7 +433,7 @@ func (c *Cache) LoadID(id string) (*Trace, int64, error) {
 	fi, err := os.Stat(filepath.Join(c.Dir, id+".vmdt"))
 	if err != nil {
 		if errors.Is(err, fs.ErrNotExist) {
-			if t, b, ok := c.fillID(id); ok {
+			if t, b := fill(c, id, c.FillID, id); t != nil {
 				c.remember(id, t)
 				return t, int64(len(b)), nil
 			}
@@ -466,8 +466,8 @@ func (c *Cache) MetaID(id string) (Meta, int64, error) {
 	path := filepath.Join(c.Dir, id+".vmdt")
 	b, err := c.readFile(path)
 	if errors.Is(err, fs.ErrNotExist) {
-		_, b, ok := c.fillID(id)
-		if !ok {
+		_, b := fill(c, id, c.FillID, id)
+		if b == nil {
 			return Meta{}, 0, ErrNoTrace
 		}
 		m, err := DecodeMeta(b)
@@ -521,7 +521,7 @@ func (c *Cache) GetOrRecord(k Key, record func() (*Trace, error)) (t *Trace, rec
 			c.loads.Add(1)
 			return cacheOutcome{t: t}, nil
 		}
-		if t := c.fill(k); t != nil {
+		if t, _ := fill(c, id, c.Fill, k); t != nil {
 			c.remember(id, t)
 			return cacheOutcome{t: t}, nil
 		}
@@ -546,70 +546,39 @@ func (c *Cache) GetOrRecord(k Key, record func() (*Trace, error)) (t *Trace, rec
 	return o.t, o.recorded, err
 }
 
-// fill consults the Fill hook on a clean local miss. A usable result
-// is verified against the key, persisted locally (best effort — a
-// store failure costs the next request another fill, not this
-// response), and returned; anything else — hook absent, hook error,
-// empty result, or a payload that fails decode or key verification —
-// returns nil so the caller falls through to simulation. The ladder
-// is strictly local → peer → simulate: fill never makes a miss worse
-// than it already was.
-func (c *Cache) fill(k Key) *Trace {
-	if c.Fill == nil {
-		return nil
+// fill consults a fill hook, hook(arg), on a clean local miss of id
+// (GetOrRecord passes Fill with the key, the by-ID loads FillID with
+// the ID). A usable result is verified against the content address
+// (the decoded header must hash back to id), persisted locally (best
+// effort — a store failure costs the next request another fill, not
+// this response), and returned with its file bytes; anything else —
+// hook absent, hook error, empty result, or a payload that fails
+// decode or verification — returns nil so the caller falls through to
+// simulation. The ladder is strictly local → peer → simulate: fill
+// never makes a miss worse than it already was.
+func fill[A any](c *Cache, id string, hook func(A) ([]byte, error), arg A) (*Trace, []byte) {
+	if hook == nil {
+		return nil, nil
 	}
-	b, err := c.Fill(k)
+	b, err := hook(arg)
 	if err != nil {
 		c.peerFillErrors.Add(1)
-		return nil
+		return nil, nil
 	}
 	if len(b) == 0 {
 		c.peerFillMisses.Add(1)
-		return nil
+		return nil, nil
 	}
 	t, err := Decode(b)
-	if err != nil || keyOf(t.Header) != k {
+	if err != nil || keyOf(t.Header).ID() != id {
 		c.peerFillErrors.Add(1)
-		return nil
-	}
-	if err := atomicWrite(c.Path(k), b); err != nil {
-		c.saveErrors.Add(1)
-	}
-	c.peerFills.Add(1)
-	return t
-}
-
-// fillID is fill for by-ID loads: the filled payload is verified
-// against the content address (the decoded header must hash back to
-// id) before being persisted and served. It returns the trace and
-// its file bytes.
-func (c *Cache) fillID(id string) (*Trace, []byte, bool) {
-	if c.FillID == nil {
-		return nil, nil, false
-	}
-	b, err := c.FillID(id)
-	if err != nil {
-		c.peerFillErrors.Add(1)
-		return nil, nil, false
-	}
-	if len(b) == 0 {
-		c.peerFillMisses.Add(1)
-		return nil, nil, false
-	}
-	t, err := Decode(b)
-	if err != nil {
-		c.peerFillErrors.Add(1)
-		return nil, nil, false
-	}
-	if keyOf(t.Header).ID() != id {
-		c.peerFillErrors.Add(1)
-		return nil, nil, false
+		return nil, nil
 	}
 	if err := atomicWrite(filepath.Join(c.Dir, id+".vmdt"), b); err != nil {
 		c.saveErrors.Add(1)
 	}
 	c.peerFills.Add(1)
-	return t, b, true
+	return t, b
 }
 
 // ReadRaw returns the raw stored bytes of a resident trace file — the

@@ -1,12 +1,7 @@
 package serve
 
 import (
-	"crypto/sha256"
-	"encoding/base64"
-	"encoding/hex"
-	"encoding/json"
 	"fmt"
-	"io"
 	"sort"
 	"strings"
 
@@ -259,126 +254,6 @@ func resolveSweep(req SweepRequest, scaleDiv int) ([]group, error) {
 		return nil, fmt.Errorf("sweep resolves to no cells")
 	}
 	return groups, nil
-}
-
-// gridHash fingerprints a resolved sweep grid: a short digest over
-// the deterministic group-key sequence. Cursors embed it so a token
-// can only resume the sweep it was issued for.
-func gridHash(groups []group) string {
-	keys := make([]string, len(groups))
-	for i, g := range groups {
-		keys[i] = g.key
-	}
-	return SweepGridHash(keys)
-}
-
-// sweepCursor is the decoded form of a resume token: which groups of
-// which grid are already done. The wire form is base64url-encoded
-// JSON — opaque to clients, but debuggable by hand.
-type sweepCursor struct {
-	V    int    `json:"v"`
-	Grid string `json:"grid"`
-	Done []int  `json:"done"`
-}
-
-// EncodeSweepCursor renders a resume token for the groups marked
-// done. It and DecodeSweepCursor are the cursor codec the cluster
-// router shares with the sweep handler.
-func EncodeSweepCursor(grid string, done []bool) string {
-	c := sweepCursor{V: 1, Grid: grid}
-	for i, d := range done {
-		if d {
-			c.Done = append(c.Done, i)
-		}
-	}
-	b, _ := json.Marshal(c)
-	return base64.RawURLEncoding.EncodeToString(b)
-}
-
-// DecodeSweepCursor validates a resume token against the grid
-// fingerprint the request resolved to and its group count, and
-// returns the done group indices.
-func DecodeSweepCursor(token, grid string, n int) ([]int, error) {
-	b, err := base64.RawURLEncoding.DecodeString(token)
-	if err != nil {
-		return nil, fmt.Errorf("resume cursor is not base64url: %v", err)
-	}
-	var c sweepCursor
-	if err := json.Unmarshal(b, &c); err != nil {
-		return nil, fmt.Errorf("resume cursor is not valid: %v", err)
-	}
-	if c.V != 1 {
-		return nil, fmt.Errorf("resume cursor version %d not supported", c.V)
-	}
-	if c.Grid != grid {
-		return nil, fmt.Errorf("resume cursor was issued for a different sweep grid")
-	}
-	for _, i := range c.Done {
-		if i < 0 || i >= n {
-			return nil, fmt.Errorf("resume cursor references group %d of a %d-group grid", i, n)
-		}
-	}
-	return c.Done, nil
-}
-
-// SweepGroup is the routing view of one sweep execution group: the
-// (workload, variant, scalediv) whose cells share a dispatch trace,
-// plus the resolved machine names in request order. The cluster
-// router decomposes a sweep into these, forwards each to the owner of
-// its cell key, and stitches the streams back together; Key is the
-// same canonical coalescing key the serving tier's group flight uses,
-// so router-side cursors and server-side cursors hash the same grid.
-type SweepGroup struct {
-	Key      string
-	Workload string
-	Variant  string
-	ScaleDiv int
-	Machines []string
-}
-
-// ResolveSweepGroups expands a SweepRequest exactly as POST /v1/sweep
-// does — same workload dedup, per-language variant defaulting and
-// validation errors — but returns the routing view instead of
-// executing anything.
-func ResolveSweepGroups(req SweepRequest, defaultScaleDiv int) ([]SweepGroup, error) {
-	scaleDiv := req.ScaleDiv
-	if scaleDiv <= 0 {
-		scaleDiv = defaultScaleDiv
-	}
-	if scaleDiv <= 0 {
-		scaleDiv = 1
-	}
-	groups, err := resolveSweep(req, scaleDiv)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]SweepGroup, len(groups))
-	for i, g := range groups {
-		sg := SweepGroup{Key: g.key, ScaleDiv: scaleDiv}
-		if len(g.cells) > 0 {
-			sg.Workload = g.cells[0].cell.workload
-			sg.Variant = g.cells[0].cell.variant
-		}
-		sg.Machines = make([]string, len(g.cells))
-		for j, rc := range g.cells {
-			sg.Machines[j] = rc.cell.machine
-		}
-		out[i] = sg
-	}
-	return out, nil
-}
-
-// SweepGridHash fingerprints a grid from its canonical group-key
-// sequence — the exported form of what sweep cursors bind to, so the
-// router issues and validates cursors over the same fingerprint space
-// as a single instance.
-func SweepGridHash(keys []string) string {
-	h := sha256.New()
-	for _, k := range keys {
-		io.WriteString(h, k)
-		h.Write([]byte{0})
-	}
-	return hex.EncodeToString(h.Sum(nil)[:8])
 }
 
 // groupKey canonicalizes a group for coalescing: identical concurrent

@@ -5,9 +5,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/pprof"
-	"sync"
 	"time"
 
 	"vmopt/internal/disptrace"
@@ -37,8 +37,8 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/stats", s.instrument("stats", st.reqStats, st.latStats, false, s.handleStats))
 	mux.Handle("GET /metrics", s.MetricsHandler())
 	mux.Handle("GET /debug/requests", s.recorder.Handler())
-	mux.HandleFunc("GET /healthz", handleHealthz)
-	mux.HandleFunc("GET /readyz", s.handleReadyz)
+	mux.HandleFunc("GET /healthz", Healthz)
+	mux.HandleFunc("GET /readyz", Readyz(s.Ready))
 	if s.cfg.InstanceID == "" {
 		return mux
 	}
@@ -48,28 +48,31 @@ func (s *Server) Handler() http.Handler {
 	})
 }
 
-// handleHealthz is liveness: 200 as long as the process can answer
-// HTTP at all. Readiness (handleReadyz) is the probe that flips
-// during drain; liveness never does — restarting an instance because
-// it is draining would defeat the drain.
-func handleHealthz(w http.ResponseWriter, _ *http.Request) {
+// Healthz is liveness: 200 as long as the process can answer HTTP at
+// all. Readiness (Readyz) is the probe that flips during drain;
+// liveness never does — restarting a process because it is draining
+// would defeat the drain. Instances and the cluster router both serve
+// it.
+func Healthz(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	fmt.Fprintln(w, `{"ok":true}`)
 }
 
-// handleReadyz is readiness: 200 while the instance accepts work, 503
-// once drain has begun (SetReady(false) at SIGTERM, before listeners
-// close), so routers and load balancers steer traffic away instead of
-// eating connection resets.
-func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	if !s.Ready() {
-		w.Header().Set("Retry-After", "1")
-		w.WriteHeader(http.StatusServiceUnavailable)
-		fmt.Fprintln(w, `{"ready":false}`)
-		return
+// Readyz returns the readiness probe: 200 while ready reports true,
+// 503 with Retry-After once drain has begun (SetReady(false) at
+// SIGTERM, before listeners close), so routers and load balancers
+// steer traffic away instead of eating connection resets.
+func Readyz(ready func() bool) http.HandlerFunc {
+	return func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		if !ready() {
+			w.Header().Set("Retry-After", "1")
+			w.WriteHeader(http.StatusServiceUnavailable)
+			fmt.Fprintln(w, `{"ready":false}`)
+			return
+		}
+		fmt.Fprintln(w, `{"ready":true}`)
 	}
-	fmt.Fprintln(w, `{"ready":true}`)
 }
 
 // MetricsHandler serves the registry in Prometheus text exposition
@@ -94,22 +97,44 @@ func (s *Server) DebugHandler() http.Handler {
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	mux.Handle("/debug/requests", s.recorder.Handler())
 	mux.Handle("/metrics", s.MetricsHandler())
-	mux.HandleFunc("GET /healthz", handleHealthz)
-	mux.HandleFunc("GET /readyz", s.handleReadyz)
+	mux.HandleFunc("GET /healthz", Healthz)
+	mux.HandleFunc("GET /readyz", Readyz(s.Ready))
 	return mux
 }
 
-// maxRequestBytes bounds run/sweep request bodies. The largest
+// maxRequestBytes bounds run/sweep/diff request bodies. The largest
 // legitimate request is a sweep naming every workload, variant and
 // machine — well under a kilobyte — so a megabyte leaves generous
-// headroom while keeping admission control ahead of body buffering
-// (an unbounded json.Decoder would buffer an arbitrarily large value
-// before MaxCells or MaxInFlight were ever consulted).
+// headroom while keeping admission control ahead of body buffering.
 const maxRequestBytes = 1 << 20
 
-// errorBody writes a JSON error document with the given status.
-func errorBody(w http.ResponseWriter, status int, format string, args ...any) {
+// ReadRequest reads a JSON request body of at most maxRequestBytes
+// into v and returns its raw bytes, which the cluster router forwards.
+// Data after the JSON value is rejected. On failure it answers 400 and
+// returns false. Instances and the router both read run, sweep and
+// diff bodies through it, so a malformed body gets the same answer
+// from either tier.
+func ReadRequest(w http.ResponseWriter, r *http.Request, v any) ([]byte, bool) {
+	b, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRequestBytes))
+	if err != nil {
+		ErrorBody(w, http.StatusBadRequest, "reading request: %v", err)
+		return nil, false
+	}
+	if err := json.Unmarshal(b, v); err != nil {
+		ErrorBody(w, http.StatusBadRequest, "parsing request: %v", err)
+		return nil, false
+	}
+	return b, true
+}
+
+// ErrorBody writes a JSON error document with the given status. Every
+// 503 either tier emits carries Retry-After, so retrying clients never
+// need to guess a backoff floor.
+func ErrorBody(w http.ResponseWriter, status int, format string, args ...any) {
 	w.Header().Set("Content-Type", "application/json")
+	if status == http.StatusServiceUnavailable {
+		w.Header().Set("Retry-After", "1")
+	}
 	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
 }
@@ -121,8 +146,7 @@ func (s *Server) admit(w http.ResponseWriter) (release func(), ok bool) {
 	if n := s.stats.inFlight.Add(1); int(n) > s.cfg.maxInFlight() {
 		s.stats.inFlight.Add(-1)
 		s.stats.rejected.Add(1)
-		w.Header().Set("Retry-After", "1")
-		errorBody(w, http.StatusServiceUnavailable, "server at capacity (%d requests in flight)", s.cfg.maxInFlight())
+		ErrorBody(w, http.StatusServiceUnavailable, "server at capacity (%d requests in flight)", s.cfg.maxInFlight())
 		return nil, false
 	}
 	return func() { s.stats.inFlight.Add(-1) }, true
@@ -169,11 +193,7 @@ func (s *Server) failRequest(w http.ResponseWriter, ctx context.Context, err err
 		})
 		return
 	}
-	status := failStatus(err)
-	if status == http.StatusServiceUnavailable {
-		w.Header().Set("Retry-After", "1")
-	}
-	errorBody(w, status, "%v", err)
+	ErrorBody(w, failStatus(err), "%v", err)
 }
 
 // writeJSON marshals the response body before touching the writer —
@@ -185,7 +205,7 @@ func writeJSON(w http.ResponseWriter, ctx context.Context, v any) {
 	body, err := json.Marshal(v)
 	sp.End()
 	if err != nil {
-		errorBody(w, http.StatusInternalServerError, "encoding response: %v", err)
+		ErrorBody(w, http.StatusInternalServerError, "encoding response: %v", err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -195,10 +215,9 @@ func writeJSON(w http.ResponseWriter, ctx context.Context, v any) {
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	sp := obs.Start(r.Context(), "parse")
 	var req RunRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes)).Decode(&req); err != nil {
+	if _, ok := ReadRequest(w, r, &req); !ok {
 		sp.End()
 		s.stats.errors.Add(1)
-		errorBody(w, http.StatusBadRequest, "parsing request: %v", err)
 		return
 	}
 	scaleDiv := req.ScaleDiv
@@ -209,7 +228,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	sp.End()
 	if err != nil {
 		s.stats.errors.Add(1)
-		errorBody(w, http.StatusBadRequest, "%v", err)
+		ErrorBody(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	release, ok := s.admit(w)
@@ -235,44 +254,23 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, ctx, run)
 }
 
+// handleSweep serves POST /v1/sweep through the sweep driver (Sweep):
+// the instance's part is admission, the deadline, its stats and the
+// per-group callback, which computes the group with runGroup.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	sp := obs.Start(r.Context(), "parse")
 	var req SweepRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes)).Decode(&req); err != nil {
+	if _, ok := ReadRequest(w, r, &req); !ok {
 		sp.End()
 		s.stats.errors.Add(1)
-		errorBody(w, http.StatusBadRequest, "parsing request: %v", err)
 		return
 	}
-	scaleDiv := req.ScaleDiv
-	if scaleDiv <= 0 {
-		scaleDiv = s.cfg.defaultScaleDiv()
-	}
-	groups, err := resolveSweep(req, scaleDiv)
+	sw, status, err := NewSweep(req, s.cfg.DefaultScaleDiv, s.cfg.MaxCells)
 	sp.End()
 	if err != nil {
 		s.stats.errors.Add(1)
-		errorBody(w, http.StatusBadRequest, "%v", err)
+		ErrorBody(w, status, "%v", err)
 		return
-	}
-	cells := 0
-	for _, g := range groups {
-		cells += len(g.cells)
-	}
-	if max := s.cfg.maxCells(); cells > max {
-		s.stats.errors.Add(1)
-		errorBody(w, http.StatusRequestEntityTooLarge, "sweep resolves to %d cells (limit %d)", cells, max)
-		return
-	}
-	grid := gridHash(groups)
-	var preDone []int
-	if req.Resume != "" {
-		preDone, err = DecodeSweepCursor(req.Resume, grid, len(groups))
-		if err != nil {
-			s.stats.errors.Add(1)
-			errorBody(w, http.StatusBadRequest, "%v", err)
-			return
-		}
 	}
 	release, ok := s.admit(w)
 	if !ok {
@@ -284,100 +282,30 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	ctx, cancelD := deadlineCtx(ctx, s.cfg.SweepDeadline)
 	defer cancelD()
 
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	flusher, _ := w.(http.Flusher)
-	var wmu sync.Mutex
-	enc := json.NewEncoder(w)
-	writeLine := func(line SweepLine) {
-		wmu.Lock()
-		defer wmu.Unlock()
-		enc.Encode(line)
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-
-	// A resume cursor marks groups a previous response already
-	// delivered; they are skipped entirely. Only the remaining grid
-	// is dispatched, and cursors stay cumulative over the whole grid
-	// so the client can lose this stream too and resume again.
-	doneIdx := make([]bool, len(groups))
-	skippedCells := 0
-	for _, i := range preDone {
-		doneIdx[i] = true
-		skippedCells += len(groups[i].cells)
-	}
 	if req.Resume != "" {
 		s.stats.sweepResumes.Add(1)
 	}
-	todo := make([]int, 0, len(groups))
-	for i := range groups {
-		if !doneIdx[i] {
-			todo = append(todo, i)
+	errCells := sw.Stream(ctx, w, s.cfg.Jobs, func(ctx context.Context, sg SweepGroup) ([][]byte, error) {
+		res, src, err := s.runGroup(ctx, sg.g)
+		if err != nil {
+			return nil, err
 		}
-	}
-
-	// One pool job per group: groups stream out as they complete
-	// while Suite.Compute shares each group's trace decode
-	// internally. Failures are per-group — every cell of a failed
-	// group reports the error, and failed groups stay out of the
-	// cursor so a resume retries them — and never abort the remaining
-	// groups. processed records which groups the closure actually
-	// handled: runner.Map skips jobs it never dispatches after a
-	// cancellation without invoking the closure, and those groups
-	// still owe the client error lines and an honest errors count.
-	errCells := 0
-	var emu sync.Mutex
-	failGroup := func(g group, err error) {
-		emu.Lock()
-		errCells += len(g.cells)
-		emu.Unlock()
-		for _, rc := range g.cells {
-			writeLine(SweepLine{
-				Workload: rc.cell.workload, Variant: rc.cell.variant,
-				Machine: rc.cell.machine, Error: err.Error(),
-			})
+		switch src {
+		case fromFlight:
+			s.stats.coalescedGroups.Add(1)
+		case fromCompute:
+			s.stats.computedGroups.Add(1)
 		}
-	}
-	// markDone admits a group into the cursor and renders the token
-	// under the same lock, so every emitted cursor is a consistent
-	// prefix of completion history (a token containing group G is
-	// always written after G's cells).
-	markDone := func(gi int) string {
-		emu.Lock()
-		defer emu.Unlock()
-		doneIdx[gi] = true
-		return EncodeSweepCursor(grid, doneIdx)
-	}
-	processed := make([]bool, len(todo))
-	_, _ = runner.Map(ctx, len(todo), runner.Options{Jobs: s.cfg.Jobs},
-		func(ctx context.Context, ti int) (struct{}, error) {
-			processed[ti] = true
-			g := groups[todo[ti]]
-			res, src, err := s.runGroup(ctx, g)
-			if err != nil {
-				failGroup(g, err)
-				return struct{}{}, nil
+		lines := make([][]byte, len(sg.g.cells))
+		for i, rc := range sg.g.cells {
+			run := runner.NewRun(rc.cell.workload, rc.cell.variant, rc.cell.machine,
+				s.scaleOf(rc), res[rc.cell.machine])
+			if lines[i], err = json.Marshal(SweepLine{Run: &run}); err != nil {
+				return nil, err
 			}
-			switch src {
-			case fromFlight:
-				s.stats.coalescedGroups.Add(1)
-			case fromCompute:
-				s.stats.computedGroups.Add(1)
-			}
-			for _, rc := range g.cells {
-				run := runner.NewRun(rc.cell.workload, rc.cell.variant, rc.cell.machine,
-					s.scaleOf(rc), res[rc.cell.machine])
-				writeLine(SweepLine{Run: &run})
-			}
-			writeLine(SweepLine{Cursor: markDone(todo[ti])})
-			return struct{}{}, nil
-		})
-	for ti, gi := range todo {
-		if !processed[ti] {
-			failGroup(groups[gi], fmt.Errorf("skipped: %w", context.Cause(ctx)))
 		}
-	}
+		return lines, nil
+	})
 	if errCells > 0 {
 		s.stats.errors.Add(1)
 	}
@@ -389,8 +317,6 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		s.stats.deadlineTimeouts.Add(1)
 		obs.FromContext(ctx).SetOutcome(obs.OutcomeTimeout)
 	}
-	writeLine(SweepLine{Done: true, Cells: cells - skippedCells, Groups: len(todo),
-		Errors: errCells, Skipped: len(preDone)})
 }
 
 // handleDiff serves POST /v1/diff: an instruction-aligned comparison
@@ -399,21 +325,20 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 // body, so duplicates are byte-identical.
 func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.Traces == nil {
-		errorBody(w, http.StatusNotFound, "no trace cache configured")
+		ErrorBody(w, http.StatusNotFound, "no trace cache configured")
 		return
 	}
 	sp := obs.Start(r.Context(), "parse")
 	var req DiffRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes)).Decode(&req); err != nil {
+	if _, ok := ReadRequest(w, r, &req); !ok {
 		sp.End()
 		s.stats.errors.Add(1)
-		errorBody(w, http.StatusBadRequest, "parsing request: %v", err)
 		return
 	}
 	sp.End()
 	if !disptrace.ValidID(req.A) || !disptrace.ValidID(req.B) {
 		s.stats.errors.Add(1)
-		errorBody(w, http.StatusBadRequest, "a and b must be trace content addresses (see GET /v1/traces)")
+		ErrorBody(w, http.StatusBadRequest, "a and b must be trace content addresses (see GET /v1/traces)")
 		return
 	}
 	n := req.N
@@ -441,10 +366,10 @@ func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
 		switch {
 		case errors.Is(err, disptrace.ErrNoTrace):
 			s.stats.errors.Add(1)
-			errorBody(w, http.StatusNotFound, "%v", err)
+			ErrorBody(w, http.StatusNotFound, "%v", err)
 		case errors.Is(err, disptrace.ErrMismatched):
 			s.stats.errors.Add(1)
-			errorBody(w, http.StatusBadRequest, "%v", err)
+			ErrorBody(w, http.StatusBadRequest, "%v", err)
 		default:
 			s.failRequest(w, ctx, err, s.cfg.DiffDeadline)
 		}
@@ -456,7 +381,7 @@ func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleTraceList(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.Traces == nil {
-		errorBody(w, http.StatusNotFound, "no trace cache configured")
+		ErrorBody(w, http.StatusNotFound, "no trace cache configured")
 		return
 	}
 	sp := obs.Start(r.Context(), "trace_load")
@@ -464,7 +389,7 @@ func (s *Server) handleTraceList(w http.ResponseWriter, r *http.Request) {
 	sp.End()
 	if err != nil {
 		s.stats.errors.Add(1)
-		errorBody(w, http.StatusInternalServerError, "reading trace cache: %v", err)
+		ErrorBody(w, http.StatusInternalServerError, "reading trace cache: %v", err)
 		return
 	}
 	list := TraceList{Count: len(entries), Traces: entries}
@@ -476,7 +401,7 @@ func (s *Server) handleTraceList(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleTraceInfo(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.Traces == nil {
-		errorBody(w, http.StatusNotFound, "no trace cache configured")
+		ErrorBody(w, http.StatusNotFound, "no trace cache configured")
 		return
 	}
 	id := r.PathValue("id")
@@ -484,11 +409,11 @@ func (s *Server) handleTraceInfo(w http.ResponseWriter, r *http.Request) {
 	m, size, err := s.cfg.Traces.MetaID(id)
 	sp.End()
 	if errors.Is(err, disptrace.ErrNoTrace) {
-		errorBody(w, http.StatusNotFound, "no trace %s", id)
+		ErrorBody(w, http.StatusNotFound, "no trace %s", id)
 		return
 	} else if err != nil {
 		s.stats.errors.Add(1)
-		errorBody(w, http.StatusInternalServerError, "%v", err)
+		ErrorBody(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
 	h := m.Header
@@ -510,17 +435,17 @@ func (s *Server) handleTraceInfo(w http.ResponseWriter, r *http.Request) {
 // content address.
 func (s *Server) handleTraceRaw(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.Traces == nil {
-		errorBody(w, http.StatusNotFound, "no trace cache configured")
+		ErrorBody(w, http.StatusNotFound, "no trace cache configured")
 		return
 	}
 	id := r.PathValue("id")
 	b, err := s.cfg.Traces.ReadRaw(id)
 	if errors.Is(err, disptrace.ErrNoTrace) {
-		errorBody(w, http.StatusNotFound, "no trace %s", id)
+		ErrorBody(w, http.StatusNotFound, "no trace %s", id)
 		return
 	} else if err != nil {
 		s.stats.errors.Add(1)
-		errorBody(w, http.StatusInternalServerError, "%v", err)
+		ErrorBody(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
@@ -532,7 +457,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	body, err := json.MarshalIndent(s.stats.snapshot(s), "", "  ")
 	sp.End()
 	if err != nil {
-		errorBody(w, http.StatusInternalServerError, "encoding stats: %v", err)
+		ErrorBody(w, http.StatusInternalServerError, "encoding stats: %v", err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")

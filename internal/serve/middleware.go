@@ -43,7 +43,7 @@ func (tw *timingWriter) Write(b []byte) (int, error) {
 	return tw.ResponseWriter.Write(b)
 }
 
-// Flush preserves the streaming path: handleSweep type-asserts its
+// Flush preserves the streaming path: the sweep driver type-asserts its
 // writer to http.Flusher to push NDJSON lines as they complete.
 func (tw *timingWriter) Flush() {
 	if f, ok := tw.ResponseWriter.(http.Flusher); ok {
@@ -88,8 +88,7 @@ func (s *Server) instrument(endpoint string, reqs *metrics.Counter, lat *metrics
 		s.cfg.Faults.Delay(faults.SiteHandler)
 		if s.cfg.Faults.Reject(faults.SiteHandler) {
 			s.stats.rejected.Add(1)
-			tw.Header().Set("Retry-After", "1")
-			errorBody(tw, http.StatusServiceUnavailable, "injected unavailability (fault site %s)", faults.SiteHandler)
+			ErrorBody(tw, http.StatusServiceUnavailable, "injected unavailability (fault site %s)", faults.SiteHandler)
 		} else {
 			h(tw, r.WithContext(ctx))
 		}

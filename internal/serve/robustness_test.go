@@ -225,7 +225,7 @@ func TestSweepResume(t *testing.T) {
 
 	// Pretend the client dropped after the first cursor: resume must
 	// deliver exactly the groups that cursor does not cover.
-	firstDone, err := DecodeSweepCursor(cursors[0], grid, len(groups))
+	firstDone, err := decodeSweepCursor(cursors[0], grid, len(groups))
 	if err != nil {
 		t.Fatalf("first cursor does not decode: %v", err)
 	}
@@ -272,7 +272,7 @@ func TestSweepResume(t *testing.T) {
 
 	// The resumed stream's last cursor covers the whole grid: one
 	// more resume yields nothing but the summary.
-	lastDone, err := DecodeSweepCursor(resCursors[len(resCursors)-1], grid, len(groups))
+	lastDone, err := decodeSweepCursor(resCursors[len(resCursors)-1], grid, len(groups))
 	if err != nil {
 		t.Fatal(err)
 	}

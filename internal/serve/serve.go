@@ -35,6 +35,15 @@
 // requests is in flight, and each request's grid runs under that
 // request's context, so a dropped client stops consuming the worker
 // pool at the next cell boundary.
+//
+// The resumable sweep protocol has one driver, Sweep, which both tiers
+// call: it resolves the grid, bounds it, validates the resume cursor
+// and streams the cell, cursor, error and done lines. Each tier
+// supplies one callback per group: an instance computes the group with
+// runGroup; the cluster router (internal/cluster) forwards it to the
+// group's owner. ReadRequest, ErrorBody, Healthz and Readyz are the
+// other pieces the router shares, so a router answers malformed
+// requests and probes exactly as an instance does.
 package serve
 
 import (
@@ -132,13 +141,6 @@ func (c Config) maxInFlight() int {
 		return c.MaxInFlight
 	}
 	return DefaultMaxInFlight
-}
-
-func (c Config) maxCells() int {
-	if c.MaxCells > 0 {
-		return c.MaxCells
-	}
-	return DefaultMaxCells
 }
 
 func (c Config) defaultScaleDiv() int {
