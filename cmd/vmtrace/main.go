@@ -19,8 +19,9 @@
 // direct simulation from the trace's recorded configuration and fails
 // unless every counter matches byte for byte (the CI equivalence
 // smoke). info prints a trace's metadata, stream statistics, the size
-// of its step dictionary, the stored and raw bytes of its step-ID
-// stream, and what the trace costs resident in memory.
+// of its step dictionary, the tokens of its successor-run step stream
+// with their stored and raw bytes and the share of steps in runs, and
+// what the trace costs resident in memory.
 // diff aligns two traces of the same workload by VM instruction index
 // — the paper's Tables I-IV comparison as a tool — and reports where
 // their dispatch streams diverge: either between two trace files, or
@@ -326,9 +327,9 @@ func infoMain(stdout io.Writer, args []string) error {
 
 // printStreamStats reports the stream totals (ISA fingerprint
 // included, so any summary identifies which instruction set the
-// stream is valid against), the step dictionary, the step-ID
-// stream's stored (flate) and raw bytes from the file's index, and
-// what the trace costs resident.
+// stream is valid against), the step dictionary, the token stream's
+// length, stored (flate) and raw bytes and the share of its steps that
+// runs of follows hold, and what the trace costs resident.
 func printStreamStats(w io.Writer, meta disptrace.Meta, tr *disptrace.Trace) {
 	h := meta.Header
 	fmt.Fprintf(w, "stream:     %d dispatches, %d fetches, %d work instrs\n",
@@ -336,11 +337,17 @@ func printStreamStats(w io.Writer, meta disptrace.Meta, tr *disptrace.Trace) {
 	fmt.Fprintf(w, "totals:     %d VM instructions, %d generated code bytes, isa %#016x\n",
 		h.VMInstructions, h.CodeBytes, h.ISAHash)
 	fmt.Fprintf(w, "dictionary: %d distinct steps\n", meta.DictSteps)
+	a := tr.Arena()
+	inRuns := 0.0
+	if a.Insts() > 0 {
+		inRuns = 100 * float64(a.RunSteps()) / float64(a.Insts())
+	}
+	fmt.Fprintf(w, "tokens:     %d for %d steps, %.1f%% of steps in runs\n", a.Tokens(), a.Insts(), inRuns)
 	ratio := 1.0
 	if meta.StreamStoredBytes > 0 {
 		ratio = float64(meta.StreamRawBytes) / float64(meta.StreamStoredBytes)
 	}
-	fmt.Fprintf(w, "id stream:  %d bytes stored, %d raw, %.2fx compression\n",
+	fmt.Fprintf(w, "token file: %d bytes stored, %d raw, %.2fx compression\n",
 		meta.StreamStoredBytes, meta.StreamRawBytes, ratio)
-	fmt.Fprintf(w, "resident:   %d bytes\n", tr.Arena().Bytes())
+	fmt.Fprintf(w, "resident:   %d bytes\n", a.Bytes())
 }

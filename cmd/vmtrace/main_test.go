@@ -195,7 +195,8 @@ func TestInfoRejectsOldFormat(t *testing.T) {
 }
 
 // TestInfoReportsResident records a trace and checks that info
-// reports what it costs resident in memory.
+// reports what it costs resident in memory, and its token count with
+// the share of steps in runs.
 func TestInfoReportsResident(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "gray.vmdt")
 	if err := run(io.Discard, []string{"record", "-bench", "gray", "-variant", "plain",
@@ -210,7 +211,17 @@ func TestInfoReportsResident(t *testing.T) {
 	if err := run(&info, []string{"info", path}); err != nil {
 		t.Fatalf("info: %v", err)
 	}
-	if want := fmt.Sprintf("resident:   %d bytes\n", tr.Arena().Bytes()); !strings.Contains(info.String(), want) {
-		t.Errorf("info lacks %q:\n%s", want, info.String())
+	a := tr.Arena()
+	for _, want := range []string{
+		fmt.Sprintf("resident:   %d bytes\n", a.Bytes()),
+		fmt.Sprintf("tokens:     %d for %d steps, %.1f%% of steps in runs\n",
+			a.Tokens(), a.Insts(), 100*float64(a.RunSteps())/float64(a.Insts())),
+	} {
+		if !strings.Contains(info.String(), want) {
+			t.Errorf("info lacks %q:\n%s", want, info.String())
+		}
+	}
+	if a.Tokens() >= a.Insts() || a.RunSteps() == 0 {
+		t.Errorf("gray/plain: %d tokens with %d steps in runs for %d steps", a.Tokens(), a.RunSteps(), a.Insts())
 	}
 }

@@ -197,6 +197,11 @@ func (p *perEventSteps) RecordStep(ops []cpu.Op) {
 	p.Writer.RecordStep(ops)
 }
 
+// recordingHeader is the header of checkRecording's traces. A trace
+// holds at most its header's step bound, and runOn's bound, the larger
+// of the two its runs use, covers every run.
+var recordingHeader = disptrace.Header{MaxSteps: 50_000_000}
+
 // checkRecording checks one generated program under one technique.
 // Recording it lowered (a disptrace.Writer as the sink, so core.Run
 // records one step ID per instruction) must encode to the same bytes as
@@ -215,7 +220,7 @@ func checkRecording(t *testing.T, name string, run program, quickenings uint64, 
 		run(t, sim)
 		return sim
 	}
-	lowered, ref := disptrace.NewWriter(disptrace.Header{}), disptrace.NewWriter(disptrace.Header{})
+	lowered, ref := disptrace.NewWriter(recordingHeader), disptrace.NewWriter(recordingHeader)
 	record(bigBTB, lowered)
 	record(bigBTB, struct{ cpu.Sink }{ref})
 	enc := lowered.Trace().Encode()
@@ -240,8 +245,8 @@ func checkRecording(t *testing.T, name string, run program, quickenings uint64, 
 		}
 	}
 	for _, m := range tinyMachines {
-		want := record(m, struct{ cpu.Sink }{disptrace.NewWriter(disptrace.Header{})})
-		steps := &perEventSteps{Writer: disptrace.NewWriter(disptrace.Header{})}
+		want := record(m, struct{ cpu.Sink }{disptrace.NewWriter(recordingHeader)})
+		steps := &perEventSteps{Writer: disptrace.NewWriter(recordingHeader)}
 		for _, got := range []*cpu.Sim{record(m, nil), record(m, steps)} {
 			if !got.SameState(want) {
 				t.Errorf("%s on %s (recording %v): lowered direct simulation leaves another state than the per-event path:\n  got  %+v\n  want %+v",

@@ -1,9 +1,13 @@
 package cpu
 
-import "math"
+import (
+	"math"
+
+	"vmopt/internal/steptok"
+)
 
 // Driving the simulator is itself an interpreter: trace replay runs a
-// step dictionary of event lists over a long stream of step IDs, and
+// step dictionary of event lists over a long stream of steps, and
 // core.Run drives the events of each (position, fall-through or
 // transfer) once per executed VM instruction. Lowering applies the
 // paper's two remedies to both. It resolves once per step what the
@@ -65,12 +69,13 @@ type Step struct {
 // dispatch.
 type dest struct{ hint, target uint64 }
 
-// ApplySteps is Apply over the stream dict[ids[0]], dict[ids[1]], …
+// ApplySteps is Apply over the stream of steps that toks, a valid
+// successor-run token stream over dict (see package steptok), names,
 // without materializing it: trace replay keeps each distinct step's
-// events once and the run as step IDs.
+// events once and the run as tokens.
 //
 // It lowers dict for the sim's machine into the sim's table of steps,
-// one entry per step, and runs one lowered entry per ID in the
+// one entry per step, and runs one lowered entry per step in the
 // resident mode (see RunStep): an entry's first run goes through the
 // I-cache model, and later runs skip it and predict from their
 // branch's last target until a fetch or a dispatch would evict. An
@@ -79,10 +84,10 @@ type dest struct{ hint, target uint64 }
 // I-cache state, LRU order included, end bit-identical to Apply over
 // the expanded stream: every float addition happens in the same order
 // with the same operands, and integer deltas commute. The table, the
-// entries' hints and targets and the mode's scratch live in buffers the
-// sim reuses, so only a sim's first call (or a larger dictionary)
-// allocates.
-func (s *Sim) ApplySteps(dict [][]Op, ids []uint32) {
+// entries' hints and targets, the successor table the tokens are read
+// with and the mode's scratch live in buffers the sim reuses, so only a
+// sim's first call (or a larger dictionary) allocates.
+func (s *Sim) ApplySteps(dict [][]Op, toks []uint16) {
 	s.res.presize(len(dict))
 	s.BeginSteps(len(dict))
 	if cap(s.dests) < len(dict) {
@@ -97,13 +102,25 @@ func (s *Sim) ApplySteps(dict [][]Op, ids []uint32) {
 			dests[i] = dest{e[n-1].B, e[n-1].C}
 		}
 	}
-	for _, id := range ids {
-		d := &dests[id]
-		if st := s.Warm(id); st != nil {
-			s.Predict(st, d.target)
-		} else if !s.RunStep(id, d.hint, d.target) {
-			s.Sync()
-			s.Apply(dict[id])
+	// A valid stream sets every successor it follows, so the table
+	// needs no clearing between calls.
+	if cap(s.next) <= len(dict) {
+		s.next = make([]uint32, len(dict)+1)
+	}
+	next := s.next[:len(dict)+1]
+	id := uint32(len(dict)) // the virtual step before the first
+	for i := 0; i < len(toks); {
+		var n int
+		n, i = steptok.Take(toks, i, next, id)
+		for ; n > 0; n-- {
+			id = next[id]
+			d := &dests[id]
+			if st := s.Warm(id); st != nil {
+				s.Predict(st, d.target)
+			} else if !s.RunStep(id, d.hint, d.target) {
+				s.Sync()
+				s.Apply(dict[id])
+			}
 		}
 	}
 	s.Sync()

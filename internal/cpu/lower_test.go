@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"vmopt/internal/steptok"
 )
 
 // applyStepsRef is the per-op replay loop lowering replaced: each
@@ -141,7 +143,7 @@ func TestApplyStepsMatchesReference(t *testing.T) {
 			for call := range 3 {
 				dict := randomDict(r, m, 1+r.Intn(40))
 				ids := randomIDs(r, len(dict), 2000)
-				got.ApplySteps(dict, ids)
+				got.ApplySteps(dict, steptok.Encode(ids))
 				want.applyStepsRef(dict, ids)
 				if !got.SameState(want) {
 					t.Fatalf("%s seed %d call %d: lowered replay diverged:\n  got  %+v (I-cache %d/%d)\n  want %+v (I-cache %d/%d)",
@@ -213,7 +215,7 @@ func TestApplyStepsResidentPath(t *testing.T) {
 			}
 			ids := randomIDs(r, len(dict), 1000)
 			before := got.ResidentExits()
-			got.ApplySteps(dict, ids)
+			got.ApplySteps(dict, steptok.Encode(ids))
 			want.applyStepsRef(dict, ids)
 			exits := got.ResidentExits()
 			leftICache, leftBTB := exits.ICache > before.ICache, exits.BTB > before.BTB
@@ -257,7 +259,7 @@ func TestResidentExitAtSecondFetch(t *testing.T) {
 	}
 	ids := []uint32{0, 1, 0, 1, 2, 0, 1}
 	got, want := NewSim(tinyICache), NewSim(tinyICache)
-	got.ApplySteps(dict, ids)
+	got.ApplySteps(dict, steptok.Encode(ids))
 	want.applyStepsRef(dict, ids)
 	if got.ResidentExits().ICache != 1 {
 		t.Fatalf("resident exits %+v, want one of the I-cache half", got.ResidentExits())
@@ -433,17 +435,93 @@ func TestApplyStepsReusesBuffers(t *testing.T) {
 	} {
 		r := rand.New(rand.NewSource(7))
 		dict := randomDict(r, c.m, 64)
-		ids := randomIDs(r, len(dict), 500)
+		toks := steptok.Encode(randomIDs(r, len(dict), 500))
 		s := NewSim(c.m)
-		s.ApplySteps(dict, ids)
+		s.ApplySteps(dict, toks)
 		if e := s.ResidentExits(); e.ICache > 0 != c.leftICache || e.BTB > 0 != c.leftBTB {
 			t.Fatalf("%s: resident exits %+v, want the I-cache half left %v and the BTB half %v", c.m.Name, e, c.leftICache, c.leftBTB)
 		}
-		if n := testing.AllocsPerRun(10, func() { s.ApplySteps(dict, ids) }); n != 0 {
+		if n := testing.AllocsPerRun(10, func() { s.ApplySteps(dict, toks) }); n != 0 {
 			t.Errorf("%s: ApplySteps allocates %v times per call on a warm sim, want 0", c.m.Name, n)
 		}
-		if n := testing.AllocsPerRun(10, func() { s.Reset(); s.ApplySteps(dict, ids) }); n != 0 {
+		if n := testing.AllocsPerRun(10, func() { s.Reset(); s.ApplySteps(dict, toks) }); n != 0 {
 			t.Errorf("%s: ApplySteps allocates %v times per call on a reset sim, want 0", c.m.Name, n)
 		}
+	}
+}
+
+// TestApplyStepsExhaustive replays every step-ID sequence of length 0
+// to 8 over a three-step dictionary (9,841 sequences) from its
+// successor-run tokens, and checks each against the per-event loop,
+// full state included. The steps collide everywhere they can: on a
+// 2-set, 2-way I-cache, five lines share one set, and the two
+// dispatch branches share one entry of a 4-entry direct-mapped BTB
+// (and one set of a 2-set, 2-way one). One step has each lowered shape
+// and one no fixed shape, so the sequences reach every path of the
+// resident mode and its exits in every order a short run allows.
+func TestApplyStepsExhaustive(t *testing.T) {
+	w := func(n uint64) Op { return Op{Kind: OpWork, A: n} }
+	f := func(a, size uint64) Op { return Op{Kind: OpFetch, A: a, B: size} }
+	dict := [][]Op{
+		{w(3), f(0x000, 40), w(1), f(0x080, 4), {Kind: OpDispatch, A: 0x080, C: 0x100}},
+		{w(2), f(0x100, 8), w(2)},
+		{w(5), f(0x200, 8), f(0x240, 4), w(0), {Kind: OpDispatch, A: 0x240, B: 1, C: 0x000}},
+	}
+	tiny := Machine{
+		Name:      "exhaust",
+		Predictor: PredictBTB, BTBEntries: 4, BTBWays: 1,
+		ICacheBytes: 128, ICacheLine: 32, ICacheWays: 2,
+		MispredictPenalty: 10, ICacheMissPenalty: 10,
+		CPI: 0.7, ClockMHz: 800,
+	}
+	twoWay := tiny
+	twoWay.Name, twoWay.BTBWays = "exhaust-2way", 2
+	for k, want := range []shape{shapeWFWFD, shapeWFW, shapeGeneric} {
+		if st, _ := NewSim(tiny).lowerStep(dict[k]); st.shape != want {
+			t.Fatalf("step %d lowers to shape %d, want %d", k, st.shape, want)
+		}
+	}
+
+	var exits Exits
+	seqs := 0
+	var walk func(ids []uint32)
+	walk = func(ids []uint32) {
+		seqs++
+		toks := steptok.Encode(ids)
+		uses := make([]uint64, len(dict))
+		if n, err := steptok.Check(toks, len(dict), uint64(len(ids)), uses); err != nil || n != uint64(len(ids)) {
+			t.Fatalf("%v: tokens %#x check as %d steps, %v", ids, toks, n, err)
+		}
+		r := steptok.NewReader(toks, len(dict))
+		for i, id := range ids {
+			if got, ok := r.Step(); !ok || got != id {
+				t.Fatalf("%v: tokens %#x decode to %d at step %d", ids, toks, got, i)
+			}
+		}
+		if _, ok := r.Step(); ok {
+			t.Fatalf("%v: tokens %#x decode to more steps", ids, toks)
+		}
+		for _, m := range []Machine{tiny, twoWay} {
+			got, want := NewSim(m), NewSim(m)
+			got.ApplySteps(dict, toks)
+			want.applyStepsRef(dict, ids)
+			if !got.SameState(want) {
+				t.Fatalf("%v on %s: replay from tokens %#x diverged:\n  got  %+v\n  want %+v", ids, m.Name, toks, got.C, want.C)
+			}
+			exits.ICache += got.ResidentExits().ICache
+			exits.BTB += got.ResidentExits().BTB
+		}
+		if len(ids) < 8 {
+			for id := range uint32(len(dict)) {
+				walk(append(ids, id))
+			}
+		}
+	}
+	walk(make([]uint32, 0, 8))
+	if seqs != 9841 {
+		t.Errorf("walked %d sequences, want 9841", seqs)
+	}
+	if exits.ICache == 0 || exits.BTB == 0 {
+		t.Errorf("the resident mode left the I-cache half %d times and the BTB half %d times, want both above 0", exits.ICache, exits.BTB)
 	}
 }

@@ -60,10 +60,12 @@ type Sim struct {
 	ic   *icache.Cache
 
 	// steps is the table of lowered steps the resident mode runs (see
-	// BeginSteps), and dests holds the recorded hint and target of each
-	// step ApplySteps lowered; both are rebuilt in place.
+	// BeginSteps), dests holds the recorded hint and target of each
+	// step ApplySteps lowered, and next is the successor table it reads
+	// its tokens with; all are rebuilt in place.
 	steps []Step
 	dests []dest
+	next  []uint32
 	res   resident
 }
 

@@ -12,11 +12,13 @@ import (
 )
 
 // The replay benchmarks measure every layer of the trace data path on
-// one real dispatch stream (gray/plain at scalediv 10): encode,
+// one real dispatch stream (gray/plain at scalediv 10, the paper
+// grid's least predictable: 117,440 tokens for 256,378 steps): encode,
 // decode (wire bytes to resident form), single-sim apply and replay,
 // the multi-sim broadcast, the diff, plus the direct simulation a
-// replay replaces. Results are captured in BENCH_replay.json at the
-// repo root.
+// replay replaces. DecodeWide, DecodeRepl and ReplayRepl add two
+// more paper-grid traces. Results are captured in BENCH_replay.json
+// at the repo root.
 //
 //	go test -run '^$' -bench . -benchmem ./internal/disptrace/
 
@@ -82,17 +84,65 @@ func BenchmarkEncode(b *testing.B) {
 	}
 	b.ReportMetric(float64(len(benchState.enc)), "stored-bytes")
 	b.ReportMetric(float64(m.DictSteps), "dict-steps")
-	b.ReportMetric(float64(m.StreamRawBytes), "id-raw-bytes")
+	b.ReportMetric(float64(m.StreamRawBytes), "token-raw-bytes")
 }
 
 // BenchmarkDecode is the whole wire-to-replayable cost a cache load
-// pays: checksum, dictionary, inflate and step-ID validation.
+// pays: checksum, dictionary, inflate and token validation.
 func BenchmarkDecode(b *testing.B) {
 	benchSetup(b)
-	b.SetBytes(int64(len(benchState.enc)))
+	benchDecode(b, benchState.enc)
+}
+
+// benchTrace is a paper-grid trace at scalediv 10, recorded on first
+// use: its encoding and the trace decoded from it.
+type benchTrace struct {
+	workload, variant string
+
+	once sync.Once
+	tr   *disptrace.Trace
+	enc  []byte
+	err  error
+}
+
+func (bt *benchTrace) get(b *testing.B) (*disptrace.Trace, []byte) {
+	bt.once.Do(func() {
+		var w *workload.Workload
+		var v harness.Variant
+		var tr *disptrace.Trace
+		if w, bt.err = workload.ByName(bt.workload); bt.err != nil {
+			return
+		}
+		if v, bt.err = harness.VariantByName(w, bt.variant); bt.err != nil {
+			return
+		}
+		s := harness.NewTestSuite()
+		s.ScaleDiv = 10
+		if tr, _, bt.err = s.RecordTrace(w, v, cpu.Celeron800); bt.err == nil {
+			bt.enc = tr.Encode()
+			bt.tr, bt.err = disptrace.Decode(bt.enc)
+		}
+	})
+	if bt.err != nil {
+		b.Fatal(bt.err)
+	}
+	return bt.tr, bt.enc
+}
+
+var (
+	// wideTrace's dictionary is wider than 128 steps (321).
+	wideTrace = &benchTrace{workload: "mtrt", variant: "dynamic repl"}
+	// replTrace is the paper grid's most predictable stream: 99.6% of
+	// its steps lie in runs of follows, against gray/plain's 72.9%.
+	replTrace = &benchTrace{workload: "mpeg", variant: "dynamic repl"}
+)
+
+// benchDecode decodes enc in a loop.
+func benchDecode(b *testing.B, enc []byte) {
+	b.SetBytes(int64(len(enc)))
 	b.ReportAllocs()
 	for b.Loop() {
-		if _, err := disptrace.Decode(benchState.enc); err != nil {
+		if _, err := disptrace.Decode(enc); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -100,42 +150,19 @@ func BenchmarkDecode(b *testing.B) {
 
 // BenchmarkDecodeWide is BenchmarkDecode on a trace whose dictionary
 // is wider than 128 steps (mtrt/dynamic repl at scalediv 10, 321
-// steps), so many of its step IDs take two bytes. Most paper-grid
-// traces are of this kind; gray/plain's IDs take one byte each.
+// steps). Most paper-grid traces are of this kind.
 func BenchmarkDecodeWide(b *testing.B) {
-	wideOnce.Do(func() {
-		var w *workload.Workload
-		var v harness.Variant
-		var tr *disptrace.Trace
-		if w, wideErr = workload.ByName("mtrt"); wideErr != nil {
-			return
-		}
-		if v, wideErr = harness.VariantByName(w, "dynamic repl"); wideErr != nil {
-			return
-		}
-		s := harness.NewTestSuite()
-		s.ScaleDiv = 10
-		if tr, _, wideErr = s.RecordTrace(w, v, cpu.Celeron800); wideErr == nil {
-			wideEnc = tr.Encode()
-		}
-	})
-	if wideErr != nil {
-		b.Fatal(wideErr)
-	}
-	b.SetBytes(int64(len(wideEnc)))
-	b.ReportAllocs()
-	for b.Loop() {
-		if _, err := disptrace.Decode(wideEnc); err != nil {
-			b.Fatal(err)
-		}
-	}
+	_, enc := wideTrace.get(b)
+	benchDecode(b, enc)
 }
 
-var (
-	wideOnce sync.Once
-	wideEnc  []byte
-	wideErr  error
-)
+// BenchmarkDecodeRepl is BenchmarkDecode on mpeg/dynamic repl at
+// scalediv 10, whose steps nearly all lie in long runs: its few tokens
+// inflate quickly, and validating it walks the runs step by step.
+func BenchmarkDecodeRepl(b *testing.B) {
+	_, enc := replTrace.get(b)
+	benchDecode(b, enc)
+}
 
 // BenchmarkApply is the pure apply side: the expanded stream, as one
 // batch, driven through one reused simulator (predictor + I-cache
@@ -152,19 +179,33 @@ func BenchmarkApply(b *testing.B) {
 }
 
 // BenchmarkReplay is the serving path: the decoded trace replayed
-// into one reused simulator, one dictionary entry per step. It must
-// not allocate, and its cost above BenchmarkApply is the price of the
-// dictionary indirection.
+// into one reused simulator, reading its tokens directly, one
+// dictionary entry per step. It must not allocate, and its cost above
+// BenchmarkApply is the price of the dictionary indirection.
 func BenchmarkReplay(b *testing.B) {
 	benchSetup(b)
+	benchReplay(b, benchState.wire)
+}
+
+// BenchmarkReplayRepl is BenchmarkReplay on mpeg/dynamic repl at
+// scalediv 10: 2,150 tokens for its steps, nearly all of them follows
+// inside runs.
+func BenchmarkReplayRepl(b *testing.B) {
+	tr, _ := replTrace.get(b)
+	benchReplay(b, tr)
+}
+
+// benchReplay replays tr into one reused simulator in a loop.
+func benchReplay(b *testing.B, tr *disptrace.Trace) {
 	sims := []*cpu.Sim{cpu.NewSim(cpu.Celeron800)}
 	b.ReportAllocs()
 	for b.Loop() {
 		sims[0].Reset()
-		if err := disptrace.ReplayEach(context.Background(), benchState.wire, sims); err != nil {
+		if err := disptrace.ReplayEach(context.Background(), tr, sims); err != nil {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(tr.Header.VMInstructions), "steps/op")
 }
 
 // benchMachines is a 5-machine grid group, the ReplayEach shape the
@@ -195,8 +236,10 @@ func BenchmarkReplayEach5(b *testing.B) {
 	}
 }
 
-// BenchmarkDiff aligns gray/plain with gray/switch: each dictionary is
-// summarized once, then the step-ID streams are compared.
+// BenchmarkDiff aligns gray/plain with gray/switch: each field of both
+// dictionaries' summaries is interned into shared classes once, then
+// the two token streams are walked in lockstep, three classes compared
+// per instruction.
 func BenchmarkDiff(b *testing.B) {
 	benchSetup(b)
 	b.ReportAllocs()

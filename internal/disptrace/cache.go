@@ -72,11 +72,11 @@ func keyOf(h Header) Key {
 }
 
 // memoryBudget bounds the resident bytes (Arena.Bytes) of the decoded
-// traces a Cache keeps in memory. 16 MiB holds the largest paper-grid
-// trace at full scale (11.1 MB), so one trace walked across every
-// machine decodes once; a larger budget only adds heap (about a
-// megabyte per megabyte of budget on the serve-replay benchmark) with
-// no gain in its latency.
+// traces a Cache keeps in memory. Stored as successor-run tokens, all
+// 126 paper-grid traces at scalediv 10 weigh 11.8 MB together
+// (TestPaperGridFitsMemoryBudget), so 16 MiB holds the whole grid: a
+// pass over it decodes each trace once, and the tier holds only what
+// the pass has loaded instead of staying full.
 const memoryBudget = 16 << 20
 
 // Cache is a content-addressed on-disk trace store: traces live under
@@ -344,7 +344,7 @@ var ErrNoTrace = errors.New("disptrace: no such trace in cache")
 // CacheEntry is one resident trace file in the cache index: its
 // content address and size plus the identifying metadata and stream
 // shape read from the file's header and index (the dictionary and
-// the ID stream are not read). Diff tooling picks comparable pairs straight from this
+// the token stream are not read). Diff tooling picks comparable pairs straight from this
 // listing.
 type CacheEntry struct {
 	ID    string `json:"id"`
@@ -453,7 +453,7 @@ func (c *Cache) LoadID(id string) (*Trace, int64, error) {
 
 // MetaID reads one cached trace's metadata by its content address:
 // the header and index, with the file's checksum verified, returned
-// with the file's size. Neither the dictionary nor the ID stream is
+// with the file's size. Neither the dictionary nor the token stream is
 // parsed, and the read neither consults nor fills memory. Absent IDs
 // (after a peer fill attempt) return ErrNoTrace; a file that fails its
 // checksum, is of another format version or holds a header that does

@@ -3,9 +3,11 @@ package disptrace
 import (
 	"bytes"
 	"compress/flate"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"sync"
+	"unsafe"
 )
 
 // maxInflateRatio bounds how much a DEFLATE stream can expand: the
@@ -14,6 +16,11 @@ import (
 // Checking it before allocating keeps decode memory proportional to
 // the input even for hostile indexes.
 const maxInflateRatio = 1032
+
+// maxStoredBytes bounds a trace's stored token stream, far above any
+// real one, so that the step and token counts derived from it stay
+// far from overflow.
+const maxStoredBytes = 1 << 32
 
 // flateWriters pools flate compressors: a fresh flate.Writer carries
 // tens of kilobytes of match tables. Reset fully reinitializes a
@@ -45,18 +52,18 @@ func deflate(raw []byte) []byte {
 	return buf.Bytes()
 }
 
-// inflate decompresses a flate stream whose raw size is declared as
-// rawLen. Truncated or garbled streams and size mismatches return
+// inflate decompresses a flate stream whose raw size is len(out) into
+// out. Truncated or garbled streams and size mismatches return
 // errors, never panics.
-func inflate(data []byte, rawLen int) ([]byte, error) {
-	if rawLen < 0 || rawLen > maxInflateRatio*len(data)+64 {
-		return nil, fmt.Errorf("disptrace: declared raw size %d impossible for %d compressed bytes", rawLen, len(data))
+func inflate(data, out []byte) error {
+	if len(out) > maxInflateRatio*len(data)+64 {
+		return fmt.Errorf("disptrace: declared raw size %d impossible for %d compressed bytes", len(out), len(data))
 	}
 	var zr io.ReadCloser
 	if v := flateReaders.Get(); v != nil {
 		zr = v.(io.ReadCloser)
 		if err := zr.(flate.Resetter).Reset(bytes.NewReader(data), nil); err != nil {
-			return nil, fmt.Errorf("disptrace: inflating the ID stream: %w", err)
+			return fmt.Errorf("disptrace: inflating the token stream: %w", err)
 		}
 	} else {
 		zr = flate.NewReader(bytes.NewReader(data))
@@ -65,13 +72,35 @@ func inflate(data []byte, rawLen int) ([]byte, error) {
 		zr.Close()
 		flateReaders.Put(zr)
 	}()
-	out := make([]byte, rawLen)
 	if _, err := io.ReadFull(zr, out); err != nil {
-		return nil, fmt.Errorf("disptrace: inflating the ID stream: %w", err)
+		return fmt.Errorf("disptrace: inflating the token stream: %w", err)
 	}
 	var extra [1]byte
 	if n, _ := zr.Read(extra[:]); n != 0 {
-		return nil, fmt.Errorf("disptrace: inflated ID stream longer than declared %d bytes", rawLen)
+		return fmt.Errorf("disptrace: inflated token stream longer than declared %d bytes", len(out))
 	}
-	return out, nil
+	return nil
+}
+
+// littleEndian reports whether the host stores a uint16's low byte
+// first, as the token stream does on disk.
+var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// inflateTokens decompresses a stored token stream of n tokens straight
+// into the array the trace keeps, swapping each token's bytes on a
+// big-endian host.
+func inflateTokens(data []byte, n int) ([]uint16, error) {
+	if n == 0 {
+		return nil, inflate(data, nil)
+	}
+	toks := make([]uint16, n)
+	if err := inflate(data, unsafe.Slice((*byte)(unsafe.Pointer(&toks[0])), 2*n)); err != nil {
+		return nil, err
+	}
+	if !littleEndian {
+		for i, t := range toks {
+			toks[i] = t<<8 | t>>8
+		}
+	}
+	return toks, nil
 }

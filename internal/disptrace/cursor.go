@@ -1,6 +1,9 @@
 package disptrace
 
-import "vmopt/internal/cpu"
+import (
+	"vmopt/internal/cpu"
+	"vmopt/internal/steptok"
+)
 
 // Step is one VM instruction's slice of the replay stream: the
 // instruction's global index and every simulator event it produced,
@@ -50,17 +53,20 @@ func (s Step) Dispatch() (branch, target uint64, ok bool) {
 	return 0, 0, false
 }
 
-// Cursor iterates a trace's stream indexed by VM instruction. Step
-// consumers (Next, Seek — the diff tooling) read one dictionary entry
-// per instruction; bulk consumers (NextBatch) get the expanded op
-// stream.
+// Cursor iterates a trace's stream indexed by VM instruction, walking
+// its tokens. Step consumers (Next, Seek — the diff tooling) read one
+// dictionary entry per instruction; bulk consumers (NextBatch) get the
+// expanded op stream.
 //
 // A Cursor is not safe for concurrent use; independent goroutines
 // each take their own.
 type Cursor struct {
 	a *Arena
+	r steptok.Reader
 	// next is the index of the step Next (or NextBatch) returns.
 	next uint64
+	// ids holds one NextBatch's step IDs.
+	ids []uint32
 }
 
 // batchSteps is how many steps one NextBatch call expands.
@@ -68,21 +74,22 @@ const batchSteps = 1 << 12
 
 // NewCursor positions a cursor at the start of the trace.
 func NewCursor(t *Trace) *Cursor {
-	return &Cursor{a: t.arena}
+	return &Cursor{a: t.arena, r: t.arena.reader()}
 }
 
 // Err returns the first error the cursor hit. Decode validates every
-// step ID up front, so iterating a trace cannot fail and Err is
-// always nil; it stays for callers that check it after a drain.
+// token up front, so iterating a trace cannot fail and Err is always
+// nil; it stays for callers that check it after a drain.
 func (c *Cursor) Err() error { return nil }
 
 // Next returns the next step and advances. It returns false at the
 // end of the trace.
 func (c *Cursor) Next() (Step, bool) {
-	if c.next >= uint64(len(c.a.ids)) {
+	id, ok := c.r.Step()
+	if !ok {
 		return Step{}, false
 	}
-	st := Step{Index: c.next, Ops: c.a.dict[c.a.ids[c.next]]}
+	st := Step{Index: c.next, Ops: c.a.dict[id]}
 	c.next++
 	return st, true
 }
@@ -90,9 +97,13 @@ func (c *Cursor) Next() (Step, bool) {
 // Seek positions the cursor so the next Next returns the step with
 // the given global VM-instruction index; seeking at or past the end
 // makes Next return false. NextBatch after a Seek starts at that
-// step.
+// step. A run's end depends on every step in it, so Seek walks the
+// tokens: forward from the cursor, or from the start to seek back.
 func (c *Cursor) Seek(inst uint64) error {
-	c.next = inst
+	if inst < c.next {
+		c.r, c.next = c.a.reader(), 0
+	}
+	c.next += c.r.Skip(inst - c.next)
 	return nil
 }
 
@@ -101,14 +112,16 @@ func (c *Cursor) Seek(inst uint64) error {
 // batch in order reproduces the full op stream, dispatches and fetches
 // included.
 func (c *Cursor) NextBatch(dst []cpu.Op) ([]cpu.Op, bool) {
-	n := uint64(len(c.a.ids))
-	if c.next >= n {
+	if c.ids == nil {
+		c.ids = make([]uint32, batchSteps)
+	}
+	n := c.r.Fill(c.ids)
+	if n == 0 {
 		return dst, false
 	}
-	end := min(c.next+batchSteps, n)
-	for _, id := range c.a.ids[c.next:end] {
+	for _, id := range c.ids[:n] {
 		dst = append(dst, c.a.dict[id]...)
 	}
-	c.next = end
+	c.next += uint64(n)
 	return dst, true
 }

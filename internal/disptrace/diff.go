@@ -15,6 +15,9 @@ package disptrace
 import (
 	"errors"
 	"fmt"
+
+	"vmopt/internal/cpu"
+	"vmopt/internal/steptok"
 )
 
 // ErrMismatched reports two traces that cannot be aligned: different
@@ -123,57 +126,116 @@ func DiffTraces(a, b *Trace, maxDetail int) (*DiffReport, error) {
 	}
 
 	// Step IDs are local to a trace — equal IDs in two traces need
-	// not mean equal steps — so each side summarizes its own
-	// dictionary once, and the walk compares summaries looked up by
-	// each side's ID.
-	sa, sb := a.arena.summaries(), b.arena.summaries()
-	ia, ib := a.arena.ids, b.arena.ids
-	n := min(len(ia), len(ib))
-	r.AInsts, r.BInsts, r.Compared = uint64(len(ia)), uint64(len(ib)), uint64(n)
-	for i := range n {
-		da, db := &sa[ia[i]], &sb[ib[i]]
-		if *da == *db {
-			continue
+	// not mean equal steps — so each field of both dictionaries'
+	// summaries is interned into classes the two traces share, and the
+	// walk compares each instruction's classes, counting without a
+	// branch. It walks both token streams in lockstep (see package
+	// steptok), a stretch of steps that neither side's current token
+	// ends in at a time: each side's successor lookups form a chain of
+	// dependent loads, and walking the two together lets them overlap.
+	ca, cb := fieldClasses(a.arena, b.arena)
+	ta, tb := a.arena.toks, b.arena.toks
+	na, nb := newSuccessors(len(a.arena.dict)), newSuccessors(len(b.arena.dict))
+	x, y := uint32(len(a.arena.dict)), uint32(len(b.arena.dict))
+	var ia, ib, la, lb int
+	n := min(a.arena.steps, b.arena.steps)
+	r.AInsts, r.BInsts, r.Compared = a.arena.steps, b.arena.steps, n
+	var div, works, fetches, dispatches uint64
+	for at := uint64(0); at < n; {
+		if la == 0 {
+			la, ia = steptok.Take(ta, ia, na, x)
 		}
-		work := da.Work != db.Work
-		fetch := da.Fetch != db.Fetch
-		dispatch := da.Dispatched != db.Dispatched || da.Branch != db.Branch || da.Target != db.Target
-		if work {
-			r.WorkDiffs++
+		if lb == 0 {
+			lb, ib = steptok.Take(tb, ib, nb, y)
 		}
-		if fetch {
-			r.FetchDiffs++
-		}
-		if dispatch {
-			r.DispatchDiffs++
-		}
-		if r.Divergences == 0 {
-			r.FirstDivergence = int64(i)
-		}
-		r.Divergences++
-		if len(r.First) < maxDetail {
-			var fields []string
-			for _, f := range []struct {
-				differs bool
-				name    string
-			}{{work, "work"}, {fetch, "fetch"}, {dispatch, "dispatch"}} {
-				if f.differs {
-					fields = append(fields, f.name)
-				}
+		k := min(la, lb, int(min(n-at, steptok.MaxRun)))
+		for j := range k {
+			x, y = na[x], nb[y]
+			fa, fb := &ca[x], &cb[y]
+			work, fetch, dispatch := differs(fa.work, fb.work), differs(fa.fetch, fb.fetch), differs(fa.dispatch, fb.dispatch)
+			works, fetches, dispatches = works+work, fetches+fetch, dispatches+dispatch
+			div += work | fetch | dispatch
+			if (r.FirstDivergence < 0 || len(r.First) < maxDetail) && work|fetch|dispatch != 0 {
+				r.detail(at+uint64(j), a.arena.dict[x], b.arena.dict[y], work != 0, fetch != 0, dispatch != 0, maxDetail)
 			}
-			r.First = append(r.First, Divergence{Inst: uint64(i), Fields: fields, A: *da, B: *db})
 		}
+		la, lb, at = la-k, lb-k, at+uint64(k)
 	}
+	r.Divergences, r.WorkDiffs, r.FetchDiffs, r.DispatchDiffs = div, works, fetches, dispatches
 	r.Identical = r.Divergences == 0 && r.AInsts == r.BInsts
 	return r, nil
 }
 
-// summaries condenses every dictionary entry for comparison, indexed
-// by step ID.
-func (a *Arena) summaries() []StepDiff {
-	out := make([]StepDiff, len(a.dict))
-	for k, ops := range a.dict {
-		out[k] = summarizeStep(Step{Ops: ops})
+// newSuccessors returns the successor table of a walk over a
+// dictionary of dict steps. A valid stream sets each entry before
+// following it, so it needs no initial values.
+func newSuccessors(dict int) []uint32 { return make([]uint32, dict+1) }
+
+// differs is 1 if a and b differ and 0 if not.
+func differs(a, b uint32) uint64 {
+	if a != b {
+		return 1
 	}
-	return out
+	return 0
+}
+
+// detail notes the divergent instruction inst, whose steps run the ops
+// a and b in the two traces and differ in the fields flagged: the first
+// divergence, and each of the first maxDetail in full.
+func (r *DiffReport) detail(inst uint64, a, b []cpu.Op, work, fetch, dispatch bool, maxDetail int) {
+	if r.FirstDivergence < 0 {
+		r.FirstDivergence = int64(inst)
+	}
+	if len(r.First) == maxDetail {
+		return
+	}
+	var fields []string
+	for _, f := range []struct {
+		differs bool
+		name    string
+	}{{work, "work"}, {fetch, "fetch"}, {dispatch, "dispatch"}} {
+		if f.differs {
+			fields = append(fields, f.name)
+		}
+	}
+	r.First = append(r.First, Divergence{Inst: inst, Fields: fields, A: summarizeStep(Step{Ops: a}), B: summarizeStep(Step{Ops: b})})
+}
+
+// stepClass numbers the compared fields of a step's summary: two steps
+// of the traces one diff compares differ in a field exactly when their
+// classes for it do.
+type stepClass struct{ work, fetch, dispatch uint32 }
+
+// fieldClasses interns each field of the summaries of both arenas'
+// dictionary entries, and returns each side's classes by step ID.
+func fieldClasses(a, b *Arena) (ca, cb []stepClass) {
+	type dispatch struct {
+		dispatched     bool
+		branch, target uint64
+	}
+	works, fetches := map[uint64]uint32{}, map[uint64]uint32{}
+	dispatches := map[dispatch]uint32{}
+	intern := func(dict [][]cpu.Op) []stepClass {
+		out := make([]stepClass, len(dict))
+		for k, ops := range dict {
+			d := summarizeStep(Step{Ops: ops})
+			out[k] = stepClass{
+				work:     class(works, d.Work),
+				fetch:    class(fetches, d.Fetch),
+				dispatch: class(dispatches, dispatch{d.Dispatched, d.Branch, d.Target}),
+			}
+		}
+		return out
+	}
+	return intern(a.dict), intern(b.dict)
+}
+
+// class returns v's number in m, adding it as the next one if new.
+func class[V comparable](m map[V]uint32, v V) uint32 {
+	c, ok := m[v]
+	if !ok {
+		c = uint32(len(m))
+		m[v] = c
+	}
+	return c
 }

@@ -28,7 +28,7 @@ import (
 func testHeader() disptrace.Header {
 	return disptrace.Header{
 		Workload: "gray", Lang: "forth", Variant: "plain", Technique: "plain",
-		Scale: 7, ScaleDiv: 40, MaxSteps: 1000, ISAHash: 0xdeadbeef,
+		Scale: 7, ScaleDiv: 40, MaxSteps: 1 << 20, ISAHash: 0xdeadbeef,
 	}
 }
 
@@ -267,7 +267,7 @@ func TestDecodeRejectsOldVersions(t *testing.T) {
 		{Kind: cpu.OpDispatch, A: 0x2040, B: 3, C: 0x2100},
 	})
 	enc := w.Trace().Encode()
-	for _, v := range []uint16{0, 1, 2, 3, 4, 6} {
+	for _, v := range []uint16{0, 1, 2, 3, 4, 5, 7} {
 		old := append([]byte(nil), enc...)
 		binary.LittleEndian.PutUint16(old[4:6], v)
 		want := fmt.Sprintf("v%d", v)

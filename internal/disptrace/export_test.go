@@ -11,5 +11,6 @@ func InMemory(c *Cache, id string) bool {
 	return ok
 }
 
-// ParseIDs is parseIDs, the decoder of a trace's raw step-ID stream.
-var ParseIDs = parseIDs
+// MemoryBudget is the byte budget of a Cache's memory of decoded
+// traces.
+const MemoryBudget = memoryBudget

@@ -18,29 +18,45 @@
 // the events of one VM instruction (a step) repeat exactly whenever
 // the same instruction runs at the same place. A trace therefore
 // stores each distinct step once, in a step dictionary, and the run
-// as one step ID per executed VM instruction:
+// as a stream of step IDs. And since the paper's replication and
+// superinstructions make each dispatch's successor predictable, most
+// steps have the successor their ID had at its previous occurrence
+// (93.5% across the paper grid), so the ID stream is stored in the
+// successor-run tokens of package steptok:
+//
+//	t <  0x7fff   explicit step ID t
+//	t == 0x7fff   explicit step ID held in the next two tokens,
+//	              high half first (IDs of 0x7fff and above)
+//	t >= 0x8000   a run of (t & 0x7fff) + 1 follows
+//
+// Encoder and decoder keep next[id], each step ID's last successor,
+// and set it at every explicit token; a follow after step p is the
+// step next[p]. A run may not begin the stream or follow a step that
+// has had no successor yet. The file is
 //
 //	magic "VMDT" | version u16 LE | crc32 u32 LE (of everything after)
 //	header block   (length-prefixed; metadata + stream totals)
-//	index          (uvarint dictionary steps, ID-stream raw bytes,
-//	                ID-stream stored bytes)
+//	index          (uvarint dictionary steps, token-stream raw bytes,
+//	                token-stream stored bytes)
 //	dictionary     (per step: uvarint op count, then its ops)
-//	ID stream      (one uvarint step ID per VM instruction, flate)
+//	token stream   (one u16 LE per token, flate)
 //
 // Every event belongs to a step. Ops are varint-encoded with delta
 // bases that reset at the start of every dictionary entry. Decoding
 // yields the resident form directly (see Arena): the dictionary's ops
-// and a []uint32 of step IDs, every ID checked against the dictionary
-// size. The writer builds the same form, so a trace is one
-// representation on disk, in memory and in replay. A Cursor seeks by
-// VM instruction with an index lookup, and replay applies the
-// dictionary entry of each ID in turn.
+// and the []uint16 of tokens, validated against the grammar, the
+// dictionary size and the header's step count. The writer tokenizes
+// as IDs arrive and builds the same form, so a trace is one
+// representation on disk, in memory and in replay: replay reads the
+// tokens directly (cpu.Sim.ApplySteps), and a Cursor or a diff walks
+// them step by step.
 //
-// The format is v5, and it is the only version this package reads:
+// The format is v6, and it is the only version this package reads:
 // files written by older versions (v1–v3 with record segments, v4 with
-// a prelude of events before the first step) are rejected with an
-// error asking to re-record them. The trace cache never serves them
-// anyway, since every cache key hashes Version.
+// a prelude of events before the first step, v5 with one uvarint per
+// step ID) are rejected with ErrVersion, asking to re-record them. The
+// trace cache never serves them anyway, since every cache key hashes
+// Version.
 package disptrace
 
 import (
@@ -52,11 +68,12 @@ import (
 	"unsafe"
 
 	"vmopt/internal/cpu"
+	"vmopt/internal/steptok"
 )
 
 // Version is the trace format version this package writes, and the
 // only one it reads.
-const Version = 5
+const Version = 6
 
 // magic identifies a dispatch trace file.
 var magic = [4]byte{'V', 'M', 'D', 'T'}
@@ -99,8 +116,8 @@ type Header struct {
 
 	// VMInstructions and CodeBytes are stream totals that need no
 	// ordering (pure integer accumulation): executed VM instructions
-	// — the length of the step-ID stream — and run-time generated
-	// code bytes.
+	// — the steps the token stream stands for, at most MaxSteps — and
+	// run-time generated code bytes.
 	VMInstructions uint64
 	CodeBytes      uint64
 	// Dispatches, Fetches and WorkInstrs count the events of the
@@ -113,25 +130,33 @@ type Header struct {
 
 // Arena is a trace's resident form — what Decode returns, what the
 // Writer builds and what replay, cursors and diffs read: the step
-// dictionary and the step-ID stream. It is immutable once built and
-// may be shared by any number of concurrent readers.
+// dictionary and the step stream as successor-run tokens (see package
+// steptok). It is immutable once built and may be shared by any number
+// of concurrent readers.
 type Arena struct {
 	// dict holds each distinct step's exact op list; entries with no
 	// ops are nil.
 	dict [][]cpu.Op
-	// ids holds one dictionary index per executed VM instruction,
-	// each below len(dict).
-	ids []uint32
+	// toks is a valid token stream over dict of steps steps.
+	toks  []uint16
+	steps uint64
 }
 
 // Insts reports the number of VM instructions (steps) in the stream.
-func (a *Arena) Insts() int { return len(a.ids) }
+func (a *Arena) Insts() int { return int(a.steps) }
 
 // DictSteps reports the number of distinct steps in the dictionary.
 func (a *Arena) DictSteps() int { return len(a.dict) }
 
+// Tokens reports the length of the token stream.
+func (a *Arena) Tokens() int { return len(a.toks) }
+
+// RunSteps reports how many steps the token stream holds as follows
+// inside runs; the rest are explicit IDs.
+func (a *Arena) RunSteps() uint64 { return a.steps - uint64(steptok.Explicit(a.toks)) }
+
 // Bytes reports the arena's resident memory footprint: the
-// dictionary's ops and slice headers and the ID stream. The ID stream
+// dictionary's ops and slice headers and the token stream. The stream
 // counts by capacity, which is what it holds; the Writer and Decode
 // both size it exactly, so a recording weighs what its decoded form
 // does.
@@ -142,8 +167,11 @@ func (a *Arena) Bytes() int64 {
 	for _, e := range a.dict {
 		ops += int64(len(e))
 	}
-	return ops*opBytes + int64(len(a.dict))*entryBytes + int64(cap(a.ids))*4
+	return ops*opBytes + int64(len(a.dict))*entryBytes + int64(cap(a.toks))*2
 }
+
+// reader starts a step-by-step walk of the arena's stream.
+func (a *Arena) reader() steptok.Reader { return steptok.NewReader(a.toks, len(a.dict)) }
 
 // sliceEntries cuts the dictionary entries out of one backing array:
 // entry k is ops[ends[k-1]:ends[k]], capped so an append can never
@@ -188,9 +216,6 @@ func (t *Trace) Attach(a *Arena) { t.arena = a }
 // corrupt header cannot force a huge allocation.
 const maxStringLen = 1 << 16
 
-// maxIDBytes is the longest uvarint encoding of a step ID (a uint32).
-const maxIDBytes = 5
-
 // MaxFetchBytes bounds the size of one fetch in a decoded trace. The
 // recorded engines fetch at most a few VM instructions' code at once
 // (90 bytes across the paper grid), while replay touches every line a
@@ -198,9 +223,22 @@ const maxIDBytes = 5
 // replay walk billions of lines.
 const MaxFetchBytes = 64 << 10
 
-// ErrFetchTooLarge reports a decoded fetch above MaxFetchBytes; test
-// for it with errors.Is.
-var ErrFetchTooLarge = errors.New("disptrace: fetch larger than 64 KiB")
+// Decode's typed errors; test for them with errors.Is.
+var (
+	// ErrFetchTooLarge reports a decoded fetch above MaxFetchBytes.
+	ErrFetchTooLarge = errors.New("disptrace: fetch larger than 64 KiB")
+	// ErrVersion reports a file of another format version than this
+	// package reads.
+	ErrVersion = errors.New("disptrace: unreadable trace format version")
+	// ErrTokens reports a token stream that breaks the grammar (see
+	// package steptok): a run first or after a step with no successor
+	// yet, an ID outside the dictionary, a truncated escape.
+	ErrTokens = steptok.ErrInvalid
+	// ErrStepCount reports a header step count (VMInstructions) that
+	// the token stream does not hold, that exceeds the recording's step
+	// bound (MaxSteps), or that its tokens could not hold.
+	ErrStepCount = errors.New("disptrace: step count inconsistent with the trace")
+)
 
 // byteReader is a bounds-checked cursor over an encoded buffer. After
 // any method reports failure the cursor stays failed ("sticky
@@ -411,9 +449,9 @@ func decodeHeader(b []byte) (Header, error) {
 // from.
 func (t *Trace) Encode() []byte {
 	a := t.arena
-	var raw []byte
-	for _, id := range a.ids {
-		raw = binary.AppendUvarint(raw, uint64(id))
+	raw := make([]byte, 0, 2*len(a.toks))
+	for _, tok := range a.toks {
+		raw = binary.LittleEndian.AppendUint16(raw, tok)
 	}
 	stream := deflate(raw)
 
@@ -448,7 +486,7 @@ func checkPrefix(b []byte) error {
 		return fmt.Errorf("disptrace: bad magic %q", b[:4])
 	}
 	if v := binary.LittleEndian.Uint16(b[4:6]); v != Version {
-		return fmt.Errorf("disptrace: trace format v%d is not readable (only v%d is); re-record the trace", v, Version)
+		return fmt.Errorf("%w: v%d (only v%d is read); re-record the trace", ErrVersion, v, Version)
 	}
 	return nil
 }
@@ -463,15 +501,15 @@ func checkSum(b []byte) error {
 }
 
 // Meta summarizes a trace file from its header and index alone: the
-// dictionary and the ID stream are neither parsed nor inflated, and
+// dictionary and the token stream are neither parsed nor inflated, and
 // no checksum is computed, so listing a cache directory stays cheap
 // however large the traces are.
 type Meta struct {
 	Header Header
 	// DictSteps is the number of distinct steps in the dictionary.
 	DictSteps int
-	// StreamRawBytes and StreamStoredBytes size the step-ID stream:
-	// its uvarint bytes and their flate-compressed form on disk.
+	// StreamRawBytes and StreamStoredBytes size the token stream: two
+	// bytes per token, and their flate-compressed form on disk.
 	StreamRawBytes    int
 	StreamStoredBytes int
 }
@@ -492,14 +530,25 @@ func readMeta(r *byteReader) (Meta, error) {
 	if r.err != nil {
 		return Meta{}, r.err
 	}
-	// The ID stream holds one uvarint per VM instruction, each 1 to
-	// maxIDBytes long, and DEFLATE expands at most maxInflateRatio
-	// times: a declared length outside those bounds is corrupt, and is
-	// refused before anything is inflated or reserved.
-	if raw < h.VMInstructions || raw > maxIDBytes*h.VMInstructions ||
-		raw > maxInflateRatio*stored+64 || dict > math.MaxUint32 {
-		return Meta{}, fmt.Errorf("disptrace: index (%d steps, %d raw / %d stored ID bytes) inconsistent with %d VM instructions",
-			dict, raw, stored, h.VMInstructions)
+	// The token stream is two bytes per token, and DEFLATE expands at
+	// most maxInflateRatio times. A run token stands for at most
+	// steptok.MaxRun steps and no step takes more than
+	// steptok.MaxTokensPerStep tokens, and a recording stops at its
+	// step bound. A declared length or step count outside those bounds
+	// is corrupt, and is refused before anything is inflated, reserved
+	// or walked: so a file of a few bytes cannot claim billions of
+	// steps, nor any file more steps than its key's bound, which the
+	// cache checks. Bounding the stored length first keeps every
+	// product below from overflowing.
+	tokens := raw / 2
+	switch {
+	case stored > maxStoredBytes || raw%2 != 0 || raw > maxInflateRatio*stored+64 || dict >= math.MaxUint32:
+		return Meta{}, fmt.Errorf("disptrace: index (%d steps, %d raw / %d stored token bytes) is corrupt",
+			dict, raw, stored)
+	case h.VMInstructions > h.MaxSteps:
+		return Meta{}, fmt.Errorf("%w: %d VM instructions over the step bound %d", ErrStepCount, h.VMInstructions, h.MaxSteps)
+	case h.VMInstructions > steptok.MaxRun*tokens || tokens > steptok.MaxTokensPerStep*h.VMInstructions:
+		return Meta{}, fmt.Errorf("%w: %d tokens cannot hold %d VM instructions", ErrStepCount, tokens, h.VMInstructions)
 	}
 	return Meta{Header: h, DictSteps: int(dict), StreamRawBytes: int(raw), StreamStoredBytes: int(stored)}, nil
 }
@@ -517,13 +566,15 @@ func DecodeMeta(b []byte) (Meta, error) {
 }
 
 // Decode parses an encoded trace into its resident form, validating
-// the magic, version and checksum and bounds-checking every field:
-// dictionary and op counts are bounded by the input, every fetch by
-// MaxFetchBytes (ErrFetchTooLarge), the declared ID-stream length is
-// capped before inflating, every step ID must name a dictionary entry,
-// and the stream's totals must match the header with an expanded op
-// count linear in the input (see checkTotals). Corrupt input yields an
-// error, never a panic.
+// the magic, version (ErrVersion) and checksum and bounds-checking
+// every field: dictionary and op counts are bounded by the input,
+// every fetch by MaxFetchBytes (ErrFetchTooLarge), the declared
+// token-stream length and step count are capped before inflating
+// (ErrStepCount), every token must follow the grammar over the
+// dictionary (ErrTokens) and the tokens must hold exactly the
+// header's steps (ErrStepCount), and the stream's totals must match
+// the header with an expanded op count linear in the steps (see
+// checkTotals). Corrupt input yields an error, never a panic.
 func Decode(b []byte) (*Trace, error) {
 	if err := checkPrefix(b); err != nil {
 		return nil, err
@@ -556,62 +607,18 @@ func Decode(b []byte) (*Trace, error) {
 		return nil, r.err
 	}
 	if r.remaining() != 0 {
-		return nil, fmt.Errorf("disptrace: %d trailing bytes after the ID stream", r.remaining())
+		return nil, fmt.Errorf("disptrace: %d trailing bytes after the token stream", r.remaining())
 	}
-	raw, err := inflate(stream, m.StreamRawBytes)
-	if err != nil {
+	if a.toks, err = inflateTokens(stream, m.StreamRawBytes/2); err != nil {
 		return nil, err
 	}
-	uses := make([]uint64, len(a.dict))
-	if a.ids, err = parseIDs(raw, m.Header.VMInstructions, uses); err != nil {
+	a.steps = m.Header.VMInstructions
+	uses, err := a.uses()
+	if err != nil {
 		return nil, err
 	}
 	if err := a.checkTotals(m.Header, uses); err != nil {
 		return nil, err
 	}
 	return &Trace{Header: m.Header, arena: a}, nil
-}
-
-// parseIDs decodes exactly n uvarint step IDs from raw, each below
-// len(uses), with no bytes left over, counting each ID's uses.
-func parseIDs(raw []byte, n uint64, uses []uint64) ([]uint32, error) {
-	if n == 0 {
-		if len(raw) != 0 {
-			return nil, fmt.Errorf("disptrace: %d ID-stream bytes for zero VM instructions", len(raw))
-		}
-		return nil, nil
-	}
-	// readMeta bounded n by the declared raw length, which inflate
-	// just matched, so this reservation is proportional to the input.
-	ids := make([]uint32, n)
-	off := 0
-	for i := range ids {
-		var v uint64
-		if off < len(raw) && raw[off] < 0x80 {
-			v = uint64(raw[off])
-			off++
-		} else if off+1 < len(raw) && raw[off+1] < 0x80 {
-			// Every ID of a dictionary of at most 16384 steps takes
-			// one or two bytes, so decoding both inline spares most
-			// streams a binary.Uvarint call per ID.
-			v = uint64(raw[off]&0x7f) | uint64(raw[off+1])<<7
-			off += 2
-		} else {
-			var k int
-			v, k = binary.Uvarint(raw[off:])
-			if k <= 0 {
-				return nil, fmt.Errorf("disptrace: malformed step ID %d", i)
-			}
-			off += k
-		}
-		if v >= uint64(len(uses)) {
-			return nil, fmt.Errorf("disptrace: step %d names ID %d of a %d-step dictionary", i, v, len(uses))
-		}
-		ids[i] = uint32(v)
-		uses[v]++
-	}
-	if off != len(raw) {
-		return nil, fmt.Errorf("disptrace: %d trailing bytes after %d step IDs", len(raw)-off, n)
-	}
-	return ids, nil
 }

@@ -15,10 +15,14 @@ import (
 // eventsFromBytes derives a bounded event stream from raw fuzz input:
 // each event consumes a kind byte plus up to three 8-byte values, so
 // the fuzzer steers kinds, magnitudes, deltas and step boundaries
-// (kind 3, see splitSteps) freely.
+// (kind 3, see splitSteps) freely. Kind 4 repeats the last few steps a
+// number of times, as an interpreter loop does, so streams hold runs
+// of follows as well as explicit step IDs.
 func eventsFromBytes(data []byte) []event {
 	const maxEvents = 1 << 12
 	var evs []event
+	// starts holds the index of every step boundary in evs.
+	var starts []int
 	u64 := func() uint64 {
 		if len(data) == 0 {
 			return 0
@@ -29,7 +33,7 @@ func eventsFromBytes(data []byte) []event {
 		return binary.LittleEndian.Uint64(buf[:])
 	}
 	for len(data) > 0 && len(evs) < maxEvents {
-		kind := data[0] % 4
+		kind := data[0] % 5
 		data = data[1:]
 		switch kind {
 		case 0:
@@ -41,10 +45,45 @@ func eventsFromBytes(data []byte) []event {
 		case 2:
 			evs = append(evs, event{kind: 2, a: u64(), b: u64(), c: u64()})
 		case 3:
+			starts = append(starts, len(evs))
 			evs = append(evs, event{kind: 3})
+		case 4:
+			if len(starts) == 0 || len(data) == 0 {
+				continue
+			}
+			back, times := 1+int(data[0]%8), 1+int(data[0]>>3)
+			data = data[1:]
+			loop := evs[starts[max(0, len(starts)-back)]:]
+			for range times {
+				if len(evs)+len(loop) > 4*maxEvents {
+					break
+				}
+				for _, e := range loop {
+					if e.kind == 3 {
+						starts = append(starts, len(evs))
+					}
+					evs = append(evs, e)
+				}
+			}
 		}
 	}
 	return evs
+}
+
+// loopSeed is a fuzz input of three dispatching steps run as a loop:
+// eventsFromBytes repeats the last two steps 16 times, then the last
+// eight 32 times.
+var loopSeed = slices.Concat(
+	[]byte{3, 2}, bytes.Repeat([]byte{0x11}, 24),
+	[]byte{3, 2}, bytes.Repeat([]byte{0x22}, 24),
+	[]byte{3, 2}, bytes.Repeat([]byte{0x33}, 24),
+	[]byte{4, 0x79, 4, 0xff},
+)
+
+// fuzzHeader is the header of the fuzzers' recordings: eventsFromBytes
+// yields at most 1<<14 events, so at most that many steps.
+func fuzzHeader(workload string) disptrace.Header {
+	return disptrace.Header{Workload: workload, Lang: "forth", MaxSteps: 1 << 14}
 }
 
 // oversized reports whether steps hold a fetch above
@@ -83,22 +122,23 @@ func FuzzTraceRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
 	f.Add(bytes.Repeat([]byte{2, 0xff}, 64)) // dispatch-heavy
+	f.Add(loopSeed)
 	// Valid encoded traces as seeds for the raw-decode arm: one step,
 	// and repeating steps.
 	{
-		w := disptrace.NewWriter(disptrace.Header{Workload: "seed", Lang: "forth"})
+		w := disptrace.NewWriter(fuzzHeader("seed"))
 		recordSteps(w, []cpu.Op{{Kind: cpu.OpWork, A: 7}, {Kind: cpu.OpFetch, A: 0x2000, B: 16},
 			{Kind: cpu.OpDispatch, A: 0x2040, B: 3, C: 0x2100}})
 		f.Add(w.Trace().Encode())
 	}
 	{
-		w := disptrace.NewWriter(disptrace.Header{Workload: "seed", Lang: "forth"})
+		w := disptrace.NewWriter(fuzzHeader("seed"))
 		recordSteps(w, splitSteps(stepEvents(64, 1))...)
 		f.Add(w.Trace().Encode())
 	}
 
 	base := func() []byte {
-		w := disptrace.NewWriter(disptrace.Header{Workload: "base", Lang: "forth"})
+		w := disptrace.NewWriter(fuzzHeader("base"))
 		recordSteps(w, splitSteps(stepEvents(16, 2))...)
 		return w.Trace().Encode()
 	}()
@@ -131,7 +171,7 @@ func FuzzTraceRoundTrip(f *testing.F) {
 
 		// Arm 3: structured round trip — bit-exact.
 		steps := splitSteps(eventsFromBytes(data))
-		w := disptrace.NewWriter(disptrace.Header{Workload: "fuzz", Lang: "forth", Scale: 1})
+		w := disptrace.NewWriter(fuzzHeader("fuzz"))
 		recordSteps(w, steps...)
 		tr := w.Trace()
 		if err := tr.Verify(); err != nil {
@@ -171,10 +211,11 @@ func FuzzCursor(f *testing.F) {
 	f.Add([]byte{}, uint16(0), byte(0))
 	f.Add([]byte{3, 0, 1, 1, 2, 3, 0, 3, 3}, uint16(2), byte(1))
 	f.Add(bytes.Repeat([]byte{3, 2, 0xff}, 50), uint16(25), byte(0))
+	f.Add(loopSeed, uint16(40), byte(2))
 
 	f.Fuzz(func(t *testing.T, data []byte, seekAt uint16, mutByte byte) {
 		want := splitSteps(eventsFromBytes(data))
-		w := disptrace.NewWriter(disptrace.Header{Workload: "fuzz", Lang: "forth"})
+		w := disptrace.NewWriter(fuzzHeader("fuzz"))
 		recordSteps(w, want...)
 		tr := w.Trace()
 

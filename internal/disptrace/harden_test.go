@@ -6,12 +6,13 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
-	"math/rand/v2"
+	"reflect"
 	"slices"
 	"testing"
 
 	"vmopt/internal/cpu"
 	"vmopt/internal/disptrace"
+	"vmopt/internal/steptok"
 )
 
 // traceParts is an encoded trace split at the boundaries a crafted
@@ -77,22 +78,50 @@ func deflateBytes(t testing.TB, raw []byte) []byte {
 	return buf.Bytes()
 }
 
-// inflateIDs decompresses a stored ID stream into its step IDs.
-func inflateIDs(t testing.TB, stream []byte) []uint64 {
+// inflateTokens decompresses a stored token stream.
+func inflateTokens(t testing.TB, stream []byte) []uint16 {
 	t.Helper()
 	raw, err := io.ReadAll(flate.NewReader(bytes.NewReader(stream)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ids []uint64
-	for len(raw) > 0 {
-		v, n := binary.Uvarint(raw)
-		if n <= 0 {
-			t.Fatal("malformed ID stream")
-		}
-		ids, raw = append(ids, v), raw[n:]
+	if len(raw)%2 != 0 {
+		t.Fatal("odd token stream")
 	}
-	return ids
+	toks := make([]uint16, len(raw)/2)
+	for i := range toks {
+		toks[i] = binary.LittleEndian.Uint16(raw[2*i:])
+	}
+	return toks
+}
+
+// tokenBytes is the raw (uncompressed) form of a token stream.
+func tokenBytes(toks []uint16) []byte {
+	var raw []byte
+	for _, tok := range toks {
+		raw = binary.LittleEndian.AppendUint16(raw, tok)
+	}
+	return raw
+}
+
+// stepIDs walks a valid token stream into its step IDs.
+func stepIDs(toks []uint16, dict int) []uint32 {
+	var ids []uint32
+	r := steptok.NewReader(toks, dict)
+	for {
+		id, ok := r.Step()
+		if !ok {
+			return ids
+		}
+		ids = append(ids, id)
+	}
+}
+
+// withTokens is p with its stream replaced by toks.
+func (p traceParts) withTokens(t testing.TB, toks []uint16) traceParts {
+	raw := tokenBytes(toks)
+	p.rawLen, p.stream = uint64(len(raw)), deflateBytes(t, raw)
+	return p
 }
 
 // hardenTrace is a small trace with several distinct steps and a long
@@ -132,10 +161,12 @@ func TestCorruptCompressedStream(t *testing.T) {
 		"raw-short": func(q *traceParts) { q.rawLen-- },
 		"raw-long":  func(q *traceParts) { q.rawLen++ },
 		"raw-huge":  func(q *traceParts) { q.rawLen = 1 << 40 },
-		// The header declares 2000 VM instructions: a raw length below
-		// one byte per ID, or above five, cannot hold them.
-		"raw-below-ids": func(q *traceParts) { q.rawLen = 1999 },
-		"raw-above-ids": func(q *traceParts) { q.rawLen = 5*2000 + 1 },
+		// Tokens are two bytes each, and the header declares 2000 VM
+		// instructions: no token stream holds them in zero tokens or
+		// needs more than three tokens each.
+		"raw-odd":         func(q *traceParts) { q.rawLen |= 1 },
+		"raw-zero":        func(q *traceParts) { q.rawLen = 0 },
+		"raw-above-steps": func(q *traceParts) { q.rawLen = 2*3*2000 + 2 },
 	} {
 		q := p
 		mut(&q)
@@ -146,57 +177,49 @@ func TestCorruptCompressedStream(t *testing.T) {
 }
 
 // TestCursorCorruptStepTable: corrupt step tables — the step
-// dictionary and the step-ID stream — are rejected at Decode: a step
-// ID at or beyond the dictionary size, a short or long ID stream, and
-// crafted dictionary or op counts. So no cursor, replay or diff ever
-// indexes out of the dictionary.
+// dictionary and the token stream — are rejected at Decode: an ID at
+// or beyond the dictionary size, a truncated escape, a stream of too
+// few or too many steps, and crafted dictionary or op counts. So no
+// cursor, replay or diff ever indexes out of the dictionary.
 func TestCursorCorruptStepTable(t *testing.T) {
 	enc := hardenTrace(t)
 	p := splitTrace(t, enc)
-	orig := inflateIDs(t, p.stream)
+	toks := inflateTokens(t, p.stream)
+	orig := stepIDs(toks, int(p.dictSteps))
 	if len(orig) != 2000 {
 		t.Fatalf("hardenTrace holds %d steps, want 2000", len(orig))
 	}
 	// ids is the original ID stream with its first IDs replaced by vs.
-	ids := func(vs ...uint64) []byte {
-		var raw []byte
-		for i, v := range orig {
-			if i < len(vs) {
-				v = vs[i]
-			}
-			raw = binary.AppendUvarint(raw, v)
-		}
-		return raw
+	ids := func(vs ...uint32) []uint32 {
+		out := slices.Clone(orig)
+		copy(out, vs)
+		return out
 	}
-	for name, raw := range map[string][]byte{
-		"id-equals-dict": ids(p.dictSteps),
-		"id-huge":        ids(1 << 40),
-		"too-few":        ids()[:1999],
-		"too-many":       append(ids(), 0),
-		"unterminated":   append(ids()[:1999], 0x80),
+	for name, c := range map[string]struct {
+		toks []uint16
+		want error
+	}{
+		"id-equals-dict": {steptok.Encode(ids(uint32(p.dictSteps))), disptrace.ErrTokens},
+		"id-huge":        {slices.Concat([]uint16{steptok.Escape, 0x8000, 0}, toks[1:]), disptrace.ErrTokens},
+		"too-few":        {steptok.Encode(orig[:1999]), disptrace.ErrStepCount},
+		"too-many":       {steptok.Encode(append(ids(), 0)), disptrace.ErrStepCount},
+		"unterminated":   {append(slices.Clone(toks), steptok.Escape, 0), disptrace.ErrTokens},
 	} {
-		q := p
-		q.rawLen, q.stream = uint64(len(raw)), deflateBytes(t, raw)
-		if _, err := disptrace.Decode(q.join()); err == nil {
-			t.Errorf("%s: Decode accepted the ID stream", name)
+		if _, err := disptrace.Decode(p.withTokens(t, c.toks).join()); !errors.Is(err, c.want) {
+			t.Errorf("%s: Decode err %v, want %v", name, err, c.want)
 		}
 	}
-	// The original IDs, re-compressed, decode: the rejections above are
-	// the IDs', not the splice's. Swapping two IDs that name steps with
-	// different events keeps every ID in range but no longer matches the
-	// header's totals.
-	q := p
-	raw := ids()
-	q.rawLen, q.stream = uint64(len(raw)), deflateBytes(t, raw)
-	if _, err := disptrace.Decode(q.join()); err != nil {
-		t.Fatalf("a valid spliced ID stream was rejected: %v", err)
+	// The original tokens, re-compressed, decode: the rejections above
+	// are the tokens', not the splice's. Swapping two IDs that name
+	// steps with different events keeps every ID in range but no longer
+	// matches the header's totals.
+	if _, err := disptrace.Decode(p.withTokens(t, steptok.Encode(orig)).join()); err != nil {
+		t.Fatalf("a valid spliced token stream was rejected: %v", err)
 	}
 	swapped := false
 	for i := 1; i < len(orig) && !swapped; i++ {
 		if orig[i] != orig[0] {
-			raw = ids(orig[i])
-			q.rawLen, q.stream = uint64(len(raw)), deflateBytes(t, raw)
-			_, err := disptrace.Decode(q.join())
+			_, err := disptrace.Decode(p.withTokens(t, steptok.Encode(ids(orig[i]))).join())
 			swapped = err != nil
 		}
 	}
@@ -218,6 +241,152 @@ func TestCursorCorruptStepTable(t *testing.T) {
 		if _, err := disptrace.Decode(q.join()); err == nil {
 			t.Errorf("%s: Decode accepted a crafted dictionary", name)
 		}
+	}
+}
+
+// TestDecodeRejectsBadTokens: each way a token stream can break the
+// format v6 grammar or disagree with its header is refused with a
+// typed error, by Decode and, where the index already shows it, by
+// DecodeMeta: a v5 file, a run token first, a follow of a step that
+// has had no successor yet, runs that do not sum to the header's step
+// count, and a file of a few bytes that claims 2^40 steps, which is
+// refused before anything is reserved for them.
+func TestDecodeRejectsBadTokens(t *testing.T) {
+	// A loop of 50 steps run 40 times, so most steps are follows.
+	w := disptrace.NewWriter(testHeader())
+	loop := splitSteps(stepEvents(50, 3))
+	for range 40 {
+		recordSteps(w, loop...)
+	}
+	enc := w.Trace().Encode()
+	p := splitTrace(t, enc)
+	toks := inflateTokens(t, p.stream)
+	if n := steptok.Explicit(toks); n*2 > len(stepIDs(toks, int(p.dictSteps))) {
+		t.Fatalf("%d of 2000 steps are explicit", n)
+	}
+
+	v5 := slices.Clone(enc)
+	binary.LittleEndian.PutUint16(v5[4:6], 5)
+	if _, err := disptrace.Decode(v5); !errors.Is(err, disptrace.ErrVersion) {
+		t.Errorf("a v5 file: Decode err %v, want ErrVersion", err)
+	}
+	if _, err := disptrace.DecodeMeta(v5); !errors.Is(err, disptrace.ErrVersion) {
+		t.Errorf("a v5 file: DecodeMeta err %v, want ErrVersion", err)
+	}
+
+	// lastRun is the index of the stream's last run token.
+	lastRun := -1
+	for i, tok := range toks {
+		if tok >= steptok.Run {
+			lastRun = i
+		}
+	}
+	for name, c := range map[string]struct {
+		toks []uint16
+		want error
+	}{
+		// One follow in place of the first explicit ID.
+		"run-first": {append([]uint16{steptok.Run}, toks[1:]...), disptrace.ErrTokens},
+		// Step 0 has had no successor when the stream has only begun.
+		"follow-undefined": {append([]uint16{0, steptok.Run}, toks[1:]...), disptrace.ErrTokens},
+		// The last run one follow short, or one follow long.
+		"runs-short": {slices.Concat(toks[:lastRun], []uint16{toks[lastRun] - 1}, toks[lastRun+1:]), disptrace.ErrStepCount},
+		"runs-long":  {slices.Concat(toks[:lastRun], []uint16{toks[lastRun] + 1}, toks[lastRun+1:]), disptrace.ErrStepCount},
+	} {
+		if _, err := disptrace.Decode(p.withTokens(t, c.toks).join()); !errors.Is(err, c.want) {
+			t.Errorf("%s: Decode err %v, want %v", name, err, c.want)
+		}
+	}
+
+	// A header that claims 2^40 steps — within its own step bound, so
+	// only the tokens' capacity gives it away — over one run token.
+	huge := disptrace.NewWriter(testHeader()).Trace()
+	huge.Header.VMInstructions, huge.Header.MaxSteps = 1<<40, 1<<41
+	q := splitTrace(t, huge.Encode()).withTokens(t, []uint16{0xffff})
+	q.dictSteps = 0
+	b := q.join()
+	if len(b) > 200 {
+		t.Fatalf("crafted file is %d bytes", len(b))
+	}
+	for name, decode := range map[string]func() error{
+		"Decode":     func() error { _, err := disptrace.Decode(b); return err },
+		"DecodeMeta": func() error { _, err := disptrace.DecodeMeta(b); return err },
+	} {
+		if err := decode(); !errors.Is(err, disptrace.ErrStepCount) {
+			t.Errorf("%s of a %d-byte file claiming 2^40 steps: err %v, want ErrStepCount", name, len(b), err)
+		}
+		// Only the header's strings and the error are allocated.
+		if n := testing.AllocsPerRun(10, func() { decode() }); n > 12 {
+			t.Errorf("%s allocates %v times before refusing the file", name, n)
+		}
+	}
+	// Within the tokens' capacity but beyond its own step bound.
+	huge.Header.VMInstructions, huge.Header.MaxSteps = steptok.MaxRun, steptok.MaxRun-1
+	q = splitTrace(t, huge.Encode()).withTokens(t, []uint16{0xffff})
+	if _, err := disptrace.Decode(q.join()); !errors.Is(err, disptrace.ErrStepCount) {
+		t.Errorf("a step count over MaxSteps: err %v, want ErrStepCount", err)
+	}
+}
+
+// TestTokenRoundTrips: the tokens' two rare forms survive the writer,
+// Encode, Decode, a cursor and replay — escaped IDs of 0x7fff and
+// above (a 40,000-entry dictionary) and a run of 0x8000+1 follows,
+// which takes two run tokens.
+func TestTokenRoundTrips(t *testing.T) {
+	step := func(k int) []cpu.Op {
+		return []cpu.Op{{Kind: cpu.OpWork, A: uint64(k % 7)}, {Kind: cpu.OpFetch, A: 0x1000 + 64*uint64(k), B: 16},
+			{Kind: cpu.OpWork, A: 1}, {Kind: cpu.OpFetch, A: 0x1030 + 64*uint64(k), B: 8},
+			{Kind: cpu.OpDispatch, A: 0x1030 + 64*uint64(k), B: 1, C: 0x1000 + 64*uint64((k*7919)%40000)}}
+	}
+	var wide, long [][]cpu.Op
+	for k := range 40000 {
+		wide = append(wide, step(k))
+	}
+	// The wide stream walks the dictionary twice, so its second pass
+	// is one long run; a few explicit IDs past 0x7fff come in between.
+	wide = append(wide, wide...)
+	wide = append(wide, step(39999), step(32767), step(32768), step(0x7ffe))
+	// The first two steps are explicit: the second gives step 1 its
+	// successor.
+	for range steptok.MaxRun + 3 {
+		long = append(long, step(1))
+	}
+	for name, steps := range map[string][][]cpu.Op{"escaped IDs": wide, "long run": long} {
+		w := disptrace.NewWriter(testHeader())
+		recordSteps(w, steps...)
+		tr := w.Trace()
+		back, err := disptrace.Decode(tr.Encode())
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !reflect.DeepEqual(back, tr) {
+			t.Fatalf("%s: decoded trace differs from the writer's", name)
+		}
+		got := drainSteps(t, disptrace.NewCursor(back))
+		if len(got) != len(steps) {
+			t.Fatalf("%s: %d steps, want %d", name, len(got), len(steps))
+		}
+		for i := range steps {
+			if !opsEqual(got[i].Ops, steps[i]) {
+				t.Fatalf("%s: step %d diverged", name, i)
+			}
+		}
+		ref := cpu.NewSim(cpu.Celeron800)
+		for _, ops := range steps {
+			ref.Apply(ops)
+		}
+		sim := cpu.NewSim(cpu.Celeron800)
+		if err := disptrace.Replay(back, sim, 1); err != nil {
+			t.Fatal(err)
+		}
+		sim.C.VMInstructions -= back.Header.VMInstructions
+		if !sim.SameState(ref) {
+			t.Errorf("%s: replay diverged from Apply:\n  got  %+v\n  want %+v", name, sim.C, ref.C)
+		}
+		if a := back.Arena(); name == "long run" && (a.Tokens() != 4 || a.RunSteps() != steptok.MaxRun+1) {
+			t.Errorf("long run: %d tokens with %d steps in runs, want 4 with %d", a.Tokens(), a.RunSteps(), steptok.MaxRun+1)
+		}
+		t.Logf("%s: %d steps in %d tokens, %d in runs", name, len(steps), back.Arena().Tokens(), back.Arena().RunSteps())
 	}
 }
 
@@ -290,63 +459,5 @@ func TestDecodeRejectsHugeFetch(t *testing.T) {
 	}
 	if st := c.Stats(); st.PeerFillErrors != 1 || st.PeerFills != 0 {
 		t.Errorf("peer fill stats %+v, want one error and no fill", st)
-	}
-}
-
-// TestParseIDsMatchesUvarint: parseIDs, which decodes one- and
-// two-byte IDs inline, reads every raw stream as a plain
-// binary.Uvarint loop does. Streams mix IDs of one to three bytes,
-// non-minimal encodings, truncations and IDs past the dictionary, and
-// both decoders must agree on the IDs, the use counts and whether the
-// stream is rejected.
-func TestParseIDsMatchesUvarint(t *testing.T) {
-	ref := func(raw []byte, n uint64, dict int) ([]uint32, []uint64, bool) {
-		ids, uses := make([]uint32, 0, n), make([]uint64, dict)
-		off := 0
-		for range n {
-			v, k := binary.Uvarint(raw[off:])
-			if k <= 0 || v >= uint64(dict) {
-				return nil, nil, false
-			}
-			off += k
-			ids = append(ids, uint32(v))
-			uses[v]++
-		}
-		return ids, uses, off == len(raw)
-	}
-	rng := rand.New(rand.NewPCG(1, 2))
-	dicts := []int{1, 100, 128, 129, 351, 16384, 16385, 70000}
-	for iter := range 3000 {
-		dict := dicts[iter%len(dicts)]
-		var raw []byte
-		n := uint64(rng.IntN(12))
-		for range n {
-			switch rng.IntN(8) {
-			case 0:
-				raw = append(raw, 0x80, 0x00) // non-minimal 0
-			case 1:
-				raw = append(raw, byte(0x80|rng.IntN(0x80))) // truncated
-			default:
-				raw = binary.AppendUvarint(raw, uint64(rng.IntN(dict+dict/8+1)))
-			}
-		}
-		if rng.IntN(4) == 0 && len(raw) > 0 {
-			raw = raw[:rng.IntN(len(raw))]
-		}
-		if rng.IntN(8) == 0 {
-			n++
-		}
-		if n == 0 {
-			continue
-		}
-		wantIDs, wantUses, ok := ref(raw, n, dict)
-		uses := make([]uint64, dict)
-		ids, err := disptrace.ParseIDs(raw, n, uses)
-		if (err == nil) != ok {
-			t.Fatalf("stream % x, n %d, dict %d: error %v, Uvarint loop accepts: %v", raw, n, dict, err, ok)
-		}
-		if ok && (!slices.Equal(ids, wantIDs) || !slices.Equal(uses, wantUses)) {
-			t.Fatalf("stream % x, dict %d: ids %v uses %v, want %v %v", raw, dict, ids, uses, wantIDs, wantUses)
-		}
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"vmopt/internal/cpu"
 	"vmopt/internal/metrics"
 	"vmopt/internal/obs"
+	"vmopt/internal/steptok"
 )
 
 // Replay drives sim over the trace: every recorded event is applied
@@ -33,7 +34,7 @@ func Replay(t *Trace, sim *cpu.Sim, jobs int) error {
 
 // ReplayEach replays the trace into several simulators at once, one
 // goroutine per simulator, each walking the same immutable step
-// dictionary and ID stream. This is how a grid that varies only the
+// dictionary and token stream. This is how a grid that varies only the
 // machine uses the cores the sequential predictor/I-cache state
 // machines would otherwise leave idle. Each sim sees the exact event
 // sequence a solo Replay delivers, so the per-sim counters stay
@@ -71,9 +72,10 @@ func ReplayEach(ctx context.Context, t *Trace, sims []*cpu.Sim) error {
 	return nil
 }
 
-// apply drives each step's dictionary entry through sim. It never
-// consults the sim's Sink and allocates nothing.
-func (a *Arena) apply(sim *cpu.Sim) { sim.ApplySteps(a.dict, a.ids) }
+// apply drives each step's dictionary entry through sim, reading the
+// tokens directly. It never consults the sim's Sink and, on a sim that
+// has replayed a dictionary as large before, allocates nothing.
+func (a *Arena) apply(sim *cpu.Sim) { sim.ApplySteps(a.dict, a.toks) }
 
 // ReplayMachine replays the trace on a fresh simulator for machine m
 // and returns the counters.
@@ -85,25 +87,40 @@ func ReplayMachine(t *Trace, m cpu.Machine) (metrics.Counters, error) {
 	return sim.C, nil
 }
 
-// Verify checks the stream against the header totals and bounds its
-// expanded op count (see checkTotals). Decode runs the same check, so
-// a decoded trace always passes, and the Writer derives its totals
-// from the stream, so a recording passes but for the bound.
+// Verify checks the stream against the header's step count and
+// totals and bounds its expanded op count (see checkTotals). Decode
+// runs the same checks, so a decoded trace always passes, and the
+// Writer derives its totals from the stream, so a recording passes but
+// for the bound.
 func (t *Trace) Verify() error {
-	uses := make([]uint64, len(t.arena.dict))
-	for _, id := range t.arena.ids {
-		uses[id]++
+	uses, err := t.arena.uses()
+	if err != nil {
+		return err
 	}
 	return t.arena.checkTotals(t.Header, uses)
 }
 
+// uses validates the token stream, which must hold exactly a.steps
+// steps, and returns each step ID's use count.
+func (a *Arena) uses() ([]uint64, error) {
+	uses := make([]uint64, len(a.dict))
+	n, err := steptok.Check(a.toks, len(a.dict), a.steps, uses)
+	if err != nil {
+		return nil, err
+	}
+	if n != a.steps {
+		return nil, fmt.Errorf("%w: the tokens hold %d steps, the header %d", ErrStepCount, n, a.steps)
+	}
+	return uses, nil
+}
+
 // A trace's expanded op count — its replay work — may not exceed
-// freeOps plus its dictionary ops plus maxStepOps per step. Recorded engines average at most 5 ops per step (work,
-// fetches and one dispatch), so only a crafted trace reaches the
-// bound: one long entry named by many IDs, which would make replay
-// cost quadratic in the file size. Since a file holds at most
-// maxInflateRatio steps per stored byte, the bound keeps replay work
-// linear in the input.
+// freeOps plus its dictionary ops plus maxStepOps per step. Recorded
+// engines average at most 5 ops per step (work, fetches and one
+// dispatch), so only a crafted trace reaches the bound: one long entry
+// named by many steps, which would make replay cost the product of the
+// entry's length and the step count. With the step count bounded by
+// the recording's step bound (see readMeta), so is replay work.
 const (
 	freeOps    = 1 << 20
 	maxStepOps = 64
@@ -114,7 +131,7 @@ const (
 // op count stays within its bound (see freeOps). It costs
 // O(dictionary ops), not O(expanded ops).
 func (a *Arena) checkTotals(h Header, uses []uint64) error {
-	limit := freeOps + maxStepOps*uint64(len(a.ids))
+	limit := freeOps + maxStepOps*a.steps
 	for _, e := range a.dict {
 		limit += uint64(len(e))
 	}
@@ -123,14 +140,14 @@ func (a *Arena) checkTotals(h Header, uses []uint64) error {
 		n := uint64(len(e))
 		if n > 0 && uses[k] > (limit-ops)/n {
 			return fmt.Errorf("disptrace: stream expands past %d ops (%d steps, %d-op entry %d used %d times)",
-				limit, len(a.ids), n, k, uses[k])
+				limit, a.steps, n, k, uses[k])
 		}
 		ops += uses[k] * n
 	}
 	dispatches, fetches, work := a.totals(uses)
-	if uint64(len(a.ids)) != h.VMInstructions || dispatches != h.Dispatches || fetches != h.Fetches || work != h.WorkInstrs {
+	if a.steps != h.VMInstructions || dispatches != h.Dispatches || fetches != h.Fetches || work != h.WorkInstrs {
 		return fmt.Errorf("disptrace: stream totals (%d steps, %d dispatches, %d fetches, %d work) disagree with header (%d, %d, %d, %d)",
-			len(a.ids), dispatches, fetches, work, h.VMInstructions, h.Dispatches, h.Fetches, h.WorkInstrs)
+			a.steps, dispatches, fetches, work, h.VMInstructions, h.Dispatches, h.Fetches, h.WorkInstrs)
 	}
 	return nil
 }

@@ -19,6 +19,60 @@ type residentCells struct {
 	icache, btb []string
 }
 
+// paperGridPairs returns the (workload, variant) pairs of the paper
+// grid: every ForthVariants and JavaVariants pair.
+func paperGridPairs() []tracePair {
+	var pairs []tracePair
+	for _, w := range workload.Forth() {
+		for _, v := range harness.ForthVariants() {
+			pairs = append(pairs, tracePair{w, v})
+		}
+	}
+	for _, w := range workload.Java() {
+		for _, v := range harness.JavaVariants() {
+			pairs = append(pairs, tracePair{w, v})
+		}
+	}
+	return pairs
+}
+
+// TestPaperGridFitsMemoryBudget: the resident forms of all 126
+// paper-grid traces at scalediv 10 — the set a serving pass over the
+// grid loads — fit in a Cache's memory budget together, so a pass
+// decodes each trace once. Successor-run tokens are what make them
+// fit: the step-ID streams of format v5 took 132.1 MB.
+func TestPaperGridFitsMemoryBudget(t *testing.T) {
+	pairs := paperGridPairs()
+	if len(pairs) != 126 {
+		t.Fatalf("%d paper-grid pairs, want 126", len(pairs))
+	}
+	s := harness.NewTestSuite()
+	s.ScaleDiv = 10
+	type weight struct{ bytes, tokens, steps int64 }
+	got, err := runner.Map(context.Background(), len(pairs), runner.Options{Jobs: 2},
+		func(_ context.Context, i int) (weight, error) {
+			tr, _, err := s.RecordTrace(pairs[i].w, pairs[i].v, cpu.Celeron800)
+			if err != nil {
+				return weight{}, err
+			}
+			a := tr.Arena()
+			return weight{a.Bytes(), int64(a.Tokens()), int64(a.Insts())}, nil
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sum weight
+	for _, g := range got {
+		sum.bytes += g.bytes
+		sum.tokens += g.tokens
+		sum.steps += g.steps
+	}
+	if sum.bytes > disptrace.MemoryBudget {
+		t.Errorf("the paper grid's traces weigh %d bytes resident, over the %d-byte memory budget", sum.bytes, disptrace.MemoryBudget)
+	}
+	t.Logf("126 traces: %d bytes resident (budget %d), %d tokens for %d steps", sum.bytes, disptrace.MemoryBudget, sum.tokens, sum.steps)
+}
+
 // TestPaperGridResident pins how much of the real traffic the resident
 // mode serves to the end, in direct simulation and in replay. A half of
 // the mode stops at the first fetch or dispatch that would evict, so a
@@ -33,21 +87,7 @@ type residentCells struct {
 // 24 below overflow. So the fast path serves nearly every step, and the
 // golden tests cover each way out of it.
 func TestPaperGridResident(t *testing.T) {
-	type pair struct {
-		w *workload.Workload
-		v harness.Variant
-	}
-	var pairs []pair
-	for _, w := range workload.Forth() {
-		for _, v := range harness.ForthVariants() {
-			pairs = append(pairs, pair{w, v})
-		}
-	}
-	for _, w := range workload.Java() {
-		for _, v := range harness.JavaVariants() {
-			pairs = append(pairs, pair{w, v})
-		}
-	}
+	pairs := paperGridPairs()
 	machines := cpu.Machines()
 	if cells := len(pairs) * len(machines); cells != 630 {
 		t.Fatalf("%d paper-grid cells, want 630", cells)

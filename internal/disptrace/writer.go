@@ -9,11 +9,14 @@ import (
 	"slices"
 
 	"vmopt/internal/cpu"
+	"vmopt/internal/steptok"
 )
 
 // Writer records the event stream of one simulated run into an
 // in-memory trace. It implements cpu.Sink and cpu.StepSink: attach it
-// to a cpu.Sim and run the engine, then call Trace to finalize.
+// to a cpu.Sim and run the engine, then call Trace to finalize. It
+// tokenizes step IDs as they arrive (see package steptok), so the
+// stream is written once, in its resident form.
 //
 // A step — one VM instruction's events — reaches the writer one of two
 // ways. core.Run interns the events of each step it lowers once
@@ -29,11 +32,9 @@ type Writer struct {
 	// ending at dictEnds[k].
 	dictOps  []cpu.Op
 	dictEnds []int
-	// full holds the step-ID stream's full chunks, idChunk IDs each, and
-	// tail the rest: the growing stream is never copied, and Trace
-	// joins it into one array of its exact length.
-	full [][]uint32
-	tail []uint32
+	// enc tokenizes the step stream, and uses counts each ID's steps.
+	enc  steptok.Encoder
+	uses []uint64
 	// index maps hashOps of an entry to the IDs of every entry with
 	// that hash.
 	index map[uint64][]uint32
@@ -66,30 +67,17 @@ func (w *Writer) InternStep(ops []cpu.Op) uint32 {
 	w.index[h] = append(w.index[h], id)
 	w.dictOps = append(w.dictOps, ops...)
 	w.dictEnds = append(w.dictEnds, len(w.dictOps))
+	w.uses = append(w.uses, 0)
 	return id
 }
 
 // RecordSteps implements cpu.StepSink. It appends ids, which must come
 // from InternStep.
 func (w *Writer) RecordSteps(ids []uint32) {
-	for len(ids) > 0 {
-		if len(w.tail) == cap(w.tail) {
-			w.grow()
-		}
-		n := copy(w.tail[len(w.tail):cap(w.tail)], ids)
-		w.tail, ids = w.tail[:len(w.tail)+n], ids[n:]
+	for _, id := range ids {
+		w.uses[id]++
 	}
-}
-
-// idChunk is the number of step IDs in one chunk of the stream.
-const idChunk = 1 << 14
-
-// grow starts a new chunk of the step-ID stream.
-func (w *Writer) grow() {
-	if w.tail != nil {
-		w.full = append(w.full, w.tail)
-	}
-	w.tail = make([]uint32, 0, idChunk)
+	w.enc.Append(ids)
 }
 
 // entry returns dictionary entry id's ops.
@@ -115,26 +103,34 @@ func hashOps(ops []cpu.Op) uint64 {
 }
 
 // Trace returns the finished trace. The writer must not be used
-// afterwards. The dictionary's ops and the ID stream move to backing
-// arrays of their exact size, so the trace holds, and Arena.Bytes
-// weighs, what Decode of its encoding holds. The stream totals in the
-// header come from each entry's events times its use count.
+// afterwards. The dictionary's ops and the token stream move to
+// backing arrays of their exact size, so the trace holds, and
+// Arena.Bytes weighs, what Decode of its encoding holds. The stream
+// totals in the header come from each entry's events times its use
+// count.
 func (w *Writer) Trace() *Trace {
-	a := &Arena{dict: sliceEntries(append(make([]cpu.Op, 0, len(w.dictOps)), w.dictOps...), w.dictEnds)}
-	uses := make([]uint64, len(w.dictEnds))
-	if n := len(w.full)*idChunk + len(w.tail); n > 0 {
-		a.ids = make([]uint32, 0, n)
-		for _, chunk := range append(w.full, w.tail) {
-			for _, id := range chunk {
-				uses[id]++
-			}
-			a.ids = append(a.ids, chunk...)
-		}
+	a := &Arena{
+		dict: sliceEntries(exact(w.dictOps), w.dictEnds),
+		toks: exact(w.enc.Tokens()),
+	}
+	for _, n := range w.uses {
+		a.steps += n
 	}
 	h := w.h
-	h.VMInstructions = uint64(len(a.ids))
-	h.Dispatches, h.Fetches, h.WorkInstrs = a.totals(uses)
+	h.VMInstructions = a.steps
+	h.Dispatches, h.Fetches, h.WorkInstrs = a.totals(w.uses)
 	return &Trace{Header: h, arena: a}
+}
+
+// exact copies s into an array of its length, or returns nil for an
+// empty s.
+func exact[T any](s []T) []T {
+	if len(s) == 0 {
+		return nil
+	}
+	out := make([]T, len(s))
+	copy(out, s)
+	return out
 }
 
 // Save writes the trace to path atomically (temp file + rename), so a
@@ -190,7 +186,7 @@ func Load(path string) (*Trace, error) {
 const metaReadAhead = 4 << 10
 
 // ReadMeta reads a trace file's metadata — header and index — without
-// loading its dictionary or inflating its ID stream. It reads a small prefix
+// loading its dictionary or inflating its token stream. It reads a small prefix
 // and falls back to the whole file only when the index genuinely
 // extends past it.
 func ReadMeta(path string) (Meta, error) {

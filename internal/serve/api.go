@@ -88,8 +88,8 @@ type TraceInfo struct {
 	Dispatches uint64 `json:"dispatches"`
 	VMInsts    uint64 `json:"vm_instructions"`
 	// DictSteps is the size of the trace's step dictionary;
-	// StoredBytes and RawBytes size its step-ID stream on disk
-	// (flate-compressed) and inflated.
+	// StoredBytes and RawBytes size its token stream (the step IDs
+	// as successor-run tokens) on disk (flate-compressed) and inflated.
 	DictSteps   int `json:"dict_steps"`
 	StoredBytes int `json:"stored_bytes"`
 	RawBytes    int `json:"raw_bytes"`

@@ -142,7 +142,7 @@ func (st *stats) init(s *Server) {
 		traceStat(func(cs disptrace.CacheStats) uint64 { return cs.MemoryEvictions }))
 	memBytes := traceStat(func(cs disptrace.CacheStats) uint64 { return uint64(cs.MemoryBytes) })
 	r.GaugeFunc("vmserved_trace_memory_bytes",
-		"Resident bytes of the decoded traces the trace cache holds in memory (step dictionaries and step-ID streams), bounded at 16 MiB.",
+		"Resident bytes of the decoded traces the trace cache holds in memory (step dictionaries and token streams), bounded at 16 MiB.",
 		func() float64 { return float64(memBytes()) })
 
 	if s.cfg.InstanceID != "" {
