@@ -91,9 +91,6 @@ func checkGeometry(entries, ways int) int {
 // Name implements Predictor.
 func (b *SetAssoc) Name() string { return b.name }
 
-// Entries returns the total capacity in entries.
-func (b *SetAssoc) Entries() int { return len(b.slots) }
-
 // tagOf splits a branch address into its table key and the index of
 // its set's first slot. Branch addresses are byte addresses; dropping
 // the low 2 bits spreads adjacent branches across sets like real BTBs.

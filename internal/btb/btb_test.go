@@ -360,27 +360,6 @@ func TestPredictorsConverge(t *testing.T) {
 	}
 }
 
-// TestStatsCounts verifies the Stats wrapper.
-func TestStatsCounts(t *testing.T) {
-	s := &Stats{P: NewIdeal()}
-	s.Access(0x10, 0, 1) // miss
-	s.Access(0x10, 0, 1) // hit
-	s.Access(0x10, 0, 2) // miss
-	if s.Accesses != 3 || s.Mispredicted != 2 {
-		t.Errorf("Stats = %d/%d, want 2/3", s.Mispredicted, s.Accesses)
-	}
-	if got := s.Rate(); got < 0.66 || got > 0.67 {
-		t.Errorf("Rate = %v, want 2/3", got)
-	}
-	s.Reset()
-	if s.Accesses != 0 || s.Mispredicted != 0 {
-		t.Error("Reset should clear counters")
-	}
-	if (&Stats{P: NewIdeal()}).Rate() != 0 {
-		t.Error("Rate on empty Stats should be 0")
-	}
-}
-
 func TestTwoLevelGeometryPanics(t *testing.T) {
 	for _, g := range []struct{ b, h int }{{0, 1}, {30, 1}, {8, 0}} {
 		func() {

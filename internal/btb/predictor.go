@@ -27,35 +27,3 @@ type Predictor interface {
 	// Reset clears all predictor state.
 	Reset()
 }
-
-// Stats wraps a Predictor and counts accesses and mispredictions.
-type Stats struct {
-	P            Predictor
-	Accesses     uint64
-	Mispredicted uint64
-}
-
-// Access forwards to the wrapped predictor and accumulates counts.
-func (s *Stats) Access(branch, hint, target uint64) bool {
-	s.Accesses++
-	ok := s.P.Access(branch, hint, target)
-	if !ok {
-		s.Mispredicted++
-	}
-	return ok
-}
-
-// Rate returns the misprediction rate in [0,1].
-func (s *Stats) Rate() float64 {
-	if s.Accesses == 0 {
-		return 0
-	}
-	return float64(s.Mispredicted) / float64(s.Accesses)
-}
-
-// Reset clears both the counters and the underlying predictor.
-func (s *Stats) Reset() {
-	s.Accesses = 0
-	s.Mispredicted = 0
-	s.P.Reset()
-}

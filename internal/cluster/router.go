@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -59,10 +60,6 @@ type RouterConfig struct {
 	// MaxCells bounds one sweep's grid like serve.Config.MaxCells;
 	// <= 0 means serve.DefaultMaxCells.
 	MaxCells int
-	// DebugRecent and DebugSlowest size the router's /debug/requests
-	// recorder (<= 0 picks obs defaults).
-	DebugRecent  int
-	DebugSlowest int
 }
 
 // Router fronts a vmserved fleet: it owns the ring, forwards each
@@ -113,7 +110,7 @@ func NewRouter(cfg RouterConfig) *Router {
 		client:    &http.Client{},
 		downUntil: make([]atomic.Int64, len(ring.Nodes())),
 		nodeIdx:   make(map[string]int, len(ring.Nodes())),
-		recorder:  obs.NewRecorder(cfg.DebugRecent, cfg.DebugSlowest),
+		recorder:  obs.NewRecorder(0, 0),
 	}
 	rt.cfg.HopDeadline = hop
 	for i, n := range ring.Nodes() {
@@ -129,7 +126,7 @@ func NewRouter(cfg RouterConfig) *Router {
 	rt.forwards = r.CounterVec("vmrouter_forwards_total",
 		"Attempts forwarded to each instance.", "instance")
 	rt.retries = r.Counter("vmrouter_retries_total",
-		"Forward attempts beyond the first: the owner (or a later candidate) was unavailable.")
+		"Forward attempts beyond the first: an earlier candidate did not answer, or its answer was moved past.")
 	rt.failures = r.Counter("vmrouter_routing_failures_total",
 		"Requests every candidate replica failed to answer.")
 	rt.sweepSplit = r.Counter("vmrouter_sweep_groups_total",
@@ -325,44 +322,61 @@ func (rt *Router) candidates(key string) []string {
 }
 
 // forward sends one buffered request along the preference order for
-// key, one hop at a time, each under the hop deadline. Transport
-// errors and 5xx statuses advance to the next candidate (the replica
-// is marked down only for transport errors — a replica answering 503
-// is alive and shedding load, not gone). The first non-5xx response
-// is returned verbatim; if every candidate failed, the last 5xx
-// response (if any) is returned so backpressure keeps its Retry-After
-// semantics end to end.
-func (rt *Router) forward(ctx context.Context, r *http.Request, key, method, path string, body []byte) (*upstream, error) {
-	cands := rt.candidates(key)
-	if len(cands) == 0 {
-		return nil, fmt.Errorf("cluster has no instances")
-	}
+// key, one hop at a time, each under the hop deadline, until accept
+// takes an answer. accept returns nil to take the answer, or an error
+// to move on to the next candidate, keeping the answer as the last
+// one. A transport error moves on too and marks the instance down; a
+// refused answer marks nothing down, since a replica that answers,
+// even with a 503, is alive. Once the request's context is done, a
+// transport error ends the walk.
+//
+// forward returns the accepted answer and a nil error. Otherwise it
+// returns the last answer accept refused (nil if no instance answered,
+// the one case counted as a routing failure) and the last attempt's
+// error.
+func (rt *Router) forward(ctx context.Context, r *http.Request, key, method, path string, body []byte, accept func(*upstream) error) (*upstream, error) {
 	var last *upstream
-	var lastErr error
-	for i, inst := range cands {
+	err := errNoInstances
+	for i, inst := range rt.candidates(key) {
 		if i > 0 {
 			rt.retries.Inc()
 		}
-		u, err := rt.forwardOne(ctx, r, inst, i+1, method, path, body)
-		if err != nil {
-			lastErr = err
+		u, ferr := rt.forwardOne(ctx, r, inst, i+1, method, path, body)
+		if ferr != nil {
+			err = ferr
 			rt.markDown(inst, passiveCooldown)
 			if ctx.Err() != nil {
 				break
 			}
 			continue
 		}
-		if u.status >= 500 {
-			last = u
-			continue
+		if err = accept(u); err == nil {
+			return u, nil
 		}
-		return u, nil
+		last = u
 	}
-	if last != nil {
-		return last, nil
+	if last == nil {
+		rt.failures.Inc()
 	}
-	rt.failures.Inc()
-	return nil, fmt.Errorf("no instance answered: %v", lastErr)
+	return last, err
+}
+
+var errNoInstances = errors.New("cluster has no instances")
+
+// answered is the acceptance rule of run and diff: any answer but a
+// 5xx, where the next candidate may do better. A 5xx is relayed only when
+// no candidate does better, so backpressure keeps its Retry-After
+// semantics end to end.
+func answered(u *upstream) error {
+	if u.status >= 500 {
+		return refused(u)
+	}
+	return nil
+}
+
+// refused is the error of an answer forward moves past.
+func refused(u *upstream) error {
+	return fmt.Errorf("%s: status %d", u.instance, u.status)
 }
 
 // forwardOne performs one attempt against one instance under the hop
@@ -448,12 +462,7 @@ func (rt *Router) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	key := CellKey(req.Workload, req.Variant, scaleDiv)
 	sp.End()
-	u, err := rt.forward(r.Context(), r, key, http.MethodPost, "/v1/run", body)
-	if err != nil {
-		unavailable(w, err)
-		return
-	}
-	writeUpstream(w, u)
+	rt.relay(w, r, key, "/v1/run", body)
 }
 
 func (rt *Router) handleDiff(w http.ResponseWriter, r *http.Request) {
@@ -469,9 +478,15 @@ func (rt *Router) handleDiff(w http.ResponseWriter, r *http.Request) {
 	// pair on one instance (its diff flight and page cache stay hot);
 	// that instance peer-fills whichever trace it does not own.
 	sp.End()
-	u, err := rt.forward(r.Context(), r, "diff|"+req.A+"|"+req.B, http.MethodPost, "/v1/diff", body)
-	if err != nil {
-		unavailable(w, err)
+	rt.relay(w, r, "diff|"+req.A+"|"+req.B, "/v1/diff", body)
+}
+
+// relay POSTs body to path on the first candidate for key that
+// answers without a 5xx, and relays that answer, or the last 5xx.
+func (rt *Router) relay(w http.ResponseWriter, r *http.Request, key, path string, body []byte) {
+	u, err := rt.forward(r.Context(), r, key, http.MethodPost, path, body, answered)
+	if u == nil {
+		unavailable(w, fmt.Errorf("no instance answered: %v", err))
 		return
 	}
 	writeUpstream(w, u)
@@ -482,26 +497,17 @@ func (rt *Router) handleDiff(w http.ResponseWriter, r *http.Request) {
 // does not reveal), so instances are tried in ring order of the ID
 // until one answers non-404.
 func (rt *Router) handleTraceGet(w http.ResponseWriter, r *http.Request) {
-	var last *upstream
-	for i, inst := range rt.candidates(r.PathValue("id")) {
-		u, err := rt.forwardOne(r.Context(), r, inst, i+1, http.MethodGet, r.URL.Path, nil)
-		if err != nil {
-			rt.markDown(inst, passiveCooldown)
-			continue
+	u, _ := rt.forward(r.Context(), r, r.PathValue("id"), http.MethodGet, r.URL.Path, nil, func(u *upstream) error {
+		if u.status == http.StatusNotFound {
+			return refused(u)
 		}
-		if u.status == http.StatusNotFound || u.status >= 500 {
-			last = u
-			continue
-		}
-		writeUpstream(w, u)
+		return answered(u)
+	})
+	if u == nil {
+		unavailable(w, fmt.Errorf("no instance answered"))
 		return
 	}
-	if last != nil {
-		writeUpstream(w, last)
-		return
-	}
-	rt.failures.Inc()
-	unavailable(w, fmt.Errorf("no instance answered"))
+	writeUpstream(w, u)
 }
 
 // handleTraceList merges every instance's trace index: entries
@@ -622,41 +628,28 @@ func (rt *Router) handleSweep(w http.ResponseWriter, r *http.Request) {
 // not compute (e.g. mid-drain cancellation) should not burn the
 // group's only attempt.
 func (rt *Router) forwardSweepGroup(ctx context.Context, r *http.Request, key string, body []byte) ([][]byte, error) {
-	cands := rt.candidates(key)
-	if len(cands) == 0 {
-		return nil, fmt.Errorf("cluster has no instances")
-	}
-	var lastErr error
-	for i, inst := range cands {
-		if i > 0 {
-			rt.retries.Inc()
-		}
-		u, err := rt.forwardOne(ctx, r, inst, i+1, http.MethodPost, "/v1/sweep", body)
-		if err != nil {
-			lastErr = err
-			rt.markDown(inst, passiveCooldown)
-			if ctx.Err() != nil {
-				return nil, context.Cause(ctx)
-			}
-			continue
-		}
+	var lines [][]byte
+	_, err := rt.forward(ctx, r, key, http.MethodPost, "/v1/sweep", body, func(u *upstream) error {
 		if u.status != http.StatusOK {
-			lastErr = fmt.Errorf("%s: status %d", inst, u.status)
-			continue
+			return refused(u)
 		}
-		lines, errCount, perr := parseSweepBody(u.body)
-		if perr != nil {
-			lastErr = fmt.Errorf("%s: %v", inst, perr)
-			continue
+		ls, errCount, err := parseSweepBody(u.body)
+		if err != nil {
+			return fmt.Errorf("%s: %v", u.instance, err)
 		}
 		if errCount > 0 {
-			lastErr = fmt.Errorf("%s: %d cells errored", inst, errCount)
-			continue
+			return fmt.Errorf("%s: %d cells errored", u.instance, errCount)
 		}
+		lines = ls
+		return nil
+	})
+	switch {
+	case err == nil:
 		return lines, nil
+	case ctx.Err() != nil:
+		return nil, context.Cause(ctx)
 	}
-	rt.failures.Inc()
-	return nil, fmt.Errorf("no instance completed group: %v", lastErr)
+	return nil, fmt.Errorf("no instance completed group: %v", err)
 }
 
 // parseSweepBody splits a buffered sub-sweep NDJSON body into

@@ -62,20 +62,28 @@ func Blocks(code []Inst, isa ISA, extra []int) []Block {
 func Runs(code []Inst, isa ISA, extra []int) []Block {
 	var out []Block
 	for _, b := range Blocks(code, isa, extra) {
-		start := -1
-		for p := b.Start; p < b.End; p++ {
-			m := isa.Meta(code[p].Op)
-			eligible := !m.Control() && !m.Quickable
-			if eligible && start < 0 {
-				start = p
-			}
-			if !eligible && start >= 0 {
-				out = append(out, Block{Start: start, End: p})
-				start = -1
-			}
-		}
-		if start >= 0 {
-			out = append(out, Block{Start: start, End: b.End})
+		out = superRuns(out, code, isa, b)
+	}
+	return out
+}
+
+// superRuns appends the superinstruction-eligible stretches of block
+// b of code.
+func superRuns(out []Block, code []Inst, isa ISA, b Block) []Block {
+	return stretches(out, b, func(p int) bool { return isa.Meta(code[p].Op).SuperComponent() })
+}
+
+// stretches appends to out the maximal stretches of positions in b
+// where ok holds, in position order.
+func stretches(out []Block, b Block, ok func(pos int) bool) []Block {
+	start := -1
+	for p := b.Start; p <= b.End; p++ {
+		in := p < b.End && ok(p)
+		if in && start < 0 {
+			start = p
+		} else if !in && start >= 0 {
+			out = append(out, Block{Start: start, End: p})
+			start = -1
 		}
 	}
 	return out

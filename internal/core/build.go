@@ -71,8 +71,7 @@ func validate(code []Inst, isa ISA, cfg Config) error {
 	if cfg.Supers != nil {
 		for id := 0; id < cfg.Supers.NumSupers(); id++ {
 			for _, op := range cfg.Supers.Seq(id) {
-				m := isa.Meta(op)
-				if m.Control() || m.Quickable {
+				if m := isa.Meta(op); !m.SuperComponent() {
 					return fmt.Errorf("core: superinstruction %d contains control/quickable op %s", id, m.Name)
 				}
 			}
@@ -118,9 +117,7 @@ func buildPlain(code []Inst, isa ISA) *Plan {
 	p := newPlan(TPlain, code, isa)
 	lay := buildStaticLayout(isa)
 	for pos, in := range code {
-		p.addr[pos] = lay.workAddr[in.Op]
-		p.branchAddr[pos] = lay.branchAddr[in.Op]
-		p.seqBranch[pos] = lay.branchAddr[in.Op]
+		setShared(p, lay, pos, in.Op)
 	}
 	p.dispatchWork = threadedDispatchWork
 	p.dispatchBytes = threadedDispatchBytes
@@ -128,11 +125,24 @@ func buildPlain(code []Inst, isa ISA) *Plan {
 		m := isa.Meta(newOp)
 		pl.workInstrs[pos] = int32(m.Work)
 		pl.workBytes[pos] = int32(m.Bytes)
-		pl.addr[pos] = lay.workAddr[newOp]
-		pl.branchAddr[pos] = lay.branchAddr[newOp]
-		pl.seqBranch[pos] = lay.branchAddr[newOp]
+		setShared(pl, lay, pos, newOp)
 	}
 	return p
+}
+
+// setShared points position pos at the base interpreter's routine for
+// op, which ends in its own dispatch branch.
+func setShared(p *Plan, lay *staticLayout, pos int, op uint32) {
+	p.addr[pos] = lay.workAddr[op]
+	p.branchAddr[pos] = lay.branchAddr[op]
+	p.seqBranch[pos] = lay.branchAddr[op]
+	p.seqDispatch[pos] = true
+}
+
+// junction returns the work and code bytes of a non-first
+// superinstruction component: the static junction savings applied.
+func junction(m OpMeta) (work, bytes int) {
+	return max(m.Work-staticSuperJunctionSavedWork, 0), max(m.Bytes-staticSuperJunctionSavedBytes, 1)
 }
 
 // staticCopies lays out extra copies of opcode routines (and, with a
@@ -200,7 +210,7 @@ func buildStaticCopies(isa ISA, cfg Config) *staticCopies {
 				m := isa.Meta(op)
 				b := m.Bytes
 				if k > 0 {
-					b = max(b-staticSuperJunctionSavedBytes, 1)
+					_, b = junction(m)
 				}
 				offs[k] = size
 				size += b
@@ -246,8 +256,7 @@ func (sc *staticCopies) applySuper(p *Plan, isa ISA, table *superinst.Table, sta
 		m := isa.Meta(op)
 		w, b := m.Work, m.Bytes
 		if k > 0 {
-			w = max(w-staticSuperJunctionSavedWork, 0)
-			b = max(b-staticSuperJunctionSavedBytes, 1)
+			w, b = junction(m)
 		}
 		p.addr[pos] = base + uint64(sc.superOff[s][k])
 		p.workInstrs[pos] = int32(w)
@@ -286,25 +295,16 @@ func buildStatic(code []Inst, isa ISA, cfg Config, withSupers bool) *Plan {
 			// Quickable instructions are not replicated; they run
 			// from the single original and pick a replica of their
 			// quick version at quicken time (Section 5.4).
-			p.addr[pos] = sc.lay.workAddr[in.Op]
-			p.branchAddr[pos] = sc.lay.branchAddr[in.Op]
-			p.seqBranch[pos] = sc.lay.branchAddr[in.Op]
+			setShared(p, sc.lay, pos, in.Op)
 			continue
 		}
 		sc.applyPlain(p, pos, in.Op, m)
 	}
 
 	if withSupers && cfg.Supers != nil {
-		parse := func(ops []uint32) []superinst.Piece {
-			if cfg.UseOptimalParse {
-				return cfg.Supers.OptimalParse(ops)
-			}
-			return cfg.Supers.GreedyParse(ops)
-		}
 		cover := func(pl *Plan, runs []Block) {
 			for _, r := range runs {
-				ops := Ops(code, r)
-				for _, piece := range parse(ops) {
+				for _, piece := range cfg.parse(Ops(code, r)) {
 					if piece.Super >= 0 {
 						sc.applySuper(pl, isa, cfg.Supers, r.Start+piece.Start, piece.Super)
 					}
@@ -318,25 +318,8 @@ func buildStatic(code []Inst, isa ISA, cfg Config, withSupers bool) *Plan {
 		// block containing the quickened position against the live
 		// code, reset those positions to plain copies, then re-cover.
 		p.onQuicken = func(pl *Plan, pos int, newOp uint32) {
-			m := isa.Meta(newOp)
-			sc.applyPlain(pl, pos, newOp, m)
-			b := blocks[owner[pos]]
-			var runs []Block
-			start := -1
-			for q := b.Start; q < b.End; q++ {
-				mm := isa.Meta(code[q].Op)
-				eligible := !mm.Control() && !mm.Quickable
-				if eligible && start < 0 {
-					start = q
-				}
-				if !eligible && start >= 0 {
-					runs = append(runs, Block{Start: start, End: q})
-					start = -1
-				}
-			}
-			if start >= 0 {
-				runs = append(runs, Block{Start: start, End: b.End})
-			}
+			sc.applyPlain(pl, pos, newOp, isa.Meta(newOp))
+			runs := superRuns(nil, code, isa, blocks[owner[pos]])
 			// Reset run positions to plain before re-covering so
 			// stale superinstruction assignments cannot linger.
 			for _, r := range runs {
@@ -354,11 +337,4 @@ func buildStatic(code []Inst, isa ISA, cfg Config, withSupers bool) *Plan {
 		}
 	}
 	return p
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"vmopt/internal/codegen"
-	"vmopt/internal/superinst"
-)
+import "vmopt/internal/codegen"
 
 // compClass classifies how a VM instruction instance executes under a
 // dynamic (code copying) technique.
@@ -30,14 +27,6 @@ func classify(isa ISA, op uint32) compClass {
 	default:
 		return clsDyn
 	}
-}
-
-// setShared points position pos at the base interpreter's routine.
-func setShared(p *Plan, lay *staticLayout, pos int, op uint32) {
-	p.addr[pos] = lay.workAddr[op]
-	p.branchAddr[pos] = lay.branchAddr[op]
-	p.seqBranch[pos] = lay.branchAddr[op]
-	p.seqDispatch[pos] = true
 }
 
 // dynQuicken is the quicken handler shared by all code-copying
@@ -102,20 +91,18 @@ func buildDynamicRepl(code []Inst, isa ISA, cfg Config) *Plan {
 		switch classify(isa, in.Op) {
 		case clsQuick:
 			p.gapAddr[pos] = alloc.Alloc(m.QuickBytesMax + threadedDispatchBytes)
-			setShared(p, lay, pos, in.Op)
-			// Under pure replication every instance keeps its own
-			// dispatch after quickening.
-			p.mustSeq[pos] = true
+			fallthrough
 		case clsShared:
 			setShared(p, lay, pos, in.Op)
-			p.mustSeq[pos] = true
 		default:
 			a := alloc.Alloc(m.Bytes + threadedDispatchBytes)
 			p.addr[pos] = a
 			p.branchAddr[pos] = a + uint64(m.Bytes)
 			p.seqBranch[pos] = p.branchAddr[pos]
-			p.mustSeq[pos] = true
 		}
+		// Under pure replication every instance keeps its own
+		// dispatch, quickened or not.
+		p.mustSeq[pos] = true
 	}
 	p.dynBytes = alloc.Used()
 	p.onQuicken = dynQuicken(isa)
@@ -193,12 +180,7 @@ func applyBlock(p *Plan, bl *blockLayout, start int) {
 		default:
 			p.addr[pos] = bl.addr[idx]
 			switch {
-			case last:
-				p.branchAddr[pos] = bl.brAddr[idx]
-				p.seqBranch[pos] = bl.brAddr[idx]
-				p.seqDispatch[pos] = true
-				p.mustSeq[pos] = true
-			case bl.cls[idx+1] == clsShared:
+			case last || bl.cls[idx+1] == clsShared:
 				p.branchAddr[pos] = bl.brAddr[idx]
 				p.seqBranch[pos] = bl.brAddr[idx]
 				p.seqDispatch[pos] = true
@@ -236,7 +218,7 @@ func buildDynamicSuper(code []Inst, isa ISA, cfg Config, dedup bool) *Plan {
 
 	seen := make(map[string]*blockLayout)
 	for _, b := range Blocks(code, isa, cfg.ExtraLeaders) {
-		ops := Ops(code, Block{Start: b.Start, End: b.End})
+		ops := Ops(code, b)
 		var bl *blockLayout
 		if dedup {
 			key := sigKey(ops)
@@ -292,21 +274,23 @@ func buildAcrossBB(code []Inst, isa ISA, cfg Config) *Plan {
 	withSupers := cfg.Technique == TWithStaticSuper || cfg.Technique == TWithStaticSuperAcross
 	acrossSupers := cfg.Technique == TWithStaticSuperAcross
 	if withSupers {
+		// Parse units: the stretches of relocatable superinstruction
+		// components (dynamic code copying cannot fold non-relocatable
+		// ones), within each basic block or, across blocks, in the
+		// whole program.
+		units := []Block{{Start: 0, End: n}}
+		if !acrossSupers {
+			units = Blocks(code, isa, cfg.ExtraLeaders)
+		}
 		var runs []Block
-		if acrossSupers {
-			runs = relocRunsAcross(code, isa)
-		} else {
-			runs = splitRelocRuns(code, isa, Runs(code, isa, cfg.ExtraLeaders))
+		for _, b := range units {
+			runs = stretches(runs, b, func(pos int) bool {
+				m := isa.Meta(code[pos].Op)
+				return m.Relocatable && m.SuperComponent()
+			})
 		}
 		for _, r := range runs {
-			ops := Ops(code, r)
-			var pieces []superinst.Piece
-			if cfg.UseOptimalParse {
-				pieces = cfg.Supers.OptimalParse(ops)
-			} else {
-				pieces = cfg.Supers.GreedyParse(ops)
-			}
-			for _, piece := range pieces {
+			for _, piece := range cfg.parse(Ops(code, r)) {
 				if piece.Super < 0 {
 					continue
 				}
@@ -339,8 +323,7 @@ func buildAcrossBB(code []Inst, isa ISA, cfg Config) *Plan {
 			if pieceIdx[pos] > 0 {
 				// Non-first superinstruction component: junction
 				// savings, no ip increment before it.
-				w = max(w-staticSuperJunctionSavedWork, 0)
-				b = max(b-staticSuperJunctionSavedBytes, 1)
+				w, b = junction(m)
 			}
 			p.workInstrs[pos] = int32(w)
 			p.workBytes[pos] = int32(b)
@@ -355,14 +338,10 @@ func buildAcrossBB(code []Inst, isa ISA, cfg Config) *Plan {
 			// Fall-through boundary.
 			switch {
 			case last || cls[pos+1] == clsShared:
-				slot := p.branchAddr[pos]
-				if slot == 0 {
-					slot = alloc.Alloc(threadedDispatchBytes)
-				}
 				if p.branchAddr[pos] == 0 {
-					p.branchAddr[pos] = slot
+					p.branchAddr[pos] = alloc.Alloc(threadedDispatchBytes)
 				}
-				p.seqBranch[pos] = slot
+				p.seqBranch[pos] = p.branchAddr[pos]
 				p.seqDispatch[pos] = true
 				p.mustSeq[pos] = true
 			case cls[pos+1] == clsQuick:
@@ -417,52 +396,4 @@ func buildAcrossBB(code []Inst, isa ISA, cfg Config) *Plan {
 	p.dynBytes = alloc.Used()
 	p.onQuicken = dynQuicken(isa)
 	return p
-}
-
-// splitRelocRuns restricts runs to stretches of relocatable
-// instructions (dynamic code copying cannot fold non-relocatable
-// components into superinstructions).
-func splitRelocRuns(code []Inst, isa ISA, runs []Block) []Block {
-	var out []Block
-	for _, r := range runs {
-		start := -1
-		for pos := r.Start; pos < r.End; pos++ {
-			ok := isa.Meta(code[pos].Op).Relocatable
-			if ok && start < 0 {
-				start = pos
-			}
-			if !ok && start >= 0 {
-				out = append(out, Block{Start: start, End: pos})
-				start = -1
-			}
-		}
-		if start >= 0 {
-			out = append(out, Block{Start: start, End: r.End})
-		}
-	}
-	return out
-}
-
-// relocRunsAcross returns maximal stretches of relocatable,
-// non-control, non-quickable instructions ignoring basic-block
-// leaders: the parse units for static superinstructions across basic
-// blocks.
-func relocRunsAcross(code []Inst, isa ISA) []Block {
-	var out []Block
-	start := -1
-	for pos, in := range code {
-		m := isa.Meta(in.Op)
-		ok := m.Relocatable && !m.Control() && !m.Quickable
-		if ok && start < 0 {
-			start = pos
-		}
-		if !ok && start >= 0 {
-			out = append(out, Block{Start: start, End: pos})
-			start = -1
-		}
-	}
-	if start >= 0 {
-		out = append(out, Block{Start: start, End: len(code)})
-	}
-	return out
 }

@@ -69,6 +69,12 @@ func (m OpMeta) Control() bool {
 	return m.Branch || m.Call || m.Return || m.Indirect || m.Stop
 }
 
+// SuperComponent reports whether the instruction may be a component of
+// a superinstruction: it neither transfers control nor quickens.
+func (m OpMeta) SuperComponent() bool {
+	return !m.Control() && !m.Quickable
+}
+
 // ISA exposes the opcode metadata of a virtual machine.
 type ISA interface {
 	// Name identifies the VM, e.g. "forth" or "jvm".

@@ -68,17 +68,6 @@ type Plan struct {
 	// quickWork[p] is the one-time quickening cost charged when the
 	// instruction at p rewrites itself.
 	quickWork []int32
-
-	// Replica assigners kept for quicken-time copy selection
-	// (static replication of quick instructions).
-	assigner *replicaState
-}
-
-// replicaState carries static-replication state into quicken time.
-type replicaState struct {
-	copyAddr   [][]uint64 // per opcode, per copy: work address
-	copyBranch [][]uint64 // per opcode, per copy: branch address
-	next       []int      // round-robin cursors
 }
 
 // Technique returns the plan's technique.

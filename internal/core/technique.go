@@ -138,6 +138,15 @@ type Config struct {
 	CountStaticCopies bool
 }
 
+// parse splits ops into superinstruction pieces of cfg.Supers, with
+// the optimal or the greedy parse as cfg selects.
+func (cfg *Config) parse(ops []uint32) []superinst.Piece {
+	if cfg.UseOptimalParse {
+		return cfg.Supers.OptimalParse(ops)
+	}
+	return cfg.Supers.GreedyParse(ops)
+}
+
 // dispatch cost model (native instructions / bytes).
 const (
 	// Threaded-code dispatch: load target, increment ip, indirect

@@ -54,9 +54,8 @@ func (s Step) Dispatch() (branch, target uint64, ok bool) {
 }
 
 // Cursor iterates a trace's stream indexed by VM instruction, walking
-// its tokens. Step consumers (Next, Seek — the diff tooling) read one
-// dictionary entry per instruction; bulk consumers (NextBatch) get the
-// expanded op stream.
+// its tokens. Step consumers (Next) read one dictionary entry per
+// instruction; bulk consumers (NextBatch) get the expanded op stream.
 //
 // A Cursor is not safe for concurrent use; independent goroutines
 // each take their own.
@@ -92,19 +91,6 @@ func (c *Cursor) Next() (Step, bool) {
 	st := Step{Index: c.next, Ops: c.a.dict[id]}
 	c.next++
 	return st, true
-}
-
-// Seek positions the cursor so the next Next returns the step with
-// the given global VM-instruction index; seeking at or past the end
-// makes Next return false. NextBatch after a Seek starts at that
-// step. A run's end depends on every step in it, so Seek walks the
-// tokens: forward from the cursor, or from the start to seek back.
-func (c *Cursor) Seek(inst uint64) error {
-	if inst < c.next {
-		c.r, c.next = c.a.reader(), 0
-	}
-	c.next += c.r.Skip(inst - c.next)
-	return nil
 }
 
 // NextBatch appends the ops of the next steps onto dst and advances

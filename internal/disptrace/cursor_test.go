@@ -120,8 +120,8 @@ func cursorTraceForms(t *testing.T, tr *disptrace.Trace) map[string]*disptrace.T
 
 // TestCursorStepsMatchStream: on a writer-produced stream in engine
 // shape, every trace form yields the recorded steps exactly,
-// NextBatch reproduces the full stream, and Seek agrees with a full
-// walk from every sampled seek point.
+// NextBatch reproduces the full stream, and NextBatch after Next
+// resumes at the next step.
 func TestCursorStepsMatchStream(t *testing.T) {
 	want := splitSteps(stepEvents(10000, 7))
 	w := disptrace.NewWriter(testHeader())
@@ -165,34 +165,11 @@ func TestCursorStepsMatchStream(t *testing.T) {
 			t.Fatalf("%s: NextBatch delivered the stream in %d batch(es)", name, batches)
 		}
 
-		// Seek from sampled points, including the ends, equals the
-		// suffix of the full walk; seeking past the end is empty.
-		c = disptrace.NewCursor(form)
-		for _, at := range []uint64{0, 1, 127, 128, 129, 5000, uint64(len(want) - 1), uint64(len(want)), uint64(len(want)) + 5} {
-			if err := c.Seek(at); err != nil {
-				t.Fatalf("%s: Seek(%d): %v", name, at, err)
-			}
-			rest := drainSteps(t, c)
-			wantRest := 0
-			if at < uint64(len(want)) {
-				wantRest = len(want) - int(at)
-			}
-			if len(rest) != wantRest {
-				t.Fatalf("%s: Seek(%d) drained %d steps, want %d", name, at, len(rest), wantRest)
-			}
-			for k, st := range rest {
-				i := int(at) + k
-				if st.Index != uint64(i) || !opsEqual(st.Ops, want[i]) {
-					t.Fatalf("%s: Seek(%d): step %d wrong", name, at, i)
-				}
-			}
-		}
-
-		// NextBatch after a Seek starts at the sought step; mixing
+		// NextBatch after three Next calls starts at step 3; mixing
 		// steps and batches loses nothing.
 		c = disptrace.NewCursor(form)
-		if err := c.Seek(3); err != nil {
-			t.Fatal(err)
+		for range 3 {
+			c.Next()
 		}
 		batch, ok := c.NextBatch(nil)
 		var wantBatch []cpu.Op
@@ -200,7 +177,7 @@ func TestCursorStepsMatchStream(t *testing.T) {
 			wantBatch = append(wantBatch, st...)
 		}
 		if !ok || len(batch) == 0 || !opsEqual(batch, wantBatch[:len(batch)]) {
-			t.Fatalf("%s: NextBatch after Seek(3) does not start at step 3", name)
+			t.Fatalf("%s: NextBatch after three steps does not start at step 3", name)
 		}
 	}
 }
@@ -292,16 +269,6 @@ func TestCursorRealTrace(t *testing.T) {
 			if _, ok := st.Fetch(); !ok {
 				t.Fatalf("%s: step %d has no fetch", name, st.Index)
 			}
-		}
-		// Seek into the middle matches the sequential walk.
-		mid := uint64(len(steps) / 2)
-		c := disptrace.NewCursor(form)
-		if err := c.Seek(mid); err != nil {
-			t.Fatal(err)
-		}
-		st, ok := c.Next()
-		if !ok || st.Index != mid || !opsEqual(st.Ops, steps[mid].Ops) {
-			t.Fatalf("%s: Seek(%d) returned wrong step", name, mid)
 		}
 	}
 }

@@ -201,10 +201,10 @@ func FuzzTraceRoundTrip(f *testing.F) {
 }
 
 // FuzzCursor feeds arbitrary event streams (instruction marks
-// included) and seek points through the writer and the wire format:
-// cursors must reproduce the ground-truth instruction grouping
-// exactly, Seek must agree with a full walk, and a corrupted encoding
-// must error at Decode or iterate cleanly, never panic. A stream with
+// included) through the writer and the wire format: cursors must
+// reproduce the ground-truth instruction grouping exactly, and a
+// corrupted encoding (one byte at mutAt flipped by mutByte) must error
+// at Decode or iterate cleanly, never panic. A stream with
 // a fetch above MaxFetchBytes must fail to decode with
 // ErrFetchTooLarge; its in-memory form is still checked.
 func FuzzCursor(f *testing.F) {
@@ -213,7 +213,7 @@ func FuzzCursor(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{3, 2, 0xff}, 50), uint16(25), byte(0))
 	f.Add(loopSeed, uint16(40), byte(2))
 
-	f.Fuzz(func(t *testing.T, data []byte, seekAt uint16, mutByte byte) {
+	f.Fuzz(func(t *testing.T, data []byte, mutAt uint16, mutByte byte) {
 		want := splitSteps(eventsFromBytes(data))
 		w := disptrace.NewWriter(fuzzHeader("fuzz"))
 		recordSteps(w, want...)
@@ -243,42 +243,17 @@ func FuzzCursor(f *testing.F) {
 					t.Fatalf("%s: step %d diverged", name, i)
 				}
 			}
-			// Seek then drain equals the full walk's suffix — the
-			// seekability contract, in every form.
-			at := uint64(seekAt)
-			c := disptrace.NewCursor(form)
-			if err := c.Seek(at); err != nil {
-				t.Fatalf("%s: Seek(%d): %v", name, at, err)
-			}
-			rest := drainSteps(t, c)
-			if at >= uint64(len(steps)) {
-				if len(rest) != 0 {
-					t.Fatalf("%s: Seek(%d) past the end yielded %d steps", name, at, len(rest))
-				}
-				continue
-			}
-			if len(rest) != len(steps)-int(at) {
-				t.Fatalf("%s: Seek(%d) drained %d of %d steps", name, at, len(rest), len(steps))
-			}
-			for k, st := range rest {
-				i := int(at) + k
-				if st.Index != steps[i].Index || !opsEqual(st.Ops, steps[i].Ops) {
-					t.Fatalf("%s: Seek(%d): step %d diverged from full walk", name, at, i)
-				}
-			}
 		}
 
 		// Mutate one byte of the encoding (checksum repaired): decode
 		// must reject it or the cursor must survive it.
 		mut := append([]byte(nil), enc...)
-		pos := 10 + int(seekAt)%(len(mut)-10)
+		pos := 10 + int(mutAt)%(len(mut)-10)
 		mut[pos] ^= mutByte | 1
 		fixCRC(mut)
 		if dec, err := disptrace.Decode(mut); err == nil {
 			walkSteps(disptrace.NewCursor(dec))
-			c := disptrace.NewCursor(dec)
-			_ = c.Seek(uint64(seekAt))
-			c.NextBatch(nil)
+			disptrace.NewCursor(dec).NextBatch(nil)
 		}
 	})
 }

@@ -53,15 +53,6 @@ func New(code []core.Inst, memCells int) *VM {
 	}
 }
 
-// NewWithMem creates a VM whose data memory is initialized to mem
-// (the slice is used directly, not copied).
-func NewWithMem(code []core.Inst, mem []int64) *VM {
-	return &VM{code: code, mem: mem,
-		stack:  make([]int64, 0, 256),
-		rstack: make([]int64, 0, 256),
-	}
-}
-
 // ISA implements core.Process.
 func (v *VM) ISA() core.ISA { return ISA() }
 

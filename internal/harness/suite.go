@@ -347,15 +347,13 @@ func (s *Suite) configFor(w *workload.Workload, v Variant) (core.Config, error) 
 // a (benchmark, variant) pair records its dispatch stream and every
 // other machine replays it instead of re-executing the guest VM.
 func (s *Suite) Run(w *workload.Workload, v Variant, m cpu.Machine) (metrics.Counters, error) {
-	return s.RunCtx(s.context(), w, v, m)
+	return s.runCtx(s.context(), w, v, m)
 }
 
-// RunCtx is Run under a request context: when ctx carries an obs
-// trace, the cell's work is attributed to its stages (see Compute).
-// Coalesced concurrent callers share one computation, whose stages
-// land on the trace of the caller that ran it. Results are identical
-// to Run.
-func (s *Suite) RunCtx(ctx context.Context, w *workload.Workload, v Variant, m cpu.Machine) (metrics.Counters, error) {
+// runCtx is Run under ctx, which the grid schedules of RunSpecs pass
+// down; it controls scheduling, never simulation, so results are
+// identical to Run.
+func (s *Suite) runCtx(ctx context.Context, w *workload.Workload, v Variant, m cpu.Machine) (metrics.Counters, error) {
 	key := resultKey{bench: w.Name, variant: v.Name, machine: m.Name, scale: s.scale(w)}
 	return s.results.Do(key, func() (metrics.Counters, error) {
 		cs, err := s.Compute(ctx, w, v, []cpu.Machine{m})
@@ -542,19 +540,7 @@ func (s *Suite) context() context.Context {
 // in a single decode pass, so the pool parallelism is over groups
 // rather than cells and Progress counts groups.
 func (s *Suite) RunSpecs(specs []RunSpec) ([]metrics.Counters, error) {
-	return s.RunSpecsCtx(s.context(), specs)
-}
-
-// RunSpecsCtx is RunSpecs under a caller-supplied cancellation
-// context, overriding the suite's Ctx for this grid only. A server
-// shares one suite — and therefore one result/profile cache — across
-// many requests but needs each request's grid to stop dispatching
-// when that request is cancelled; results remain identical to
-// RunSpecs since the context controls scheduling, never simulation.
-func (s *Suite) RunSpecsCtx(ctx context.Context, specs []RunSpec) ([]metrics.Counters, error) {
-	if ctx == nil {
-		ctx = s.context()
-	}
+	ctx := s.context()
 	if s.Traces != nil {
 		return s.runSpecsTraced(ctx, specs)
 	}
@@ -562,7 +548,7 @@ func (s *Suite) RunSpecsCtx(ctx context.Context, specs []RunSpec) ([]metrics.Cou
 		runner.Options{Jobs: s.Jobs, Progress: s.Progress},
 		func(ctx context.Context, i int) (metrics.Counters, error) {
 			sp := specs[i]
-			return s.RunCtx(ctx, sp.W, sp.V, sp.M)
+			return s.runCtx(ctx, sp.W, sp.V, sp.M)
 		})
 }
 
@@ -641,7 +627,7 @@ func (s *Suite) runGroup(ctx context.Context, specs []RunSpec, idxs []int) ([]me
 
 	out := make([]metrics.Counters, len(idxs))
 	for j, i := range idxs {
-		c, err := s.RunCtx(ctx, specs[i].W, specs[i].V, specs[i].M)
+		c, err := s.runCtx(ctx, specs[i].W, specs[i].V, specs[i].M)
 		if err != nil {
 			return nil, err
 		}

@@ -66,9 +66,6 @@ func (c *Cache) LineSize() int { return c.lineSize }
 // SizeBytes returns the total capacity in bytes.
 func (c *Cache) SizeBytes() int { return len(c.keys) * c.lineSize }
 
-// Sets returns the number of sets.
-func (c *Cache) Sets() int { return int(c.mask) + 1 }
-
 // Lines returns the line numbers first..last that Touch(addr, size)
 // fetches. ok is false when Touch is a no-op: size <= 0, or a range
 // that wraps past the top of the address space.

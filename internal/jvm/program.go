@@ -88,12 +88,6 @@ func (p *Program) ClassByName(name string) (*Class, bool) {
 	return c, ok
 }
 
-// MethodByName returns the method with the given qualified name.
-func (p *Program) MethodByName(name string) (*Method, bool) {
-	m, ok := p.methodByName[name]
-	return m, ok
-}
-
 // EntryPoints returns all method entry positions: the extra leaders
 // for basic-block analysis (calls and returns may target them through
 // data-dependent dispatch).

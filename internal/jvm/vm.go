@@ -77,9 +77,6 @@ func (v *VM) Done() bool { return v.halted }
 // Stack returns a copy of the operand stack.
 func (v *VM) Stack() []int64 { return append([]int64(nil), v.stack...) }
 
-// Statics returns the static variable slots (live).
-func (v *VM) Statics() []int64 { return v.statics }
-
 // Run steps the VM to completion, bounded by maxSteps.
 func (v *VM) Run(maxSteps uint64) error {
 	for !v.halted {

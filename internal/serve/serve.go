@@ -113,10 +113,6 @@ type Config struct {
 	// response as X-Served-By, reported in /v1/stats, and exported as
 	// the vmserved_instance_info gauge. Empty disables all three.
 	InstanceID string
-	// DebugRecent and DebugSlowest size the /debug/requests trace
-	// recorder (<= 0 picks obs defaults).
-	DebugRecent  int
-	DebugSlowest int
 }
 
 // Defaults for Config fields left zero.
@@ -217,7 +213,7 @@ func New(cfg Config) *Server {
 		lru:        runner.NewLRU[cell, metrics.Counters](cfg.cacheSize()),
 		computeSem: make(chan struct{}, jobs),
 		suites:     runner.NewLRU[int, *harness.Suite](maxSuites),
-		recorder:   obs.NewRecorder(cfg.DebugRecent, cfg.DebugSlowest),
+		recorder:   obs.NewRecorder(0, 0),
 	}
 	s.stats.init(s)
 	return s

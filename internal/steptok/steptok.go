@@ -301,19 +301,3 @@ func (r *Reader) Fill(dst []uint32) int {
 	r.i, r.left, r.cur = i, left, cur
 	return k
 }
-
-// Skip advances past n steps, or to the end, and returns how many it
-// passed. A run's follows are walked, since the step a run ends at
-// depends on each of them.
-func (r *Reader) Skip(n uint64) uint64 {
-	var buf [256]uint32
-	var done uint64
-	for done < n {
-		k := r.Fill(buf[:min(n-done, uint64(len(buf)))])
-		if k == 0 {
-			break
-		}
-		done += uint64(k)
-	}
-	return done
-}

@@ -164,10 +164,6 @@ func (t *Table) OptimalParse(ops []uint32) []Piece {
 	return out
 }
 
-// PieceCount returns the number of pieces in a parse (the dispatch
-// count for the parsed block).
-func PieceCount(ps []Piece) int { return len(ps) }
-
 // SeqCount is a candidate sequence with its occurrence count.
 type SeqCount struct {
 	Seq   []uint32
