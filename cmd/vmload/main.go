@@ -15,7 +15,7 @@
 //
 //	vmload -spec loadspecs/ci.json -out load-report.json
 //	vmload -n 200 -c 16 -zipf-theta 0.9            # flag-built closed-loop spec
-//	vmload -mode sweep -workloads gray,tscp -stats
+//	vmload -mode sweep -workloads gray,tscp
 //	vmload diff -current load-report.json BENCH_serve.json
 //	vmload checkmetrics -addr http://127.0.0.1:8321
 //
@@ -26,10 +26,10 @@
 // as Prometheus text format 0.0.4 and requires the core vmserved
 // series to be present.
 //
-// During a run vmload also scrapes /metrics before and after the
-// measurement window and records the delta alongside the /v1/stats
-// delta; the run fails if the two expositions of the same registry
-// disagree.
+// During a run vmload also scrapes the server's request counters from
+// /metrics before and after the measurement window and records their
+// delta as the report's server block, the server-side count of what
+// the client sent.
 //
 // Exit status is non-zero on any transport error, non-2xx response
 // (503 backpressure excluded — the server shedding load under an
@@ -41,7 +41,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"net/http"
 	"os"
 	"os/signal"
@@ -51,6 +50,7 @@ import (
 	"time"
 
 	"vmopt/internal/loadgen"
+	"vmopt/internal/metrics"
 )
 
 func main() {
@@ -81,8 +81,7 @@ func runMain(args []string) error {
 	out := fs.String("out", "", "write the vmload/v1 JSON report to this file")
 	responses := fs.String("responses", "", "write a response dump (sorted key<TAB>sha256 lines) to this file")
 	checkResponses := fs.String("check-responses", "", "compare this run's responses against a reference dump; any shared key whose hash differs fails the run")
-	instances := fs.String("instances", "", "comma-separated replica base URLs behind -addr (a router); the /v1/stats and /metrics cross-check deltas are summed across them")
-	stats := fs.Bool("stats", false, "fetch and print /v1/stats after the run")
+	instances := fs.String("instances", "", "comma-separated replica base URLs behind -addr (a router); the server request-counter delta is scraped from each one's /metrics and summed")
 
 	// Flag-built spec (ignored when -spec is given): the quick
 	// closed-loop form for interactive use.
@@ -161,12 +160,6 @@ func runMain(args []string) error {
 		}
 		fmt.Printf("vmload: report written to %s\n", *out)
 	}
-	if *stats {
-		if err := printStats(*addr); err != nil {
-			fmt.Fprintln(os.Stderr, "vmload: stats:", err)
-		}
-	}
-
 	t := report.Total
 	if failures := t.Errors + t.Non2xx + t.Diverged + t.CellErrors; failures > 0 {
 		return fmt.Errorf("%d request failure(s) (backpressure excluded: %d)", failures, t.Backpressure)
@@ -188,11 +181,6 @@ func runMain(args []string) error {
 			return fmt.Errorf("no responses in common with %s: nothing was actually compared", *checkResponses)
 		}
 		fmt.Printf("vmload: %d response(s) byte-identical to %s\n", compared, *checkResponses)
-	}
-	// /v1/stats and /metrics render the same registry; a disagreement
-	// between the two deltas means one exposition path is broken.
-	if report.Server != nil && report.ServerMetrics != nil && *report.Server != *report.ServerMetrics {
-		return fmt.Errorf("/v1/stats delta %+v disagrees with /metrics delta %+v", *report.Server, *report.ServerMetrics)
 	}
 	return nil
 }
@@ -264,15 +252,6 @@ func printSummary(r *loadgen.Report) {
 		fmt.Printf("vmload: server saw run %d, sweep %d, diff %d, traces %d, rejected %d, errors %d over the measurement window\n",
 			r.Server.Run, r.Server.Sweep, r.Server.Diff, r.Server.Traces, r.Server.Rejected, r.Server.Errors)
 	}
-	if r.ServerMetrics != nil {
-		agree := "AGREES with /v1/stats"
-		if r.Server != nil && *r.Server != *r.ServerMetrics {
-			agree = "DISAGREES with /v1/stats"
-		}
-		fmt.Printf("vmload: /metrics saw run %d, sweep %d, diff %d, traces %d, rejected %d, errors %d (%s)\n",
-			r.ServerMetrics.Run, r.ServerMetrics.Sweep, r.ServerMetrics.Diff,
-			r.ServerMetrics.Traces, r.ServerMetrics.Rejected, r.ServerMetrics.Errors, agree)
-	}
 }
 
 func diffMain(args []string) error {
@@ -316,7 +295,7 @@ func checkMetricsMain(args []string) error {
 	if fs.NArg() > 0 {
 		return fmt.Errorf("unexpected argument %q", fs.Arg(0))
 	}
-	series, err := loadgen.ScrapeMetrics(&http.Client{Timeout: *timeout}, *addr)
+	series, err := metrics.ScrapeMetrics(&http.Client{Timeout: *timeout}, *addr)
 	if err != nil {
 		return err
 	}
@@ -332,6 +311,9 @@ func checkMetricsMain(args []string) error {
 		`vmserved_trace_memory_hits_total`,
 		`vmserved_trace_memory_evictions_total`,
 		`vmserved_trace_memory_bytes`,
+		`vmserved_trace_joined_total`,
+		`vmserved_trace_read_errors_total`,
+		`vmserved_trace_save_errors_total`,
 		`vmserved_in_flight`,
 		`vmserved_request_seconds_count{endpoint="run"}`,
 		`go_goroutines`,
@@ -346,23 +328,6 @@ func checkMetricsMain(args []string) error {
 		return fmt.Errorf("missing required series: %s", strings.Join(missing, ", "))
 	}
 	fmt.Printf("vmload: /metrics OK: %d series parsed, all %d required series present\n", len(series), len(required))
-	return nil
-}
-
-func printStats(addr string) error {
-	resp, err := http.Get(addr + "/v1/stats")
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("HTTP %d", resp.StatusCode)
-	}
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("vmload: server stats:\n%s", body)
 	return nil
 }
 

@@ -17,8 +17,9 @@
 //	POST /v1/sweep        grid of cells -> NDJSON stream
 //	GET  /v1/traces       on-disk trace cache index
 //	GET  /v1/traces/{id}  one trace's metadata
-//	GET  /v1/stats        hit rates, coalescing, latency percentiles
-//	GET  /metrics         Prometheus text exposition of the same counters
+//	GET  /metrics         every server counter (requests, cache tiers,
+//	                      coalescing, faults, latency histograms) in
+//	                      Prometheus text format
 //	GET  /debug/requests  recent and slowest request traces
 //	GET  /healthz         liveness (always 200 while the process runs)
 //	GET  /readyz          readiness (503 once drain begins)

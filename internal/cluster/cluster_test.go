@@ -9,12 +9,12 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sort"
-	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"vmopt/internal/disptrace"
+	"vmopt/internal/metrics"
 	"vmopt/internal/serve"
 )
 
@@ -87,30 +87,19 @@ func post(t *testing.T, url string, body any) (int, []byte, http.Header) {
 	return resp.StatusCode, out, resp.Header
 }
 
-// metricValue scrapes one un-labeled counter/gauge series off an
-// instance's /metrics.
+// metricValue scrapes one series (name plus label set, verbatim) off
+// an instance's or the router's /metrics.
 func metricValue(t *testing.T, base, series string) float64 {
 	t.Helper()
-	resp, err := http.Get(base + "/metrics")
+	all, err := metrics.ScrapeMetrics(http.DefaultClient, base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	b, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
+	v, ok := all[series]
+	if !ok {
+		t.Fatalf("series %s not found on %s", series, base)
 	}
-	for _, line := range strings.Split(string(b), "\n") {
-		if rest, ok := strings.CutPrefix(line, series+" "); ok {
-			v, err := strconv.ParseFloat(strings.TrimSpace(rest), 64)
-			if err != nil {
-				t.Fatalf("parsing %s value %q: %v", series, rest, err)
-			}
-			return v
-		}
-	}
-	t.Fatalf("series %s not found on %s", series, base)
-	return 0
+	return v
 }
 
 // sweepCellLines normalizes a sweep NDJSON body to its comparable
@@ -332,19 +321,15 @@ func TestClusterFailover(t *testing.T) {
 	}
 
 	// The router noticed: retries counted, the dead instance marked
-	// down in its stats.
-	_, sb, _ := get(t, f.front.URL+"/v1/stats")
-	var rs RouterStats
-	if err := json.Unmarshal(sb, &rs); err != nil {
-		t.Fatal(err)
+	// down, and /v1/stats is not served.
+	if metricValue(t, f.front.URL, "vmrouter_retries_total") == 0 {
+		t.Error("router reports no retries after a failover")
 	}
-	if rs.Retries == 0 {
-		t.Error("router stats report no retries after a failover")
+	if metricValue(t, f.front.URL, `vmrouter_instance_up{instance="`+owner+`"}`) != 0 {
+		t.Error("dead owner still marked up by the router")
 	}
-	for _, in := range rs.Instances {
-		if in.Instance == owner && in.Up {
-			t.Error("dead owner still marked up in router stats")
-		}
+	if st, _, _ := get(t, f.front.URL+"/v1/stats"); st != http.StatusNotFound {
+		t.Errorf("router GET /v1/stats: HTTP %d, want 404", st)
 	}
 }
 

@@ -229,7 +229,6 @@ func (rt *Router) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/traces", rt.instrument("traces", rt.handleTraceList))
 	mux.HandleFunc("GET /v1/traces/{id}", rt.instrument("traces", rt.handleTraceGet))
 	mux.HandleFunc("GET /v1/traces/{id}/raw", rt.instrument("traces", rt.handleTraceGet))
-	mux.HandleFunc("GET /v1/stats", rt.handleStats)
 	mux.Handle("GET /metrics", http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", metrics.TextContentType)
 		rt.reg.WritePrometheus(w)
@@ -681,39 +680,4 @@ func parseSweepBody(body []byte) (lines [][]byte, errCount int, err error) {
 		return nil, 0, fmt.Errorf("sub-sweep stream truncated")
 	}
 	return lines, errCount, nil
-}
-
-// RouterStats is the router's GET /v1/stats document — deliberately a
-// different shape from a replica's (the router computes nothing; it
-// routes).
-type RouterStats struct {
-	Instances []InstanceState   `json:"instances"`
-	Forwards  map[string]uint64 `json:"forwards"`
-	Retries   uint64            `json:"retries"`
-	Failures  uint64            `json:"failures"`
-}
-
-// InstanceState is one replica's health as the router sees it.
-type InstanceState struct {
-	Instance string `json:"instance"`
-	Up       bool   `json:"up"`
-}
-
-func (rt *Router) handleStats(w http.ResponseWriter, _ *http.Request) {
-	st := RouterStats{
-		Forwards: make(map[string]uint64, len(rt.ring.Nodes())),
-		Retries:  rt.retries.Load(),
-		Failures: rt.failures.Load(),
-	}
-	for _, n := range rt.ring.Nodes() {
-		st.Instances = append(st.Instances, InstanceState{Instance: n, Up: rt.healthy(n)})
-		st.Forwards[n] = rt.forwards.With(n).Load()
-	}
-	body, err := json.MarshalIndent(st, "", "  ")
-	if err != nil {
-		serve.ErrorBody(w, http.StatusInternalServerError, "encoding stats: %v", err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(append(body, '\n'))
 }

@@ -143,23 +143,24 @@ type cachedMeta struct {
 }
 
 // CacheStats counts cache activity since process start; the serving
-// subsystem reports it on /v1/stats. Loads + Records is the number of
-// flights that ran (loads from memory or disk vs fresh recordings);
-// Joined counts GetOrRecord calls that coalesced onto an in-progress
-// flight instead of touching the disk at all.
+// subsystem exports each field as a vmserved_trace_*, vmserved_peer_*
+// or vmserved_cache_quarantined_total series on /metrics. Loads +
+// Records is the number of flights that ran (loads from memory or disk
+// vs fresh recordings); Joined counts GetOrRecord calls that coalesced
+// onto an in-progress flight instead of touching the disk at all.
 type CacheStats struct {
-	Loads   uint64 `json:"loads"`
-	Records uint64 `json:"records"`
-	Joined  uint64 `json:"joined"`
+	Loads   uint64
+	Records uint64
+	Joined  uint64
 
 	// Quarantined counts corrupt or mismatched files moved to the
 	// quarantine sidecar dir instead of served; ReadErrors counts
 	// loads that failed at the I/O layer and fell back to
 	// re-simulation; SaveErrors counts recordings whose cache store
 	// failed but whose trace was still served.
-	Quarantined uint64 `json:"quarantined"`
-	ReadErrors  uint64 `json:"read_errors"`
-	SaveErrors  uint64 `json:"save_errors"`
+	Quarantined uint64
+	ReadErrors  uint64
+	SaveErrors  uint64
 
 	// PeerFills counts misses satisfied by the Fill/FillID hooks (in a
 	// cluster, traces fetched from the owning peer instead of
@@ -168,18 +169,18 @@ type CacheStats struct {
 	// failures plus filled payloads rejected by verification.
 	// PeerServes counts raw trace files this instance handed to peers
 	// through ReadRaw.
-	PeerFills      uint64 `json:"peer_fills,omitempty"`
-	PeerFillMisses uint64 `json:"peer_fill_misses,omitempty"`
-	PeerFillErrors uint64 `json:"peer_fill_errors,omitempty"`
-	PeerServes     uint64 `json:"peer_serves,omitempty"`
+	PeerFills      uint64
+	PeerFillMisses uint64
+	PeerFillErrors uint64
+	PeerServes     uint64
 
 	// MemoryHits counts loads served from memory, with no disk read
 	// and no decode; MemoryEvictions counts decoded traces the byte
 	// budget displaced (quarantine removals are not counted);
 	// MemoryBytes is the resident size of the traces held now.
-	MemoryHits      uint64 `json:"memory_hits"`
-	MemoryEvictions uint64 `json:"memory_evictions"`
-	MemoryBytes     int64  `json:"memory_bytes"`
+	MemoryHits      uint64
+	MemoryEvictions uint64
+	MemoryBytes     int64
 }
 
 // Stats snapshots the cache's activity counters.
@@ -201,10 +202,6 @@ func (c *Cache) Stats() CacheStats {
 		MemoryBytes:     c.mem.Weight(),
 	}
 }
-
-// Quarantined reports files quarantined since process start (the
-// vmserved_cache_quarantined_total metric).
-func (c *Cache) Quarantined() uint64 { return c.quarantined.Load() }
 
 // cacheOutcome is one GetOrRecord result shared across a flight.
 type cacheOutcome struct {

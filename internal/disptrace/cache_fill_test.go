@@ -229,7 +229,7 @@ func TestMetaID(t *testing.T) {
 		if _, _, err := bad.MetaID(id); !errors.Is(err, disptrace.ErrNoTrace) {
 			t.Errorf("%s: MetaID err=%v, want ErrNoTrace", name, err)
 		}
-		if got := bad.Quarantined(); got != 1 {
+		if got := bad.Stats().Quarantined; got != 1 {
 			t.Errorf("%s: %d files quarantined, want 1", name, got)
 		}
 		if _, err := os.Stat(bad.Path(k)); !errors.Is(err, os.ErrNotExist) {

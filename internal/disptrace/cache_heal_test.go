@@ -94,8 +94,8 @@ func TestCacheQuarantinesCorruptEntry(t *testing.T) {
 	if st := c.Stats(); st.Quarantined != 1 {
 		t.Fatalf("Stats().Quarantined = %d, want 1", st.Quarantined)
 	}
-	if c.Quarantined() != 1 {
-		t.Fatalf("Quarantined() = %d, want 1", c.Quarantined())
+	if c.Stats().Quarantined != 1 {
+		t.Fatalf("Stats().Quarantined = %d, want 1", c.Stats().Quarantined)
 	}
 }
 
@@ -371,8 +371,8 @@ func TestCacheScrub(t *testing.T) {
 	if _, err := os.Stat(c.Path(good)); err != nil {
 		t.Fatalf("scrub touched the valid entry: %v", err)
 	}
-	if c.Quarantined() != 2 {
-		t.Fatalf("Quarantined() = %d, want 2", c.Quarantined())
+	if c.Stats().Quarantined != 2 {
+		t.Fatalf("Stats().Quarantined = %d, want 2", c.Stats().Quarantined)
 	}
 
 	// A second scrub over the now-clean directory finds nothing.

@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -334,21 +333,10 @@ func (inj *Injector) Reject(site string) bool {
 	return false
 }
 
-// Total reports faults fired across every rule — what
-// vmserved_faults_injected_total renders.
-func (inj *Injector) Total() uint64 {
-	if inj == nil {
-		return 0
-	}
-	var n uint64
-	for _, r := range inj.rules {
-		n += r.fired.Load()
-	}
-	return n
-}
-
-// Snapshot reports fires per "site/mode" — the /v1/stats view.
-func (inj *Injector) Snapshot() map[string]uint64 {
+// Fired reports fires per "site/mode", summed over the rules that
+// share one — the fault label of vmserved_faults_injected_total. The
+// keys are fixed when the injector is armed; a nil injector has none.
+func (inj *Injector) Fired() map[string]uint64 {
 	if inj == nil {
 		return nil
 	}
@@ -357,18 +345,4 @@ func (inj *Injector) Snapshot() map[string]uint64 {
 		out[r.Site+"/"+r.Mode] += r.fired.Load()
 	}
 	return out
-}
-
-// Sites lists the distinct sites the injector arms, sorted — handy
-// for startup logs.
-func (inj *Injector) Sites() []string {
-	if inj == nil {
-		return nil
-	}
-	sites := make([]string, 0, len(inj.bySite))
-	for s := range inj.bySite {
-		sites = append(sites, s)
-	}
-	sort.Strings(sites)
-	return sites
 }

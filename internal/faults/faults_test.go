@@ -83,7 +83,7 @@ func TestNilInjectorIsNoop(t *testing.T) {
 	if inj.Reject(SiteHandler) {
 		t.Fatal("nil Reject = true")
 	}
-	if inj.Total() != 0 || inj.Snapshot() != nil || inj.Sites() != nil {
+	if inj.Fired() != nil {
 		t.Fatal("nil accounting not empty")
 	}
 }
@@ -104,11 +104,8 @@ func TestNthTrigger(t *testing.T) {
 			}
 		}
 	}
-	if fired != 4 || inj.Total() != 4 {
-		t.Fatalf("fired=%d Total=%d, want 4", fired, inj.Total())
-	}
-	if got := inj.Snapshot()["s/error"]; got != 4 {
-		t.Fatalf("Snapshot[s/error] = %d, want 4", got)
+	if got := inj.Fired(); fired != 4 || len(got) != 1 || got["s/error"] != 4 {
+		t.Fatalf("fired=%d Fired()=%v, want 4 s/error fires", fired, got)
 	}
 }
 
@@ -120,8 +117,8 @@ func TestLimitCapsFires(t *testing.T) {
 			fired++
 		}
 	}
-	if fired != 2 || inj.Total() != 2 {
-		t.Fatalf("fired=%d Total=%d, want 2", fired, inj.Total())
+	if got := inj.Fired()["s/unavailable"]; fired != 2 || got != 2 {
+		t.Fatalf("fired=%d Fired=%d, want 2", fired, got)
 	}
 }
 
@@ -208,9 +205,6 @@ func TestSitesAreIndependent(t *testing.T) {
 	if inj.Reject("a") {
 		t.Fatal("unavailable rule for site b fired at site a")
 	}
-	if got := inj.Sites(); len(got) != 2 || got[0] != "a" || got[1] != "b" {
-		t.Fatalf("Sites() = %v", got)
-	}
 }
 
 func TestConcurrentFire(t *testing.T) {
@@ -239,11 +233,11 @@ func TestConcurrentFire(t *testing.T) {
 	if errs != 8000/5 {
 		t.Fatalf("nth=5 over 8000 calls fired %d, want %d", errs, 8000/5)
 	}
-	snap := inj.Snapshot()
-	if snap["s/unavailable"] != 10 {
-		t.Fatalf("limit 10 rule fired %d", snap["s/unavailable"])
+	fired := inj.Fired()
+	if fired["s/unavailable"] != 10 {
+		t.Fatalf("limit 10 rule fired %d", fired["s/unavailable"])
 	}
-	if inj.Total() != uint64(errs)+10 {
-		t.Fatalf("Total=%d, want %d", inj.Total(), errs+10)
+	if fired["s/error"] != uint64(errs) {
+		t.Fatalf("Fired[s/error]=%d, want %d", fired["s/error"], errs)
 	}
 }

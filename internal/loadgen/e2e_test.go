@@ -78,8 +78,8 @@ func TestEndToEndMixedSpec(t *testing.T) {
 	}
 
 	// Cross-check the client-side view against the server's own
-	// /v1/stats delta over the measurement window: every measured
-	// request must be accounted for on both sides.
+	// /metrics request-counter delta over the measurement window:
+	// every measured request must be accounted for on both sides.
 	if report.Server == nil {
 		t.Fatal("report carries no server stats delta")
 	}

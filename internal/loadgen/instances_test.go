@@ -1,21 +1,18 @@
 package loadgen
 
 import (
+	"context"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 )
 
-// stubInstance serves /v1/stats and /metrics with fixed request
-// counters, the way one replica of a cluster would.
+// stubInstance serves /metrics with fixed request counters, the way
+// one replica of a cluster would.
 func stubInstance(t *testing.T, run, sweep uint64) *httptest.Server {
 	t.Helper()
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		fmt.Fprintf(w, `{"requests":{"run":%d,"sweep":%d,"diff":1,"traces":2,"rejected":0,"errors":0}}`, run, sweep)
-	})
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 		fmt.Fprintf(w, "# TYPE vmserved_requests_total counter\n")
@@ -31,8 +28,8 @@ func stubInstance(t *testing.T, run, sweep uint64) *httptest.Server {
 	return ts
 }
 
-// TestInstanceViewSumming: with Instances set, both cross-check views
-// are the sum over the fleet, and both renderings agree.
+// TestInstanceViewSumming: with Instances set, the server view is the
+// sum over the fleet.
 func TestInstanceViewSumming(t *testing.T) {
 	a := stubInstance(t, 10, 3)
 	b := stubInstance(t, 7, 5)
@@ -42,13 +39,8 @@ func TestInstanceViewSumming(t *testing.T) {
 		client: http.DefaultClient,
 	}
 	want := ServerDelta{Run: 17, Sweep: 8, Diff: 2, Traces: 4}
-	sv := ld.serverView()
-	if sv == nil || *sv != want {
+	if sv := ld.serverView(); sv == nil || *sv != want {
 		t.Fatalf("serverView = %+v, want %+v", sv, want)
-	}
-	mv := ld.metricsView()
-	if mv == nil || *mv != want {
-		t.Fatalf("metricsView = %+v, want %+v", mv, want)
 	}
 }
 
@@ -67,12 +59,9 @@ func TestInstanceViewDropsOnUnreachable(t *testing.T) {
 	if sv := ld.serverView(); sv != nil {
 		t.Fatalf("serverView with a dead instance = %+v, want nil", sv)
 	}
-	if mv := ld.metricsView(); mv != nil {
-		t.Fatalf("metricsView with a dead instance = %+v, want nil", mv)
-	}
 }
 
-// TestInstanceViewUnsetFallsBack: without Instances the views come
+// TestInstanceViewUnsetFallsBack: without Instances the view comes
 // from Addr alone, as before clustering existed.
 func TestInstanceViewUnsetFallsBack(t *testing.T) {
 	a := stubInstance(t, 4, 2)
@@ -80,5 +69,41 @@ func TestInstanceViewUnsetFallsBack(t *testing.T) {
 	want := ServerDelta{Run: 4, Sweep: 2, Diff: 1, Traces: 2}
 	if sv := ld.serverView(); sv == nil || *sv != want {
 		t.Fatalf("serverView = %+v, want %+v", sv, want)
+	}
+}
+
+// TestRouterTargetHasNoServerDelta: a target whose /metrics carries
+// only the router's vmrouter_* series counted no requests of an
+// instance, so the report has no server block rather than an all-zero
+// one that reads as measured.
+func TestRouterTargetHasNoServerDelta(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/metrics" {
+			fmt.Fprintf(w, "# TYPE vmrouter_forwards_total counter\n")
+			fmt.Fprintf(w, "vmrouter_forwards_total{instance=\"http://a\"} 12\n")
+			fmt.Fprintf(w, "# TYPE vmrouter_retries_total counter\nvmrouter_retries_total 0\n")
+			return
+		}
+		fmt.Fprintln(w, `{"ok":true}`)
+	}))
+	t.Cleanup(ts.Close)
+	spec := &Spec{
+		Ops:             map[string]float64{OpTraces: 1},
+		Workloads:       []string{"gray"},
+		Variants:        []string{"plain"},
+		ScaleDiv:        50,
+		Seed:            1,
+		Arrival:         Arrival{Mode: ModeClosed, Workers: 1},
+		MeasureRequests: 3,
+	}
+	report, err := (&Runner{Addr: ts.URL, Spec: spec}).Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if report.Total.Count != 3 {
+		t.Fatalf("measured %d requests, want 3", report.Total.Count)
+	}
+	if report.Server != nil {
+		t.Fatalf("report.Server = %+v from a router-only /metrics, want nil", report.Server)
 	}
 }

@@ -62,10 +62,12 @@ type OpStats struct {
 	ServerStages map[string]float64 `json:"server_stages_ms,omitempty"`
 }
 
-// ServerDelta is the server's own /v1/stats movement across the
-// measurement window — the server-side view to cross-check the
-// client-side counts against (client run count and server run count
-// must agree; client 503s must equal server rejections).
+// ServerDelta is the movement of the server's own request counters
+// (vmserved_requests_total, vmserved_rejected_total and
+// vmserved_errors_total on /metrics) across the measurement window —
+// the server-side view to cross-check the client-side counts against
+// (client run count and server run count must agree; client 503s must
+// equal server rejections).
 type ServerDelta struct {
 	Run      uint64 `json:"run"`
 	Sweep    uint64 `json:"sweep"`
@@ -98,14 +100,10 @@ type Report struct {
 	Ops   map[string]OpStats `json:"ops"`
 	Total OpStats            `json:"total"`
 
-	// Server is the /v1/stats delta over the measurement window,
-	// absent when the target does not serve /v1/stats.
+	// Server is the /metrics request-counter delta over the
+	// measurement window, absent when the target exposes no
+	// vmserved_requests_total series (a router without -instances).
 	Server *ServerDelta `json:"server,omitempty"`
-	// ServerMetrics is the same delta read from the Prometheus
-	// /metrics exposition — a second, independently rendered view of
-	// the same registry. The two must agree; vmload fails the run when
-	// they do not.
-	ServerMetrics *ServerDelta `json:"server_metrics,omitempty"`
 
 	// Responses maps each logical request key to the sha256 of its
 	// normalized response body (volatile ops excluded), present when

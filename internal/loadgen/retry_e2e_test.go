@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"vmopt/internal/faults"
+	"vmopt/internal/metrics"
 	"vmopt/internal/serve"
 )
 
@@ -138,8 +139,8 @@ func TestSweepResumeStitch(t *testing.T) {
 	var broke atomic.Bool
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != "/v1/sweep" {
-			// The runner probes /v1/stats and /metrics around the
-			// measurement phase; those must not consume the one-shot
+			// The runner probes /metrics around the measurement
+			// phase; those probes must not consume the one-shot
 			// broken stream below.
 			http.NotFound(w, r)
 			return
@@ -229,12 +230,11 @@ func TestRealServerRetryRecovery(t *testing.T) {
 	}
 
 	// Now the retry loop against a fresh server. Every instrumented
-	// endpoint counts as a handler call, so the sequence is: the
-	// stats-before probe (1), then three measured runs — nth:4 fires
-	// on the third run (call 4), which retries as call 5; the
-	// stats-after probe is call 6.
+	// endpoint counts as a handler call and the runner's /metrics
+	// probes are not instrumented, so nth:3 fires on the third
+	// measured run, which retries as call 4.
 	inj := faults.New(&faults.Spec{Faults: []faults.Rule{
-		{Site: faults.SiteHandler, Mode: faults.ModeUnavailable, Nth: 4, Limit: 1},
+		{Site: faults.SiteHandler, Mode: faults.ModeUnavailable, Nth: 3, Limit: 1},
 	}})
 	srv := serve.New(serve.Config{DefaultScaleDiv: testScaleDiv, Faults: inj})
 	ts := httptest.NewServer(srv.Handler())
@@ -272,22 +272,16 @@ func TestRealServerRetryRecovery(t *testing.T) {
 	}
 
 	// The server's own view: the announced retry and the injected
-	// fault are on /v1/stats.
-	sresp, err := http.Get(ts.URL + "/v1/stats")
+	// fault are on /metrics.
+	series, err := metrics.ScrapeMetrics(http.DefaultClient, ts.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sresp.Body.Close()
-	var doc serve.StatsResponse
-	if err := json.NewDecoder(sresp.Body).Decode(&doc); err != nil {
-		t.Fatal(err)
+	if got := series["vmserved_retried_requests_total"]; got != 1 {
+		t.Errorf("vmserved_retried_requests_total = %v, want 1", got)
 	}
-	if doc.Requests.Retried != 1 {
-		t.Errorf("server retried count = %d, want 1", doc.Requests.Retried)
-	}
-	if doc.Faults == nil || doc.Faults.Injected != 1 ||
-		doc.Faults.PerSite["serve.handler/unavailable"] != 1 {
-		t.Errorf("server fault stats = %+v, want 1 injected handler unavailability", doc.Faults)
+	if got := series[`vmserved_faults_injected_total{fault="serve.handler/unavailable"}`]; got != 1 {
+		t.Errorf(`vmserved_faults_injected_total{fault="serve.handler/unavailable"} = %v, want 1`, got)
 	}
 }
 

@@ -19,6 +19,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"vmopt/internal/metrics"
 	"vmopt/internal/runner"
 )
 
@@ -40,12 +41,12 @@ type Runner struct {
 	// compares between a fault-free and a fault-injected run.
 	KeepResponses bool
 	// Instances, when set, lists every replica base URL behind a
-	// cluster router at Addr: the server-side cross-check views
-	// (/v1/stats and /metrics) are fetched from each instance and
-	// summed, since the router fans traffic across the fleet and its
-	// own stats count routing, not serving. Any unreachable instance
-	// drops the cross-check (nil views), as a single unreachable
-	// target would.
+	// cluster router at Addr: the server-side request counters are
+	// scraped from each instance's /metrics and summed, since the
+	// router fans traffic across the fleet and its own counters count
+	// routing, not serving. Any unreachable instance drops the
+	// cross-check (Report.Server nil), as a single unreachable target
+	// would.
 	Instances []string
 }
 
@@ -113,7 +114,6 @@ func (r *Runner) Run(ctx context.Context) (*Report, error) {
 	}
 
 	before := ld.serverView()
-	mBefore := ld.metricsView()
 
 	var elapsed time.Duration
 	if spec.open() {
@@ -128,9 +128,7 @@ func (r *Runner) Run(ctx context.Context) (*Report, error) {
 		return nil, err
 	}
 
-	after := ld.serverView()
-	mAfter := ld.metricsView()
-	return ld.report(elapsed, before, after, mBefore, mAfter), nil
+	return ld.report(elapsed, before, ld.serverView()), nil
 }
 
 // drawOp picks one operation from the mix.
@@ -551,23 +549,19 @@ func (ld *load) logf(format string, args ...any) {
 	fmt.Fprintf(ld.Log, "loadgen: "+format+"\n", args...)
 }
 
-// serverView fetches the request-count block of /v1/stats,
-// best-effort: targets without a stats endpoint (stub servers in
-// tests) simply produce a report without the server cross-check. With
-// Instances set, every replica's view is summed — all must answer, or
-// the cross-check is dropped (a partial sum would always "disagree").
+// serverView reads the server's request counters from its /metrics,
+// best-effort: a target without /metrics, or without a
+// vmserved_requests_total series (a router, a stub), produces a report
+// without the server cross-check. With Instances set, every replica's
+// view is summed — all must answer, or the cross-check is dropped (a
+// partial sum would always disagree with the client-side counts).
 func (ld *load) serverView() *ServerDelta {
-	if len(ld.Instances) > 0 {
-		return sumViews(ld.Instances, ld.serverViewAt)
+	if len(ld.Instances) == 0 {
+		return ld.serverViewAt(ld.Addr)
 	}
-	return ld.serverViewAt(ld.Addr)
-}
-
-// sumViews aggregates one per-instance view across the fleet.
-func sumViews(instances []string, view func(addr string) *ServerDelta) *ServerDelta {
 	var sum ServerDelta
-	for _, addr := range instances {
-		d := view(addr)
+	for _, addr := range ld.Instances {
+		d := ld.serverViewAt(addr)
 		if d == nil {
 			return nil
 		}
@@ -582,51 +576,13 @@ func sumViews(instances []string, view func(addr string) *ServerDelta) *ServerDe
 }
 
 func (ld *load) serverViewAt(addr string) *ServerDelta {
-	resp, err := ld.client.Get(addr + "/v1/stats")
+	series, err := metrics.ScrapeMetrics(ld.client, addr)
 	if err != nil {
 		return nil
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, resp.Body)
-		return nil
-	}
-	var doc struct {
-		Requests struct {
-			Run      uint64 `json:"run"`
-			Sweep    uint64 `json:"sweep"`
-			Diff     uint64 `json:"diff"`
-			Traces   uint64 `json:"traces"`
-			Rejected uint64 `json:"rejected"`
-			Errors   uint64 `json:"errors"`
-		} `json:"requests"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
-		return nil
-	}
-	return &ServerDelta{
-		Run: doc.Requests.Run, Sweep: doc.Requests.Sweep,
-		Diff: doc.Requests.Diff, Traces: doc.Requests.Traces,
-		Rejected: doc.Requests.Rejected, Errors: doc.Requests.Errors,
-	}
-}
-
-// metricsView reads the same request counters from the Prometheus
-// exposition — the independent second rendering of the server's
-// registry the report cross-checks /v1/stats against. Best-effort
-// like serverView: targets without /metrics produce a report without
-// the cross-check. With Instances set, per-replica expositions are
-// summed, mirroring serverView.
-func (ld *load) metricsView() *ServerDelta {
-	if len(ld.Instances) > 0 {
-		return sumViews(ld.Instances, ld.metricsViewAt)
-	}
-	return ld.metricsViewAt(ld.Addr)
-}
-
-func (ld *load) metricsViewAt(addr string) *ServerDelta {
-	series, err := ScrapeMetrics(ld.client, addr)
-	if err != nil {
+	// The router's /metrics has no request counter of an instance: it
+	// measured nothing, so it gives no delta rather than a zero one.
+	if _, ok := series[`vmserved_requests_total{endpoint="run"}`]; !ok {
 		return nil
 	}
 	ep := func(name string) uint64 {
@@ -656,7 +612,7 @@ func delta(before, after *ServerDelta) *ServerDelta {
 }
 
 // report assembles the final document.
-func (ld *load) report(elapsed time.Duration, before, after, mBefore, mAfter *ServerDelta) *Report {
+func (ld *load) report(elapsed time.Duration, before, after *ServerDelta) *Report {
 	r := &Report{
 		Schema:   SchemaVersion,
 		Spec:     *ld.spec,
@@ -675,7 +631,6 @@ func (ld *load) report(elapsed time.Duration, before, after, mBefore, mAfter *Se
 		r.ThroughputRPS = float64(r.Total.Count) / elapsed.Seconds()
 	}
 	r.Server = delta(before, after)
-	r.ServerMetrics = delta(mBefore, mAfter)
 	if ld.KeepResponses {
 		r.Responses = map[string]string{}
 		ld.seen.Range(func(k, v any) bool {

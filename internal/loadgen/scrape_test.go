@@ -1,53 +1,6 @@
 package loadgen
 
-import (
-	"strings"
-	"testing"
-)
-
-func TestParseExposition(t *testing.T) {
-	const text = `# HELP vmserved_requests_total HTTP requests received, by endpoint.
-# TYPE vmserved_requests_total counter
-vmserved_requests_total{endpoint="run"} 12
-vmserved_requests_total{endpoint="sweep"} 3
-# HELP vmserved_in_flight Admitted requests currently executing.
-# TYPE vmserved_in_flight gauge
-vmserved_in_flight 0
-go_heap_alloc_bytes 1.048576e+06
-`
-	series, err := ParseExposition(strings.NewReader(text))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := series[`vmserved_requests_total{endpoint="run"}`]; got != 12 {
-		t.Errorf("run series = %v, want 12", got)
-	}
-	if got := series[`go_heap_alloc_bytes`]; got != 1048576 {
-		t.Errorf("heap series = %v, want 1048576 (scientific notation)", got)
-	}
-	if len(series) != 4 {
-		t.Errorf("parsed %d series, want 4", len(series))
-	}
-}
-
-// TestParseExpositionRejects is what gives `vmload checkmetrics` its
-// teeth: output that a real Prometheus scraper would choke on must be
-// an error, not a silently skipped line.
-func TestParseExpositionRejects(t *testing.T) {
-	for name, text := range map[string]string{
-		"bare comment":          "# just a note\n",
-		"missing value":         "vmserved_rejected_total\n",
-		"non-numeric value":     "vmserved_rejected_total zero\n",
-		"unterminated labels":   `vmserved_requests_total{endpoint="run" 12` + "\n",
-		"duplicate series":      "a_total 1\na_total 2\n",
-		"value-less label line": `vmserved_requests_total{endpoint="run"}` + "\n",
-		"bad metric name":       "2fast 1\n",
-	} {
-		if _, err := ParseExposition(strings.NewReader(text)); err == nil {
-			t.Errorf("%s: parsed without error: %q", name, text)
-		}
-	}
-}
+import "testing"
 
 func TestParseServerTiming(t *testing.T) {
 	got := parseServerTiming("parse;dur=0.011, record;dur=1.879, record;dur=0.5, encode;dur=0.008, junk, alsojunk;desc=x")

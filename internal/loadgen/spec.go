@@ -12,8 +12,9 @@
 //
 // A run emits a machine-readable vmload/v1 report — throughput,
 // per-operation latency percentiles, error and 503-backpressure
-// counts, host metadata, and the server's own /v1/stats delta over
-// the measurement window for cross-checking the client-side view.
+// counts, host metadata, and the delta of the server's own request
+// counters on /metrics over the measurement window for cross-checking
+// the client-side view.
 // Diff compares such a report against a checked-in baseline
 // (BENCH_serve.json) with tolerance thresholds, giving the serving
 // tier the same CI regression gate the replay path has.

@@ -153,8 +153,7 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 }
 
 // HistogramSnapshot is a point-in-time JSON-friendly summary of a
-// Histogram: the serving stats surface of /v1/stats and the load
-// generator's report.
+// Histogram: the per-operation latency of the load generator's report.
 type HistogramSnapshot struct {
 	Count  uint64  `json:"count"`
 	MeanMS float64 `json:"mean_ms"`

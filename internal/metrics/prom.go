@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"net/http"
 	"strconv"
 	"strings"
 )
@@ -124,4 +125,76 @@ func escapeLabel(s string) string {
 	s = strings.ReplaceAll(s, `\`, `\\`)
 	s = strings.ReplaceAll(s, "\n", `\n`)
 	return strings.ReplaceAll(s, `"`, `\"`)
+}
+
+// ParseExposition parses Prometheus text exposition format 0.0.4 into
+// a flat map of series (name plus label set, verbatim) to value. It
+// is deliberately strict for a scraper this small: any line that is
+// neither a well-formed comment nor a well-formed sample is an error,
+// which is what lets CI fail a run whose /metrics output would not
+// scrape.
+func ParseExposition(r io.Reader) (map[string]float64, error) {
+	out := map[string]float64{}
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
+	n := 0
+	for sc.Scan() {
+		n++
+		line := sc.Text()
+		if line == "" {
+			continue
+		}
+		if strings.HasPrefix(line, "#") {
+			if !strings.HasPrefix(line, "# HELP ") && !strings.HasPrefix(line, "# TYPE ") {
+				return nil, fmt.Errorf("metrics line %d: malformed comment %q", n, line)
+			}
+			continue
+		}
+		var key, val string
+		if i := strings.Index(line, "{"); i >= 0 {
+			// Label values may in principle contain spaces, so split at
+			// the closing brace rather than the first space.
+			j := strings.LastIndex(line, "} ")
+			if j < i {
+				return nil, fmt.Errorf("metrics line %d: unterminated label set %q", n, line)
+			}
+			key, val = line[:j+1], strings.TrimSpace(line[j+2:])
+		} else {
+			f := strings.Fields(line)
+			if len(f) != 2 {
+				return nil, fmt.Errorf("metrics line %d: want \"name value\", got %q", n, line)
+			}
+			key, val = f[0], f[1]
+		}
+		if key == "" || !(key[0] == '_' || key[0] == ':' ||
+			key[0] >= 'a' && key[0] <= 'z' || key[0] >= 'A' && key[0] <= 'Z') {
+			return nil, fmt.Errorf("metrics line %d: invalid metric name in %q", n, line)
+		}
+		v, err := strconv.ParseFloat(val, 64)
+		if err != nil {
+			return nil, fmt.Errorf("metrics line %d: bad value %q: %v", n, val, err)
+		}
+		if _, dup := out[key]; dup {
+			return nil, fmt.Errorf("metrics line %d: duplicate series %q", n, key)
+		}
+		out[key] = v
+	}
+	if err := sc.Err(); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// ScrapeMetrics fetches and parses a target's GET /metrics.
+func ScrapeMetrics(client *http.Client, addr string) (map[string]float64, error) {
+	resp, err := client.Get(addr + "/metrics")
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		io.Copy(io.Discard, resp.Body)
+		return nil, fmt.Errorf("GET /metrics: HTTP %d", resp.StatusCode)
+	}
+	return ParseExposition(resp.Body)
 }

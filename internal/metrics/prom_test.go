@@ -122,3 +122,89 @@ func TestRuntimeMetricsRender(t *testing.T) {
 		}
 	}
 }
+
+func TestParseExposition(t *testing.T) {
+	const text = `# HELP vmserved_requests_total HTTP requests received, by endpoint.
+# TYPE vmserved_requests_total counter
+vmserved_requests_total{endpoint="run"} 12
+vmserved_requests_total{endpoint="sweep"} 3
+# HELP vmserved_in_flight Admitted requests currently executing.
+# TYPE vmserved_in_flight gauge
+vmserved_in_flight 0
+go_heap_alloc_bytes 1.048576e+06
+`
+	series, err := ParseExposition(strings.NewReader(text))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := series[`vmserved_requests_total{endpoint="run"}`]; got != 12 {
+		t.Errorf("run series = %v, want 12", got)
+	}
+	if got := series[`go_heap_alloc_bytes`]; got != 1048576 {
+		t.Errorf("heap series = %v, want 1048576 (scientific notation)", got)
+	}
+	if len(series) != 4 {
+		t.Errorf("parsed %d series, want 4", len(series))
+	}
+}
+
+// TestParseExpositionRejects is what gives `vmload checkmetrics` its
+// teeth: output that a real Prometheus scraper would choke on must be
+// an error, not a silently skipped line.
+func TestParseExpositionRejects(t *testing.T) {
+	for name, text := range map[string]string{
+		"bare comment":          "# just a note\n",
+		"missing value":         "vmserved_rejected_total\n",
+		"non-numeric value":     "vmserved_rejected_total zero\n",
+		"unterminated labels":   `vmserved_requests_total{endpoint="run" 12` + "\n",
+		"duplicate series":      "a_total 1\na_total 2\n",
+		"value-less label line": `vmserved_requests_total{endpoint="run"}` + "\n",
+		"bad metric name":       "2fast 1\n",
+	} {
+		if _, err := ParseExposition(strings.NewReader(text)); err == nil {
+			t.Errorf("%s: parsed without error: %q", name, text)
+		}
+	}
+}
+
+// TestExpositionRoundTrip: what WritePrometheus renders, ParseExposition
+// reads back — every kind of series with its value, and a histogram's
+// +Inf bucket equal to its _count.
+func TestExpositionRoundTrip(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("rt_plain_total", "A counter.").Add(5)
+	vec := r.CounterVec("rt_by_kind_total", "A labelled vec.", "kind")
+	vec.With("a").Add(2)
+	vec.With(`b "quoted"`).Add(3)
+	vec.Func("c/read", func() uint64 { return 11 })
+	r.GaugeFunc("rt_level", "A func gauge.", func() float64 { return 0.25 })
+	h := r.Histogram("rt_latency_seconds", "A histogram.")
+	h.Observe(time.Millisecond)
+	h.Observe(time.Second)
+
+	var sb strings.Builder
+	if err := r.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	series, err := ParseExposition(strings.NewReader(sb.String()))
+	if err != nil {
+		t.Fatalf("rendered exposition does not parse: %v\n%s", err, sb.String())
+	}
+	for key, want := range map[string]float64{
+		`rt_plain_total`:                              5,
+		`rt_by_kind_total{kind="a"}`:                  2,
+		`rt_by_kind_total{kind="b \"quoted\""}`:       3,
+		`rt_by_kind_total{kind="c/read"}`:             11,
+		`rt_level`:                                    0.25,
+		`rt_latency_seconds_count`:                    2,
+		`rt_latency_seconds_bucket{le="+Inf"}`:        2,
+		`rt_latency_seconds_bucket{le="0.004194304"}`: 1,
+	} {
+		if got, ok := series[key]; !ok || got != want {
+			t.Errorf("%s = %v (present %v), want %v", key, got, ok, want)
+		}
+	}
+	if sum := series[`rt_latency_seconds_sum`]; sum < 1.001 || sum > 1.0011 {
+		t.Errorf("rt_latency_seconds_sum = %v, want 1.001", sum)
+	}
+}

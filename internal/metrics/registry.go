@@ -88,10 +88,8 @@ func (f *family) sorted() []*series {
 }
 
 // Registry is a named collection of counters, gauges and histograms
-// with help strings — the single source every exposition surface
-// renders from: GET /metrics serializes it as Prometheus text format
-// and /v1/stats reads the same live values into its JSON document, so
-// the two can never disagree.
+// with help strings, which GET /metrics serializes as Prometheus text
+// format (WritePrometheus) and ParseExposition reads back.
 //
 // Registration is meant for startup (it panics on conflicts, like
 // expvar); observation methods on the returned metrics are what run
@@ -178,6 +176,12 @@ func (r *Registry) CounterVec(name, help, label string) *CounterVec {
 func (v *CounterVec) With(labelVal string) *Counter {
 	s := v.fam.child(labelVal, func() *series { return &series{counter: &Counter{}} })
 	return s.counter
+}
+
+// Func adds a child whose value fn reads at collection time — the
+// labelled form of CounterFunc.
+func (v *CounterVec) Func(labelVal string, fn func() uint64) {
+	v.fam.child(labelVal, func() *series { return &series{counterFn: fn} })
 }
 
 // GaugeVec is a gauge family partitioned by one label — what info

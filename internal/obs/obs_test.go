@@ -205,7 +205,7 @@ func TestRequestID(t *testing.T) {
 			t.Errorf("generated ID %q, want 16 hex chars", id)
 		}
 	}
-	a, b := NewRequestID(), NewRequestID()
+	a, b := newRequestID(), newRequestID()
 	if a == b {
 		t.Errorf("two generated IDs collide: %q", a)
 	}

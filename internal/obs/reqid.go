@@ -19,11 +19,11 @@ func RequestID(supplied string) string {
 	if validRequestID(supplied) {
 		return supplied
 	}
-	return NewRequestID()
+	return newRequestID()
 }
 
-// NewRequestID generates a 16-hex-character random request ID.
-func NewRequestID() string {
+// newRequestID generates a 16-hex-character random request ID.
+func newRequestID() string {
 	var b [8]byte
 	if _, err := rand.Read(b[:]); err != nil {
 		// crypto/rand failing is a broken platform; a constant ID

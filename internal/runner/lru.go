@@ -181,9 +181,6 @@ func (c *LRU[K, V]) Weight() int64 {
 // LRU).
 func (c *LRU[K, V]) Budget() int64 { return c.budget }
 
-// Cap returns the configured capacity.
-func (c *LRU[K, V]) Cap() int { return c.cap }
-
 // Evictions returns how many entries the capacity or budget has
 // displaced since creation.
 func (c *LRU[K, V]) Evictions() uint64 { return c.evictions.Load() }

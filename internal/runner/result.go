@@ -123,11 +123,6 @@ func (r *Report) sortedRuns() []Run {
 	return runs
 }
 
-// SortRuns orders Runs by Key in place.
-func (r *Report) SortRuns() {
-	r.Runs = r.sortedRuns()
-}
-
 // WriteJSON serializes the report as indented JSON with runs in key
 // order.
 func (r *Report) WriteJSON(w io.Writer) error {

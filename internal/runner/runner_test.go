@@ -179,11 +179,10 @@ func TestReportCSVRoundTrip(t *testing.T) {
 	if len(runs) != len(r.Runs) {
 		t.Fatalf("got %d runs, want %d", len(runs), len(r.Runs))
 	}
-	sorted := sampleReport()
-	sorted.SortRuns()
+	sorted := sampleReport().sortedRuns()
 	for i := range runs {
-		if runs[i] != sorted.Runs[i] {
-			t.Errorf("run %d round trip mismatch:\n got %+v\nwant %+v", i, runs[i], sorted.Runs[i])
+		if runs[i] != sorted[i] {
+			t.Errorf("run %d round trip mismatch:\n got %+v\nwant %+v", i, runs[i], sorted[i])
 		}
 	}
 	// A headerless file must be rejected, not silently lose a row.

@@ -68,9 +68,9 @@ func TestHealthAndReadiness(t *testing.T) {
 	}
 }
 
-// TestInstanceIdentity checks the three places -instance-id surfaces:
-// the X-Served-By response header, /v1/stats, and the
-// vmserved_instance_info gauge.
+// TestInstanceIdentity checks the two places -instance-id surfaces:
+// the X-Served-By response header and the vmserved_instance_info
+// gauge, next to the vmserved_ready gauge.
 func TestInstanceIdentity(t *testing.T) {
 	_, ts := newTestServer(t, Config{InstanceID: "vm7:8321"})
 	resp, err := http.Get(ts.URL + "/healthz")
@@ -82,37 +82,15 @@ func TestInstanceIdentity(t *testing.T) {
 		t.Fatalf("X-Served-By = %q, want vm7:8321", got)
 	}
 
-	resp, err = http.Get(ts.URL + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var st StatsResponse
-	err = json.NewDecoder(resp.Body).Decode(&st)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.InstanceID != "vm7:8321" {
-		t.Fatalf("stats instance_id = %q, want vm7:8321", st.InstanceID)
-	}
-	if !st.Ready {
-		t.Error("stats report not ready on a fresh server")
-	}
-
-	resp, err = http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if !strings.Contains(string(b), `vmserved_instance_info{instance="vm7:8321"} 1`) {
+	series := scrape(t, ts.URL)
+	if series[`vmserved_instance_info{instance="vm7:8321"}`] != 1 {
 		t.Error("metrics missing vmserved_instance_info gauge")
 	}
-	if !strings.Contains(string(b), "vmserved_ready 1") {
-		t.Error("metrics missing vmserved_ready gauge")
+	if series["vmserved_ready"] != 1 {
+		t.Error("vmserved_ready is not 1 on a fresh server")
 	}
 
-	// Without an instance ID, none of the three surfaces appear.
+	// Without an instance ID, neither surface appears.
 	_, anon := newTestServer(t, Config{})
 	resp, err = http.Get(anon.URL + "/healthz")
 	if err != nil {
@@ -121,6 +99,11 @@ func TestInstanceIdentity(t *testing.T) {
 	resp.Body.Close()
 	if got := resp.Header.Get("X-Served-By"); got != "" {
 		t.Fatalf("anonymous server sent X-Served-By %q", got)
+	}
+	for key := range scrape(t, anon.URL) {
+		if strings.HasPrefix(key, "vmserved_instance_info") {
+			t.Errorf("anonymous server exports %s", key)
+		}
 	}
 }
 
@@ -203,17 +186,7 @@ func TestForwardedCounter(t *testing.T) {
 		t.Fatalf("run: %d", resp.StatusCode)
 	}
 
-	sresp, err := http.Get(ts.URL + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var st StatsResponse
-	err = json.NewDecoder(sresp.Body).Decode(&st)
-	sresp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Requests.Forwarded != 1 {
-		t.Fatalf("forwarded = %d, want 1", st.Requests.Forwarded)
+	if got := scrape(t, ts.URL)["vmserved_forwarded_requests_total"]; got != 1 {
+		t.Fatalf("vmserved_forwarded_requests_total = %v, want 1", got)
 	}
 }

@@ -34,7 +34,6 @@ func (s *Server) Handler() http.Handler {
 	// fetching fills must not perturb the request counters vmload
 	// cross-checks against client-side op counts.
 	mux.HandleFunc("GET /v1/traces/{id}/raw", s.handleTraceRaw)
-	mux.HandleFunc("GET /v1/stats", s.instrument("stats", st.reqStats, st.latStats, false, s.handleStats))
 	mux.Handle("GET /metrics", s.MetricsHandler())
 	mux.Handle("GET /debug/requests", s.recorder.Handler())
 	mux.HandleFunc("GET /healthz", Healthz)
@@ -450,16 +449,4 @@ func (s *Server) handleTraceRaw(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Write(b)
-}
-
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	sp := obs.Start(r.Context(), "encode")
-	body, err := json.MarshalIndent(s.stats.snapshot(s), "", "  ")
-	sp.End()
-	if err != nil {
-		ErrorBody(w, http.StatusInternalServerError, "encoding stats: %v", err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(append(body, '\n'))
 }

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"math"
 	"net/http"
@@ -12,7 +11,6 @@ import (
 	"testing"
 
 	"vmopt/internal/disptrace"
-	"vmopt/internal/loadgen"
 	"vmopt/internal/metrics"
 	"vmopt/internal/obs"
 )
@@ -33,19 +31,18 @@ func scrape(t *testing.T, base string) map[string]float64 {
 	if ct := resp.Header.Get("Content-Type"); ct != metrics.TextContentType {
 		t.Errorf("Content-Type = %q, want %q", ct, metrics.TextContentType)
 	}
-	series, err := loadgen.ParseExposition(resp.Body)
+	series, err := metrics.ParseExposition(resp.Body)
 	if err != nil {
 		t.Fatalf("/metrics does not parse as Prometheus text format: %v", err)
 	}
 	return series
 }
 
-// TestMetricsMatchStats drives a mixed workload — runs with a repeat
-// (LRU hit), a sweep, a diff, a trace listing, a rejected request and
-// a failed one — then checks that every counter GET /metrics exposes
-// agrees exactly with the GET /v1/stats document: two renderings of
-// one registry.
-func TestMetricsMatchStats(t *testing.T) {
+// TestMetricsCountTraffic drives a mixed workload — runs with a
+// repeat (LRU hit), a sweep, a diff, a trace listing, a rejected
+// request and a failed one — then checks that GET /metrics counts
+// exactly that traffic, and that /v1/stats is gone.
+func TestMetricsCountTraffic(t *testing.T) {
 	cache := disptrace.NewCache(t.TempDir())
 	s, ts := newTestServer(t, Config{Traces: cache, MaxInFlight: 2})
 
@@ -88,80 +85,55 @@ func TestMetricsMatchStats(t *testing.T) {
 	}
 	s.stats.inFlight.Add(-2)
 
-	// /v1/stats first, /metrics second: the scrape is deliberately
-	// uninstrumented, so nothing moves between the two reads except
-	// the stats request's own latency observation (checked separately).
-	statsBody, err := fetchOK(ts.URL + "/v1/stats")
+	series := scrape(t, ts.URL)
+	for key, want := range map[string]float64{
+		`vmserved_requests_total{endpoint="run"}`:    5,
+		`vmserved_requests_total{endpoint="sweep"}`:  1,
+		`vmserved_requests_total{endpoint="diff"}`:   1,
+		`vmserved_requests_total{endpoint="traces"}`: 1,
+		`vmserved_rejected_total`:                    1,
+		`vmserved_errors_total`:                      1,
+		`vmserved_computed_total{kind="diffs"}`:      1,
+		`vmserved_in_flight`:                         0,
+		// Every request is timed, the failed and rejected ones too.
+		`vmserved_request_seconds_count{endpoint="run"}`:    5,
+		`vmserved_request_seconds_count{endpoint="sweep"}`:  1,
+		`vmserved_request_seconds_count{endpoint="diff"}`:   1,
+		`vmserved_request_seconds_count{endpoint="traces"}`: 1,
+	} {
+		if got, ok := series[key]; !ok || got != want {
+			t.Errorf("%s = %v (present %v), want %v", key, got, ok, want)
+		}
+	}
+	if series["vmserved_cache_hits_total"] == 0 || series[`vmserved_computed_total{kind="cells"}`] == 0 {
+		t.Errorf("workload produced no cache hit (%v) or computed cell (%v)",
+			series["vmserved_cache_hits_total"], series[`vmserved_computed_total{kind="cells"}`])
+	}
+	if got := series[`vmserved_trace_records_total`]; got != 2 {
+		t.Errorf("vmserved_trace_records_total = %v, want 2", got)
+	}
+	for _, key := range []string{
+		`vmserved_requests_total{endpoint="stats"}`,
+		`vmserved_request_seconds_count{endpoint="stats"}`,
+	} {
+		if _, ok := series[key]; ok {
+			t.Errorf("/metrics still carries %s", key)
+		}
+	}
+	resp, err := http.Get(ts.URL + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var st StatsResponse
-	if err := json.Unmarshal(statsBody, &st); err != nil {
-		t.Fatal(err)
-	}
-	series := scrape(t, ts.URL)
-
-	want := map[string]uint64{
-		`vmserved_requests_total{endpoint="run"}`:    st.Requests.Run,
-		`vmserved_requests_total{endpoint="sweep"}`:  st.Requests.Sweep,
-		`vmserved_requests_total{endpoint="diff"}`:   st.Requests.Diff,
-		`vmserved_requests_total{endpoint="traces"}`: st.Requests.Traces,
-		`vmserved_requests_total{endpoint="stats"}`:  st.Requests.Stats,
-		`vmserved_rejected_total`:                    st.Requests.Rejected,
-		`vmserved_errors_total`:                      st.Requests.Errors,
-		`vmserved_cache_hits_total`:                  st.Cache.Hits,
-		`vmserved_cache_misses_total`:                st.Cache.Misses,
-		`vmserved_cache_evictions_total`:             st.Cache.Evictions,
-		`vmserved_cache_entries`:                     uint64(st.Cache.Size),
-		`vmserved_coalesced_total{kind="runs"}`:      st.Coalesced.Runs,
-		`vmserved_coalesced_total{kind="groups"}`:    st.Coalesced.Groups,
-		`vmserved_coalesced_total{kind="diffs"}`:     st.Coalesced.Diffs,
-		`vmserved_canceled_retries_total`:            st.Coalesced.CanceledRetries,
-		`vmserved_computed_total{kind="cells"}`:      st.Computed.Cells,
-		`vmserved_computed_total{kind="groups"}`:     st.Computed.Groups,
-		`vmserved_computed_total{kind="diffs"}`:      st.Computed.Diffs,
-		`vmserved_suites_live`:                       uint64(st.Suites.Live),
-		`vmserved_in_flight`:                         0,
-	}
-	for _, ep := range []string{"run", "sweep", "diff", "traces"} {
-		want[fmt.Sprintf("vmserved_request_seconds_count{endpoint=%q}", ep)] = st.Latency[ep].Count
-	}
-	for key, v := range want {
-		got, ok := series[key]
-		if !ok {
-			t.Errorf("/metrics is missing series %s", key)
-			continue
-		}
-		if got != float64(v) {
-			t.Errorf("%s = %v in /metrics, but /v1/stats says %d", key, got, v)
-		}
-	}
-
-	// The workload actually moved the counters this test is about.
-	if st.Requests.Run != 5 || st.Requests.Sweep != 1 || st.Requests.Diff != 1 {
-		t.Errorf("requests = %+v, want 5 runs, 1 sweep, 1 diff", st.Requests)
-	}
-	if st.Requests.Rejected != 1 || st.Requests.Errors != 1 {
-		t.Errorf("rejected/errors = %d/%d, want 1/1", st.Requests.Rejected, st.Requests.Errors)
-	}
-	if st.Cache.Hits == 0 || st.Computed.Cells == 0 {
-		t.Errorf("workload produced no cache hit (%d) or computed cell (%d)", st.Cache.Hits, st.Computed.Cells)
-	}
-	if st.Latency["stats"].Count != 0 {
-		// The stats request observes its own latency only after its
-		// response is written; the snapshot it returned cannot have
-		// counted itself yet, but the later scrape must have.
-		t.Errorf("stats latency count in its own snapshot = %d, want 0", st.Latency["stats"].Count)
-	}
-	if got := series[`vmserved_request_seconds_count{endpoint="stats"}`]; got != 1 {
-		t.Errorf("stats latency count after the response completed = %v, want 1", got)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("GET /v1/stats: HTTP %d, want 404", resp.StatusCode)
 	}
 
 	// Histogram exposition: cumulative run buckets ending in +Inf ==
 	// _count.
 	infKey := `vmserved_request_seconds_bucket{endpoint="run",le="+Inf"}`
-	if series[infKey] != float64(st.Latency["run"].Count) {
-		t.Errorf("%s = %v, want %d", infKey, series[infKey], st.Latency["run"].Count)
+	if series[infKey] != series[`vmserved_request_seconds_count{endpoint="run"}`] {
+		t.Errorf("%s = %v, want the run _count", infKey, series[infKey])
 	}
 }
 

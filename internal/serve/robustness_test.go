@@ -132,27 +132,16 @@ func TestInjectedHandlerFaults(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("run after spent fault: HTTP %d: %s", status, out)
 	}
-	if got := inj.Total(); got != 1 {
-		t.Errorf("faults fired = %d, want 1", got)
-	}
-	// The armed injector surfaces on /v1/stats.
-	var stats StatsResponse
+	// The armed injector surfaces on /metrics, one series per rule.
 	if status, body := post(t, ts.URL+"/v1/run", req); status != http.StatusOK {
 		t.Fatalf("warm rerun: HTTP %d: %s", status, body)
 	}
-	sresp, err := http.Get(ts.URL + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
+	series := scrape(t, ts.URL)
+	if got := series[`vmserved_faults_injected_total{fault="serve.handler/unavailable"}`]; got != 1 {
+		t.Errorf(`vmserved_faults_injected_total{fault="serve.handler/unavailable"} = %v, want 1`, got)
 	}
-	defer sresp.Body.Close()
-	if err := json.NewDecoder(sresp.Body).Decode(&stats); err != nil {
-		t.Fatal(err)
-	}
-	if stats.Faults == nil || stats.Faults.Injected != 1 || stats.Faults.PerSite["serve.handler/unavailable"] != 1 {
-		t.Errorf("stats.Faults = %+v, want 1 handler/unavailable fire", stats.Faults)
-	}
-	if stats.Requests.Rejected != 1 {
-		t.Errorf("stats rejected = %d, want 1", stats.Requests.Rejected)
+	if got := series["vmserved_rejected_total"]; got != 1 {
+		t.Errorf("vmserved_rejected_total = %v, want 1", got)
 	}
 }
 

@@ -10,7 +10,7 @@
 //	POST /v1/diff       instruction-aligned comparison of two cached traces
 //	GET  /v1/traces     index of the on-disk dispatch-trace cache
 //	GET  /v1/traces/{id}  metadata of one cached trace
-//	GET  /v1/stats      cache hit rates, coalescing, latency percentiles
+//	GET  /metrics       every server counter, Prometheus text format
 //	GET  /healthz       liveness
 //
 // A served cell has one memo and one coalescing point:
@@ -110,8 +110,8 @@ type Config struct {
 	// outcome and latency.
 	AccessLog *slog.Logger
 	// InstanceID names this instance in a cluster: echoed on every
-	// response as X-Served-By, reported in /v1/stats, and exported as
-	// the vmserved_instance_info gauge. Empty disables all three.
+	// response as X-Served-By and exported as the
+	// vmserved_instance_info gauge. Empty disables both.
 	InstanceID string
 }
 
@@ -292,9 +292,6 @@ func (s *Server) suiteFor(scaleDiv int) *harness.Suite {
 	return suite
 }
 
-// suiteCount reports live suites for /v1/stats.
-func (s *Server) suiteCount() int { return s.suites.Len() }
-
 // coalesce runs compute at most once per concurrently requested key.
 // Joins are cancellable (a dropped duplicate client releases its
 // handler immediately; the leader runs to completion for whoever is
@@ -345,8 +342,9 @@ func (s *Server) runGroup(ctx context.Context, g group) (map[string]metrics.Coun
 	out := s.lookup(g)
 	hits := len(out)
 	// Hit accounting is per lookup, not per group: a group with one
-	// evicted cell still credits its resident cells, so /v1/stats
-	// reflects how much of the traffic the LRU actually absorbed.
+	// evicted cell still credits its resident cells, so
+	// vmserved_cache_hits_total reflects how much of the traffic the
+	// LRU actually absorbed.
 	s.stats.lruHits.Add(uint64(hits))
 	s.stats.lruMisses.Add(uint64(len(g.cells) - hits))
 	if hits == len(g.cells) {

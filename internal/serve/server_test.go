@@ -197,7 +197,7 @@ func TestRunAndSweepShareFlight(t *testing.T) {
 	}()
 	// The stall firing means the run leads the flight and is parked
 	// inside it.
-	for deadline := time.Now().Add(5 * time.Second); inj.Total() == 0; time.Sleep(time.Millisecond) {
+	for deadline := time.Now().Add(5 * time.Second); inj.Fired()["serve.compute/latency"] == 0; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatal("the run never reached the compute stall")
 		}
@@ -572,22 +572,15 @@ func TestTraceAndStatsEndpoints(t *testing.T) {
 		t.Errorf("trace info = %+v, want tscp/plain with a step dictionary and its ID-stream sizes", info)
 	}
 
-	statsBody, err := fetchOK(ts.URL + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var st StatsResponse
-	if err := json.Unmarshal(statsBody, &st); err != nil {
-		t.Fatal(err)
-	}
-	if st.Requests.Sweep != 1 || st.Host == nil || st.Host.GoMaxProcs < 1 {
-		t.Errorf("stats = %+v, want one sweep and host metadata", st)
-	}
-	if st.Traces == nil || st.Traces.Records != 1 {
-		t.Errorf("stats.Traces = %+v, want 1 recording", st.Traces)
-	}
-	if st.Latency["sweep"].Count != 1 {
-		t.Errorf("sweep latency count = %d, want 1", st.Latency["sweep"].Count)
+	series := scrape(t, ts.URL)
+	for key, want := range map[string]float64{
+		`vmserved_requests_total{endpoint="sweep"}`:        1,
+		`vmserved_trace_records_total`:                     1,
+		`vmserved_request_seconds_count{endpoint="sweep"}`: 1,
+	} {
+		if got := series[key]; got != want {
+			t.Errorf("%s = %v, want %v", key, got, want)
+		}
 	}
 }
 
@@ -703,19 +696,13 @@ func TestDiffEndpoint(t *testing.T) {
 		t.Errorf("mismatched workloads: HTTP %d (%s), want 400", status, body)
 	}
 
-	// Stats reflect the diff traffic.
-	statsBody, err := fetchOK(ts.URL + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
+	// The counters reflect the diff traffic.
+	series := scrape(t, ts.URL)
+	if series[`vmserved_requests_total{endpoint="diff"}`] == 0 || series[`vmserved_computed_total{kind="diffs"}`] == 0 {
+		t.Errorf("diff counters missing: requests %v, computed %v",
+			series[`vmserved_requests_total{endpoint="diff"}`], series[`vmserved_computed_total{kind="diffs"}`])
 	}
-	var st StatsResponse
-	if err := json.Unmarshal(statsBody, &st); err != nil {
-		t.Fatal(err)
-	}
-	if st.Requests.Diff == 0 || st.Computed.Diffs == 0 {
-		t.Errorf("diff stats missing: %+v", st.Requests)
-	}
-	if st.Latency["diff"].Count == 0 {
+	if series[`vmserved_request_seconds_count{endpoint="diff"}`] == 0 {
 		t.Errorf("diff latency not observed")
 	}
 }
