@@ -42,8 +42,9 @@
 //	    across the instances, forward with per-hop deadlines, retry
 //	    the next replica when the owner is unavailable
 //	vmserved -cluster http://a:8321,... -cluster-self http://a:8321
-//	    run as a replica: on a local trace-cache miss, ask the owning
-//	    peer for the trace before simulating (peer fill)
+//	    run as a replica: on a local trace-cache miss, ask a peer for
+//	    the trace before simulating (peer fill: the owning peer for a
+//	    keyed read, every peer in ring order for a read by ID)
 //
 // Robustness controls:
 //
@@ -199,7 +200,6 @@ func main() {
 			ring := cluster.NewRing(instances, *vnodes, *ringSeed)
 			peers := cluster.NewPeerClient(ring, *clusterSelf, *peerDeadline)
 			cfg.Traces.Fill = peers.Fill
-			cfg.Traces.FillID = peers.FillID
 			log.Printf("vmserved: cluster member %s of %d instance(s); peer fill armed", *clusterSelf, len(instances))
 		}
 	}

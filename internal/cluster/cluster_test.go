@@ -51,7 +51,6 @@ func newFleet(t *testing.T, n int) *fleet {
 	for i, ts := range f.backend {
 		pc := NewPeerClient(ring, f.urls[i], 5*time.Second)
 		f.caches[i].Fill = pc.Fill
-		f.caches[i].FillID = pc.FillID
 		s := serve.New(serve.Config{Traces: f.caches[i], InstanceID: f.urls[i]})
 		f.servers = append(f.servers, s)
 		ts.Config.Handler = s.Handler()
@@ -551,7 +550,7 @@ func TestClusterDrainRouting(t *testing.T) {
 // TestClusterDiffPeerFill runs the two CI cells so their traces live
 // on (potentially different) owners, then diffs the pair through the
 // router: whichever instance serves the diff must fill the trace it
-// does not hold by content address (FillID) and answer identically to
+// does not hold by content address (Fill without a key) and answer identically to
 // a single instance holding both.
 func TestClusterDiffPeerFill(t *testing.T) {
 	_, single := newSingle(t)

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"vmopt/internal/disptrace"
-	"vmopt/internal/runner"
 )
 
 // DefaultPeerDeadline bounds one peer-fill fetch. Filling must stay
@@ -22,12 +21,12 @@ const DefaultPeerDeadline = 10 * time.Second
 // are well under this).
 const maxFillBytes = 1 << 30
 
-// PeerClient implements the trace cache's Fill/FillID hooks over the
-// cluster: a local miss asks the owning peer for the raw trace bytes
+// PeerClient implements the trace cache's Fill hook over the cluster:
+// a local miss asks a peer for the raw trace bytes
 // (GET /v1/traces/{id}/raw) before the caller falls back to
-// simulating. Fetches are bounded by a deadline and coalesced per
-// trace ID through runner.Flight, so a herd missing one key costs the
-// fleet one fetch. The cache verifies every filled payload against
+// simulating. Fetches are bounded by a deadline; the cache's flight
+// already coalesces concurrent misses of one trace ID, so a herd costs
+// the fleet one fetch. The cache verifies every filled payload against
 // its content address; the client only moves bytes.
 type PeerClient struct {
 	// Ring places cell keys; Self is this instance's own member name
@@ -37,8 +36,6 @@ type PeerClient struct {
 
 	// Client issues the fetches; its Timeout is the per-fill deadline.
 	Client *http.Client
-
-	flight runner.Flight[string, []byte]
 }
 
 // NewPeerClient builds a peer client for an instance. deadline <= 0
@@ -51,62 +48,40 @@ func NewPeerClient(ring *Ring, self string, deadline time.Duration) *PeerClient 
 		Client: &http.Client{Timeout: deadline}}
 }
 
-// Fill fetches the trace for a key from its owning peer. When this
-// instance is itself the owner there is no better-informed peer to
-// ask, so the miss is final (nil, nil) and the caller simulates —
-// that simulation is exactly the work ownership assigns here.
-func (p *PeerClient) Fill(k disptrace.Key) ([]byte, error) {
-	sd := int(k.ScaleDiv)
-	if sd == 0 {
-		sd = 1
+// Fill fetches trace id from a peer. With a key it asks the owner of
+// the key's cell; when this instance is itself the owner there is no
+// better-informed peer to ask, so the miss is final (nil, nil) and the
+// caller simulates — that simulation is exactly the work ownership
+// assigns here. Without a key (the diff and trace-info paths, where
+// the cell is not recoverable from the ID) it asks every other peer in
+// the ID's ring order until one has it. 404 means a peer does not have
+// the trace; transport errors and other statuses move on to the next
+// candidate. Exhausting the candidates without an error is a clean
+// miss (nil, nil); a fill that only ever errored reports the last
+// error so the cache counts it as a fill failure.
+func (p *PeerClient) Fill(id string, k *disptrace.Key) ([]byte, error) {
+	var peers []string
+	if k != nil {
+		sd := max(int(k.ScaleDiv), 1)
+		peers = []string{p.Ring.Owner(CellKey(k.Workload, k.Variant, sd))}
+	} else {
+		peers = p.Ring.Owners(id, len(p.Ring.Nodes()))
 	}
-	owner := p.Ring.Owner(CellKey(k.Workload, k.Variant, sd))
-	if owner == "" || owner == p.Self {
-		return nil, nil
-	}
-	return p.fetch(k.ID(), []string{owner})
-}
-
-// FillID fetches a trace by content address for the diff path, where
-// the owning cell key is not recoverable from the ID alone: peers are
-// asked in ring order (deterministic, so concurrent fills of one ID
-// walk the same sequence) until one has it. A fleet-wide miss is a
-// clean miss.
-func (p *PeerClient) FillID(id string) ([]byte, error) {
-	peers := make([]string, 0, len(p.Ring.Nodes()))
-	for _, n := range p.Ring.Owners(id, len(p.Ring.Nodes())) {
-		if n != p.Self {
-			peers = append(peers, n)
+	var lastErr error
+	for _, peer := range peers {
+		if peer == "" || peer == p.Self {
+			continue
+		}
+		b, err := p.fetchOne(peer, id)
+		if err != nil {
+			lastErr = err
+			continue
+		}
+		if b != nil {
+			return b, nil
 		}
 	}
-	return p.fetch(id, peers)
-}
-
-// fetch asks each candidate peer for the raw bytes of one trace,
-// coalescing concurrent fetches of the same ID. 404 means the peer
-// does not have it; transport errors and other statuses move on to
-// the next candidate. Exhausting the candidates without an error is a
-// clean miss (nil, nil); a fetch that only ever errored reports the
-// last error so the cache counts it as a fill failure.
-func (p *PeerClient) fetch(id string, peers []string) ([]byte, error) {
-	if len(peers) == 0 {
-		return nil, nil
-	}
-	b, _, err := p.flight.Do(id, func() ([]byte, error) {
-		var lastErr error
-		for _, peer := range peers {
-			b, err := p.fetchOne(peer, id)
-			if err != nil {
-				lastErr = err
-				continue
-			}
-			if b != nil {
-				return b, nil
-			}
-		}
-		return nil, lastErr
-	})
-	return b, err
+	return nil, lastErr
 }
 
 // fetchOne performs one GET /v1/traces/{id}/raw against one peer.

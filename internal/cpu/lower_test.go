@@ -450,10 +450,59 @@ func TestApplyStepsReusesBuffers(t *testing.T) {
 	}
 }
 
+// gap is what the resident mode does between two steps in
+// applyGapped: nothing, a Sync, or a BeginSteps that lowers the
+// dictionary anew.
+type gap int
+
+const (
+	gapNone gap = iota
+	gapSync
+	gapBegin
+	gapKinds
+)
+
+// applyGapped runs ids through the resident mode one step at a time,
+// as ApplySteps does, taking gaps[i] between steps i and i+1. None of
+// the gaps changes what the per-event loop computes.
+func (s *Sim) applyGapped(dict [][]Op, ids []uint32, gaps []gap) {
+	begin := func() {
+		s.BeginSteps(len(dict))
+		for _, e := range dict {
+			s.AddStep(e)
+		}
+	}
+	begin()
+	for i, id := range ids {
+		if i > 0 {
+			switch gaps[i-1] {
+			case gapSync:
+				s.Sync()
+			case gapBegin:
+				begin()
+			}
+		}
+		e := dict[id]
+		var hint, target uint64
+		if n := len(e); n > 0 {
+			hint, target = e[n-1].B, e[n-1].C
+		}
+		if st := s.Warm(id); st != nil {
+			s.Predict(st, target)
+		} else if !s.RunStep(id, hint, target) {
+			s.Sync()
+			s.Apply(e)
+		}
+	}
+	s.Sync()
+}
+
 // TestApplyStepsExhaustive replays every step-ID sequence of length 0
 // to 8 over a three-step dictionary (9,841 sequences) from its
 // successor-run tokens, and checks each against the per-event loop,
-// full state included. The steps collide everywhere they can: on a
+// full state included. Every sequence of length up to 6 is also run
+// with each of nothing, a Sync or a BeginSteps in each gap between two
+// steps (199,291 runs). The steps collide everywhere they can: on a
 // 2-set, 2-way I-cache, five lines share one set, and the two
 // dispatch branches share one entry of a 4-entry direct-mapped BTB
 // (and one set of a 2-set, 2-way one). One step has each lowered shape
@@ -482,8 +531,9 @@ func TestApplyStepsExhaustive(t *testing.T) {
 		}
 	}
 
+	const maxGapped = 6
 	var exits Exits
-	seqs := 0
+	seqs, gapped := 0, 0
 	var walk func(ids []uint32)
 	walk = func(ids []uint32) {
 		seqs++
@@ -511,6 +561,9 @@ func TestApplyStepsExhaustive(t *testing.T) {
 			exits.ICache += got.ResidentExits().ICache
 			exits.BTB += got.ResidentExits().BTB
 		}
+		if len(ids) <= maxGapped {
+			gapped += checkGaps(t, dict, ids, []Machine{tiny, twoWay})
+		}
 		if len(ids) < 8 {
 			for id := range uint32(len(dict)) {
 				walk(append(ids, id))
@@ -518,10 +571,40 @@ func TestApplyStepsExhaustive(t *testing.T) {
 		}
 	}
 	walk(make([]uint32, 0, 8))
-	if seqs != 9841 {
-		t.Errorf("walked %d sequences, want 9841", seqs)
+	if seqs != 9841 || gapped != 199291 {
+		t.Errorf("walked %d sequences and %d gapped runs, want 9841 and 199291", seqs, gapped)
 	}
 	if exits.ICache == 0 || exits.BTB == 0 {
 		t.Errorf("the resident mode left the I-cache half %d times and the BTB half %d times, want both above 0", exits.ICache, exits.BTB)
+	}
+}
+
+// checkGaps runs ids with every choice of gap between each two steps
+// (see applyGapped) on each machine, checks each run against the
+// per-event loop, full state included, and returns how many gap
+// choices it walked.
+func checkGaps(t *testing.T, dict [][]Op, ids []uint32, ms []Machine) int {
+	t.Helper()
+	gaps := make([]gap, max(len(ids)-1, 0))
+	runs := 0
+	for {
+		runs++
+		for _, m := range ms {
+			got, want := NewSim(m), NewSim(m)
+			got.applyGapped(dict, ids, gaps)
+			want.applyStepsRef(dict, ids)
+			if !got.SameState(want) {
+				t.Fatalf("%v with gaps %v on %s diverged:\n  got  %+v\n  want %+v", ids, gaps, m.Name, got.C, want.C)
+			}
+		}
+		// Next choice of gaps, counting in base gapKinds.
+		i := 0
+		for ; i < len(gaps) && gaps[i] == gapKinds-1; i++ {
+			gaps[i] = gapNone
+		}
+		if i == len(gaps) {
+			return runs
+		}
+		gaps[i]++
 	}
 }

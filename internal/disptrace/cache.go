@@ -80,14 +80,15 @@ func keyOf(h Header) Key {
 const memoryBudget = 16 << 20
 
 // Cache is a content-addressed on-disk trace store: traces live under
-// Dir as <key-id>.vmdt. Concurrent recordings of the same key are
-// deduplicated in-process (runner.Flight); distinct processes sharing
-// a directory stay safe through atomic writes, at worst recording the
-// same trace twice.
+// Dir as <key-id>.vmdt. Distinct processes sharing a directory stay
+// safe through atomic writes, at worst recording the same trace twice.
 //
-// Decoded traces stay in memory in one least-recently-used list under
-// a byte budget (memoryBudget), so a load runs down the ladder memory
-// → disk → peer (Fill) → simulate. Build a Cache with NewCache.
+// Every read of a trace, by key (GetOrRecord) or by ID (LoadID, a
+// MetaID miss), climbs one ladder — memory → disk → Fill → record —
+// under one in-process flight keyed by trace ID, so concurrent reads
+// of one trace cost one disk read, one fill or one recording. Decoded
+// traces stay in memory in one least-recently-used list under a byte
+// budget (memoryBudget). Build a Cache with NewCache.
 type Cache struct {
 	// Dir is the cache directory (created on first store).
 	Dir string
@@ -98,18 +99,17 @@ type Cache struct {
 	// injected fault is absorbed without failing a request.
 	Faults *faults.Injector
 
-	// Fill, when set, is consulted on a clean local miss before the
-	// trace is recorded by simulation: it returns the encoded trace
-	// bytes from elsewhere (in a cluster, the owning peer), nil bytes
-	// for a clean miss, or an error. Filled bytes are verified against
-	// the key before use and stored locally, so a cold or re-hashed
-	// instance warms from the fleet instead of redoing work. Fill runs
-	// inside the per-key flight, so a herd on one key asks at most
-	// once. FillID is the same hook for by-ID loads (the diff path);
-	// its result is verified against the content address. Both must be
-	// set before the cache serves traffic.
-	Fill   func(k Key) ([]byte, error)
-	FillID func(id string) ([]byte, error)
+	// Fill, when set, is consulted on a local miss before the trace is
+	// recorded by simulation: it returns the encoded bytes of trace id
+	// from elsewhere (in a cluster, a peer), nil bytes for a clean
+	// miss, or an error. k is the trace's key when the caller knows it
+	// and nil when only the ID is known (the diff and trace-info
+	// paths). Filled bytes are verified against id before use and
+	// stored locally, so a cold or re-hashed instance warms from the
+	// fleet instead of redoing work. Fill runs inside the flight, so a
+	// herd on one trace asks at most once. Set it before the cache
+	// serves traffic.
+	Fill func(id string, k *Key) ([]byte, error)
 
 	// mem holds decoded traces by ID, each weighed by its
 	// Arena.Bytes and each verified to hash back to its ID. Every
@@ -118,6 +118,7 @@ type Cache struct {
 	// drops an entry together with its file.
 	mem *runner.LRU[string, *Trace]
 
+	// flight coalesces every read of one trace ID (see climb).
 	flight runner.Flight[string, cacheOutcome]
 
 	// metas memoizes per-file index metadata for List (id ->
@@ -144,10 +145,11 @@ type cachedMeta struct {
 
 // CacheStats counts cache activity since process start; the serving
 // subsystem exports each field as a vmserved_trace_*, vmserved_peer_*
-// or vmserved_cache_quarantined_total series on /metrics. Loads +
-// Records is the number of flights that ran (loads from memory or disk
-// vs fresh recordings); Joined counts GetOrRecord calls that coalesced
-// onto an in-progress flight instead of touching the disk at all.
+// or vmserved_cache_quarantined_total series on /metrics. Loads counts
+// flights that found the trace locally, in memory or on disk, whether
+// asked by key or by ID; Records counts fresh recordings; Joined
+// counts reads, by key or by ID, that coalesced onto an in-progress
+// flight instead of climbing the ladder themselves.
 type CacheStats struct {
 	Loads   uint64
 	Records uint64
@@ -155,14 +157,14 @@ type CacheStats struct {
 
 	// Quarantined counts corrupt or mismatched files moved to the
 	// quarantine sidecar dir instead of served; ReadErrors counts
-	// loads that failed at the I/O layer and fell back to
-	// re-simulation; SaveErrors counts recordings whose cache store
-	// failed but whose trace was still served.
+	// reads that failed at the I/O layer and fell back to a fill (and,
+	// by key, to re-simulation); SaveErrors counts recordings and fills
+	// whose cache store failed but whose trace was still served.
 	Quarantined uint64
 	ReadErrors  uint64
 	SaveErrors  uint64
 
-	// PeerFills counts misses satisfied by the Fill/FillID hooks (in a
+	// PeerFills counts misses satisfied by the Fill hook (in a
 	// cluster, traces fetched from the owning peer instead of
 	// re-simulated); PeerFillMisses counts hook calls that came back
 	// empty and fell through to simulation; PeerFillErrors counts hook
@@ -203,10 +205,13 @@ func (c *Cache) Stats() CacheStats {
 	}
 }
 
-// cacheOutcome is one GetOrRecord result shared across a flight.
+// cacheOutcome is one ladder climb shared across a flight. idMiss
+// reports a by-ID climb that found nothing: final for by-ID readers,
+// but no answer for a keyed caller that can still record.
 type cacheOutcome struct {
 	t        *Trace
 	recorded bool
+	idMiss   bool
 }
 
 // NewCache returns a cache rooted at dir.
@@ -222,15 +227,6 @@ func newMemory(budget int64) *runner.LRU[string, *Trace] {
 		func(t *Trace) int64 { return t.arena.Bytes() })
 }
 
-// memGet returns the decoded trace memory holds for id, or nil.
-func (c *Cache) memGet(id string) *Trace {
-	t, _ := c.mem.Get(id)
-	if t != nil {
-		c.memHits.Add(1)
-	}
-	return t
-}
-
 // remember keeps a verified trace in memory. A trace heavier than the
 // whole budget is served but not kept: holding it would evict
 // everything else and still break the bound.
@@ -241,8 +237,22 @@ func (c *Cache) remember(id string, t *Trace) {
 }
 
 // Path returns the file a key's trace is stored at.
-func (c *Cache) Path(k Key) string {
-	return filepath.Join(c.Dir, k.ID()+".vmdt")
+func (c *Cache) Path(k Key) string { return c.file(k.ID()) }
+
+// file returns the file trace id is stored at.
+func (c *Cache) file(id string) string { return filepath.Join(c.Dir, id+".vmdt") }
+
+// verify decodes stored bytes and checks that their header hashes back
+// to id, the content address they were found under: the one check
+// every disk read, fill and scrub makes before a trace is served or
+// kept. It returns nil for bytes that fail to decode or belong to
+// another key (stale, renamed or a confused peer's).
+func verify(b []byte, id string) *Trace {
+	t, err := Decode(b)
+	if err != nil || keyOf(t.Header).ID() != id {
+		return nil
+	}
+	return t
 }
 
 // QuarantineDir is the sidecar directory under Dir that corrupt or
@@ -251,15 +261,16 @@ func (c *Cache) Path(k Key) string {
 // and the move shows up in CacheStats.Quarantined.
 const QuarantineDir = "quarantine"
 
-// quarantine moves a bad cache file into the sidecar dir. If the move
-// itself fails (cross-device, permissions) the file is removed
+// quarantine moves trace id's bad cache file into the sidecar dir. If
+// the move itself fails (cross-device, permissions) the file is removed
 // instead — a poisoned entry that cannot be set aside must still not
 // wedge every future run on its key.
-func (c *Cache) quarantine(path string) {
+func (c *Cache) quarantine(id string) {
 	// Memory must never outlive its file: a quarantined entry's
 	// decoded trace goes with it, so the healed replacement is
 	// decoded from clean bytes.
-	c.mem.Remove(strings.TrimSuffix(filepath.Base(path), ".vmdt"))
+	c.mem.Remove(id)
+	path := c.file(id)
 	qdir := filepath.Join(c.Dir, QuarantineDir)
 	if err := os.MkdirAll(qdir, 0o755); err == nil {
 		if os.Rename(path, filepath.Join(qdir, filepath.Base(path))) == nil {
@@ -272,54 +283,51 @@ func (c *Cache) quarantine(path string) {
 	}
 }
 
-// readFile reads one cache file through the fault-injection sites:
-// injected latency first, then an injected read error, then payload
-// corruption of the bytes actually read.
-func (c *Cache) readFile(path string) ([]byte, error) {
+// readFile reads trace id's cache file through the fault-injection
+// sites: injected latency first, then an injected read error, then
+// payload corruption of the bytes actually read.
+func (c *Cache) readFile(id string) ([]byte, error) {
 	c.Faults.Delay(faults.SiteCacheRead)
 	if err := c.Faults.Err(faults.SiteCacheRead); err != nil {
 		return nil, err
 	}
-	b, err := os.ReadFile(path)
+	b, err := os.ReadFile(c.file(id))
 	if err != nil {
 		return nil, err
 	}
 	return c.Faults.Corrupt(faults.SiteCacheRead, b), nil
 }
 
-// Load returns the cached trace for a key, or (nil, nil) on a clean
-// miss. A corrupt or mismatched cache file is quarantined and
-// reported as a miss so the caller re-records over it; read errors
-// other than absence (permissions, fd exhaustion, injected faults)
-// propagate — quarantining a valid trace over a transient I/O failure
-// would needlessly discard cache (GetOrRecord absorbs the error by
-// re-simulating instead).
-func (c *Cache) Load(k Key) (*Trace, error) { return c.loadID(k.ID()) }
-
-// loadID is the one verified read by content address, shared by Load
-// and LoadID: memory first, then the file, decoded and kept in memory
-// only when its header hashes back to id. A file that fails to decode,
-// or holds another key's trace (stale or renamed), is quarantined.
-// Both that and an absent file return (nil, nil); other read errors
-// propagate.
-func (c *Cache) loadID(id string) (*Trace, error) {
-	if t := c.memGet(id); t != nil {
+// local is the ladder's first two rungs: memory, then the file,
+// verified and kept in memory. A by-ID read (byID) takes memory only
+// while the file exists, so a deleted trace reads as absent even
+// while memory holds it. A file that fails verification is
+// quarantined. Both that and an absent file return (nil, nil); other
+// read errors propagate.
+func (c *Cache) local(id string, byID bool) (*Trace, error) {
+	if byID {
+		if _, err := os.Stat(c.file(id)); errors.Is(err, fs.ErrNotExist) {
+			return nil, nil
+		} else if err != nil {
+			return nil, fmt.Errorf("disptrace: %w", err)
+		}
+	}
+	if t, _ := c.mem.Get(id); t != nil {
+		c.memHits.Add(1)
 		return t, nil
 	}
-	path := filepath.Join(c.Dir, id+".vmdt")
-	b, err := c.readFile(path)
-	if err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			return nil, nil
-		}
+	b, err := c.readFile(id)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil, nil
+	} else if err != nil {
 		return nil, fmt.Errorf("disptrace: %w", err)
 	}
-	t, err := Decode(b)
-	if err != nil || keyOf(t.Header).ID() != id {
+	t := verify(b, id)
+	if t == nil {
 		// Truncated, bit-flipped, stale or renamed: set it aside and
 		// treat as a miss rather than wedging every run on the key or
 		// serving another key's trace under this one.
-		c.quarantine(path)
+		c.quarantine(id)
 		return nil, nil
 	}
 	c.remember(id, t)
@@ -365,30 +373,19 @@ type CacheEntry struct {
 // older format version, or deleted mid-listing) are listed by id and
 // size alone.
 func (c *Cache) List() ([]CacheEntry, error) {
-	entries, err := os.ReadDir(c.Dir)
-	if err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			return nil, nil
-		}
-		return nil, fmt.Errorf("disptrace: %w", err)
-	}
 	var out []CacheEntry
-	live := make(map[string]bool, len(entries))
-	for _, e := range entries {
-		id, isTrace := strings.CutSuffix(e.Name(), ".vmdt")
-		if !isTrace || !ValidID(id) {
-			continue
-		}
+	live := make(map[string]bool)
+	err := c.walk(func(id string, e fs.DirEntry) {
 		info, err := e.Info()
 		if err != nil {
-			continue // deleted between ReadDir and stat
+			return // deleted between ReadDir and stat
 		}
 		live[id] = true
 		entry := CacheEntry{ID: id, Bytes: info.Size()}
 		cm, hit := c.metas.Load(id)
 		if !hit || cm.(cachedMeta).size != info.Size() || !cm.(cachedMeta).mtime.Equal(info.ModTime()) {
 			fresh := cachedMeta{size: info.Size(), mtime: info.ModTime()}
-			if m, err := ReadMeta(filepath.Join(c.Dir, e.Name())); err == nil {
+			if m, err := ReadMeta(c.file(id)); err == nil {
 				fresh.meta, fresh.ok = m, true
 			}
 			c.metas.Store(id, fresh)
@@ -404,6 +401,9 @@ func (c *Cache) List() ([]CacheEntry, error) {
 			entry.DictSteps = m.meta.DictSteps
 		}
 		out = append(out, entry)
+	})
+	if err != nil {
+		return nil, err
 	}
 	// Drop memoized metadata for files no longer resident, so the map
 	// tracks the directory instead of its history.
@@ -416,60 +416,69 @@ func (c *Cache) List() ([]CacheEntry, error) {
 	return out, nil
 }
 
-// LoadID loads a cached trace by its content address, returning the
-// trace and its on-disk size. Absent IDs return ErrNoTrace (also for
-// malformed IDs, which cannot name a cache file). A file that fails to
-// decode or to hash back to id is quarantined and reported as absent:
-// the cache has no valid trace under that ID any more.
-func (c *Cache) LoadID(id string) (*Trace, int64, error) {
-	if !ValidID(id) {
-		return nil, 0, ErrNoTrace
+// walk calls fn with the ID and directory entry of every trace file in
+// Dir: the one directory walk behind List and Scrub. A missing
+// directory is an empty cache, not an error.
+func (c *Cache) walk(fn func(id string, e fs.DirEntry)) error {
+	entries, err := os.ReadDir(c.Dir)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil
+	} else if err != nil {
+		return fmt.Errorf("disptrace: %w", err)
 	}
-	// The stat keeps deleted files reporting ErrNoTrace even when
-	// memory still holds them.
-	fi, err := os.Stat(filepath.Join(c.Dir, id+".vmdt"))
-	if err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			if t, b := fill(c, id, c.FillID, id); t != nil {
-				c.remember(id, t)
-				return t, int64(len(b)), nil
-			}
-			return nil, 0, ErrNoTrace
+	for _, e := range entries {
+		if id, isTrace := strings.CutSuffix(e.Name(), ".vmdt"); isTrace && ValidID(id) {
+			fn(id, e)
 		}
-		return nil, 0, fmt.Errorf("disptrace: %w", err)
 	}
-	t, err := c.loadID(id)
-	if err != nil {
-		return nil, 0, err
+	return nil
+}
+
+// LoadID loads a cached trace by its content address, climbing the
+// ladder without a recorder: memory (while the file exists), disk,
+// then Fill. Absent IDs return ErrNoTrace (also for malformed IDs,
+// which cannot name a cache file). A file that fails to decode or to
+// hash back to id is quarantined and reported as absent: the cache has
+// no valid trace under that ID any more.
+func (c *Cache) LoadID(id string) (*Trace, error) {
+	if !ValidID(id) {
+		return nil, ErrNoTrace
 	}
-	if t == nil {
-		return nil, 0, ErrNoTrace
-	}
-	return t, fi.Size(), nil
+	o, err := c.climb(id, nil, nil)
+	return o.t, err
 }
 
 // MetaID reads one cached trace's metadata by its content address:
 // the header and index, with the file's checksum verified, returned
 // with the file's size. Neither the dictionary nor the token stream is
-// parsed, and the read neither consults nor fills memory. Absent IDs
-// (after a peer fill attempt) return ErrNoTrace; a file that fails its
-// checksum, is of another format version or holds a header that does
-// not hash back to id is quarantined and reported as absent, as
-// LoadID does.
+// parsed, and a local hit neither consults nor fills memory. A local
+// miss climbs the ladder as LoadID does and reads the filled file;
+// absent IDs return ErrNoTrace. A file that fails its checksum, is of
+// another format version or holds a header that does not hash back to
+// id is quarantined and reported as absent, as LoadID does.
 func (c *Cache) MetaID(id string) (Meta, int64, error) {
 	if !ValidID(id) {
 		return Meta{}, 0, ErrNoTrace
 	}
-	path := filepath.Join(c.Dir, id+".vmdt")
-	b, err := c.readFile(path)
+	m, size, err := c.metaFile(id)
 	if errors.Is(err, fs.ErrNotExist) {
-		_, b := fill(c, id, c.FillID, id)
-		if b == nil {
-			return Meta{}, 0, ErrNoTrace
+		if _, err = c.LoadID(id); err == nil {
+			m, size, err = c.metaFile(id)
 		}
-		m, err := DecodeMeta(b)
-		return m, int64(len(b)), err
-	} else if err != nil {
+	}
+	if errors.Is(err, fs.ErrNotExist) {
+		return Meta{}, 0, ErrNoTrace
+	}
+	return m, size, err
+}
+
+// metaFile is MetaID's local read: the file's header and index, its
+// checksum and content address verified, with its size. An absent file
+// returns an fs.ErrNotExist error; a file that fails verification is
+// quarantined and reported as ErrNoTrace.
+func (c *Cache) metaFile(id string) (Meta, int64, error) {
+	b, err := c.readFile(id)
+	if err != nil {
 		return Meta{}, 0, fmt.Errorf("disptrace: %w", err)
 	}
 	m, err := DecodeMeta(b)
@@ -477,7 +486,7 @@ func (c *Cache) MetaID(id string) (Meta, int64, error) {
 		err = checkSum(b)
 	}
 	if err != nil || keyOf(m.Header).ID() != id {
-		c.quarantine(path)
+		c.quarantine(id)
 		return Meta{}, 0, ErrNoTrace
 	}
 	return m, int64(len(b)), nil
@@ -495,44 +504,64 @@ func (c *Cache) store(k Key, t *Trace) error {
 	return atomicWrite(c.Path(k), c.Faults.Corrupt(faults.SiteCacheWrite, t.Encode()))
 }
 
-// GetOrRecord returns the trace for key, loading it from memory or
-// disk or recording it with record exactly once per in-process flight.
-// recorded reports whether this call (or the flight it joined)
-// performed a fresh recording rather than a load. A filled or recorded
-// trace stays in memory, so the next load does not decode the file
-// just written.
+// GetOrRecord returns the trace for key, climbing the ladder with
+// record as its last rung, so the trace is recorded at most once per
+// in-process flight. recorded reports whether this call (or the
+// flight it joined) performed a fresh recording rather than a load.
+// A filled or recorded trace stays in memory, so the next load does
+// not decode the file just written.
 //
 // Storage failure in either direction is absorbed rather than served:
-// a load that errors at the I/O layer falls back to re-simulation
-// (counted in ReadErrors), and a recording whose cache store fails is
-// still returned to the caller (counted in SaveErrors) — losing a
-// cache entry costs the next request a re-simulation; losing the
-// response would fail this one.
-func (c *Cache) GetOrRecord(k Key, record func() (*Trace, error)) (t *Trace, recorded bool, err error) {
-	id := k.ID()
+// a load that errors at the I/O layer falls back to a fill and then
+// re-simulation (counted in ReadErrors), and a recording whose cache
+// store fails is still returned to the caller (counted in SaveErrors)
+// — losing a cache entry costs the next request a re-simulation;
+// losing the response would fail this one.
+func (c *Cache) GetOrRecord(k Key, record func() (*Trace, error)) (*Trace, bool, error) {
+	for {
+		o, err := c.climb(k.ID(), &k, record)
+		// A by-ID flight that found nothing is no answer to a caller
+		// that can record: lead a fresh flight with the recorder.
+		if !o.idMiss {
+			return o.t, o.recorded, err
+		}
+	}
+}
+
+// climb is the one ladder every read of trace id takes, under the
+// cache's flight keyed by id: memory → disk (local) → Fill → record.
+// k is nil for a by-ID read, which has no recorder: its miss is final
+// and reports the read error, or ErrNoTrace.
+func (c *Cache) climb(id string, k *Key, record func() (*Trace, error)) (cacheOutcome, error) {
 	o, leader, err := c.flight.Do(id, func() (cacheOutcome, error) {
-		t, lerr := c.loadID(id)
-		if lerr != nil {
-			c.readErrors.Add(1)
-		} else if t != nil {
+		t, err := c.local(id, k == nil)
+		if t != nil {
 			c.loads.Add(1)
 			return cacheOutcome{t: t}, nil
 		}
-		if t, _ := fill(c, id, c.Fill, k); t != nil {
-			c.remember(id, t)
+		if err != nil {
+			c.readErrors.Add(1)
+		}
+		if t := c.fill(id, k); t != nil {
 			return cacheOutcome{t: t}, nil
 		}
-		t, err := record()
+		if k == nil {
+			if err == nil {
+				err = ErrNoTrace
+			}
+			return cacheOutcome{idMiss: true}, err
+		}
+		t, err = record()
 		if err != nil {
 			return cacheOutcome{}, err
 		}
-		if err := c.store(k, t); err != nil {
+		if err := c.store(*k, t); err != nil {
 			c.saveErrors.Add(1)
 		}
 		c.records.Add(1)
 		// A recording for another key is served but never kept: memory
 		// holds only what hashes back to its ID.
-		if keyOf(t.Header) == k {
+		if keyOf(t.Header) == *k {
 			c.remember(id, t)
 		}
 		return cacheOutcome{t: t, recorded: true}, nil
@@ -540,42 +569,41 @@ func (c *Cache) GetOrRecord(k Key, record func() (*Trace, error)) (t *Trace, rec
 	if !leader {
 		c.joined.Add(1)
 	}
-	return o.t, o.recorded, err
+	return o, err
 }
 
-// fill consults a fill hook, hook(arg), on a clean local miss of id
-// (GetOrRecord passes Fill with the key, the by-ID loads FillID with
-// the ID). A usable result is verified against the content address
-// (the decoded header must hash back to id), persisted locally (best
-// effort — a store failure costs the next request another fill, not
-// this response), and returned with its file bytes; anything else —
-// hook absent, hook error, empty result, or a payload that fails
-// decode or verification — returns nil so the caller falls through to
-// simulation. The ladder is strictly local → peer → simulate: fill
-// never makes a miss worse than it already was.
-func fill[A any](c *Cache, id string, hook func(A) ([]byte, error), arg A) (*Trace, []byte) {
-	if hook == nil {
-		return nil, nil
+// fill is the ladder's third rung: it asks the Fill hook for trace id
+// after a local miss. A usable result is verified against the content
+// address, persisted locally (best effort — a store failure costs the
+// next request another fill, not this response), kept in memory and
+// returned; anything else — hook absent, hook error, empty result, or
+// a payload that fails verification — returns nil so the caller falls
+// through. The ladder is strictly local → fill → simulate: fill never
+// makes a miss worse than it already was.
+func (c *Cache) fill(id string, k *Key) *Trace {
+	if c.Fill == nil {
+		return nil
 	}
-	b, err := hook(arg)
+	b, err := c.Fill(id, k)
 	if err != nil {
 		c.peerFillErrors.Add(1)
-		return nil, nil
+		return nil
 	}
 	if len(b) == 0 {
 		c.peerFillMisses.Add(1)
-		return nil, nil
+		return nil
 	}
-	t, err := Decode(b)
-	if err != nil || keyOf(t.Header).ID() != id {
+	t := verify(b, id)
+	if t == nil {
 		c.peerFillErrors.Add(1)
-		return nil, nil
+		return nil
 	}
-	if err := atomicWrite(filepath.Join(c.Dir, id+".vmdt"), b); err != nil {
+	if err := atomicWrite(c.file(id), b); err != nil {
 		c.saveErrors.Add(1)
 	}
 	c.peerFills.Add(1)
-	return t, b
+	c.remember(id, t)
+	return t
 }
 
 // ReadRaw returns the raw stored bytes of a resident trace file — the
@@ -587,7 +615,7 @@ func (c *Cache) ReadRaw(id string) ([]byte, error) {
 	if !ValidID(id) {
 		return nil, ErrNoTrace
 	}
-	b, err := os.ReadFile(filepath.Join(c.Dir, id+".vmdt"))
+	b, err := os.ReadFile(c.file(id))
 	if err != nil {
 		if errors.Is(err, fs.ErrNotExist) {
 			return nil, ErrNoTrace
@@ -616,31 +644,17 @@ type ScrubReport struct {
 // vmserved runs it at startup under -scrub.
 func (c *Cache) Scrub() (ScrubReport, error) {
 	var rep ScrubReport
-	entries, err := os.ReadDir(c.Dir)
-	if err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			return rep, nil
-		}
-		return rep, fmt.Errorf("disptrace: %w", err)
-	}
-	for _, e := range entries {
-		id, isTrace := strings.CutSuffix(e.Name(), ".vmdt")
-		if !isTrace || !ValidID(id) {
-			continue
-		}
-		path := filepath.Join(c.Dir, e.Name())
-		b, err := os.ReadFile(path)
+	err := c.walk(func(id string, _ fs.DirEntry) {
+		b, err := os.ReadFile(c.file(id))
 		if err != nil {
-			continue // deleted mid-scrub, or unreadable: nothing to verify
+			return // deleted mid-scrub, or unreadable: nothing to verify
 		}
 		rep.Checked++
 		rep.Bytes += int64(len(b))
-		t, derr := Decode(b)
-		if derr == nil && keyOf(t.Header).ID() == id {
-			continue
+		if verify(b, id) == nil {
+			c.quarantine(id)
+			rep.Quarantined++
 		}
-		c.quarantine(path)
-		rep.Quarantined++
-	}
-	return rep, nil
+	})
+	return rep, err
 }

@@ -5,7 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"vmopt/internal/disptrace"
 )
@@ -34,10 +37,10 @@ func TestFillHit(t *testing.T) {
 	raw := fillTrace(t, k)
 	c := disptrace.NewCache(t.TempDir())
 	fills := 0
-	c.Fill = func(fk disptrace.Key) ([]byte, error) {
+	c.Fill = func(id string, fk *disptrace.Key) ([]byte, error) {
 		fills++
-		if fk != k {
-			return nil, fmt.Errorf("asked for unexpected key %+v", fk)
+		if id != k.ID() || fk == nil || *fk != k {
+			return nil, fmt.Errorf("asked for unexpected trace %s, key %+v", id, fk)
 		}
 		return raw, nil
 	}
@@ -83,14 +86,14 @@ func TestFillFallbacks(t *testing.T) {
 
 	for _, tc := range []struct {
 		name   string
-		fill   func(disptrace.Key) ([]byte, error)
+		fill   func(string, *disptrace.Key) ([]byte, error)
 		misses uint64
 		errs   uint64
 	}{
-		{"miss", func(disptrace.Key) ([]byte, error) { return nil, nil }, 1, 0},
-		{"error", func(disptrace.Key) ([]byte, error) { return nil, errors.New("peer down") }, 0, 1},
-		{"garbage", func(disptrace.Key) ([]byte, error) { return []byte("not a trace"), nil }, 0, 1},
-		{"wrong-trace", func(disptrace.Key) ([]byte, error) { return otherRaw, nil }, 0, 1},
+		{"miss", func(string, *disptrace.Key) ([]byte, error) { return nil, nil }, 1, 0},
+		{"error", func(string, *disptrace.Key) ([]byte, error) { return nil, errors.New("peer down") }, 0, 1},
+		{"garbage", func(string, *disptrace.Key) ([]byte, error) { return []byte("not a trace"), nil }, 0, 1},
+		{"wrong-trace", func(string, *disptrace.Key) ([]byte, error) { return otherRaw, nil }, 0, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c := disptrace.NewCache(t.TempDir())
@@ -123,21 +126,21 @@ func TestFillFallbacks(t *testing.T) {
 }
 
 // TestFillID: the by-content-address path (diff traces) fills from
-// FillID, verifies the content address, and rejects payloads whose
-// bytes decode to a different trace.
+// the Fill hook with no key, verifies the content address, and rejects
+// payloads whose bytes decode to a different trace.
 func TestFillID(t *testing.T) {
 	k := healKey()
 	raw := fillTrace(t, k)
 	id := k.ID()
 
 	c := disptrace.NewCache(t.TempDir())
-	c.FillID = func(gotID string) ([]byte, error) {
-		if gotID != id {
-			return nil, fmt.Errorf("asked for unexpected id %s", gotID)
+	c.Fill = func(gotID string, fk *disptrace.Key) ([]byte, error) {
+		if gotID != id || fk != nil {
+			return nil, fmt.Errorf("asked for unexpected id %s, key %+v", gotID, fk)
 		}
 		return raw, nil
 	}
-	tr, _, err := c.LoadID(id)
+	tr, err := c.LoadID(id)
 	if err != nil {
 		t.Fatalf("LoadID with fill: %v", err)
 	}
@@ -153,18 +156,108 @@ func TestFillID(t *testing.T) {
 	other := healKey()
 	other.Scale = 9
 	bad := disptrace.NewCache(t.TempDir())
-	bad.FillID = func(string) ([]byte, error) { return raw, nil }
-	if _, _, err := bad.LoadID(other.ID()); !errors.Is(err, disptrace.ErrNoTrace) {
-		t.Fatalf("mismatched FillID payload accepted: err=%v", err)
+	bad.Fill = func(string, *disptrace.Key) ([]byte, error) { return raw, nil }
+	if _, err := bad.LoadID(other.ID()); !errors.Is(err, disptrace.ErrNoTrace) {
+		t.Fatalf("mismatched fill payload accepted: err=%v", err)
 	}
 	if st := bad.Stats(); st.PeerFillErrors != 1 {
 		t.Fatalf("stats: %+v", st)
 	}
 }
 
+// TestOneFlightPerTrace: reads of one cold trace by ID (LoadID) and
+// by key (GetOrRecord) climb one ladder under one flight, so a herd of
+// both kinds calls the slow fill hook once — one verify, one file
+// write — and every other read joins that flight.
+func TestOneFlightPerTrace(t *testing.T) {
+	k := healKey()
+	raw := fillTrace(t, k)
+	c := disptrace.NewCache(t.TempDir())
+	const herd = 8
+	var arrived, done sync.WaitGroup
+	arrived.Add(herd)
+	var fills atomic.Int32
+	c.Fill = func(string, *disptrace.Key) ([]byte, error) {
+		fills.Add(1)
+		arrived.Wait()
+		time.Sleep(100 * time.Millisecond) // every reader reaches the flight
+		return raw, nil
+	}
+	traces := make([]*disptrace.Trace, herd)
+	errs := make([]error, herd)
+	for i := range herd {
+		done.Add(1)
+		go func() {
+			defer done.Done()
+			arrived.Done()
+			if i%2 == 0 {
+				traces[i], errs[i] = c.LoadID(k.ID())
+				return
+			}
+			traces[i], _, errs[i] = c.GetOrRecord(k, func() (*disptrace.Trace, error) {
+				return nil, errors.New("recorder ran on a filled trace")
+			})
+		}()
+	}
+	done.Wait()
+	for i := range herd {
+		if errs[i] != nil || traces[i] != traces[0] {
+			t.Fatalf("read %d: %p, %v; want the one filled trace %p", i, traces[i], errs[i], traces[0])
+		}
+	}
+	st := c.Stats()
+	if n := fills.Load(); n != 1 || st.PeerFills != 1 || st.Joined != herd-1 || st.Records != 0 {
+		t.Fatalf("fill hook called %d times, stats %+v; want 1 call, 1 peer fill, %d joined", n, st, herd-1)
+	}
+}
+
+// TestKeyedReadLeadsAfterByIDMiss: a GetOrRecord that joins a by-ID
+// flight which found nothing does not take that miss as its answer: it
+// leads a fresh flight, asks the fill hook with its key and records.
+func TestKeyedReadLeadsAfterByIDMiss(t *testing.T) {
+	k := healKey()
+	c := disptrace.NewCache(t.TempDir())
+	keyed := make(chan struct{})
+	var byID, byKey atomic.Int32
+	c.Fill = func(_ string, fk *disptrace.Key) ([]byte, error) {
+		if fk != nil {
+			byKey.Add(1)
+			return nil, nil
+		}
+		byID.Add(1)
+		<-keyed
+		time.Sleep(100 * time.Millisecond) // the keyed read joins this flight
+		return nil, nil
+	}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	var idErr error
+	go func() {
+		defer wg.Done()
+		_, idErr = c.LoadID(k.ID())
+	}()
+	for byID.Load() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	close(keyed)
+	calls := 0
+	tr, recorded, err := c.GetOrRecord(k, healRecorder(k, &calls))
+	wg.Wait()
+	if !errors.Is(idErr, disptrace.ErrNoTrace) {
+		t.Fatalf("LoadID of a trace nobody has: err=%v, want ErrNoTrace", idErr)
+	}
+	if err != nil || tr == nil || !recorded || calls != 1 {
+		t.Fatalf("GetOrRecord after a by-ID miss: %v, recorded=%v, err=%v, recorder calls %d", tr, recorded, err, calls)
+	}
+	if st := c.Stats(); st.Joined != 1 || st.Records != 1 || byID.Load() != 1 || byKey.Load() != 1 {
+		t.Fatalf("stats %+v, fills by ID %d, by key %d; want 1 joined, 1 record, one fill each",
+			st, byID.Load(), byKey.Load())
+	}
+}
+
 // TestMetaID: the by-ID metadata read returns the file's header and
 // index with its size, without consulting or filling the cache's
-// memory of decoded traces; it fills from FillID on a local miss, and quarantines a file
+// memory of decoded traces; it fills through the ladder on a local miss, and quarantines a file
 // that fails its checksum or is of another format version.
 func TestMetaID(t *testing.T) {
 	k := healKey()
@@ -174,7 +267,7 @@ func TestMetaID(t *testing.T) {
 	if _, _, err := c.GetOrRecord(k, healRecorder(k, &calls)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Load(k); err != nil || !disptrace.InMemory(c, id) {
+	if _, err := c.LoadID(id); err != nil || !disptrace.InMemory(c, id) {
 		t.Fatalf("load did not keep the trace in memory: err=%v", err)
 	}
 	want, err := disptrace.ReadMeta(c.Path(k))
@@ -200,7 +293,7 @@ func TestMetaID(t *testing.T) {
 	}
 
 	filled := disptrace.NewCache(t.TempDir())
-	filled.FillID = func(string) ([]byte, error) { return raw, nil }
+	filled.Fill = func(string, *disptrace.Key) ([]byte, error) { return raw, nil }
 	if m, size, err := filled.MetaID(id); err != nil || m != want || size != int64(len(raw)) {
 		t.Fatalf("MetaID with fill = %+v, %d, %v", m, size, err)
 	}
@@ -240,7 +333,7 @@ func TestMetaID(t *testing.T) {
 
 // TestReadRaw: the peer-serving read returns the exact file bytes and
 // counts the serve; absences and invalid IDs are ErrNoTrace without
-// touching the fill hooks (no fill recursion between peers).
+// touching the fill hook (no fill recursion between peers).
 func TestReadRaw(t *testing.T) {
 	k := healKey()
 	c := disptrace.NewCache(t.TempDir())
@@ -264,7 +357,7 @@ func TestReadRaw(t *testing.T) {
 	}
 
 	fillCalled := false
-	c.FillID = func(string) ([]byte, error) { fillCalled = true; return nil, nil }
+	c.Fill = func(string, *disptrace.Key) ([]byte, error) { fillCalled = true; return nil, nil }
 	other := healKey()
 	other.Scale = 11
 	if _, err := c.ReadRaw(other.ID()); !errors.Is(err, disptrace.ErrNoTrace) {

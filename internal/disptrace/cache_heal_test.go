@@ -298,7 +298,7 @@ func TestCacheRenamedFileQuarantined(t *testing.T) {
 			}
 
 			if via == "load" {
-				if got, _, err := c.LoadID(b.ID()); !errors.Is(err, disptrace.ErrNoTrace) {
+				if got, err := c.LoadID(b.ID()); !errors.Is(err, disptrace.ErrNoTrace) {
 					t.Fatalf("LoadID of a renamed file: %v, err=%v; want ErrNoTrace", got, err)
 				}
 			} else if m, _, err := c.MetaID(b.ID()); !errors.Is(err, disptrace.ErrNoTrace) {

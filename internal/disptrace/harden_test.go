@@ -453,8 +453,8 @@ func TestDecodeRejectsHugeFetch(t *testing.T) {
 	}
 
 	c := disptrace.NewCache(t.TempDir())
-	c.FillID = func(string) ([]byte, error) { return huge, nil }
-	if _, _, err := c.LoadID(k.ID()); !errors.Is(err, disptrace.ErrNoTrace) {
+	c.Fill = func(string, *disptrace.Key) ([]byte, error) { return huge, nil }
+	if _, err := c.LoadID(k.ID()); !errors.Is(err, disptrace.ErrNoTrace) {
 		t.Fatalf("a peer fill with 16 GiB fetches was served: err %v", err)
 	}
 	if st := c.Stats(); st.PeerFillErrors != 1 || st.PeerFills != 0 {

@@ -40,7 +40,8 @@ func recordAndLoad(t *testing.T, c *disptrace.Cache, k disptrace.Key, calls *int
 // is a memory hit that returns the recorded trace itself. A fresh
 // cache over the same directory keeps its first disk load, and every
 // later load is a memory hit that returns the same decoded trace
-// without touching the disk.
+// without touching the disk. A by-ID load climbs the same ladder as a
+// keyed one, so both the disk and the memory load count in Loads.
 func TestMemoryFirstLoad(t *testing.T) {
 	c := disptrace.NewCache(t.TempDir())
 	k := healKey()
@@ -52,7 +53,7 @@ func TestMemoryFirstLoad(t *testing.T) {
 	if st := c.Stats(); st.MemoryBytes != rec.Arena().Bytes() || !disptrace.InMemory(c, k.ID()) {
 		t.Fatalf("recording not kept: %+v, want %d bytes", st, rec.Arena().Bytes())
 	}
-	if tr, err := c.Load(k); err != nil || tr != rec {
+	if tr, err := c.LoadID(k.ID()); err != nil || tr != rec {
 		t.Fatalf("load after recording: %p, %v; want the recording (%p)", tr, err, rec)
 	}
 	if st := c.Stats(); st.MemoryHits != 1 {
@@ -60,19 +61,19 @@ func TestMemoryFirstLoad(t *testing.T) {
 	}
 
 	c = disptrace.NewCache(c.Dir)
-	tr, err := c.Load(k)
+	tr, err := c.LoadID(k.ID())
 	if err != nil || tr == nil {
 		t.Fatalf("load: %v, %v", tr, err)
 	}
 	if st := c.Stats(); st.MemoryBytes != tr.Arena().Bytes() || st.MemoryHits != 0 {
 		t.Fatalf("first load: %+v, want %d bytes and no hit", st, tr.Arena().Bytes())
 	}
-	again, err := c.Load(k)
+	again, err := c.LoadID(k.ID())
 	if err != nil || again != tr {
 		t.Fatalf("second load: %p, %v; want the trace memory holds (%p)", again, err, tr)
 	}
-	if st := c.Stats(); st.MemoryHits != 1 {
-		t.Fatalf("second load was no memory hit: %+v", st)
+	if st := c.Stats(); st.MemoryHits != 1 || st.Loads != 2 {
+		t.Fatalf("second load: %+v; want one memory hit and 2 loads", st)
 	}
 }
 
@@ -122,7 +123,7 @@ func TestMemoryOverBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	for range 3 {
-		tr, err := c.Load(k)
+		tr, err := c.LoadID(k.ID())
 		if err != nil || tr == nil {
 			t.Fatalf("load: %v, %v", tr, err)
 		}
@@ -134,8 +135,8 @@ func TestMemoryOverBudget(t *testing.T) {
 	if st.MemoryBytes != 0 || st.MemoryHits != 0 || st.MemoryEvictions != 0 || disptrace.InMemory(c, k.ID()) {
 		t.Fatalf("over-budget trace kept: %+v", st)
 	}
-	if st.Loads != 1 || calls != 1 {
-		t.Fatalf("loads %d, recordings %d; want 1 and 1", st.Loads, calls)
+	if st.Loads != 4 || calls != 1 {
+		t.Fatalf("loads %d, recordings %d; want 4 and 1", st.Loads, calls)
 	}
 }
 
@@ -207,13 +208,13 @@ func TestMemoryLoadIDDeletedFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	c = disptrace.NewCache(c.Dir)
-	tr, size, err := c.LoadID(k.ID())
+	tr, err := c.LoadID(k.ID())
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, size2, err := c.LoadID(k.ID())
-	if err != nil || again != tr || size2 != size {
-		t.Fatalf("second LoadID: %p, %d, %v; want %p, %d", again, size2, err, tr, size)
+	again, err := c.LoadID(k.ID())
+	if err != nil || again != tr {
+		t.Fatalf("second LoadID: %p, %v; want %p", again, err, tr)
 	}
 	if st := c.Stats(); st.MemoryHits != 1 {
 		t.Fatalf("second LoadID was no memory hit: %+v", st)
@@ -224,7 +225,7 @@ func TestMemoryLoadIDDeletedFile(t *testing.T) {
 	if !disptrace.InMemory(c, k.ID()) {
 		t.Fatal("memory dropped the trace before the check")
 	}
-	if _, _, err := c.LoadID(k.ID()); !errors.Is(err, disptrace.ErrNoTrace) {
+	if _, err := c.LoadID(k.ID()); !errors.Is(err, disptrace.ErrNoTrace) {
 		t.Fatalf("LoadID of a deleted file: err=%v, want ErrNoTrace", err)
 	}
 }
@@ -250,15 +251,15 @@ func TestMemoryHitReplayAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	c = disptrace.NewCache(c.Dir)
-	decoded, err := c.Load(k)
+	decoded, err := c.LoadID(k.ID())
 	if err != nil || decoded == nil {
 		t.Fatalf("disk load: %v, %v", decoded, err)
 	}
-	hit, err := c.Load(k)
+	hit, err := c.LoadID(k.ID())
 	if err != nil || hit != decoded {
 		t.Fatalf("memory hit returned %p, %v; want the decoded trace %p", hit, err, decoded)
 	}
-	if st := c.Stats(); st.MemoryHits != 1 || st.Loads != 0 {
+	if st := c.Stats(); st.MemoryHits != 1 || st.Loads != 2 {
 		t.Fatalf("stats %+v; want one memory hit", st)
 	}
 

@@ -34,8 +34,8 @@ import (
 // Canonical site names. Sites are free strings — a subsystem may
 // define its own — but the serving stack instruments these.
 const (
-	// SiteCacheRead covers trace-cache file reads (disptrace.Cache
-	// Load/LoadID): error mode fails the read, corrupt/truncate modes
+	// SiteCacheRead covers trace-cache file reads (disptrace.Cache,
+	// by key or by ID): error mode fails the read, corrupt/truncate modes
 	// damage the bytes read, latency mode delays the read.
 	SiteCacheRead = "cache.read"
 	// SiteCacheWrite covers trace-cache file writes (recording a

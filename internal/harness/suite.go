@@ -625,13 +625,11 @@ func (s *Suite) runGroup(ctx context.Context, specs []RunSpec, idxs []int) ([]me
 		}
 	}
 
+	// Every machine of the group is memoized now: read the memo
+	// directly instead of going back through its flight.
 	out := make([]metrics.Counters, len(idxs))
 	for j, i := range idxs {
-		c, err := s.runCtx(ctx, specs[i].W, specs[i].V, specs[i].M)
-		if err != nil {
-			return nil, err
-		}
-		out[j] = c
+		out[j], _ = s.results.Get(keyOf(specs[i].M))
 	}
 	return out, nil
 }

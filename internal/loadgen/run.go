@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"vmopt/internal/metrics"
+	"vmopt/internal/obs"
 	"vmopt/internal/runner"
 )
 
@@ -460,7 +461,7 @@ func (ld *load) issue(op string, req request, record bool, intended time.Time) {
 			st = ar.trailer.Get("Server-Timing")
 		}
 		if st != "" {
-			rec.addStages(parseServerTiming(st))
+			rec.addStages(obs.ParseServerTiming(st))
 		}
 	}
 	if ar.status == http.StatusServiceUnavailable {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -70,6 +71,41 @@ func TestServerTimingFormat(t *testing.T) {
 	want := "sim;dur=12.000, encode;dur=0.500, other;dur=0.500"
 	if got != want {
 		t.Errorf("ServerTiming = %q, want %q", got, want)
+	}
+}
+
+func TestParseServerTiming(t *testing.T) {
+	got := ParseServerTiming("parse;dur=0.011, record;dur=1.879, record;dur=0.5, encode;dur=0.008, junk, alsojunk;desc=x")
+	if len(got) != 3 {
+		t.Fatalf("parsed %d stages, want 3: %v", len(got), got)
+	}
+	if got["record"] != 1.879+0.5 {
+		t.Errorf("record = %v, want summed 2.379", got["record"])
+	}
+	if got["parse"] != 0.011 || got["encode"] != 0.008 {
+		t.Errorf("stages = %v", got)
+	}
+}
+
+// TestServerTimingRoundTrip: the header ServerTiming writes parses back
+// to its stages, each to the header's microsecond precision.
+func TestServerTimingRoundTrip(t *testing.T) {
+	ctx, tr := NewTrace(context.Background(), "run", "req-rt")
+	Observe(ctx, "queue", 250*time.Microsecond)
+	Observe(ctx, "trace_load", 1234567*time.Nanosecond)
+	Observe(ctx, "apply", 7*time.Millisecond)
+	Observe(ctx, "queue", 50*time.Microsecond)
+	elapsed := 10 * time.Millisecond
+	stages := tr.Stages(elapsed)
+	got := ParseServerTiming(tr.ServerTiming(elapsed))
+	if len(got) != len(stages) {
+		t.Fatalf("parsed %v, want the %d stages %v", got, len(stages), stages)
+	}
+	for _, st := range stages {
+		want := float64(st.Dur) / float64(time.Millisecond)
+		if ms, ok := got[st.Name]; !ok || math.Abs(ms-want) > 0.0005 {
+			t.Errorf("stage %s = %v (present %v), want %.6f ms", st.Name, ms, ok, want)
+		}
 	}
 }
 

@@ -20,6 +20,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -250,6 +251,28 @@ func (tr *Trace) ServerTiming(elapsed time.Duration) string {
 		fmt.Fprintf(&b, "%s;dur=%.3f", st.Name, float64(st.Dur)/float64(time.Millisecond))
 	}
 	return b.String()
+}
+
+// ParseServerTiming reads a Server-Timing header value back into
+// per-stage milliseconds ("lru;dur=0.012, sim;dur=41.3"), summing
+// repeated stages. Unparseable entries are skipped — the header is
+// advisory latency attribution, not a correctness surface.
+func ParseServerTiming(v string) map[string]float64 {
+	out := map[string]float64{}
+	for _, entry := range strings.Split(v, ",") {
+		parts := strings.Split(strings.TrimSpace(entry), ";")
+		if len(parts) < 2 || parts[0] == "" {
+			continue
+		}
+		for _, p := range parts[1:] {
+			if rest, ok := strings.CutPrefix(strings.TrimSpace(p), "dur="); ok {
+				if ms, err := strconv.ParseFloat(rest, 64); err == nil {
+					out[parts[0]] += ms
+				}
+			}
+		}
+	}
+	return out
 }
 
 // TraceSnapshot is the JSON form of a finished trace, served by

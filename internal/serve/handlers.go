@@ -429,7 +429,7 @@ func (s *Server) handleTraceInfo(w http.ResponseWriter, r *http.Request) {
 // handleTraceRaw serves the stored bytes of one cached trace file —
 // what a peer instance fetches to fill its own miss. It reads only
 // what is locally resident (ReadRaw never recurses into the fill
-// hooks, so two instances missing the same key cannot chase each
+// hook, so two instances missing the same key cannot chase each
 // other) and the requesting peer verifies the payload against the
 // content address.
 func (s *Server) handleTraceRaw(w http.ResponseWriter, r *http.Request) {

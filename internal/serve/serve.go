@@ -431,8 +431,8 @@ const (
 )
 
 // runDiff produces the marshaled /v1/diff response for a pair of
-// cached trace IDs: both traces are loaded from the disk cache,
-// aligned by VM instruction index, and the report serialized once —
+// cached trace IDs: both traces are loaded through the trace cache's
+// ladder (memory, disk, peer fill) by ID, aligned by VM instruction index, and the report serialized once —
 // identical concurrent requests coalesce onto that single computation
 // and therefore receive byte-identical bodies. Decoding and walking
 // two full traces is real work, so it runs under a compute slot like
@@ -449,12 +449,12 @@ func (s *Server) runDiff(ctx context.Context, k diffKey) ([]byte, bool, error) {
 		}
 		defer release()
 		sp = obs.Start(ctx, "trace_load")
-		a, _, err := s.cfg.Traces.LoadID(k.a)
+		a, err := s.cfg.Traces.LoadID(k.a)
 		if err != nil {
 			sp.End()
 			return nil, err
 		}
-		b, _, err := s.cfg.Traces.LoadID(k.b)
+		b, err := s.cfg.Traces.LoadID(k.b)
 		sp.End()
 		if err != nil {
 			return nil, err

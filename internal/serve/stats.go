@@ -113,13 +113,13 @@ func (st *stats) init(s *Server) {
 		"Dispatch traces recorded by simulation on this instance — the fleet-wide sum bounds duplicate work.",
 		traceStat(func(cs disptrace.CacheStats) uint64 { return cs.Records }))
 	r.CounterFunc("vmserved_trace_loads_total",
-		"Dispatch traces loaded from the local trace cache, from memory or disk.",
+		"Dispatch traces found in the local trace cache, in memory or on disk, by key or by ID (a diff's loads included).",
 		traceStat(func(cs disptrace.CacheStats) uint64 { return cs.Loads }))
 	r.CounterFunc("vmserved_trace_joined_total",
-		"Trace lookups that joined an in-progress load or recording of the same trace.",
+		"Trace reads, by key or by ID, that joined an in-progress load, fill or recording of the same trace.",
 		traceStat(func(cs disptrace.CacheStats) uint64 { return cs.Joined }))
 	r.CounterFunc("vmserved_trace_read_errors_total",
-		"Trace-cache reads that failed at the I/O layer and fell back to simulation.",
+		"Trace-cache reads that failed at the I/O layer and fell back to a peer fill and, by key, to simulation.",
 		traceStat(func(cs disptrace.CacheStats) uint64 { return cs.ReadErrors }))
 	r.CounterFunc("vmserved_trace_save_errors_total",
 		"Recorded traces whose trace-cache store failed; the trace was still served.",
